@@ -150,9 +150,20 @@ func TestFleetSurvivesWorkerDeath(t *testing.T) {
 	}
 	victim, victimDone := startWorker(t, ctx, srv.URL, "victim", victimRun)
 
+	// The survivors hold their first shards until the victim hangs. Left
+	// free, they could finish every other shard before the victim polls
+	// again, and the victim would never reach a second shard.
 	for i := 1; i < 3; i++ {
-		s := workerSuite(t)
-		_, done := startWorker(t, ctx, srv.URL, "survivor", experiments.ShardRunner(s))
+		run := experiments.ShardRunner(workerSuite(t))
+		survivorRun := func(shardCtx context.Context, sh fleet.Shard) (fleet.Counts, string, error) {
+			select {
+			case <-hanging:
+			case <-ctx.Done(): // the test is ending
+				return fleet.Counts{}, "", ctx.Err()
+			}
+			return run(shardCtx, sh)
+		}
+		_, done := startWorker(t, ctx, srv.URL, "survivor", survivorRun)
 		defer func() { cancel(); <-done }()
 	}
 

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	gpusim -app P-BICG [-scheme none|detection|correction] [-level N] [-scheduler gto|lrr] [-trace out.json]
-//	       [-store-dir dir] [-sim-shards N] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	       [-store-dir dir] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // With -store-dir, the run's statistics are persisted to a
 // content-addressed store: a repeat invocation with the same configuration
@@ -44,7 +44,6 @@ func run() error {
 	scheduler := flag.String("scheduler", "gto", "warp scheduler: gto or lrr")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event timeline (load in chrome://tracing or Perfetto) to this file")
 	storeDir := flag.String("store-dir", "", "persist run statistics to this content-addressed store directory (created if missing); repeat runs warm-start from it")
-	simShards := flag.Int("sim-shards", 0, "timing-replay event-scheduler shards (0 = GOMAXPROCS); statistics are byte-identical at any count")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (go tool pprof) to this file")
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -53,13 +52,17 @@ func run() error {
 		fmt.Println(version.String())
 		return nil
 	}
+	policy, err := parseScheduler(*scheduler)
+	if err != nil {
+		return err
+	}
 	stopProfiling, err := startProfiling(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
 	}
 	defer stopProfiling()
 
-	scfg := experiments.SuiteConfig{SimShards: *simShards}
+	var scfg experiments.SuiteConfig
 	if *storeDir != "" {
 		st, err := store.Open(store.Config{Dir: *storeDir})
 		if err != nil {
@@ -101,11 +104,6 @@ func run() error {
 	} else {
 		fmt.Println("Protection: baseline (no protection)")
 	}
-	policy := timing.GTO
-	if *scheduler == "lrr" {
-		policy = timing.LRR
-	}
-
 	var st timing.AppStats
 	if *traceFile == "" {
 		// Serve through the suite's result store: with -store-dir a repeat
@@ -132,7 +130,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		eng.Shards = suite.SimShards()
 		eng.Policy = policy
 		eng.Trace = telemetry.NewTrace()
 		st, err = eng.RunApp(app.Name, traces)
@@ -172,6 +169,18 @@ func run() error {
 			c.AddrTableBytes+c.LoadTableBytes+c.CompareBufferBytes, c.ComparatorBits, c.ReplicaBytes)
 	}
 	return nil
+}
+
+// parseScheduler maps the -scheduler flag to a warp-scheduling policy,
+// rejecting anything but the two the engine implements.
+func parseScheduler(name string) (timing.SchedulerPolicy, error) {
+	switch name {
+	case "gto":
+		return timing.GTO, nil
+	case "lrr":
+		return timing.LRR, nil
+	}
+	return 0, fmt.Errorf("unknown scheduler %q (want gto or lrr)", name)
 }
 
 // startProfiling starts a CPU profile and arranges a heap profile snapshot,

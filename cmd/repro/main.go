@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	repro [-runs 200] [-workers 0] [-sim-shards 0] [-fig 3|4|6|7|9] [-table 1|2|3] [-scale small] [-csv dir]
+//	repro [-runs 200] [-workers 0] [-fig 2|3|4|6|7|9] [-table 1|2|3] [-scale small] [-csv dir]
 //	      [-store-dir dir] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // With -store-dir, every figure and table result is persisted to a
@@ -45,7 +45,6 @@ func run() error {
 	storeDir := flag.String("store-dir", "", "persist results to this content-addressed store directory (created if missing); repeat runs warm-start from it")
 	scale := flag.String("scale", "small", "workload input scale: small, medium, large")
 	workers := flag.Int("workers", 0, "experiment fan-out goroutines (0 = GOMAXPROCS); results are identical at any count")
-	simShards := flag.Int("sim-shards", 0, "timing-replay event-scheduler shards (0 = GOMAXPROCS); results are identical at any count")
 	quiet := flag.Bool("quiet", false, "suppress the stderr progress/ETA reporter")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (go tool pprof) to this file")
@@ -55,6 +54,9 @@ func run() error {
 		fmt.Println(version.String())
 		return nil
 	}
+	if err := checkSelection(*fig, *table); err != nil {
+		return err
+	}
 	stopProfiling, err := startProfiling(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
@@ -62,7 +64,7 @@ func run() error {
 	defer stopProfiling()
 	exportDir = *csvDir
 
-	cfg := experiments.SuiteConfig{Workers: *workers, SimShards: *simShards}
+	cfg := experiments.SuiteConfig{Workers: *workers}
 	cfg.Progress = experiments.Progress(*quiet, os.Stderr)
 	if *storeDir != "" {
 		st, err := store.Open(store.Config{Dir: *storeDir})
@@ -127,6 +129,22 @@ func run() error {
 		if err := printFig9(suite, *runs); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkSelection rejects a -fig or -table value that names nothing this
+// command prints (0 means the flag is unset).
+func checkSelection(fig, table int) error {
+	switch fig {
+	case 0, 2, 3, 4, 6, 7, 9:
+	default:
+		return fmt.Errorf("unknown figure %d (want 2, 3, 4, 6, 7 or 9)", fig)
+	}
+	switch table {
+	case 0, 1, 2, 3:
+	default:
+		return fmt.Errorf("unknown table %d (want 1, 2 or 3)", table)
 	}
 	return nil
 }

@@ -141,13 +141,6 @@ func WithWorkers(n int) Option {
 	return func(c *experiments.SuiteConfig) { c.Workers = n }
 }
 
-// WithSimShards sets the timing simulator's event-scheduler shard count
-// for every replay (0, the default, means GOMAXPROCS). Replay statistics
-// are byte-identical at any shard count; only wall-clock time changes.
-func WithSimShards(n int) Option {
-	return func(c *experiments.SuiteConfig) { c.SimShards = n }
-}
-
 // New builds a library.
 func New(opts ...Option) (*Library, error) {
 	cfg := experiments.SuiteConfig{}
@@ -429,7 +422,6 @@ func (w *Workload) PerformanceObjects(scheme Scheme, objects []string) (PerfRepo
 		if err != nil {
 			return timing.AppStats{}, err
 		}
-		eng.Shards = suite.SimShards()
 		return eng.RunApp(w.name, traces)
 	}
 	base, err := run(nil)
@@ -494,7 +486,6 @@ func (w *Workload) Performance(scheme Scheme, level int) (PerfReport, error) {
 		if err != nil {
 			return timing.AppStats{}, err
 		}
-		eng.Shards = suite.SimShards()
 		return eng.RunApp(w.name, traces)
 	}
 	base, err := run(nil)

@@ -89,7 +89,6 @@ func runTiming(s *Suite, name string, plan timing.ProtectionPlan,
 	if err != nil {
 		return 0, err
 	}
-	eng.Shards = s.cfg.SimShards
 	if policy != 0 {
 		eng.Policy = policy
 	}

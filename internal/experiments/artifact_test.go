@@ -93,7 +93,7 @@ func TestArtifactParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, weights, err := missWeights(cp1.App, cp1.Plan, cp1.simShards)
+	blocks, weights, err := missWeights(cp1.App, cp1.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}

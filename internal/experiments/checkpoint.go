@@ -44,9 +44,6 @@ type Checkpoint struct {
 	missOnce sync.Once
 	missSel  fault.Selector
 	missErr  error
-	// simShards is the suite's resolved timing-replay shard count, carried
-	// here so the lazy miss-selector replay runs at the suite's parallelism.
-	simShards int
 
 	// The store-commit timeline (one instrumented timing replay) is lazy
 	// like the golden run: only campaigns under timeline-consulting fault
@@ -150,7 +147,7 @@ func (s *Suite) checkpoint(key string, build func() (*kernels.App, *core.Plan, e
 
 func (s *Suite) newCheckpoint(app *kernels.App, plan *core.Plan, cfgKey string, storeKey store.Key) *Checkpoint {
 	cp := &Checkpoint{
-		App: app, Plan: plan, simShards: s.cfg.SimShards,
+		App: app, Plan: plan,
 		suite: s, cfgKey: cfgKey, storeKey: storeKey,
 	}
 	if reg := s.cfg.Telemetry; reg != nil {
@@ -232,12 +229,11 @@ func (cp *Checkpoint) Golden() ([]float32, error) {
 // for the checkpoint's protected instance: one trace capture plus one
 // timing run per checkpoint — or an artifact fetch when an earlier process
 // already paid for the replay — shared across fault models and campaigns.
-// The selector is rebuilt from the persisted histogram on both paths, and
-// the histogram is shard-count-invariant, so the key carries no shard field.
+// The selector is rebuilt from the persisted histogram on both paths.
 func (cp *Checkpoint) MissSelector() (fault.Selector, error) {
 	cp.missOnce.Do(func() {
 		art, err := artifactDo(cp, ArtifactMissWeights, func() (missArtifact, error) {
-			blocks, weights, err := missWeights(cp.App, cp.Plan, cp.simShards)
+			blocks, weights, err := missWeights(cp.App, cp.Plan)
 			if err != nil {
 				return missArtifact{}, err
 			}

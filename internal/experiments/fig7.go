@@ -107,7 +107,6 @@ func fig7Overhead(s *Suite, cfg Fig7Config) ([]Fig7Point, error) {
 		if err != nil {
 			return fmt.Errorf("experiments: fig7 %s %v L%d: %w", t.app, t.scheme, t.level, err)
 		}
-		eng.Shards = s.cfg.SimShards
 		eng.Policy = policy
 		// Publish per-unit counters to the suite's registry (if observed).
 		// The registry's atomic counters merge concurrent engines safely,

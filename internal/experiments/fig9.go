@@ -82,10 +82,9 @@ func weightConfig() arch.Config {
 // application instance: a timing run (with the plan's replica traffic)
 // produces the per-block L1-miss histogram, and injection probability is
 // proportional to it — misses expose data to the L2/DRAM fault domain.
-// shards sets the replay's event-scheduler shard count (0 = serial); the
-// histogram is byte-identical at any value.
-func MissWeightedSelector(app *kernels.App, plan *core.Plan, shards int) (fault.Selector, error) {
-	blocks, weights, err := missWeights(app, plan, shards)
+// The int parameter is ignored; it is deprecated and will be removed.
+func MissWeightedSelector(app *kernels.App, plan *core.Plan, _ int) (fault.Selector, error) {
+	blocks, weights, err := missWeights(app, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +95,7 @@ func MissWeightedSelector(app *kernels.App, plan *core.Plan, shards int) (fault.
 // raw material — the deterministic block order and the per-block miss
 // counts — in the serializable form the miss-weights checkpoint artifact
 // persists.
-func missWeights(app *kernels.App, plan *core.Plan, shards int) ([]arch.BlockAddr, []float64, error) {
+func missWeights(app *kernels.App, plan *core.Plan) ([]arch.BlockAddr, []float64, error) {
 	traces, err := app.TraceRun(nil)
 	if err != nil {
 		return nil, nil, err
@@ -109,7 +108,6 @@ func missWeights(app *kernels.App, plan *core.Plan, shards int) ([]arch.BlockAdd
 	if err != nil {
 		return nil, nil, err
 	}
-	eng.Shards = shards
 	eng.TrackBlockMisses = true
 	if _, err := eng.RunApp(app.Name, traces); err != nil {
 		return nil, nil, err

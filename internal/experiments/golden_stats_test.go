@@ -43,14 +43,8 @@ func goldenLevel(appName string, s *Suite) (int, error) {
 	return len(app.Objects), nil
 }
 
-// goldenShardCounts is the parallel replay's determinism gate: every
-// (application, scheme) replay must produce byte-identical KernelStats at
-// all of these shard counts. The serial run (1) is the golden reference.
-var goldenShardCounts = []int{1, 2, 4, 8}
-
 // collectGoldenRuns replays every application of the study under every
-// golden scheme on a fresh engine — once per shard count — checks the
-// sharded runs against the serial one, and returns the serial KernelStats.
+// golden scheme on a fresh engine and returns the per-kernel stats.
 func collectGoldenRuns(t *testing.T, s *Suite) []goldenRun {
 	t.Helper()
 	var out []goldenRun
@@ -76,30 +70,19 @@ func collectGoldenRuns(t *testing.T, s *Suite) []goldenRun {
 					lvl = level
 				}
 			}
-			var ref []timing.KernelStats
-			for _, shards := range goldenShardCounts {
-				eng, err := timing.New(arch.Default(), tplan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng.Shards = shards
-				st, err := eng.RunApp(name, traces)
-				if err != nil {
-					t.Fatalf("run %s %v shards=%d: %v", name, scheme, shards, err)
-				}
-				if shards == goldenShardCounts[0] {
-					ref = st.Kernels
-					continue
-				}
-				if !reflect.DeepEqual(st.Kernels, ref) {
-					t.Errorf("%s/%v: shards=%d stats diverge from serial replay", name, scheme, shards)
-				}
+			eng, err := timing.New(arch.Default(), tplan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := eng.RunApp(name, traces)
+			if err != nil {
+				t.Fatalf("run %s %v: %v", name, scheme, err)
 			}
 			out = append(out, goldenRun{
 				App:     name,
 				Scheme:  scheme.String(),
 				Level:   lvl,
-				Kernels: ref,
+				Kernels: st.Kernels,
 			})
 		}
 	}

@@ -1,0 +1,118 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"math"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"github.com/datacentric-gpu/dcrm/internal/arch"
+	"github.com/datacentric-gpu/dcrm/internal/core"
+)
+
+var updateMissWeightsGolden = flag.Bool("update-missweights-golden", false,
+	"regenerate testdata/missweights_golden.json from the current timing engine")
+
+// missWeightsGoldenRow is one configuration's Fig. 8 miss histogram in the
+// golden file: its size, its total, and a digest of the exact histogram.
+type missWeightsGoldenRow struct {
+	App    string `json:"app"`
+	Scheme string `json:"scheme"`
+	Level  int    `json:"level"`
+	Blocks int    `json:"blocks"`
+	Misses uint64 `json:"misses"`
+	SHA256 string `json:"sha256"`
+}
+
+// histogramDigest returns the SHA-256 of the ordered (block, weight) list,
+// each pair encoded as two little-endian uint64s (the weight as its IEEE 754
+// bits).
+func histogramDigest(blocks []arch.BlockAddr, weights []float64) string {
+	h := sha256.New()
+	var buf [16]byte
+	for i, b := range blocks {
+		binary.LittleEndian.PutUint64(buf[:8], uint64(b))
+		binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(weights[i]))
+		h.Write(buf[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestMissWeightsGolden pins the per-block L1-miss histograms that weight
+// Fig. 9's fault injection (Fig. 8) for every application under baseline,
+// detection and correction at its hot level, against a committed golden
+// file. golden_stats.json pins only per-kernel aggregates, so a change in
+// how the timing engine attributes misses to blocks shows up here first.
+//
+// Regenerate (only when an intentional semantic change is made):
+//
+//	go test ./internal/experiments -run TestMissWeightsGolden -update-missweights-golden
+func TestMissWeightsGolden(t *testing.T) {
+	s := testSuite(t)
+	schemes := []core.Scheme{core.None, core.Detection, core.Correction}
+	var got []missWeightsGoldenRow
+	for _, name := range s.AllNames() {
+		base, err := s.App(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scheme := range schemes {
+			level := 0
+			if scheme != core.None {
+				level = base.HotCount
+			}
+			cp, err := s.Checkpoint(name, scheme, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks, weights, err := missWeights(cp.App, cp.Plan)
+			if err != nil {
+				t.Fatalf("%s %v L%d: %v", name, scheme, level, err)
+			}
+			var misses uint64
+			for _, w := range weights {
+				misses += uint64(w)
+			}
+			got = append(got, missWeightsGoldenRow{
+				App: name, Scheme: scheme.String(), Level: level,
+				Blocks: len(blocks), Misses: misses, SHA256: histogramDigest(blocks, weights),
+			})
+		}
+	}
+
+	path := filepath.Join("testdata", "missweights_golden.json")
+	if *updateMissWeightsGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d rows to %s", len(got), path)
+		return
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden file (regenerate with -update-missweights-golden): %v", err)
+	}
+	var want []missWeightsGoldenRow
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d rows, golden has %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("row %d (%s %s L%d): got %+v, golden %+v",
+				i, want[i].App, want[i].Scheme, want[i].Level, got[i], want[i])
+		}
+	}
+}

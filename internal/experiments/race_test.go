@@ -21,7 +21,7 @@ func TestCampaignRaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := MissWeightedSelector(app, plan, 4)
+	sel, err := MissWeightedSelector(app, plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,6 @@ func Simulate(s *Suite, cfg SimConfig) (timing.AppStats, error) {
 			if err != nil {
 				return timing.AppStats{}, fmt.Errorf("experiments: simulate %s %v L%d: %w", cfg.App, cfg.Scheme, cfg.Level, err)
 			}
-			eng.Shards = s.cfg.SimShards
 			eng.Policy = cfg.Policy
 			eng.Metrics = s.cfg.Telemetry
 			st, err := eng.RunApp(cfg.App, traces)

@@ -25,7 +25,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
@@ -84,14 +83,6 @@ type SuiteConfig struct {
 	// Fig. 9 sweeps). 0 means GOMAXPROCS. Results are identical at any
 	// worker count; only wall-clock time changes.
 	Workers int
-	// SimShards sets the timing engine's event-scheduler shard count for
-	// every replay the suite runs (timing.Engine.Shards). 0 means
-	// GOMAXPROCS; the engine clamps to [1, NumSMs] and forces the serial
-	// path for instrumented replays (OnStore, InjectAt). Replay statistics
-	// are byte-identical at any shard count — the golden-stats gate pins
-	// this — so the value is a pure performance control and is deliberately
-	// excluded from store keys.
-	SimShards int
 	// Batch is the default campaign batch size: how many runs a campaign
 	// claim replays per functional pass (0 = auto, fault.DefaultBatch;
 	// 1 disables batching). Outcomes are byte-identical at any batch size —
@@ -137,9 +128,6 @@ func (c SuiteConfig) withDefaults() SuiteConfig {
 	if c.Scale == 0 {
 		c.Scale = ScaleSmall
 	}
-	if c.SimShards == 0 {
-		c.SimShards = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
@@ -179,8 +167,8 @@ type Suite struct {
 	// leaves it unset).
 	ctx context.Context
 	// base is the canonical suite identity folded into every store key:
-	// everything a cached result depends on. Workers, SimShards, Progress,
-	// and Telemetry are deliberately excluded — they are performance or
+	// everything a cached result depends on. Workers, Progress, and
+	// Telemetry are deliberately excluded — they are performance or
 	// observation controls and never change results.
 	base string
 }
@@ -218,10 +206,10 @@ func (s *Suite) key(ns string) *store.KeyBuilder {
 // after NewSuite).
 func (s *Suite) Store() *store.Store { return s.st }
 
-// SimShards returns the resolved timing-replay shard count (SimShards
-// after defaulting); callers building their own timing engines against
-// suite artifacts use it to match the suite's replay parallelism.
-func (s *Suite) SimShards() int { return s.cfg.SimShards }
+// SimShards returns 1: every timing replay runs on one event scheduler.
+//
+// Deprecated: kept only so existing callers compile; it will be removed.
+func (s *Suite) SimShards() int { return 1 }
 
 // AllNames returns every application label, evaluated apps first.
 func (s *Suite) AllNames() []string {

@@ -33,7 +33,6 @@ func TraceApp(s *Suite, name string, scheme core.Scheme, level int) (*telemetry.
 	if err != nil {
 		return nil, timing.AppStats{}, fmt.Errorf("experiments: trace %s %v L%d: %w", name, scheme, level, err)
 	}
-	eng.Shards = s.cfg.SimShards
 	eng.Trace = telemetry.NewTrace()
 	eng.Metrics = s.cfg.Telemetry
 	st, err := eng.RunApp(name, traces)

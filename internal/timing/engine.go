@@ -2,7 +2,6 @@ package timing
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/cache"
@@ -20,37 +19,25 @@ type groupRef struct {
 	gen uint32
 }
 
-// pendInject is an InjectAt callback registered between kernels, waiting
-// to enter the next replay's event schedule.
-type pendInject struct {
-	at  int64
-	idx int
-}
-
 // Engine is the timing simulator. Build one with New, then replay kernel
 // traces with RunKernel; L2 and DRAM state persist across kernels of the
 // same application while L1s are invalidated at kernel boundaries. Not safe
-// for concurrent use — a replay may spawn shard goroutines internally, but
-// the Engine's public surface is single-caller.
+// for concurrent use.
 //
 // The engine is allocation-free in steady state: replaying the same (or a
 // same-shaped) kernel repeatedly on one engine performs zero heap
 // allocations per replay. Events are value types in a non-boxing
-// scheduler, copy-groups and load-ops are pooled on per-shard free-lists,
-// warp state lives in a reusable slab, and every auxiliary slice (CTA
-// queue, L2 waiter lists, DRAM completion scratch, message mailboxes) is
+// scheduler, copy-groups and load-ops are pooled on free-lists built by
+// New, warp state lives in a reusable slab, and every auxiliary slice (CTA
+// queue, L2 waiter lists, DRAM completion scratch, pending messages) is
 // recycled across kernels.
 type Engine struct {
 	cfg arch.Config
-	// Shards partitions the machine's components (SM domains, channel
-	// domains, the CTA dispatcher) across this many event schedulers for
-	// each replay. 0 and 1 both run the single-threaded reference path —
-	// same window grid, no goroutines; values above 1 run one goroutine
-	// per shard, clamped to the SM count. Results are byte-identical at
-	// every setting (see the package doc's "Sharded replay" section);
-	// replays with an OnStore observer or pending InjectAt callbacks
-	// force the serial path so user callbacks never run concurrently.
-	// Mutate only between RunKernel calls.
+	// Shards is ignored: every replay runs on the engine's one event
+	// scheduler.
+	//
+	// Deprecated: kept only so existing callers compile; it will be
+	// removed.
 	Shards int
 	// Policy selects the warp scheduler (default GTO).
 	Policy SchedulerPolicy
@@ -75,9 +62,8 @@ type Engine struct {
 	// instrumented replay per application is how the fault layer captures
 	// the store-commit timeline (fault.Timeline) that decides whether a
 	// later store masks a transient flip. Observation only — attaching it
-	// does not perturb replay timing — but it pins the replay to the
-	// serial path, and like Trace it belongs on dedicated instrumented
-	// replays, not on golden-stat runs.
+	// does not perturb replay timing — but like Trace it belongs on
+	// dedicated instrumented replays, not on golden-stat runs.
 	OnStore func(blk arch.BlockAddr, at int64)
 
 	blockMisses map[arch.BlockAddr]uint64
@@ -87,34 +73,35 @@ type Engine struct {
 	sms   []*smState
 	chans []*chanState
 
-	// Shard fabric. lookahead is the conservative window length L: every
-	// cross-component message latency is at least L, so messages created
-	// in one window are never due before the next. The fabric is built
-	// lazily by ensureShards and rebuilt only when the shard count
-	// changes; components (and their L2/DRAM state) survive rebuilds.
+	// lookahead is the replay window length L: every cross-component
+	// message latency is at least L, so a message sent in one window is
+	// never due before the next (see runWindows). dispKey is the CTA
+	// dispatcher's message source key.
 	lookahead int64
-	shards    []*shard
-	smOwner   []int32 // SM id -> owning shard
-	chOwner   []int32 // channel id -> owning shard
-	dispShard int32   // shard owning the CTA dispatcher
-	dispKey   int32   // the dispatcher's message source key
-	nexts     []int64 // per-shard earliest pending cycle, stride-padded
-	barrier   spinBarrier
-	active    *shard // serial shard of an in-flight replay (InjectAt target)
+	dispKey   int32
 
-	now int64
+	sched   scheduler
+	now     int64     // the replay clock; the end of the last kernel between replays
+	pending []message // cross-component messages awaiting the next window's commit
+	msgSeq  uint64
+
+	// Free-lists for load-ops and copy-groups, pre-filled by New past their
+	// high-water marks (outstanding L1 misses, resident warps).
+	groupPool []*copyGroup
+	loadPool  []*loadOp
+
+	// Per-kernel counters.
+	copyTx     uint64
+	mshrStalls uint64
+	cmpStalls  uint64
 
 	// Warp state slab: one slot per trace warp, indexed by the warp's
-	// trace index so concurrent shards write disjoint slots.
+	// trace index.
 	warpSlab []warpState
 
 	// injectFns holds InjectAt callbacks; evInject events carry an index
-	// into it (one-shot: slots nil out after firing). injectLive counts
-	// registered-but-unfired callbacks; pendInjects holds registrations
-	// made between kernels.
-	injectFns   []func(now int64)
-	injectLive  int
-	pendInjects []pendInject
+	// into it (one-shot: slots nil out after firing).
+	injectFns []func(now int64)
 
 	// Per-kernel bookkeeping.
 	trace        *simt.KernelTrace
@@ -123,7 +110,7 @@ type Engine struct {
 	warpsPerCTA  int
 	maxCTAsPerSM int
 	ctaLiveWarps []int // live warps per CTA, indexed by CTA id
-	liveWarps    int   // warps installed by the serial initial fill
+	liveWarps    int   // installed warps not yet retired
 }
 
 // New builds an engine for the configuration. plan may be nil (baseline, no
@@ -151,6 +138,17 @@ func New(cfg arch.Config, plan ProtectionPlan) (*Engine, error) {
 		lookahead:         half,
 		dispKey:           int32(cfg.NumSMs + cfg.NumMemChannels),
 		blockMisses:       make(map[arch.BlockAddr]uint64),
+		pending:           make([]message, 0, 64),
+	}
+	groups := make([]copyGroup, cfg.NumSMs*cfg.L1MSHRs)
+	e.groupPool = make([]*copyGroup, len(groups))
+	for i := range groups {
+		e.groupPool[i] = &groups[i]
+	}
+	loads := make([]loadOp, cfg.NumSMs*cfg.MaxWarpsPerSM)
+	e.loadPool = make([]*loadOp, len(loads))
+	for i := range loads {
+		e.loadPool[i] = &loads[i]
 	}
 	for ch := 0; ch < cfg.NumMemChannels; ch++ {
 		l2, err := cache.New(cfg.L2)
@@ -195,81 +193,11 @@ func New(cfg arch.Config, plan ProtectionPlan) (*Engine, error) {
 	return e, nil
 }
 
-// effectiveShards resolves the Shards knob for the next replay: clamped to
-// [1, NumSMs], and forced to 1 while an OnStore observer or un-fired
-// InjectAt callbacks are attached (user callbacks must not run
-// concurrently, and their ordering is defined against the serial path).
-func (e *Engine) effectiveShards() int {
-	n := e.Shards
-	if n < 1 {
-		n = 1
-	}
-	if n > e.cfg.NumSMs {
-		n = e.cfg.NumSMs
-	}
-	if e.OnStore != nil || e.injectLive > 0 || len(e.pendInjects) > 0 {
-		n = 1
-	}
-	return n
-}
-
-// ensureShards (re)builds the shard fabric for n shards. Components keep
-// their identity (and cross-kernel L2/DRAM state) across rebuilds; only
-// ownership, mailboxes, and free-lists are reassigned. Free-lists are
-// pre-filled past their expected high-water marks (bounded by outstanding
-// L1 misses and resident warps) so the replay loop reaches its
-// allocation-free steady state on the first kernel.
-func (e *Engine) ensureShards(n int) {
-	if len(e.shards) == n {
-		return
-	}
-	e.shards = make([]*shard, n)
-	e.smOwner = make([]int32, len(e.sms))
-	e.chOwner = make([]int32, len(e.chans))
-	e.nexts = make([]int64, n*nextsStride)
-	for i := range e.shards {
-		sh := &shard{id: int32(i), eng: e}
-		sh.outbox = make([][]message, n)
-		for d := range sh.outbox {
-			sh.outbox[d] = make([]message, 0, 64)
-		}
-		sh.inbox = make([]message, 0, 64)
-		e.shards[i] = sh
-	}
-	// Contiguous balanced partition: SM i and channel c go to shards
-	// i*n/NumSMs and c*n/NumChans — a pure function of the configuration,
-	// though results would be identical under any layout.
-	for i, s := range e.sms {
-		sh := e.shards[i*n/len(e.sms)]
-		s.sh = sh
-		e.smOwner[i] = sh.id
-		sh.sms = append(sh.sms, s)
-	}
-	for i, c := range e.chans {
-		sh := e.shards[i*n/len(e.chans)]
-		e.chOwner[i] = sh.id
-		sh.chans = append(sh.chans, c)
-	}
-	e.dispShard = 0
-	e.shards[0].dispatcher = true
-	for _, sh := range e.shards {
-		nsm := len(sh.sms)
-		for i := 0; i < nsm*e.cfg.L1MSHRs; i++ {
-			sh.groupPool = append(sh.groupPool, &copyGroup{})
-		}
-		for i := 0; i < nsm*e.cfg.MaxWarpsPerSM; i++ {
-			sh.loadPool = append(sh.loadPool, &loadOp{})
-		}
-	}
-	e.barrier.n = int32(n)
-}
-
 // InjectAt schedules fn to run exactly once when the replay reaches the
 // given cycle — the timing-engine injection hook the transient fault
 // model's semantics are defined against. The callback rides the ordinary
 // event scheduler, so it is totally ordered against every memory-system
-// event at that cycle (deterministically, by scheduling sequence); while
-// any callback is pending the replay runs on the serial path. A cycle
+// event at that cycle (deterministically, by scheduling sequence). A cycle
 // already in the past is clamped to the current cycle. Call before or
 // during a replay; a callback scheduled past the kernel's natural end
 // extends the replay until it fires, so pick cycles within the span of
@@ -279,22 +207,11 @@ func (e *Engine) InjectAt(cycle int64, fn func(now int64)) {
 	if fn == nil {
 		return
 	}
-	idx := len(e.injectFns)
-	e.injectFns = append(e.injectFns, fn)
-	e.injectLive++
-	if sh := e.active; sh != nil {
-		// Mid-replay registration (from another callback or an OnStore
-		// observer): post straight into the live serial schedule.
-		if cycle < sh.now {
-			cycle = sh.now
-		}
-		sh.post(cycle, event{kind: evInject, sm: int32(idx)})
-		return
-	}
 	if cycle < e.now {
 		cycle = e.now
 	}
-	e.pendInjects = append(e.pendInjects, pendInject{at: cycle, idx: idx})
+	e.post(cycle, event{kind: evInject, sm: int32(len(e.injectFns))})
+	e.injectFns = append(e.injectFns, fn)
 }
 
 // RunKernel replays one kernel trace to completion and returns its stats.
@@ -302,68 +219,22 @@ func (e *Engine) RunKernel(tr *simt.KernelTrace) (KernelStats, error) {
 	if tr == nil || len(tr.Warps) == 0 {
 		return KernelStats{}, fmt.Errorf("timing: empty trace")
 	}
-	e.ensureShards(e.effectiveShards())
 	e.resetForKernel(tr)
 	start := e.now
 
-	// Serial prologue, in deterministic order: pending injections first
-	// (lowest sequence numbers, as when they were registered up front),
-	// then the initial CTA fill in SM index order.
-	sh0 := e.shards[0]
-	for _, p := range e.pendInjects {
-		at := p.at
-		if at < start {
-			at = start
-		}
-		sh0.post(at, event{kind: evInject, sm: int32(p.idx)})
-	}
-	e.pendInjects = e.pendInjects[:0]
+	// Initial CTA fill in SM index order. Callbacks registered with
+	// InjectAt since the last kernel are already scheduled, ahead of it.
 	for _, s := range e.sms {
 		e.fillSM(s)
-		s.sh.scheduleStep(s, start)
+		e.scheduleStep(s, start)
 	}
-
-	if len(e.shards) == 1 {
-		e.active = sh0
-		sh0.runWindows(start)
-		e.active = nil
-	} else {
-		e.barrier.count.Store(0)
-		e.barrier.sense.Store(0)
-		var wg sync.WaitGroup
-		for _, sh := range e.shards[1:] {
-			wg.Add(1)
-			go func(sh *shard) {
-				defer wg.Done()
-				sh.runWindows(start)
-			}(sh)
-		}
-		sh0.runWindows(start)
-		wg.Wait()
+	if err := e.runWindows(start); err != nil {
+		e.sched.reset()
+		e.pending = e.pending[:0]
+		return KernelStats{}, err
 	}
-
-	end := start
-	live := e.liveWarps
-	for _, sh := range e.shards {
-		if sh.err != nil {
-			return KernelStats{}, sh.err
-		}
-		if sh.lastAt > end {
-			end = sh.lastAt
-		}
-		live += sh.liveDelta
-	}
-	e.now = end
-	if live != 0 {
-		return KernelStats{}, fmt.Errorf("timing: kernel %q deadlocked with %d live warps", tr.Kernel, live)
-	}
-	if e.TrackBlockMisses {
-		for _, sh := range e.shards {
-			for blk, n := range sh.blockMisses {
-				e.blockMisses[blk] += n
-			}
-			clear(sh.blockMisses)
-		}
+	if e.liveWarps != 0 {
+		return KernelStats{}, fmt.Errorf("timing: kernel %q deadlocked with %d live warps", tr.Kernel, e.liveWarps)
 	}
 	ks := e.collectStats(tr.Kernel, e.now-start)
 	e.publishTelemetry(ks, start)
@@ -431,30 +302,16 @@ func (e *Engine) resetForKernel(tr *simt.KernelTrace) {
 		s.instructions = 0
 		s.requests = 0
 	}
-	for _, sh := range e.shards {
-		sh.sched.reset()
-		sh.now = e.now
-		sh.lastAt = e.now
-		sh.msgSeq = 0
-		sh.copyTx, sh.mshrStalls, sh.cmpStalls = 0, 0, 0
-		sh.liveDelta = 0
-		sh.err = nil
-		sh.inbox = sh.inbox[:0]
-		for d := range sh.outbox {
-			sh.outbox[d] = sh.outbox[d][:0]
-		}
-	}
+	e.copyTx, e.mshrStalls, e.cmpStalls = 0, 0, 0
 }
 
 func (e *Engine) collectStats(kernel string, cycles int64) KernelStats {
 	ks := KernelStats{
-		Kernel: kernel,
-		Cycles: cycles,
-	}
-	for _, sh := range e.shards {
-		ks.CopyTransactions += sh.copyTx
-		ks.MSHRStalls += sh.mshrStalls
-		ks.CompareStalls += sh.cmpStalls
+		Kernel:           kernel,
+		Cycles:           cycles,
+		CopyTransactions: e.copyTx,
+		MSHRStalls:       e.mshrStalls,
+		CompareStalls:    e.cmpStalls,
 	}
 	for _, s := range e.sms {
 		ks.L1.Add(s.l1.Stats)
@@ -487,9 +344,8 @@ func (e *Engine) ctaLiveCount(cta int) int {
 }
 
 // installCTA makes one CTA resident on an SM, installing its warps from
-// the slab (slots are indexed by trace warp index, so shards installing on
-// different SMs write disjoint slab regions). Returns the number of live
-// warps installed; a fully empty CTA releases its slot again.
+// the slab (slots are indexed by trace warp index). Returns the number of
+// live warps installed; a fully empty CTA releases its slot again.
 func (e *Engine) installCTA(s *smState, cta int, now int64) int {
 	s.residentCTAs++
 	live := 0
@@ -513,9 +369,9 @@ func (e *Engine) installCTA(s *smState, cta int, now int64) int {
 	return live
 }
 
-// fillSM fills an SM with CTAs up to its occupancy limit — the serial
-// initial fill at kernel start. Replacement CTAs during the replay flow
-// through the dispatcher's message protocol instead.
+// fillSM fills an SM with CTAs up to its occupancy limit — the initial
+// fill at kernel start. Replacement CTAs during the replay flow through
+// the dispatcher's message protocol instead.
 func (e *Engine) fillSM(s *smState) {
 	for s.residentCTAs < e.maxCTAsPerSM && e.ctaHead < len(e.ctaQueue) {
 		cta := e.ctaQueue[e.ctaHead]

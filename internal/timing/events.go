@@ -32,35 +32,18 @@
 // entry, and the pop path's unified (at, seq) comparison preserves the
 // exact global order of a single ordered heap.
 //
-// # Sharded replay
+// # Replay windows
 //
-// The engine no longer runs one global scheduler. The machine is split
-// into components — one domain per SM (core, L1, MSHRs, its NoC inject
-// and eject ports), one domain per memory channel (L2 bank, DRAM
-// controller, its NoC ingress and egress ports), and a CTA dispatcher —
-// and each component's events live on the scheduler of the shard that
-// owns it. All cross-component interaction travels as timestamped
-// messages (L2 requests, fill responses, CTA requests and grants) whose
-// network hop latencies are at least the engine's lookahead window
-// L = max(1, InterconnectLatency/2). Replay proceeds window by window on
-// a fixed cycle grid anchored at the kernel start: at each window barrier
-// every shard drains the messages due inside the window — sorted by
-// (due, source component, source sequence) — converts them into local
-// events, and then simulates the window's cycles independently. Because
-// every message is created at least one full window before it is due,
-// the barrier exchange is conservative: no shard can ever receive a
-// message for a cycle it has already simulated.
-//
-// The window grid, the message sort order, and the per-component event
-// order are all functions of the configuration and the trace alone —
-// never of the shard count or of real-time scheduling — so KernelStats,
-// telemetry counters, and golden divergence behavior are byte-identical
-// at any Engine.Shards setting. The golden-stats gate in
-// internal/experiments pins that contract at shards {1, 2, 4, 8} across
-// the full workload suite. Components that share a shard interleave
-// arbitrarily within a window, but they touch disjoint state (pooled
-// objects are interchangeable and generation-guarded; shard counters are
-// commutative sums), so co-location cannot be observed in results.
+// Components interact only through timestamped messages: L2 requests,
+// fill responses, and CTA requests and grants. Every message's hop
+// latency is at least the lookahead L = max(1, InterconnectLatency/2).
+// Replay advances on a fixed window grid start + k·L anchored at the
+// kernel start, skipping empty windows. At each window start the engine
+// commits every pending message in (sendAt, srcKey, srcSeq) order — send
+// cycle, sending component, send order — reserving the receiver's port
+// at commit time, and then processes the window's events. The grid and
+// the commit order are part of the timing model: the golden statistics
+// in internal/experiments were recorded against them.
 //
 // # Fault-injection hook
 //

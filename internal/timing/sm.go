@@ -60,8 +60,8 @@ func (op *loadOp) blockDone(now int64) {
 	if op.remaining == 0 {
 		op.warp.pendingLoads--
 		s := op.sm
-		s.sh.releaseLoadOp(op)
-		s.sh.wakeSM(s, now)
+		s.engine.releaseLoadOp(op)
+		s.engine.wakeSM(s, now)
 	}
 }
 
@@ -92,28 +92,21 @@ func (g *copyGroup) arrive(now int64, s *smState) {
 		if g.protected {
 			// Comparison (or majority vote) performed; release the entry.
 			s.compareInUse--
-			s.sh.wakeSM(s, now)
+			s.engine.wakeSM(s, now)
 		}
-		s.sh.releaseGroup(g)
+		s.engine.releaseGroup(g)
 	}
 }
 
-// smState is one streaming multiprocessor: one component domain of the
-// sharded replay. sh is the shard that owns it for the current replay —
-// every event the SM schedules and every pooled object it takes goes
-// through its shard; engine-wide knobs (Policy, plan, config) stay on the
-// engine.
+// smState is one streaming multiprocessor.
 type smState struct {
 	id     int
 	engine *Engine
-	sh     *shard
 	l1     *cache.Cache
 	mshr   *cache.MSHR[groupRef]
 
-	// inject serializes requests leaving the SM toward the NoC; eject
-	// serializes responses arriving from it. Both are owned by the SM's
-	// shard (inject is touched on the send side, eject on the canonical
-	// delivery side, both within the owner's deterministic event order).
+	// inject serializes requests leaving the SM toward the NoC (at send);
+	// eject serializes responses arriving from it (at message commit).
 	inject nocPort
 	eject  nocPort
 
@@ -200,13 +193,13 @@ func (s *smState) nextWake(t int64) int64 {
 func (s *smState) step(t int64) {
 	s.stepScheduledAt = -1
 	if s.portFreeAt > t {
-		s.sh.scheduleStep(s, s.portFreeAt)
+		s.engine.scheduleStep(s, s.portFreeAt)
 		return
 	}
 	w := s.pickWarp(t)
 	if w == nil {
 		if next := s.nextWake(t); next >= 0 {
-			s.sh.scheduleStep(s, next)
+			s.engine.scheduleStep(s, next)
 		}
 		return
 	}
@@ -216,7 +209,7 @@ func (s *smState) step(t int64) {
 	if next <= t {
 		next = t + 1
 	}
-	s.sh.scheduleStep(s, next)
+	s.engine.scheduleStep(s, next)
 }
 
 // execute issues one instruction (or resumes a partially issued one).
@@ -233,13 +226,13 @@ func (s *smState) execute(w *warpState, t int64) {
 		s.instructions++
 		s.finishInstr(w)
 	case simt.InstrStore:
-		cycles := s.sh.issueStore(s, in, t)
+		cycles := s.engine.issueStore(s, in, t)
 		s.portFreeAt = t + cycles
 		w.readyAt = t + cycles
 		s.instructions++
 		s.finishInstr(w)
 	case simt.InstrLoad:
-		s.sh.issueLoad(s, w, in, t)
+		s.engine.issueLoad(s, w, in, t)
 	}
 }
 
@@ -250,6 +243,6 @@ func (s *smState) finishInstr(w *warpState) {
 	w.txIndex = 0
 	if w.pc >= len(w.trace) {
 		w.retired = true
-		s.sh.warpRetired(s, w)
+		s.engine.warpRetired(s, w)
 	}
 }

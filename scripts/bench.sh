@@ -44,16 +44,16 @@ FROZEN_ENTRIES='    {"name": "BenchmarkCampaignFig6PreFork", "frozen": true, "it
     {"name": "BenchmarkCampaignFig6PreBatch", "frozen": true, "iterations": 0, "ns_per_op": 30349036, "bytes_per_op": 727318, "allocs_per_op": 795},
     {"name": "BenchmarkCampaignFig9PreBatch", "frozen": true, "iterations": 0, "ns_per_op": 37191367, "bytes_per_op": 717144, "allocs_per_op": 729},'
 
-#   *PreShard: the single-scheduler (pre-windowed-replay) timing engine,
-#              measured at the commit that sharded the event engine.
+#   *PreShard: the timing engine before the message-window replay model,
+#              measured at the commit that introduced it.
 # (Same benchmark configurations, -benchtime 1s, single-core host.)
 TIMING_FROZEN_ENTRIES='    {"name": "BenchmarkRunKernelPreShard", "frozen": true, "iterations": 0, "ns_per_op": 2440147, "bytes_per_op": 0, "allocs_per_op": 0},
     {"name": "BenchmarkRunKernelDetectionPreShard", "frozen": true, "iterations": 0, "ns_per_op": 4255882, "bytes_per_op": 0, "allocs_per_op": 0},
     {"name": "BenchmarkRunKernelCorrectionPreShard", "frozen": true, "iterations": 0, "ns_per_op": 9522676, "bytes_per_op": 0, "allocs_per_op": 0},'
 
 # Host metadata recorded in every baseline: parallel-scaling ratios (fleet
-# workers, replay shards) only reproduce on a comparable host, so the
-# compare script reads the recorded core count before gating on them.
+# workers, prewarm) only reproduce on a comparable host, so the compare
+# script reads the recorded core count before gating on them.
 CORES=$(nproc 2>/dev/null || echo 1)
 MAXPROCS="${GOMAXPROCS:-$CORES}"
 GO_VERSION=$(go version | { read -r _ _ v _; echo "$v"; })
@@ -87,7 +87,7 @@ render_json() {
 }
 
 raw=$(go test ./internal/timing -run '^$' \
-  -bench 'BenchmarkRunKernel(Detection|Correction|Shards)?$' \
+  -bench 'BenchmarkRunKernel(Detection|Correction)?$' \
   -benchmem -benchtime "$BENCHTIME")
 echo "$raw" >&2
 render_json "$raw" "$BENCHTIME" "$TIMING_FROZEN_ENTRIES" > "$OUT"

@@ -95,11 +95,10 @@ fi
 # Speedup report against frozen generations: a frozen baseline entry
 # named <X>PreFork pins the ns/op of the clone-per-run code <X> replaced,
 # <X>PreBatch pins the unbatched fork-path code the batched group replay
-# replaced, and <X>PreShard pins the single-scheduler timing engine the
-# windowed (shardable) replay replaced. PreFork/PreBatch carry a >=3x
-# speedup floor; PreShard carries a parity floor instead — the sharded
-# engine's serial path must stay within 25% of the engine it replaced
-# (the shard win itself is gated separately below, on multi-core hosts).
+# replaced, and <X>PreShard pins the timing engine before its replay
+# adopted the message-window model. PreFork/PreBatch carry a >=3x
+# speedup floor; PreShard carries a parity floor instead — the windowed
+# engine must stay within 25% of the engine it replaced.
 # The batched-vs-unbatched floor is skipped on single-core hosts: the
 # batched path's worker parallelism cannot show there, so the honest
 # ratio is lower and a warning would be noise.
@@ -130,26 +129,6 @@ while read -r name prens; do
     status=warn
   fi
 done < <(parse "$BASE" | awk '$4 == "yes" { print $1, $2 }')
-
-# Sharded-replay scaling gate (warn-only): the tentpole promise is >=2x
-# single-replay throughput at 4 shards over the serial path — but only
-# where the host has the cores; on fewer than 4 cores the shard
-# goroutines time-slice one another and the honest ratio is ~1x or worse,
-# so the gate degrades to a NOTE.
-s1=$(parse "$CUR" | awk '$1 == "BenchmarkRunKernelShards/1" { print $2 }')
-s4=$(parse "$CUR" | awk '$1 == "BenchmarkRunKernelShards/4" { print $2 }')
-if [ -n "$s1" ] && [ -n "$s4" ]; then
-  ratio=$(awk -v a="$s1" -v b="$s4" 'BEGIN { printf "%.2f", a / b }')
-  echo "sharded replay: 1 shard ${s1} ns/op, 4 shards ${s4} ns/op (${ratio}x, ${cores} cores)"
-  if [ "$cores" -ge 4 ]; then
-    if awk -v r="$ratio" 'BEGIN { exit !(r < 2.0) }'; then
-      echo "WARNING: 4-shard replay speedup ${ratio}x below the 2x floor"
-      status=warn
-    fi
-  else
-    echo "NOTE: shard speedup not gated on ${cores}-core host (needs >=4 cores to show scaling)"
-  fi
-fi
 
 # Store fast-path gate: when the file carries the daemon serving
 # benchmarks, the warm (store-hit) path must stay >=10x faster than a
