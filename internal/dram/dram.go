@@ -38,10 +38,12 @@ type Completion struct {
 	At int64
 }
 
+// pending is one queued request with its (bank, row) decoded at Enqueue.
 type pending struct {
 	req     Request
 	arrival int64
-	seq     uint64
+	row     int64
+	bank    int
 }
 
 type bank struct {
@@ -52,10 +54,11 @@ type bank struct {
 // Controller is one channel's memory controller. Not safe for concurrent
 // use.
 type Controller struct {
-	banks     []bank
+	banks []bank
+	// queue holds the waiting requests oldest first: Enqueue appends and
+	// service splices an entry out, so queue order is Enqueue order.
 	queue     []pending
 	busFree   int64
-	seq       uint64
 	numCh     int
 	bypassRun int
 
@@ -145,8 +148,8 @@ func (c *Controller) bankRow(b arch.BlockAddr) (int, int64) {
 
 // Enqueue adds a request arriving at the given core cycle.
 func (c *Controller) Enqueue(r Request, now int64) {
-	c.queue = append(c.queue, pending{req: r, arrival: now, seq: c.seq})
-	c.seq++
+	bk, row := c.bankRow(r.Block)
+	c.queue = append(c.queue, pending{req: r, arrival: now, bank: bk, row: row})
 }
 
 // QueueLen returns the number of waiting requests.
@@ -183,53 +186,70 @@ func (c *Controller) AdvanceAppend(dst []Completion, now int64) []Completion {
 // scheduleOne picks and serves a single request if service can start by
 // `now`.
 func (c *Controller) scheduleOne(now int64) (Completion, bool) {
-	oldest := -1
-	bestHit := -1
-	var bestHitStart, oldestStart int64
-	var oldestSeq uint64
+	i, start, ok := c.pick(now)
+	if !ok {
+		return Completion{}, false
+	}
+	p := c.queue[i]
+	c.queue = append(c.queue[:i], c.queue[i+1:]...)
+	return c.serve(p, start), true
+}
 
+// pick applies FR-FCFS to the requests whose service can start by `now`:
+// the oldest one, unless a younger row hit may bypass it. It returns the
+// chosen queue index and its service start. The queue is oldest first, so
+// the first eligible entry is the oldest and the first eligible row hit is
+// the one to prefer; the scan stops as soon as the choice is settled.
+func (c *Controller) pick(now int64) (int, int64, bool) {
+	oldest := -1
+	var oldestStart int64
 	for i := range c.queue {
 		p := &c.queue[i]
 		if p.arrival > now {
 			continue
 		}
-		bk, row := c.bankRow(p.req.Block)
-		start := p.arrival
-		if c.banks[bk].busyUntil > start {
-			start = c.banks[bk].busyUntil
-		}
+		start := c.startTime(p)
 		if start > now {
 			continue
 		}
-		if oldest == -1 || p.seq < oldestSeq {
-			oldest, oldestSeq, oldestStart = i, p.seq, start
+		hit := c.banks[p.bank].openRow == p.row
+		if oldest == -1 {
+			if hit || c.bypassRun >= maxRowHitBypass {
+				// The oldest request goes next whatever follows it.
+				c.bypassRun = 0
+				return i, start, true
+			}
+			oldest, oldestStart = i, start
+			continue
 		}
-		if c.banks[bk].openRow == row && bestHit == -1 {
-			bestHit, bestHitStart = i, start
+		if hit {
+			c.bypassRun++
+			return i, start, true
 		}
 	}
 	if oldest == -1 {
-		return Completion{}, false
+		return 0, 0, false
 	}
-	pick := oldest
-	start := oldestStart
-	if bestHit != -1 && bestHit != oldest && c.bypassRun < maxRowHitBypass {
-		pick, start = bestHit, bestHitStart
-		c.bypassRun++
-	} else {
-		c.bypassRun = 0
-	}
+	c.bypassRun = 0
+	return oldest, oldestStart, true
+}
 
-	p := c.queue[pick]
-	c.queue = append(c.queue[:pick], c.queue[pick+1:]...)
-	bk, row := c.bankRow(p.req.Block)
+// startTime is the earliest cycle p could begin service: its arrival, or
+// later while its bank is still busy.
+func (c *Controller) startTime(p *pending) int64 {
+	return max(p.arrival, c.banks[p.bank].busyUntil)
+}
 
+// serve performs p's bank access from cycle start and its data burst on
+// the channel bus, and returns the completion.
+func (c *Controller) serve(p pending, start int64) Completion {
+	b := &c.banks[p.bank]
 	var access int64
 	switch {
-	case c.banks[bk].openRow == row:
+	case b.openRow == p.row:
 		access = c.tCL
 		c.Stats.RowHits++
-	case c.banks[bk].openRow == -1:
+	case b.openRow == -1:
 		access = c.tRCD + c.tCL
 		c.Stats.RowEmpty++
 	default:
@@ -243,12 +263,12 @@ func (c *Controller) scheduleOne(now int64) (Completion, bool) {
 		burstStart = c.busFree
 	}
 	finish := burstStart + c.tBurst
-	c.banks[bk].openRow = row
-	c.banks[bk].busyUntil = finish
+	b.openRow = p.row
+	b.busyUntil = finish
 	c.busFree = finish
 	c.Stats.Served++
 	c.Stats.TotalLatency += uint64(finish - p.arrival)
-	return Completion{Req: p.req, At: finish}, true
+	return Completion{Req: p.req, At: finish}
 }
 
 // NextStartTime returns the earliest cycle at which any queued request
@@ -258,13 +278,7 @@ func (c *Controller) scheduleOne(now int64) (Completion, bool) {
 func (c *Controller) NextStartTime() int64 {
 	next := int64(-1)
 	for i := range c.queue {
-		p := &c.queue[i]
-		bk, _ := c.bankRow(p.req.Block)
-		start := p.arrival
-		if c.banks[bk].busyUntil > start {
-			start = c.banks[bk].busyUntil
-		}
-		if next == -1 || start < next {
+		if start := c.startTime(&c.queue[i]); next == -1 || start < next {
 			next = start
 		}
 	}

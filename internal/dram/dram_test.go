@@ -2,6 +2,7 @@ package dram
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -279,6 +280,177 @@ func TestStatsAvgLatency(t *testing.T) {
 	if got := c.Stats.AvgLatency(); got != 45 {
 		t.Errorf("AvgLatency = %v, want 45", got)
 	}
+}
+
+// refController is the FR-FCFS selection as the controller first shipped
+// it, kept as the oracle for the early-exit scan: every scheduling attempt
+// scans the whole queue, decodes each entry's bank and row, and takes the
+// oldest eligible request by sequence number unless the first eligible row
+// hit may bypass it. It shares only the service step (Controller.serve)
+// with the controller under test, through a controller of its own whose
+// queue it never uses.
+type refController struct {
+	c         *Controller
+	queue     []refPending
+	seq       uint64
+	bypassRun int
+	// bypasses and capped count picks where a younger row hit went ahead
+	// of the oldest request, and where the cap sent the oldest through
+	// although a younger row hit was waiting.
+	bypasses, capped int
+}
+
+type refPending struct {
+	req     Request
+	arrival int64
+	seq     uint64
+}
+
+func (r *refController) Enqueue(req Request, now int64) {
+	r.queue = append(r.queue, refPending{req: req, arrival: now, seq: r.seq})
+	r.seq++
+}
+
+func (r *refController) Advance(now int64) []Completion {
+	var out []Completion
+	for len(r.queue) > 0 {
+		comp, ok := r.scheduleOne(now)
+		if !ok {
+			break
+		}
+		out = append(out, comp)
+	}
+	return out
+}
+
+func (r *refController) scheduleOne(now int64) (Completion, bool) {
+	c := r.c
+	oldest, bestHit := -1, -1
+	var oldestStart, bestHitStart int64
+	var oldestSeq uint64
+	for i := range r.queue {
+		p := &r.queue[i]
+		if p.arrival > now {
+			continue
+		}
+		bk, row := c.bankRow(p.req.Block)
+		start := p.arrival
+		if c.banks[bk].busyUntil > start {
+			start = c.banks[bk].busyUntil
+		}
+		if start > now {
+			continue
+		}
+		if oldest == -1 || p.seq < oldestSeq {
+			oldest, oldestSeq, oldestStart = i, p.seq, start
+		}
+		if c.banks[bk].openRow == row && bestHit == -1 {
+			bestHit, bestHitStart = i, start
+		}
+	}
+	if oldest == -1 {
+		return Completion{}, false
+	}
+	pick, start := oldest, oldestStart
+	switch {
+	case bestHit != -1 && bestHit != oldest && r.bypassRun < maxRowHitBypass:
+		pick, start = bestHit, bestHitStart
+		r.bypassRun++
+		r.bypasses++
+	case bestHit != -1 && bestHit != oldest:
+		r.capped++
+		r.bypassRun = 0
+	default:
+		r.bypassRun = 0
+	}
+	p := r.queue[pick]
+	r.queue = append(r.queue[:pick], r.queue[pick+1:]...)
+	bk, row := c.bankRow(p.req.Block)
+	return c.serve(pending{req: p.req, arrival: p.arrival, bank: bk, row: row}, start), true
+}
+
+func (r *refController) NextStartTime() int64 {
+	next := int64(-1)
+	for i := range r.queue {
+		p := &r.queue[i]
+		bk, _ := r.c.bankRow(p.req.Block)
+		start := p.arrival
+		if r.c.banks[bk].busyUntil > start {
+			start = r.c.banks[bk].busyUntil
+		}
+		if next == -1 || start < next {
+			next = start
+		}
+	}
+	return next
+}
+
+// TestFRFCFSEarlyExitMatchesFullScan is the differential check of the
+// early-exit selection against refController on randomized queues: the
+// same requests, arriving now or in the future, must complete in the same
+// order at the same cycles, with the same Stats and NextStartTime after
+// every step. Requests crowd a few rows of a few banks, so younger row hits
+// bypass older conflicts often enough to run into maxRowHitBypass.
+func TestFRFCFSEarlyExitMatchesFullScan(t *testing.T) {
+	cfg := arch.Default()
+	var bypasses, capped, futureSteps int
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := newCtl(t)
+		ref := refController{c: newCtl(t)}
+		block := func() arch.BlockAddr {
+			bank, row, col := rng.Intn(3), rng.Intn(3), rng.Intn(16)
+			local := (row*16+col)*cfg.DRAMBanksPerChannel + bank
+			return arch.BlockAddr(local*cfg.NumMemChannels + rng.Intn(cfg.NumMemChannels))
+		}
+		now := int64(0)
+		id := uint64(0)
+		for step := 0; step < 3000; step++ {
+			for n := rng.Intn(4); n > 0 && c.QueueLen() < 96; n-- {
+				arrival := now
+				if rng.Intn(4) == 0 {
+					arrival += int64(rng.Intn(80))
+				}
+				req := Request{Block: block(), ID: id, Write: rng.Intn(5) == 0}
+				id++
+				c.Enqueue(req, arrival)
+				ref.Enqueue(req, arrival)
+			}
+			switch rng.Intn(3) {
+			case 0:
+				now++
+			case 1:
+				if next := ref.NextStartTime(); next > now {
+					now = next
+				}
+			default:
+				now += int64(rng.Intn(30))
+			}
+			for _, p := range ref.queue {
+				if p.arrival > now {
+					futureSteps++
+					break
+				}
+			}
+			got, want := c.Advance(now), ref.Advance(now)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d (cycle %d): served %v, full scan %v", seed, step, now, got, want)
+			}
+			if c.Stats != ref.c.Stats {
+				t.Fatalf("seed %d step %d: stats %+v, full scan %+v", seed, step, c.Stats, ref.c.Stats)
+			}
+			if g, w := c.NextStartTime(), ref.NextStartTime(); g != w {
+				t.Fatalf("seed %d step %d: NextStartTime %d, full scan %d", seed, step, g, w)
+			}
+		}
+		bypasses += ref.bypasses
+		capped += ref.capped
+	}
+	if bypasses == 0 || capped == 0 || futureSteps == 0 {
+		t.Fatalf("coverage: %d row-hit bypasses, %d capped picks, %d steps with future arrivals; want all > 0",
+			bypasses, capped, futureSteps)
+	}
+	t.Logf("%d row-hit bypasses, %d capped picks, %d steps with future arrivals", bypasses, capped, futureSteps)
 }
 
 func BenchmarkControllerThroughput(b *testing.B) {

@@ -93,7 +93,11 @@ func TestArtifactParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, weights, err := missWeights(cp1.App, cp1.Plan)
+	traces, err := cp1.App.TraceRun(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, weights, err := missWeights(cp1.App.Name, cp1.Plan, traces)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/fault"
 	"github.com/datacentric-gpu/dcrm/internal/kernels"
 	"github.com/datacentric-gpu/dcrm/internal/mem"
+	"github.com/datacentric-gpu/dcrm/internal/simt"
 	"github.com/datacentric-gpu/dcrm/internal/store"
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 )
@@ -226,14 +227,18 @@ func (cp *Checkpoint) Golden() ([]float32, error) {
 }
 
 // MissSelector returns the memoized Fig. 8 miss-weighted block selector
-// for the checkpoint's protected instance: one trace capture plus one
-// timing run per checkpoint — or an artifact fetch when an earlier process
-// already paid for the replay — shared across fault models and campaigns.
-// The selector is rebuilt from the persisted histogram on both paths.
+// for the checkpoint's protected instance: one timing run per checkpoint —
+// or an artifact fetch when an earlier process already paid for the
+// replay — shared across fault models and campaigns. The selector is
+// rebuilt from the persisted histogram on both paths.
 func (cp *Checkpoint) MissSelector() (fault.Selector, error) {
 	cp.missOnce.Do(func() {
 		art, err := artifactDo(cp, ArtifactMissWeights, func() (missArtifact, error) {
-			blocks, weights, err := missWeights(cp.App, cp.Plan)
+			traces, err := cp.traces()
+			if err != nil {
+				return missArtifact{}, err
+			}
+			blocks, weights, err := missWeights(cp.App.Name, cp.Plan, traces)
 			if err != nil {
 				return missArtifact{}, err
 			}
@@ -249,6 +254,20 @@ func (cp *Checkpoint) MissSelector() (fault.Selector, error) {
 		}
 	})
 	return cp.missSel, cp.missErr
+}
+
+// traces returns the kernel traces the checkpoint's timing replays consume:
+// the suite's memoized capture of the application's base instance. A
+// protected instance traces identically, because replicas are allocated
+// after every primary object and no kernel addresses them
+// (TestProtectedInstanceTracesMatchBase); the plan adds the replica
+// traffic during the replay. A checkpoint built outside a suite captures
+// its own instance.
+func (cp *Checkpoint) traces() ([]*simt.KernelTrace, error) {
+	if cp.suite == nil {
+		return cp.App.TraceRun(nil)
+	}
+	return cp.suite.Traces(cp.App.Name)
 }
 
 // getScratch takes per-worker fault-injection scratch from the pool or

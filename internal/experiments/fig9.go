@@ -8,6 +8,7 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
 	"github.com/datacentric-gpu/dcrm/internal/kernels"
+	"github.com/datacentric-gpu/dcrm/internal/simt"
 	"github.com/datacentric-gpu/dcrm/internal/timing"
 )
 
@@ -82,24 +83,25 @@ func weightConfig() arch.Config {
 // application instance: a timing run (with the plan's replica traffic)
 // produces the per-block L1-miss histogram, and injection probability is
 // proportional to it — misses expose data to the L2/DRAM fault domain.
-// The int parameter is ignored; it is deprecated and will be removed.
+// It captures the instance's traces itself. The int parameter is ignored;
+// it is deprecated and will be removed.
 func MissWeightedSelector(app *kernels.App, plan *core.Plan, _ int) (fault.Selector, error) {
-	blocks, weights, err := missWeights(app, plan)
+	traces, err := app.TraceRun(nil)
+	if err != nil {
+		return nil, err
+	}
+	blocks, weights, err := missWeights(app.Name, plan, traces)
 	if err != nil {
 		return nil, err
 	}
 	return fault.NewWeightedSelector(blocks, weights)
 }
 
-// missWeights is MissWeightedSelector's replay: it returns the selector's
-// raw material — the deterministic block order and the per-block miss
-// counts — in the serializable form the miss-weights checkpoint artifact
-// persists.
-func missWeights(app *kernels.App, plan *core.Plan) ([]arch.BlockAddr, []float64, error) {
-	traces, err := app.TraceRun(nil)
-	if err != nil {
-		return nil, nil, err
-	}
+// missWeights is MissWeightedSelector's replay of the application's traces
+// under the plan: it returns the selector's raw material — the
+// deterministic block order and the per-block miss counts — in the
+// serializable form the miss-weights checkpoint artifact persists.
+func missWeights(app string, plan *core.Plan, traces []*simt.KernelTrace) ([]arch.BlockAddr, []float64, error) {
 	var tplan timing.ProtectionPlan
 	if plan != nil {
 		tplan = plan
@@ -109,12 +111,12 @@ func missWeights(app *kernels.App, plan *core.Plan) ([]arch.BlockAddr, []float64
 		return nil, nil, err
 	}
 	eng.TrackBlockMisses = true
-	if _, err := eng.RunApp(app.Name, traces); err != nil {
+	if _, err := eng.RunApp(app, traces); err != nil {
 		return nil, nil, err
 	}
 	hist := eng.BlockMisses()
 	if len(hist) == 0 {
-		return nil, nil, fmt.Errorf("experiments: %s produced no L1 misses", app.Name)
+		return nil, nil, fmt.Errorf("experiments: %s produced no L1 misses", app)
 	}
 	// Deterministic block order: map iteration order would otherwise make
 	// seeded campaigns irreproducible.

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
@@ -70,7 +71,11 @@ func TestMissWeightsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blocks, weights, err := missWeights(cp.App, cp.Plan)
+			traces, err := cp.traces()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks, weights, err := missWeights(cp.App.Name, cp.Plan, traces)
 			if err != nil {
 				t.Fatalf("%s %v L%d: %v", name, scheme, level, err)
 			}
@@ -115,4 +120,45 @@ func TestMissWeightsGolden(t *testing.T) {
 				i, want[i].App, want[i].Scheme, want[i].Level, got[i], want[i])
 		}
 	}
+}
+
+// TestProtectedInstanceTracesMatchBase pins what lets every checkpoint's
+// timing replays (the Fig. 8 miss histogram, the store-commit timeline)
+// reuse the suite's memoized base traces: a protected instance's capture
+// deep-equals its application's base capture, at every level of both
+// schemes, because replicas are allocated after every primary object and
+// no kernel addresses them.
+func TestProtectedInstanceTracesMatchBase(t *testing.T) {
+	s := testSuite(t)
+	configs := 0
+	for _, name := range s.AllNames() {
+		app, err := s.App(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := s.Traces(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scheme := range []core.Scheme{core.Detection, core.Correction} {
+			for _, level := range sortedLevels(app)[1:] {
+				cp, err := s.Checkpoint(name, scheme, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				traces, err := cp.App.TraceRun(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(traces, base) {
+					t.Errorf("%s %v L%d: protected instance traces differ from the base traces", name, scheme, level)
+				}
+				configs++
+			}
+		}
+	}
+	if configs == 0 {
+		t.Fatal("no protected configurations checked")
+	}
+	t.Logf("%d protected configurations match their base traces", configs)
 }

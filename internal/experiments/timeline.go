@@ -33,7 +33,7 @@ func (cp *Checkpoint) Timeline() (*fault.Timeline, error) {
 // the timeline answers a question about the L2/DRAM fault domain, and the
 // scaled hierarchy is the one that exposes data to it.
 func captureTimeline(cp *Checkpoint) (*fault.Timeline, error) {
-	traces, err := cp.App.TraceRun(nil)
+	traces, err := cp.traces()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s timeline trace: %w", cp.App.Name, err)
 	}

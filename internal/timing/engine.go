@@ -140,6 +140,7 @@ func New(cfg arch.Config, plan ProtectionPlan) (*Engine, error) {
 		blockMisses:       make(map[arch.BlockAddr]uint64),
 		pending:           make([]message, 0, 64),
 	}
+	e.sched.presize()
 	groups := make([]copyGroup, cfg.NumSMs*cfg.L1MSHRs)
 	e.groupPool = make([]*copyGroup, len(groups))
 	for i := range groups {

@@ -16,21 +16,27 @@
 //
 // The scheduler is allocation-free on the hot path. Events are a tagged
 // union (kind + small payload fields) dispatched through a switch in the
-// run loop, not heap-allocated closures, and they are ordered by the same
-// (cycle, sequence) key the original container/heap implementation used:
-// earliest cycle first, scheduling order breaking ties. Two structures back
-// that order without boxing anything through an interface:
+// run loop, not heap-allocated closures, and they pop in (cycle, sequence)
+// order: earliest cycle first, scheduling order breaking ties. Two tiers
+// back that order without boxing anything through an interface:
 //
-//   - a plain slice-based binary min-heap of event values for future-cycle
-//     events, and
-//   - a same-cycle FIFO for events scheduled at the cycle currently being
-//     processed — those are, by construction, already in (cycle, sequence)
-//     order, so they skip the heap entirely.
+//   - a timing wheel of wheelSpan per-cycle buckets covering the cycles
+//     [base, base+wheelSpan). Each bucket is a FIFO linked by index through
+//     one pooled event slab, and an occupancy bitmap finds the next
+//     non-empty cycle, so scheduling and popping are O(1). Every memory
+//     latency of the modelled machine is far shorter than the span, so
+//     nearly every event takes this path; and
+//   - a binary min-heap of event values as the overflow tier, for events
+//     due outside the wheel's span.
 //
-// Because the sequence counter is monotonic, any event in the heap due at
-// the current cycle was scheduled earlier (smaller seq) than every FIFO
-// entry, and the pop path's unified (at, seq) comparison preserves the
-// exact global order of a single ordered heap.
+// Within the span a bucket holds exactly one cycle, and events are
+// appended in sequence order, so a bucket's head is its earliest event.
+// The pop path compares the wheel's head against the heap's top under the
+// same (at, seq) key, which keeps the global order identical to a single
+// ordered heap even when one cycle's events are split across the tiers
+// (scheduled into the heap while far ahead, into the wheel once near). The
+// base advances with every pop, and an empty wheel re-bases at the current
+// cycle, so work resumed after an idle gap lands in the wheel again.
 //
 // # Replay windows
 //
@@ -59,7 +65,11 @@
 // runs whose statistics feed the golden determinism gates.
 package timing
 
-import "github.com/datacentric-gpu/dcrm/internal/arch"
+import (
+	"math/bits"
+
+	"github.com/datacentric-gpu/dcrm/internal/arch"
+)
 
 // eventKind tags which engine action an event performs when popped.
 type eventKind uint8
@@ -100,8 +110,8 @@ const (
 )
 
 // event is one scheduled action: an ordering key plus a tagged payload.
-// It is a value type — events move through the heap and FIFO by copy and
-// never escape to the Go heap.
+// It is a value type — events move through the wheel slab and the overflow
+// heap by copy and never escape to the Go heap.
 type event struct {
 	at   int64
 	seq  uint64
@@ -125,48 +135,81 @@ func before(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// scheduler orders events by (at, seq) with a monotonic sequence counter.
-// Future events live in a non-boxing binary min-heap of event values;
-// events scheduled for the cycle currently being processed take a FIFO
-// fast path (they are appended in seq order, which for a single cycle IS
-// the pop order). Both backing slices are reused across kernels, so the
-// steady state performs no allocation.
+// The timing wheel's geometry. wheelSpan is a power of two so a cycle maps
+// to its bucket with a mask; it comfortably exceeds the longest scheduling
+// distance of a Table I replay (255 cycles).
+const (
+	wheelSpan  = 512
+	wheelMask  = wheelSpan - 1
+	wheelWords = wheelSpan / 64 // occupancy bitmap words
+)
+
+// slabPresize is the event slab's initial capacity, above the few hundred
+// events a replay keeps pending at once, so a fresh engine's first kernel
+// does not grow it.
+const slabPresize = 1024
+
+// wheelSlot is one slab entry: a scheduled event and the slab index of the
+// next event in its bucket.
+type wheelSlot struct {
+	ev   event
+	next int32
+}
+
+// scheduler orders events by (at, seq) with a monotonic sequence counter:
+// a timing wheel for events due within wheelSpan cycles of its base, and
+// an overflow min-heap for the rest. The slab, its free stack and the heap
+// are reused across kernels, so the steady state performs no allocation.
 type scheduler struct {
-	heap     []event
-	fifo     []event
-	fifoHead int
-	seq      uint64
+	// base is the first cycle the wheel covers: every wheel event is due in
+	// [base, base+wheelSpan).
+	base int64
+	// head and tail are each bucket's first and last slab index; they are
+	// meaningful only while the bucket's occupancy bit is set.
+	head [wheelSpan]int32
+	tail [wheelSpan]int32
+	occ  [wheelWords]uint64
+	slab []wheelSlot
+	free []int32 // recycled slab indices
+	// inWheel counts the events in the wheel.
+	inWheel int
+	heap    []event
+	seq     uint64
+}
+
+// presize reserves the event slab so the first kernels do not grow it.
+func (s *scheduler) presize() {
+	s.slab = make([]wheelSlot, 0, slabPresize)
+	s.free = make([]int32, 0, slabPresize)
 }
 
 // schedule enqueues ev, stamping the next sequence number. now is the
-// cycle the engine is currently processing: events due exactly now are
-// FIFO-ordered without touching the heap.
+// cycle the engine is currently processing; an empty wheel re-bases there.
 func (s *scheduler) schedule(ev event, now int64) {
 	ev.seq = s.seq
 	s.seq++
-	if ev.at == now {
-		s.fifo = append(s.fifo, ev)
+	if s.inWheel == 0 {
+		s.base = now
+	}
+	if d := ev.at - s.base; d >= 0 && d < wheelSpan {
+		s.pushWheel(ev)
 		return
 	}
 	s.pushHeap(ev)
 }
 
-func (s *scheduler) empty() bool {
-	return len(s.heap) == 0 && s.fifoHead == len(s.fifo)
-}
+func (s *scheduler) empty() bool { return s.pending() == 0 }
 
 // pending returns the number of scheduled events not yet popped.
-func (s *scheduler) pending() int {
-	return len(s.heap) + len(s.fifo) - s.fifoHead
-}
+func (s *scheduler) pending() int { return s.inWheel + len(s.heap) }
 
 // nextAt returns the cycle of the earliest pending event, or noEvent when
 // the scheduler is empty. The windowed replay loop peeks it to decide
 // whether the next event still falls inside the current window.
 func (s *scheduler) nextAt() int64 {
 	next := int64(noEvent)
-	if s.fifoHead < len(s.fifo) {
-		next = s.fifo[s.fifoHead].at
+	if s.inWheel > 0 {
+		next = s.slab[s.head[s.firstBucket()]].ev.at
 	}
 	if len(s.heap) > 0 && s.heap[0].at < next {
 		next = s.heap[0].at
@@ -177,33 +220,81 @@ func (s *scheduler) nextAt() int64 {
 // reset drops every pending event and rewinds the sequence counter,
 // keeping the backing arrays for reuse.
 func (s *scheduler) reset() {
+	s.occ = [wheelWords]uint64{}
+	s.slab = s.slab[:0]
+	s.free = s.free[:0]
+	s.inWheel = 0
 	s.heap = s.heap[:0]
-	s.fifo = s.fifo[:0]
-	s.fifoHead = 0
 	s.seq = 0
 }
 
-// pop removes and returns the globally earliest event under (at, seq).
-// The FIFO holds only events for the in-progress cycle; a heap event can
-// still precede the FIFO head when it was scheduled for this same cycle
-// at an earlier point in time (smaller seq), so the head-to-head
-// comparison below is what keeps the order bit-identical to a single
-// ordered heap.
+// pop removes and returns the globally earliest event under (at, seq):
+// the wheel's head or the heap's top, whichever orders first.
 func (s *scheduler) pop() event {
-	if s.fifoHead < len(s.fifo) {
-		f := &s.fifo[s.fifoHead]
-		if len(s.heap) == 0 || before(f, &s.heap[0]) {
-			ev := *f
-			s.fifoHead++
-			if s.fifoHead == len(s.fifo) {
-				// Drained: rewind so the backing array is reused.
-				s.fifo = s.fifo[:0]
-				s.fifoHead = 0
+	if s.inWheel > 0 {
+		b := s.firstBucket()
+		i := s.head[b]
+		if len(s.heap) == 0 || before(&s.slab[i].ev, &s.heap[0]) {
+			ev := s.slab[i].ev
+			if i == s.tail[b] {
+				s.occ[b>>6] &^= 1 << (b & 63)
+			} else {
+				s.head[b] = s.slab[i].next
 			}
+			s.free = append(s.free, i)
+			s.inWheel--
+			s.base = ev.at
 			return ev
 		}
 	}
-	return s.popHeap()
+	ev := s.popHeap()
+	// Every wheel event orders after ev, so the base may advance to it.
+	if ev.at > s.base {
+		s.base = ev.at
+	}
+	return ev
+}
+
+// pushWheel appends ev to its cycle's bucket.
+func (s *scheduler) pushWheel(ev event) {
+	var i int32
+	if n := len(s.free); n > 0 {
+		i = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		i = int32(len(s.slab))
+		s.slab = append(s.slab, wheelSlot{})
+	}
+	s.slab[i].ev = ev
+	b := uint64(ev.at) & wheelMask
+	if bit := uint64(1) << (b & 63); s.occ[b>>6]&bit == 0 {
+		s.occ[b>>6] |= bit
+		s.head[b] = i
+	} else {
+		s.slab[s.tail[b]].next = i
+	}
+	s.tail[b] = i
+	s.inWheel++
+}
+
+// firstBucket returns the bucket of the earliest wheel cycle: the first
+// occupied bucket at or after the base's, wrapping once around the ring.
+// The wheel must be non-empty.
+func (s *scheduler) firstBucket() uint64 {
+	start := uint64(s.base) & wheelMask
+	w := start >> 6
+	if word := s.occ[w] >> (start & 63); word != 0 {
+		return start + uint64(bits.TrailingZeros64(word))
+	}
+	for k := uint64(1); k <= wheelWords; k++ {
+		// The last probe revisits the base's word for the buckets below
+		// the base, which hold the span's latest cycles.
+		i := (w + k) % wheelWords
+		if word := s.occ[i]; word != 0 {
+			return i<<6 + uint64(bits.TrailingZeros64(word))
+		}
+	}
+	panic("timing: firstBucket on an empty wheel")
 }
 
 func (s *scheduler) pushHeap(ev event) {

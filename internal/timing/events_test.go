@@ -2,6 +2,7 @@ package timing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
@@ -10,8 +11,8 @@ import (
 
 // The scheduler's contract: events pop in strict (at, seq) order — earliest
 // cycle first, scheduling order breaking ties — regardless of whether an
-// event travelled through the binary heap or the same-cycle FIFO fast
-// path. Every test here identifies events by the blk field.
+// event travelled through the timing wheel or the overflow heap. Every
+// test here identifies events by the blk field.
 
 // popAll drains the scheduler, advancing `now` like the engine run loop
 // does, and returns the event ids in pop order.
@@ -30,67 +31,107 @@ func popAll(t *testing.T, s *scheduler, now int64) []uint64 {
 }
 
 // TestSchedulerSeqTieBreak: events scheduled for the same cycle pop in
-// scheduling order, on both the heap path and the FIFO path.
+// scheduling order, on both the wheel path and the overflow path.
 func TestSchedulerSeqTieBreak(t *testing.T) {
-	for _, fifo := range []bool{false, true} {
+	const at = 10 * wheelSpan
+	for _, tc := range []struct {
+		tier string
+		now  int64
+	}{{"wheel", at - 10}, {"overflow", 0}} {
 		var s scheduler
-		now := int64(0)
-		if fifo {
-			now = 10 // schedule at == now → FIFO path
-		}
 		for i := 0; i < 100; i++ {
-			s.schedule(event{at: 10, blk: arch.BlockAddr(i)}, now)
+			s.schedule(event{at: at, blk: arch.BlockAddr(i)}, tc.now)
 		}
-		order := popAll(t, &s, now)
+		order := popAll(t, &s, tc.now)
 		if len(order) != 100 {
-			t.Fatalf("fifo=%v: popped %d events, want 100", fifo, len(order))
+			t.Fatalf("%s: popped %d events, want 100", tc.tier, len(order))
 		}
 		for i, id := range order {
 			if id != uint64(i) {
-				t.Fatalf("fifo=%v: pop %d returned event %d; seq tie-break broken", fifo, i, id)
+				t.Fatalf("%s: pop %d returned event %d; seq tie-break broken", tc.tier, i, id)
 			}
 		}
 	}
 }
 
-// TestSchedulerFIFOMatchesHeapPath: the same schedule sequence must pop
-// identically whether the events take the same-cycle FIFO (scheduled at
-// the current cycle) or the heap (scheduled from an earlier cycle).
-func TestSchedulerFIFOMatchesHeapPath(t *testing.T) {
+// TestSchedulerWheelMatchesOverflowPath: the same schedule sequence must
+// pop identically whether every event lands in the timing wheel (scheduled
+// from near its cycle) or in the overflow heap (scheduled from at least a
+// wheel span before it).
+func TestSchedulerWheelMatchesOverflowPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	const first = 4 * wheelSpan
 	type sched struct {
 		at int64
 		id uint64
 	}
 	var seq []sched
 	for i := 0; i < 500; i++ {
-		seq = append(seq, sched{at: 50 + int64(rng.Intn(5)), id: uint64(i)})
+		seq = append(seq, sched{at: first + int64(rng.Intn(wheelSpan/2)), id: uint64(i)})
 	}
 
-	// Heap path: schedule everything before cycle 50 is reached.
-	var viaHeap scheduler
+	var viaWheel, viaHeap scheduler
 	for _, ev := range seq {
+		viaWheel.schedule(event{at: ev.at, blk: arch.BlockAddr(ev.id)}, first)
 		viaHeap.schedule(event{at: ev.at, blk: arch.BlockAddr(ev.id)}, 0)
 	}
+	if viaWheel.inWheel != len(seq) || len(viaHeap.heap) != len(seq) {
+		t.Fatalf("tiers not exercised: wheel path holds %d in the wheel, overflow path %d in the heap; want %d each",
+			viaWheel.inWheel, len(viaHeap.heap), len(seq))
+	}
+	wheelOrder := popAll(t, &viaWheel, first)
 	heapOrder := popAll(t, &viaHeap, 0)
 
-	// FIFO path: same-cycle events (at == 50) are scheduled while the
-	// engine is processing cycle 50, so they hit the FIFO; later cycles
-	// still go through the heap.
-	var viaFIFO scheduler
-	for _, ev := range seq {
-		viaFIFO.schedule(event{at: ev.at, blk: arch.BlockAddr(ev.id)}, 50)
-	}
-	fifoOrder := popAll(t, &viaFIFO, 50)
-
-	if len(heapOrder) != len(fifoOrder) {
-		t.Fatalf("lengths differ: heap %d, fifo %d", len(heapOrder), len(fifoOrder))
+	if len(heapOrder) != len(wheelOrder) {
+		t.Fatalf("lengths differ: overflow %d, wheel %d", len(heapOrder), len(wheelOrder))
 	}
 	for i := range heapOrder {
-		if heapOrder[i] != fifoOrder[i] {
-			t.Fatalf("pop %d: heap path returned %d, FIFO path %d — paths diverge",
-				i, heapOrder[i], fifoOrder[i])
+		if heapOrder[i] != wheelOrder[i] {
+			t.Fatalf("pop %d: overflow path returned %d, wheel path %d — paths diverge",
+				i, heapOrder[i], wheelOrder[i])
 		}
+	}
+}
+
+// TestSchedulerCycleSplitAcrossTiers: one cycle's events scheduled first
+// into the overflow heap (while far ahead) and then into the wheel (once
+// near) still pop in scheduling order.
+func TestSchedulerCycleSplitAcrossTiers(t *testing.T) {
+	const target = wheelSpan + 100
+	var s scheduler
+	s.schedule(event{at: target, blk: 0}, 0) // heap: a span or more ahead
+	s.schedule(event{at: 200, blk: 1}, 0)    // wheel
+	if got := s.pop(); got.blk != 1 {
+		t.Fatalf("popped %d, want the near event 1", got.blk)
+	}
+	// The wheel now starts at cycle 200, so target is within its span.
+	s.schedule(event{at: target, blk: 2}, 200)
+	s.schedule(event{at: target, blk: 3}, 200)
+	if s.inWheel != 2 || len(s.heap) != 1 {
+		t.Fatalf("tiers: %d in the wheel, %d in the heap; want 2 and 1", s.inWheel, len(s.heap))
+	}
+	order := popAll(t, &s, 200)
+	want := []uint64{0, 2, 3}
+	if !slices.Equal(order, want) {
+		t.Fatalf("cycle %d popped %v, want %v", target, order, want)
+	}
+}
+
+// TestSchedulerRebasesAfterIdleGap: once the wheel drains, scheduling far
+// past its old span re-bases it at the current cycle instead of spilling
+// into the overflow heap.
+func TestSchedulerRebasesAfterIdleGap(t *testing.T) {
+	var s scheduler
+	s.schedule(event{at: 10, blk: 0}, 0)
+	s.pop()
+	const now = 100 * wheelSpan
+	s.schedule(event{at: now + 5, blk: 1}, now)
+	s.schedule(event{at: now + wheelSpan - 1, blk: 2}, now)
+	if s.inWheel != 2 || len(s.heap) != 0 {
+		t.Fatalf("after the gap: %d in the wheel, %d in the heap; want 2 and 0", s.inWheel, len(s.heap))
+	}
+	if order := popAll(t, &s, now); !slices.Equal(order, []uint64{1, 2}) {
+		t.Fatalf("popped %v, want [1 2]", order)
 	}
 }
 
