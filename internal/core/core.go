@@ -141,9 +141,11 @@ type object struct {
 
 // Plan is a built protection plan bound to one device memory image.
 type Plan struct {
-	scheme  Scheme
-	m       *mem.Memory
-	objects map[int]*object // primary buffer ID → object
+	scheme Scheme
+	m      *mem.Memory
+	// objects is indexed by primary buffer ID (nil = unprotected); a
+	// slice rather than a map because every protected lane read looks it up.
+	objects []*object
 	// protectedPCs is the load-instruction table content (for reporting).
 	protectedPCs []uint16
 
@@ -171,7 +173,7 @@ func NewPlan(m *mem.Memory, cfg PlanConfig) (*Plan, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %d", int(cfg.Scheme))
 	}
-	p := &Plan{scheme: cfg.Scheme, m: m, objects: make(map[int]*object, len(cfg.Objects))}
+	p := &Plan{scheme: cfg.Scheme, m: m}
 	if cfg.Scheme == None || len(cfg.Objects) == 0 {
 		return p, nil
 	}
@@ -190,6 +192,9 @@ func NewPlan(m *mem.Memory, cfg PlanConfig) (*Plan, error) {
 		if b == nil {
 			return nil, errors.New("core: nil object in plan")
 		}
+		if bufs := m.Buffers(); b.ID < 0 || b.ID >= len(bufs) || bufs[b.ID] != b {
+			return nil, fmt.Errorf("core: object %q is not allocated in this memory image", b.Name)
+		}
 		if !b.ReadOnly {
 			return nil, fmt.Errorf("core: object %q is writable; only read-only objects can be replicated", b.Name)
 		}
@@ -207,6 +212,7 @@ func NewPlan(m *mem.Memory, cfg PlanConfig) (*Plan, error) {
 		return nil, fmt.Errorf("core: %d protected load sites exceed the %d-entry load table",
 			len(p.protectedPCs), MaxLoadSites)
 	}
+	p.objects = make([]*object, len(m.Buffers()))
 	for _, b := range cfg.Objects {
 		obj := &object{primary: b}
 		for c := 1; c < cfg.Scheme.Copies(); c++ {
@@ -228,23 +234,37 @@ func NewPlan(m *mem.Memory, cfg PlanConfig) (*Plan, error) {
 func (p *Plan) Scheme() Scheme { return p.scheme }
 
 // ProtectedObjects returns how many objects the plan protects.
-func (p *Plan) ProtectedObjects() int { return len(p.objects) }
+func (p *Plan) ProtectedObjects() int {
+	n := 0
+	for _, obj := range p.objects {
+		if obj != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // ProtectedPCs returns the load-instruction table contents (empty when the
 // plan was built without site bindings).
 func (p *Plan) ProtectedPCs() []uint16 { return append([]uint16(nil), p.protectedPCs...) }
 
-// IsProtected reports whether the buffer is covered by the plan.
-func (p *Plan) IsProtected(b *mem.Buffer) bool {
-	_, ok := p.objects[b.ID]
-	return ok
+// object returns the protected object whose primary buffer has the given
+// ID, or nil when that buffer is unprotected.
+func (p *Plan) object(id int) *object {
+	if id < 0 || id >= len(p.objects) {
+		return nil
+	}
+	return p.objects[id]
 }
+
+// IsProtected reports whether the buffer is covered by the plan.
+func (p *Plan) IsProtected(b *mem.Buffer) bool { return p.object(b.ID) != nil }
 
 // Replicas returns the replica buffers of a protected object (nil if
 // unprotected).
 func (p *Plan) Replicas(b *mem.Buffer) []*mem.Buffer {
-	obj, ok := p.objects[b.ID]
-	if !ok {
+	obj := p.object(b.ID)
+	if obj == nil {
 		return nil
 	}
 	return append([]*mem.Buffer(nil), obj.replicas...)
@@ -262,8 +282,8 @@ func (p *Plan) ForMemory(clone *mem.Memory) *Plan {
 // ReadLaneWord implements simt.WordReader: the functional semantics of the
 // protection schemes.
 func (p *Plan) ReadLaneWord(buf *mem.Buffer, addr arch.Addr) (uint32, error) {
-	obj, ok := p.objects[buf.ID]
-	if !ok || p.scheme == None {
+	obj := p.object(buf.ID)
+	if obj == nil || p.scheme == None {
 		return p.m.ReadWord(addr), nil
 	}
 	p.Stats.ProtectedReads++
@@ -293,7 +313,7 @@ func (p *Plan) ReadLaneWord(buf *mem.Buffer, addr arch.Addr) (uint32, error) {
 
 // Copies implements timing.ProtectionPlan.
 func (p *Plan) Copies(_ uint16, bufID int16) int {
-	if _, ok := p.objects[int(bufID)]; !ok {
+	if p.object(int(bufID)) == nil {
 		return 1
 	}
 	return p.scheme.Copies()
@@ -301,11 +321,19 @@ func (p *Plan) Copies(_ uint16, bufID int16) int {
 
 // ReplicaBlock implements timing.ProtectionPlan.
 func (p *Plan) ReplicaBlock(bufID int16, primary arch.BlockAddr, copy int) arch.BlockAddr {
-	obj, ok := p.objects[int(bufID)]
-	if !ok || copy < 1 || copy > len(obj.replicas) {
+	obj := p.object(int(bufID))
+	if obj == nil || copy < 1 || copy > len(obj.replicas) {
 		return primary
 	}
 	return obj.replicas[copy-1].FirstBlock() + (primary - obj.primary.FirstBlock())
+}
+
+// ReplicaWord returns the address of the word that copy (1-based) of a
+// protected object holds for the primary word at primary: the same
+// in-block offset of the block ReplicaBlock names. For an unprotected
+// object or an out-of-range copy it returns primary.
+func (p *Plan) ReplicaWord(bufID int16, primary arch.Addr, copy int) arch.Addr {
+	return p.ReplicaBlock(bufID, primary.Block(), copy).Base() + primary%arch.BlockBytes
 }
 
 // Lazy implements timing.ProtectionPlan: only the detection scheme
@@ -334,12 +362,14 @@ type Cost struct {
 
 // Describe renders a human-readable summary of the plan for CLI reports.
 func (p *Plan) Describe() string {
-	if p.scheme == None || len(p.objects) == 0 {
+	if p.scheme == None || p.ProtectedObjects() == 0 {
 		return "baseline (no protection)"
 	}
-	names := make([]string, 0, len(p.objects))
+	var names []string
 	for _, obj := range p.objects {
-		names = append(names, obj.primary.Name)
+		if obj != nil {
+			names = append(names, obj.primary.Name)
+		}
 	}
 	sort.Strings(names)
 	c := p.Cost()
@@ -351,6 +381,9 @@ func (p *Plan) Describe() string {
 func (p *Plan) Cost() Cost {
 	replica := 0
 	for _, obj := range p.objects {
+		if obj == nil {
+			continue
+		}
 		for _, r := range obj.replicas {
 			replica += r.Size
 		}

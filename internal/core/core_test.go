@@ -257,6 +257,17 @@ func TestPlanValidation(t *testing.T) {
 	if _, err := NewPlan(m, PlanConfig{Scheme: Detection, Objects: []*mem.Buffer{nil}}); err == nil {
 		t.Error("nil object accepted")
 	}
+	other := mem.New()
+	for i := 0; i < 3; i++ {
+		if _, err := other.Alloc(fmt.Sprintf("o%d", i), 64, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, foreign := range other.Buffers() {
+		if _, err := NewPlan(m, PlanConfig{Scheme: Detection, Objects: []*mem.Buffer{foreign}}); err == nil {
+			t.Errorf("object %q of another memory image accepted", foreign.Name)
+		}
+	}
 }
 
 func TestPlanObjectBudget(t *testing.T) {
@@ -319,6 +330,24 @@ func TestTimingPlanInterface(t *testing.T) {
 	// Unknown copy index falls back to the primary block.
 	if got := p.ReplicaBlock(int16(b.ID), b.FirstBlock(), 5); got != b.FirstBlock() {
 		t.Error("out-of-range copy index did not fall back")
+	}
+}
+
+// TestReplicaWord pins the replica word of every primary word to the same
+// element of each copy — the word the functional read path compares or
+// votes against.
+func TestReplicaWord(t *testing.T) {
+	_, b, p := prep(t, Correction, 70) // spans three blocks, the last partial
+	reps := p.Replicas(b)
+	for c := 1; c <= len(reps); c++ {
+		for i := 0; i < 70; i++ {
+			if got, want := p.ReplicaWord(int16(b.ID), b.ElemAddr(i), c), reps[c-1].ElemAddr(i); got != want {
+				t.Fatalf("copy %d element %d: ReplicaWord = %#x, want %#x", c, i, got, want)
+			}
+		}
+	}
+	if got := p.ReplicaWord(int16(b.ID+99), b.ElemAddr(3), 1); got != b.ElemAddr(3) {
+		t.Errorf("unprotected ReplicaWord = %#x, want the primary word %#x", got, b.ElemAddr(3))
 	}
 }
 

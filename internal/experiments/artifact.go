@@ -147,7 +147,18 @@ func (cp *Checkpoint) reconstructCapture(art captureArtifact) *captureData {
 	for i := range art.Kernels {
 		log.Kernels[i] = &simt.KernelCapture{Kernel: cp.App.Kernels[i], Warps: art.Kernels[i].Warps}
 	}
-	return &captureData{log: log, bufs: cp.App.Mem.Buffers()}
+	bufs := cp.App.Mem.Buffers()
+	var replicas [][]arch.Addr
+	if cp.Plan != nil {
+		replicas = make([][]arch.Addr, len(bufs))
+		for _, b := range bufs {
+			id := int16(b.ID)
+			for c := 1; c < cp.Plan.Copies(0, id); c++ {
+				replicas[b.ID] = append(replicas[b.ID], cp.Plan.ReplicaWord(id, b.Base, c)-b.Base)
+			}
+		}
+	}
+	return &captureData{log: log, bufs: bufs, replicas: replicas}
 }
 
 // Artifact footprint estimates for the checkpoint LRU re-accounting: the

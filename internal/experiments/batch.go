@@ -8,13 +8,18 @@
 // become lanes of a group replay against one recorded reference execution
 // (Checkpoint.ensureCapture):
 //
-//   - A lane only *executes* the warps whose recorded load-block footprint
-//     intersects its divergent blocks; every other warp is reproduced by
-//     applying the recorded golden stores to the lane's fork (see
-//     internal/simt/replay.go for the soundness argument).
-//   - Executed warps still serve loads from the recording while their
-//     blocks are clean, falling back to real per-lane reads only where the
-//     lane's corruption can show through.
+//   - Each lane tracks its divergence from the golden run per 32-bit word
+//     and by value (simt.DirtySet): it starts at the run's fault words and
+//     grows only by the words an executed warp commits with a value other
+//     than the recorded one.
+//   - A lane only *executes* the warps one of whose recorded loads reads a
+//     dirty word — replica words of protected objects included; every
+//     other warp is reproduced by applying the recorded golden stores to
+//     the lane's fork (see internal/simt/replay.go for the soundness
+//     argument). A per-block bitset filters first.
+//   - Executed warps still serve each clean lane of a load from the
+//     recording, reading from the fork only the words where the lane's
+//     corruption can show through.
 //   - All surviving lanes are then classified in bit-parallel sweeps of up
 //     to 64 lanes sharing one golden-image divergence scan
 //     (fault.Classifier.ClassifyBatch over mem.BatchDiverges).
@@ -44,10 +49,15 @@ const maxCaptureBytes = 64 << 20
 
 // captureData is a checkpoint's memoized reference recording, with replica
 // blocks expanded into every load's footprint and the per-warp load-block
-// unions precomputed.
+// unions precomputed, plus the buffer layout its word-level checks resolve
+// recorded indices against.
 type captureData struct {
 	log  *simt.CaptureLog
 	bufs []*mem.Buffer
+	// replicas holds, per buffer ID, the byte offset from each word of a
+	// protected object to the same word of each replica (simt.LaneReplay's
+	// Replicas), derived from the plan.
+	replicas [][]arch.Addr
 }
 
 // ensureCapture materializes the capture artifact once per checkpoint —
@@ -130,12 +140,12 @@ func computeCaptureArtifact(cp *Checkpoint) captureArtifact {
 }
 
 // batchLane is one surviving run of a batched claim: its fork, its
-// divergent-block set, and its per-lane execution state.
+// divergent-word set, and its per-lane execution state.
 type batchLane struct {
 	idx   int // claim-relative run index
 	fork  *mem.Memory
 	drv   *simt.Driver
-	dirty *simt.BlockSet
+	dirty *simt.DirtySet
 	// first is the lane's smallest initially-divergent block — the
 	// planner's intra-bucket sort key, grouping lanes whose faults land in
 	// the same block neighbourhood.
@@ -176,10 +186,10 @@ func (cp *Checkpoint) RunBatch(start int, rngs []*rand.Rand, model fault.Model, 
 	defer func() {
 		for _, ln := range lanes {
 			cp.forks.Put(ln.fork)
+			cp.dirtySets.Put(ln.dirty)
 		}
 	}()
 
-	nblocks := cp.App.Mem.TotalBlocks()
 	var scratch []arch.BlockAddr
 	for i, rng := range rngs {
 		f := cp.getFork()
@@ -207,15 +217,20 @@ func (cp *Checkpoint) RunBatch(start int, rngs []*rand.Rand, model fault.Model, 
 			cp.forks.Put(f)
 			continue
 		}
-		ln := &batchLane{idx: i, fork: f, dirty: simt.NewBlockSet(nblocks)}
-		scratch = f.DirtyBlockList(scratch[:0])
-		scratch = f.FaultBlockList(scratch)
+		// Seed the divergent words: every word of a block a transient flip
+		// materialized (conservative), and each stuck-at or burst overlay
+		// word.
+		ln := &batchLane{idx: i, fork: f, dirty: cp.getDirtySet()}
 		ln.first = arch.BlockAddr(^uint64(0))
+		scratch = f.DirtyBlockList(scratch[:0])
 		for _, b := range scratch {
-			ln.dirty.Add(b)
-			if b < ln.first {
-				ln.first = b
-			}
+			ln.dirty.AddBlock(b)
+			ln.first = min(ln.first, b)
+		}
+		for w := 0; w < f.FaultCount(); w++ {
+			a := f.FaultWord(w)
+			ln.dirty.AddWord(a)
+			ln.first = min(ln.first, a.Block())
 		}
 		ln.drv = &simt.Driver{Mem: f, PermissiveOOB: true}
 		if cp.Plan != nil {
@@ -299,10 +314,15 @@ func (cp *Checkpoint) RunBatch(start int, rngs []*rand.Rand, model fault.Model, 
 
 // replayGroup runs every lane of the group through the recorded execution:
 // per recorded warp (in launch order, the serial execution order), each
-// live lane either executes the warp for real — because its divergent
-// blocks intersect the warp's load footprint, or because it is tainted —
-// or reproduces it by applying the recorded stores.
+// live lane either executes the warp for real — because one of the warp's
+// recorded loads reads a divergent word, or because the lane is tainted —
+// or reproduces it by applying the recorded stores. An executed warp that
+// stays in sync adds to the lane's dirty set, as it commits them, exactly
+// the words whose value differs from the recorded store.
 func (cp *Checkpoint) replayGroup(capd *captureData, lanes []*batchLane) {
+	for _, ln := range lanes {
+		ln.rp = simt.LaneReplay{Dirty: ln.dirty, Bufs: capd.bufs, Replicas: capd.replicas}
+	}
 	var replayed, applied uint64
 	for _, kc := range capd.log.Kernels {
 		for _, wc := range kc.Warps {
@@ -312,7 +332,7 @@ func (cp *Checkpoint) replayGroup(capd *captureData, lanes []*batchLane) {
 					// remaining warps exactly as Driver.Run would.
 					continue
 				}
-				if !ln.taint && !ln.dirty.AnyOf(wc.LoadBlocks) {
+				if !ln.taint && !ln.rp.ReadsDirty(wc) {
 					applyWarpStores(ln.fork, capd.bufs, wc)
 					applied++
 					continue
@@ -321,25 +341,14 @@ func (cp *Checkpoint) replayGroup(capd *captureData, lanes []*batchLane) {
 				if !ln.taint {
 					rp = &ln.rp
 					rp.Reset(wc)
-					rp.Dirty = ln.dirty
 				}
 				if err := ln.drv.RunWarp(kc.Kernel, wc, rp); err != nil {
 					ln.err = fmt.Errorf("kernels: %s: %w", cp.App.Name, err)
 					continue
 				}
 				replayed++
-				if rp == nil {
-					continue
-				}
-				if rp.Desync {
+				if rp != nil && rp.Desync {
 					ln.taint = true
-					continue
-				}
-				// The warp stayed in sync, so its write set is exactly the
-				// recorded stores it committed; their blocks may now hold
-				// divergent values.
-				for si := 0; si < rp.ConsumedStores(); si++ {
-					ln.dirty.AddAll(wc.Stores[si].Blocks)
 				}
 			}
 		}
@@ -352,8 +361,8 @@ func (cp *Checkpoint) replayGroup(capd *captureData, lanes []*batchLane) {
 
 // applyWarpStores reproduces an untouched warp on a lane's fork by
 // committing its recorded stores in program order — word-exact, because an
-// untouched warp's loads all resolve to golden data, so its real execution
-// would compute exactly the recorded values and addresses.
+// untouched warp reads no divergent word, so its real execution would
+// compute exactly the recorded values and addresses.
 func applyWarpStores(f *mem.Memory, bufs []*mem.Buffer, wc *simt.WarpCapture) {
 	for i := range wc.Stores {
 		rec := &wc.Stores[i]

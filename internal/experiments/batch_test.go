@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,7 +15,7 @@ import (
 
 // wholeImageSelector targets every block of the checkpoint's image —
 // inputs, outputs, padding, and replicas.
-func wholeImageSelector(t *testing.T, cp *Checkpoint) fault.Selector {
+func wholeImageSelector(t testing.TB, cp *Checkpoint) fault.Selector {
 	t.Helper()
 	blocks := make([]arch.BlockAddr, cp.App.Mem.TotalBlocks())
 	for i := range blocks {
@@ -24,6 +26,39 @@ func wholeImageSelector(t *testing.T, cp *Checkpoint) fault.Selector {
 		t.Fatal(err)
 	}
 	return sel
+}
+
+// selectorKinds are the block populations campaigns draw from: the hot
+// objects' blocks (Fig. 6), the whole image, and the L1-miss-weighted
+// address space (Fig. 9).
+var selectorKinds = []string{"hot", "whole", "miss"}
+
+// campaignSelector builds the selectorKinds selector of the given kind for
+// one application's checkpoint.
+func campaignSelector(t testing.TB, s *Suite, cp *Checkpoint, app, kind string) fault.Selector {
+	t.Helper()
+	switch kind {
+	case "hot":
+		blocks, err := s.spaceBlocks(app, "hot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel, err := fault.NewSetSelector(blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sel
+	case "whole":
+		return wholeImageSelector(t, cp)
+	case "miss":
+		sel, err := cp.MissSelector()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sel
+	}
+	t.Fatalf("unknown selector kind %q", kind)
+	return nil
 }
 
 // perRunOutcomes collects each run's verdict (not just the aggregate
@@ -62,55 +97,93 @@ func perRunOutcomes(t *testing.T, cp *Checkpoint, c fault.Campaign, model fault.
 
 // TestBatchedRunOutcomeParity is the batched path's run-granular property
 // test: under randomized campaign shapes (seed, batch size, worker count),
-// every fault-model family × scheme must produce the exact per-run verdict
-// vector the per-run path produces — not merely equal aggregate counts.
-// Run under -race in CI via the fork-parity gate's package.
+// every case must produce the exact per-run verdict vector the per-run
+// path produces — not merely equal aggregate counts. Three cheap
+// applications cover every fault-model family × scheme over the whole
+// image. C-NN, A-SRAD and A-Meanfilter add the hot-set and miss-weighted
+// selectors: hot-set faults are where value convergence and the
+// correction vote decide which warps execute, miss-weighted ones where
+// most warps are reproduced from the recording. Run under -race in CI via
+// the batched-parity gate.
 func TestBatchedRunOutcomeParity(t *testing.T) {
 	s := testSuite(t)
 	prng := rand.New(rand.NewSource(20260808))
+	type parityCase struct {
+		app            string
+		scheme         core.Scheme
+		spec, selKind  string
+		runs           int
+		seed           int64
+		batch, workers int
+	}
+	var cases []parityCase
+	add := func(app string, scheme core.Scheme, spec, selKind string, minRuns, spread int) {
+		cases = append(cases, parityCase{
+			app: app, scheme: scheme, spec: spec, selKind: selKind,
+			runs:    minRuns + prng.Intn(spread),
+			seed:    prng.Int63(),
+			batch:   []int{2, 3, 5, 8, 64}[prng.Intn(5)],
+			workers: 1 + prng.Intn(3),
+		})
+	}
 	models := []string{
 		"stuck-at:bits=3,blocks=2",
 		"transient:flips=2",
 		"burst",
 	}
-	apps := []string{"P-BICG", "P-GESUMMV", "A-Sobel"}
-	for _, app := range apps {
-		for _, scheme := range []core.Scheme{core.None, core.Detection, core.Correction} {
+	schemes := []core.Scheme{core.None, core.Detection, core.Correction}
+	for _, app := range []string{"P-BICG", "P-GESUMMV", "A-Sobel"} {
+		for _, scheme := range schemes {
 			for _, spec := range models {
-				model, err := fault.ParseModel(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				base, err := s.App(app)
-				if err != nil {
-					t.Fatal(err)
-				}
-				level := 0
-				if scheme != core.None {
-					level = base.HotCount
-				}
-				cp, err := s.Checkpoint(app, scheme, level)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sel := wholeImageSelector(t, cp)
-
-				runs := 8 + prng.Intn(12)
-				seed := prng.Int63()
-				batch := []int{2, 3, 5, 8, 64}[prng.Intn(5)]
-				workers := 1 + prng.Intn(3)
-				c := fault.Campaign{Runs: runs, Seed: seed, Workers: workers, Batch: batch}
-
-				want := perRunOutcomes(t, cp, c, model, sel, false)
-				got := perRunOutcomes(t, cp, c, model, sel, true)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("%s %v L%d %s seed=%d batch=%d workers=%d: run %d = %v, per-run path says %v",
-							app, scheme, level, spec, seed, batch, workers, i, got[i], want[i])
-					}
-				}
+				add(app, scheme, spec, "whole", 8, 12)
 			}
 		}
+	}
+	for si, scheme := range schemes {
+		for mi, spec := range models {
+			add("A-Meanfilter", scheme, spec, []string{"hot", "miss"}[(si+mi)%2], 8, 12)
+		}
+	}
+	// The heavy applications get few runs, and they run first so that the
+	// parallel cases do not end on one long tail.
+	light := len(cases)
+	add("A-SRAD", core.Detection, models[0], "miss", 3, 3)
+	add("C-NN", core.None, models[0], "hot", 3, 2)
+	add("C-NN", core.Correction, models[0], "hot", 3, 2)
+	cases = append(append([]parityCase(nil), cases[light:]...), cases[:light]...)
+
+	for _, pc := range cases {
+		pc := pc
+		name := fmt.Sprintf("%s_%v_%s_%s", pc.app, pc.scheme, strings.SplitN(pc.spec, ":", 2)[0], pc.selKind)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			model, err := fault.ParseModel(pc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base, err := s.App(pc.app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			level := 0
+			if pc.scheme != core.None {
+				level = base.HotCount
+			}
+			cp, err := s.Checkpoint(pc.app, pc.scheme, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel := campaignSelector(t, s, cp, pc.app, pc.selKind)
+			c := fault.Campaign{Runs: pc.runs, Seed: pc.seed, Workers: pc.workers, Batch: pc.batch}
+			want := perRunOutcomes(t, cp, c, model, sel, false)
+			got := perRunOutcomes(t, cp, c, model, sel, true)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("%s L%d seed=%d batch=%d workers=%d: run %d = %v, per-run path says %v",
+						pc.spec, level, pc.seed, pc.batch, pc.workers, i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 

@@ -41,6 +41,9 @@ type Checkpoint struct {
 	classifier fault.Classifier
 
 	forks sync.Pool
+	// dirtySets pools the batched path's per-lane divergent-word sets
+	// alongside the forks.
+	dirtySets sync.Pool
 
 	missOnce sync.Once
 	missSel  fault.Selector
@@ -278,6 +281,16 @@ func (cp *Checkpoint) getScratch() *fault.Scratch {
 		return sc
 	}
 	return &fault.Scratch{}
+}
+
+// getDirtySet takes an emptied per-lane divergent-word set from the pool
+// or creates one sized for the checkpoint's image.
+func (cp *Checkpoint) getDirtySet() *simt.DirtySet {
+	if d, ok := cp.dirtySets.Get().(*simt.DirtySet); ok {
+		d.Reset()
+		return d
+	}
+	return simt.NewDirtySet(cp.App.Mem.TotalBlocks())
 }
 
 // getFork takes a reset fork from the pool or creates one.

@@ -18,8 +18,8 @@ const BatchLanes = 64
 
 // DirtyBlockList appends the indices of every currently materialized block
 // to dst — a fork's write set so far, in materialization order. Batched
-// campaign executors seed a lane's divergent-block set from it (a transient
-// flip materializes its block at injection time).
+// campaign executors seed a lane's divergent words from it, whole blocks
+// at a time (a transient flip materializes its block at injection time).
 func (m *Memory) DirtyBlockList(dst []arch.BlockAddr) []arch.BlockAddr {
 	for _, b := range m.dirtyIdx {
 		dst = append(dst, arch.BlockAddr(b))
@@ -27,14 +27,10 @@ func (m *Memory) DirtyBlockList(dst []arch.BlockAddr) []arch.BlockAddr {
 	return dst
 }
 
-// FaultBlockList appends the block of every injected fault word to dst —
-// the blocks whose read-path overlay may diverge from the golden image.
-func (m *Memory) FaultBlockList(dst []arch.BlockAddr) []arch.BlockAddr {
-	for i := range m.faults {
-		dst = append(dst, m.faults[i].wordAddr.Block())
-	}
-	return dst
-}
+// FaultWord returns the address of the i-th injected fault word, in address
+// order, for 0 <= i < FaultCount() — the words whose read-path overlay may
+// diverge from the golden image.
+func (m *Memory) FaultWord(i int) arch.Addr { return m.faults[i].wordAddr }
 
 // BatchDiverges reports, as a bitmask over lanes, which of the forks
 // diverge from the golden fork — lane i diverges iff

@@ -92,6 +92,7 @@ func (d *Driver) Run(k *Kernel) (*KernelTrace, error) {
 					ctx.GlobalWarpID = ctaLinear*warpsPerCTA + wi
 					ctx.NumLanes = lanes
 					ctx.linearBase = ctaLinear*threadsPerCTA + wi*arch.WarpSize
+					ctx.cacheThreadIdx()
 					ctx.trace = nil
 					if kcap != nil {
 						ctx.capture = &WarpCapture{
@@ -121,9 +122,9 @@ func (d *Driver) Run(k *Kernel) (*KernelTrace, error) {
 }
 
 // RunWarp executes one recorded warp of k against the driver's memory. rp,
-// when non-nil, serves loads from the recording while the lane's divergent
-// blocks stay clear of them (the batched-campaign fast path); nil executes
-// the warp plainly. Errors carry the same wrapping Run would give the same
+// when non-nil, serves loads from the recording wherever the lane's
+// divergent words stay clear of them (the batched-campaign fast path); nil
+// executes the warp plainly. Errors carry the same wrapping Run would give the same
 // warp. The driver's warp context is reused across calls, mirroring how Run
 // reuses one context for a whole launch.
 func (d *Driver) RunWarp(k *Kernel, wc *WarpCapture, rp *LaneReplay) error {
@@ -149,6 +150,7 @@ func (d *Driver) RunWarp(k *Kernel, wc *WarpCapture, rp *LaneReplay) error {
 	ctx.GlobalWarpID = wc.GlobalWarpID
 	ctx.NumLanes = wc.NumLanes
 	ctx.linearBase = k.Grid.Flatten(wc.CTAIdx)*k.Block.Count() + wc.WarpInCTA*arch.WarpSize
+	ctx.cacheThreadIdx()
 	ctx.replay = rp
 	k.Run(ctx)
 	ctx.replay = nil

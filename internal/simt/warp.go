@@ -46,6 +46,12 @@ type WarpCtx struct {
 	// while the instruction sequence stays in sync with it.
 	replay *LaneReplay
 
+	// tid caches ThreadIdx per lane for the (tidWarp, tidDim) pair.
+	tid     [arch.WarpSize]arch.Dim3
+	tidWarp int
+	tidDim  arch.Dim3
+	tidOK   bool
+
 	// scratch reused by the coalescer across instructions.
 	laneBlocks [arch.WarpSize]arch.BlockAddr
 	uniq       []arch.BlockAddr
@@ -65,8 +71,15 @@ func (w *WarpCtx) ScratchI32(slot int) []int32 { return w.scratchI32[slot][:] }
 func (w *WarpCtx) ScratchF32(slot int) []float32 { return w.scratchF32[slot][:] }
 
 // ThreadIdx returns the CUDA threadIdx for the given lane.
-func (w *WarpCtx) ThreadIdx(lane int) arch.Dim3 {
-	linear := w.WarpInCTA*arch.WarpSize + lane
+func (w *WarpCtx) ThreadIdx(lane int) arch.Dim3 { return w.tid[lane] }
+
+// cacheThreadIdx fills the per-lane ThreadIdx table for the warp's
+// (WarpInCTA, blockDim) pair unless it already holds that pair: three
+// divisions per refill instead of four per ThreadIdx call.
+func (w *WarpCtx) cacheThreadIdx() {
+	if w.tidOK && w.tidWarp == w.WarpInCTA && w.tidDim == w.blockDim {
+		return
+	}
 	x := w.blockDim.X
 	if x == 0 {
 		x = 1
@@ -75,7 +88,19 @@ func (w *WarpCtx) ThreadIdx(lane int) arch.Dim3 {
 	if y == 0 {
 		y = 1
 	}
-	return arch.Dim3{X: linear % x, Y: (linear / x) % y, Z: linear / (x * y)}
+	linear := w.WarpInCTA * arch.WarpSize
+	t := arch.Dim3{X: linear % x, Y: (linear / x) % y, Z: linear / (x * y)}
+	for lane := range w.tid {
+		w.tid[lane] = t
+		if t.X++; t.X == x {
+			t.X = 0
+			if t.Y++; t.Y == y {
+				t.Y = 0
+				t.Z++
+			}
+		}
+	}
+	w.tidOK, w.tidWarp, w.tidDim = true, w.WarpInCTA, w.blockDim
 }
 
 // LinearThreadID returns the global linear thread ID of the lane, with CTAs
@@ -210,8 +235,11 @@ func (w *WarpCtx) LoadF32(site Site, buf *mem.Buffer, idx []int32, dst []float32
 	if w.err != nil {
 		return
 	}
-	if rp := w.replay; rp != nil {
-		if rp.serveVectorF32(site.PC, int16(buf.ID), idx, w.NumLanes, dst) {
+	rp := w.replay
+	var rec *LoadRec
+	if rp != nil {
+		var served bool
+		if rec, served = rp.serveVectorF32(site.PC, int16(buf.ID), idx, w.NumLanes, dst); served {
 			return
 		}
 	}
@@ -223,6 +251,14 @@ func (w *WarpCtx) LoadF32(site Site, buf *mem.Buffer, idx []int32, dst []float32
 			continue
 		}
 		addr := buf.ElemAddr(int(i))
+		if rec != nil && !rp.wordDirty(buf, i) {
+			dst[lane] = math.Float32frombits(rec.Vals[lane])
+			if track {
+				w.laneBlocks[n] = addr.Block()
+			}
+			n++
+			continue
+		}
 		if i < 0 || !buf.Contains(addr) {
 			if !w.drv.PermissiveOOB {
 				w.fail(fmt.Errorf("simt: warp %d %s: lane %d index %d out of bounds for %q (%d B)",
@@ -268,8 +304,11 @@ func (w *WarpCtx) LoadI32(site Site, buf *mem.Buffer, idx []int32, dst []int32) 
 	if w.err != nil {
 		return
 	}
-	if rp := w.replay; rp != nil {
-		if rp.serveVectorI32(site.PC, int16(buf.ID), idx, w.NumLanes, dst) {
+	rp := w.replay
+	var rec *LoadRec
+	if rp != nil {
+		var served bool
+		if rec, served = rp.serveVectorI32(site.PC, int16(buf.ID), idx, w.NumLanes, dst); served {
 			return
 		}
 	}
@@ -281,6 +320,14 @@ func (w *WarpCtx) LoadI32(site Site, buf *mem.Buffer, idx []int32, dst []int32) 
 			continue
 		}
 		addr := buf.ElemAddr(int(i))
+		if rec != nil && !rp.wordDirty(buf, i) {
+			dst[lane] = int32(rec.Vals[lane])
+			if track {
+				w.laneBlocks[n] = addr.Block()
+			}
+			n++
+			continue
+		}
 		if i < 0 || !buf.Contains(addr) {
 			if !w.drv.PermissiveOOB {
 				w.fail(fmt.Errorf("simt: warp %d %s: lane %d index %d out of bounds for %q (%d B)",
@@ -348,7 +395,7 @@ func (w *WarpCtx) LoadF32Broadcast(site Site, buf *mem.Buffer, idx int32) float3
 		return 0
 	}
 	if rp := w.replay; rp != nil {
-		if rec := rp.serveBroadcast(site.PC, int16(buf.ID), idx); rec != nil {
+		if rec := rp.serveBroadcast(site.PC, buf, idx); rec != nil {
 			return math.Float32frombits(rec.Vals[0])
 		}
 	}
@@ -378,7 +425,7 @@ func (w *WarpCtx) LoadI32Broadcast(site Site, buf *mem.Buffer, idx int32) int32 
 		return 0
 	}
 	if rp := w.replay; rp != nil {
-		if rec := rp.serveBroadcast(site.PC, int16(buf.ID), idx); rec != nil {
+		if rec := rp.serveBroadcast(site.PC, buf, idx); rec != nil {
 			return int32(rec.Vals[0])
 		}
 	}
@@ -414,9 +461,9 @@ func (w *WarpCtx) StoreF32(site Site, buf *mem.Buffer, idx []int32, src []float3
 		return
 	}
 	if rp := w.replay; rp != nil {
-		// The store still executes on real memory below; matching only keeps
-		// the replay sequence in sync.
-		rp.noteStore(site.PC, int16(buf.ID), idx, w.NumLanes)
+		// The store still executes on real memory below; matching keeps the
+		// replay sequence in sync and marks the words it makes divergent.
+		rp.noteStore(site.PC, buf, idx, w.NumLanes, src)
 	}
 	track := w.emitActive || w.capture != nil
 	n := 0
