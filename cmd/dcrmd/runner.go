@@ -21,13 +21,13 @@ import (
 // structs.
 var jobKinds = map[string]func(*experiments.Suite, jobParams) (any, error){
 	"fig6": func(s *experiments.Suite, p jobParams) (any, error) {
-		return experiments.Fig6HotVsRest(s, experiments.Fig6Config{Runs: p.Runs, Seed: p.Seed, Apps: p.Apps, Batch: p.Batch})
+		return experiments.Fig6HotVsRest(s, experiments.Fig6Config{Runs: p.Runs, Seed: p.Seed, Apps: p.Apps})
 	},
 	"fig7": func(s *experiments.Suite, p jobParams) (any, error) {
 		return experiments.Fig7Overhead(s, experiments.Fig7Config{Apps: p.Apps})
 	},
 	"fig9": func(s *experiments.Suite, p jobParams) (any, error) {
-		return experiments.Fig9Resilience(s, experiments.Fig9Config{Runs: p.Runs, Seed: p.Seed, Apps: p.Apps, Batch: p.Batch})
+		return experiments.Fig9Resilience(s, experiments.Fig9Config{Runs: p.Runs, Seed: p.Seed, Apps: p.Apps})
 	},
 	"breakdown": func(s *experiments.Suite, p jobParams) (any, error) {
 		models, err := p.models()
@@ -35,14 +35,10 @@ var jobKinds = map[string]func(*experiments.Suite, jobParams) (any, error){
 			return nil, err
 		}
 		return experiments.FaultModelBreakdown(s, experiments.BreakdownConfig{
-			Runs: p.Runs, Seed: p.Seed, Apps: p.Apps, Models: models, Batch: p.Batch,
+			Runs: p.Runs, Seed: p.Seed, Apps: p.Apps, Models: models,
 		})
 	},
 }
-
-// campaignKinds marks the kinds that run fault-injection campaigns and
-// therefore accept the batch knob; fig7 is a pure timing sweep.
-var campaignKinds = map[string]bool{"fig6": true, "fig9": true, "breakdown": true}
 
 // jobParams are the per-campaign knobs accepted by POST /v1/campaigns.
 // Zero values fall back to each experiment's own defaults (the paper's
@@ -56,12 +52,6 @@ type jobParams struct {
 	// the breakdown kind consumes them today; other kinds reject them so a
 	// typo'd request fails loudly instead of silently running defaults.
 	Models []string `json:"models,omitempty"`
-	// Batch is the campaign batch size: runs classified per functional
-	// replay (0 = auto, 1 = unbatched). Purely a performance knob —
-	// results are byte-identical at any batch size — accepted only by the
-	// campaign kinds; negative values and non-campaign kinds are rejected
-	// at submission (HTTP 400).
-	Batch int `json:"batch,omitempty"`
 }
 
 // models parses the fault-model specs, empty meaning "experiment default".
@@ -169,7 +159,6 @@ func requestKey(kind string, params jobParams) string {
 		Field("runs", params.Runs).
 		Field("seed", params.Seed).
 		Field("models", params.Models).
-		Field("batch", params.Batch).
 		Key().Hash()
 }
 
@@ -206,12 +195,6 @@ func (r *runner) submit(kind string, params jobParams) (job, error) {
 		if _, err := params.models(); err != nil {
 			return job{}, err
 		}
-	}
-	if params.Batch < 0 {
-		return job{}, fmt.Errorf("campaign batch must be non-negative (0 = auto, 1 = unbatched), got %d", params.Batch)
-	}
-	if params.Batch != 0 && !campaignKinds[kind] {
-		return job{}, fmt.Errorf("campaign kind %q does not accept batch (only fig6, fig9, and breakdown do)", kind)
 	}
 	key := requestKey(kind, params)
 
@@ -254,16 +237,16 @@ func (r *runner) submit(kind string, params jobParams) (job, error) {
 func prewarmSpecs(s *experiments.Suite, kind string, p jobParams) ([]experiments.CheckpointSpec, error) {
 	switch kind {
 	case "fig6":
-		return s.Fig6PrewarmSpecs(experiments.Fig6Config{Runs: p.Runs, Seed: p.Seed, Apps: p.Apps, Batch: p.Batch}), nil
+		return s.Fig6PrewarmSpecs(experiments.Fig6Config{Runs: p.Runs, Seed: p.Seed, Apps: p.Apps}), nil
 	case "fig9":
-		return s.Fig9PrewarmSpecs(experiments.Fig9Config{Runs: p.Runs, Seed: p.Seed, Apps: p.Apps, Batch: p.Batch})
+		return s.Fig9PrewarmSpecs(experiments.Fig9Config{Runs: p.Runs, Seed: p.Seed, Apps: p.Apps})
 	case "breakdown":
 		models, err := p.models()
 		if err != nil {
 			return nil, err
 		}
 		return s.BreakdownPrewarmSpecs(experiments.BreakdownConfig{
-			Runs: p.Runs, Seed: p.Seed, Apps: p.Apps, Models: models, Batch: p.Batch,
+			Runs: p.Runs, Seed: p.Seed, Apps: p.Apps, Models: models,
 		})
 	}
 	return nil, nil

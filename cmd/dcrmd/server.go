@@ -74,7 +74,9 @@ func newMux(r *runner, coord *fleet.Coordinator, reg *telemetry.Registry, enable
 			Kind string `json:"kind"`
 			jobParams
 		}
-		if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
+		dec := json.NewDecoder(req.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&body); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed request body: %v", err))
 			return
 		}

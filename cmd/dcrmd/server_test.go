@@ -177,6 +177,26 @@ func TestDaemonRejectsUnknownKind(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsUnknownFields: a campaign request carrying a field the
+// API does not declare — the removed "batch" knob, or a typo such as "run"
+// — gets a 400 instead of silently running with defaults.
+func TestDaemonRejectsUnknownFields(t *testing.T) {
+	srv, _ := newTestServer(t)
+	for _, body := range []string{
+		`{"kind":"fig6","batch":8}`,
+		`{"kind":"fig6","run":5}`,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)
+		}
+	}
+}
+
 func TestDaemonUnknownCampaign(t *testing.T) {
 	srv, _ := newTestServer(t)
 	resp, err := http.Get(srv.URL + "/v1/campaigns/job-999")

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	faultinject [-runs 1000] [-apps P-BICG,A-Laplacian] [-seed 7] [-workers 0] [-batch 0]
+//	faultinject [-runs 1000] [-apps P-BICG,A-Laplacian] [-seed 7] [-workers 0]
 //	            [-quiet] [-model spec[;spec...]] [-breakdown] [-csv dir] [-store-dir dir]
 //	            [-prewarm] [-metrics-out metrics.txt]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
@@ -15,8 +15,6 @@
 // as CSV (parent directories are created as needed); with -store-dir the
 // campaign result is persisted to a content-addressed store so a repeat
 // invocation with the same configuration answers without recomputing.
-// -batch bounds how many runs a campaign claim classifies per functional
-// replay (0 = auto, 1 = unbatched); it only changes speed, never results.
 //
 // -prewarm builds the experiment's checkpoint artifacts (goldens, batched-
 // replay captures, store timelines) in parallel before the campaigns start;
@@ -62,7 +60,6 @@ func run() error {
 	apps := flag.String("apps", "", "comma-separated applications (default: the evaluated eight; -breakdown: all ten)")
 	seed := flag.Int64("seed", 7, "campaign seed")
 	workers := flag.Int("workers", 0, "experiment fan-out goroutines (0 = GOMAXPROCS); results are identical at any count")
-	batch := flag.Int("batch", 0, "campaign batch size: runs classified per functional replay (0 = auto, 1 = unbatched); results are identical at any size")
 	quiet := flag.Bool("quiet", false, "suppress the stderr progress line")
 	modelSpec := flag.String("model", "", "semicolon-separated fault-model specs, e.g. \"stuck-at:bits=3;transient:flips=2\" (default: the experiment's own sweep; known models: "+strings.Join(fault.ModelNames(), ", ")+")")
 	breakdown := flag.Bool("breakdown", false, "run the fault-model × scheme outcome breakdown instead of Fig. 6")
@@ -84,10 +81,6 @@ func run() error {
 	}
 	defer stopProfiling()
 
-	if *batch < 0 {
-		return fmt.Errorf("-batch must be non-negative (0 = auto, 1 = unbatched), got %d", *batch)
-	}
-
 	var models []fault.Model
 	if *modelSpec != "" {
 		var err error
@@ -98,7 +91,6 @@ func run() error {
 
 	scfg := experiments.SuiteConfig{
 		Workers:  *workers,
-		Batch:    *batch,
 		Progress: experiments.Progress(*quiet, os.Stderr),
 	}
 	var reg *telemetry.Registry

@@ -18,8 +18,9 @@ import (
 )
 
 // artifactCampaign runs a small campaign that touches all four artifact
-// kinds: the golden (classification), the reference capture (batch > 1),
-// the timeline (transient faults), and the miss weights (the selector).
+// kinds: the golden (classification), the reference capture (group
+// replay), the timeline (transient faults), and the miss weights (the
+// selector).
 func artifactCampaign(t *testing.T, s *Suite) fault.Result {
 	t.Helper()
 	cp, err := s.Checkpoint("P-BICG", core.None, 0)
@@ -30,7 +31,7 @@ func artifactCampaign(t *testing.T, s *Suite) fault.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cp.Campaign(fault.Campaign{Runs: 40, Seed: 9, Workers: 2, Batch: 8},
+	res, err := cp.Campaign(fault.Campaign{Runs: 40, Seed: 9, Workers: 2},
 		fault.Transient{Flips: 2, Blocks: 1}, sel)
 	if err != nil {
 		t.Fatal(err)

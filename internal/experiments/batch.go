@@ -1,12 +1,13 @@
-// Batched campaign execution: classify K fault runs per functional replay.
+// Batched campaign execution: the one path by which a checkpoint classifies
+// fault runs, up to mem.BatchLanes (64) runs per functional replay.
 //
 // Runs of one campaign share a Checkpoint — same app, scheme, level, and
 // fault model — and differ only in which words are corrupted. The batched
-// path exploits that: a claim of K pending runs is injected up front, runs
-// that never need execution (injection-time pre-classification, provably
-// inert faults) are peeled off exactly as RunOne would, and the survivors
-// become lanes of a group replay against one recorded reference execution
-// (Checkpoint.ensureCapture):
+// path exploits that: a claim of up to 64 pending runs is injected up
+// front, runs that never need execution are peeled off (injection-time
+// pre-classification, and provably inert faults, which are Masked), and
+// the survivors become lanes of a group replay against one recorded
+// reference execution (Checkpoint.ensureCapture):
 //
 //   - Each lane tracks its divergence from the golden run per 32-bit word
 //     and by value (simt.DirtySet): it starts at the run's fault words and
@@ -20,13 +21,13 @@
 //   - Executed warps still serve each clean lane of a load from the
 //     recording, reading from the fork only the words where the lane's
 //     corruption can show through.
-//   - All surviving lanes are then classified in bit-parallel sweeps of up
-//     to 64 lanes sharing one golden-image divergence scan
+//   - All surviving lanes are then classified in one bit-parallel sweep
+//     sharing one golden-image divergence scan
 //     (fault.Classifier.ClassifyBatch over mem.BatchDiverges).
 //
 // When no capture is available — the recording exceeded the memory cap or
 // the reference run failed to record — the batch degrades to block-granular
-// amortization: each lane executes in full (the exact RunOne semantics),
+// amortization: each lane executes in full, exactly as a serial run would,
 // but fork setup, checkpoint fetch, and the classification sweep remain
 // shared across the group.
 package experiments
@@ -142,10 +143,9 @@ func computeCaptureArtifact(cp *Checkpoint) captureArtifact {
 // batchLane is one surviving run of a batched claim: its fork, its
 // divergent-word set, and its per-lane execution state.
 type batchLane struct {
-	idx   int // claim-relative run index
-	fork  *mem.Memory
-	drv   *simt.Driver
-	dirty *simt.DirtySet
+	idx int // claim-relative run index
+	laneKit
+	drv *simt.Driver
 	// first is the lane's smallest initially-divergent block — the
 	// planner's intra-bucket sort key, grouping lanes whose faults land in
 	// the same block neighbourhood.
@@ -159,14 +159,18 @@ type batchLane struct {
 	rp simt.LaneReplay
 }
 
-// RunBatch executes the batched claim [start, start+len(rngs)): inject all
-// runs, peel off pre-classified and inert ones, group-replay the survivors
-// against the reference recording, and classify them in bit-parallel
-// sweeps. Outcome i is byte-identical to what RunOne(rngs[i], ...) would
-// return: each rng is consumed only by its own run's injection, and the
-// replay reproduces the serial execution exactly (gated by the parity
-// tests). Safe for concurrent invocation.
-func (cp *Checkpoint) RunBatch(start int, rngs []*rand.Rand, model fault.Model, sel fault.Selector) ([]fault.Outcome, error) {
+// RunBatch executes one claim of up to mem.BatchLanes runs, rngs[i]
+// carrying run i's randomness: inject all runs, peel off pre-classified
+// and inert ones, group-replay the survivors against the reference
+// recording, and classify them in one bit-parallel sweep. Each rng is
+// consumed only by its own run's injection, and the replay reproduces the
+// serial execution exactly, so outcome i equals the clone-per-run
+// reference's verdict for run i (gated by the parity tests). A longer
+// claim is an error. Safe for concurrent invocation.
+func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.Selector) ([]fault.Outcome, error) {
+	if len(rngs) > mem.BatchLanes {
+		return nil, fmt.Errorf("experiments: claim of %d runs exceeds one %d-lane sweep", len(rngs), mem.BatchLanes)
+	}
 	if err := cp.ensureGolden(); err != nil {
 		return nil, err
 	}
@@ -179,23 +183,23 @@ func (cp *Checkpoint) RunBatch(start int, rngs []*rand.Rand, model fault.Model, 
 		env.Timeline = tl
 	}
 	env.Scratch = cp.getScratch()
-	defer cp.scratch.Put(env.Scratch)
+	defer cp.scratches.put(env.Scratch)
 
 	outs := make([]fault.Outcome, len(rngs))
 	lanes := make([]*batchLane, 0, len(rngs))
 	defer func() {
 		for _, ln := range lanes {
-			cp.forks.Put(ln.fork)
-			cp.dirtySets.Put(ln.dirty)
+			cp.kits.put(ln.laneKit)
 		}
 	}()
 
 	var scratch []arch.BlockAddr
 	for i, rng := range rngs {
-		f := cp.getFork()
+		kit := cp.getKit()
+		f := kit.fork
 		inj, err := fault.Inject(f, rng, model, sel, &env)
 		if err != nil {
-			cp.forks.Put(f)
+			cp.kits.put(kit)
 			return nil, err
 		}
 		if inj.Pre != 0 {
@@ -203,7 +207,7 @@ func (cp *Checkpoint) RunBatch(start int, rngs []*rand.Rand, model fault.Model, 
 				cp.tele.pre.Inc()
 			}
 			outs[i] = inj.Pre
-			cp.forks.Put(f)
+			cp.kits.put(kit)
 			continue
 		}
 		// The inert prune only applies to overlay faults; a transient flip
@@ -214,13 +218,13 @@ func (cp *Checkpoint) RunBatch(start int, rngs []*rand.Rand, model fault.Model, 
 				cp.tele.pruned.Inc()
 			}
 			outs[i] = fault.Masked
-			cp.forks.Put(f)
+			cp.kits.put(kit)
 			continue
 		}
 		// Seed the divergent words: every word of a block a transient flip
 		// materialized (conservative), and each stuck-at or burst overlay
 		// word.
-		ln := &batchLane{idx: i, fork: f, dirty: cp.getDirtySet()}
+		ln := &batchLane{idx: i, laneKit: kit}
 		ln.first = arch.BlockAddr(^uint64(0))
 		scratch = f.DirtyBlockList(scratch[:0])
 		for _, b := range scratch {
@@ -238,7 +242,6 @@ func (cp *Checkpoint) RunBatch(start int, rngs []*rand.Rand, model fault.Model, 
 		}
 		lanes = append(lanes, ln)
 	}
-	_ = start
 
 	if cp.tele.batches != nil {
 		cp.tele.batches.Inc()
@@ -289,25 +292,19 @@ func (cp *Checkpoint) RunBatch(start int, rngs []*rand.Rand, model fault.Model, 
 		cp.tele.copies.Add(copies)
 	}
 
-	// Bit-parallel classification: ≤64 lanes per divergence sweep.
-	for g := 0; g < len(lanes); g += mem.BatchLanes {
-		grp := lanes[g:]
-		if len(grp) > mem.BatchLanes {
-			grp = grp[:mem.BatchLanes]
-		}
-		errs := make([]error, len(grp))
-		forks := make([]*mem.Memory, len(grp))
-		for j, ln := range grp {
-			errs[j] = ln.err
-			forks[j] = ln.fork
-		}
-		verdicts, err := cp.classifier.ClassifyBatch(errs, forks, cp.App.Output)
-		if err != nil {
-			return nil, err
-		}
-		for j, ln := range grp {
-			outs[ln.idx] = verdicts[j]
-		}
+	// Bit-parallel classification: the whole claim in one sweep.
+	errs := make([]error, len(lanes))
+	forks := make([]*mem.Memory, len(lanes))
+	for j, ln := range lanes {
+		errs[j] = ln.err
+		forks[j] = ln.fork
+	}
+	verdicts, err := cp.classifier.ClassifyBatch(errs, forks, cp.App.Output)
+	if err != nil {
+		return nil, err
+	}
+	for j, ln := range lanes {
+		outs[ln.idx] = verdicts[j]
 	}
 	return outs, nil
 }

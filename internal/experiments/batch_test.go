@@ -10,6 +10,7 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
+	"github.com/datacentric-gpu/dcrm/internal/fleet"
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 )
 
@@ -61,44 +62,120 @@ func campaignSelector(t testing.TB, s *Suite, cp *Checkpoint, app, kind string) 
 	return nil
 }
 
-// perRunOutcomes collects each run's verdict (not just the aggregate
-// counts) through the real executor, on the per-run or the batched path.
-func perRunOutcomes(t *testing.T, cp *Checkpoint, c fault.Campaign, model fault.Model, sel fault.Selector, batched bool) []fault.Outcome {
-	t.Helper()
-	outs := make([]fault.Outcome, c.Runs)
-	var err error
-	if batched {
-		var mu sync.Mutex
-		_, err = c.ExecuteRangeBatched(0, c.Runs, func(lo int, rngs []*rand.Rand) ([]fault.Outcome, error) {
-			os, err := cp.RunBatch(lo, rngs, model, sel)
-			if err != nil {
-				return nil, err
-			}
-			mu.Lock()
-			copy(outs[lo:], os)
-			mu.Unlock()
-			return os, nil
-		})
-	} else {
-		_, err = c.ExecuteRange(0, c.Runs, func(i int, rng *rand.Rand) (fault.Outcome, error) {
-			o, err := cp.RunOne(rng, model, sel)
-			if err != nil {
-				return 0, err
-			}
-			outs[i] = o
-			return o, nil
-		})
+// oracleRun classifies one run the slow, obviously correct way every fast
+// path is checked against: a deep mem.Clone of the prepared image,
+// fault.Inject, then ClassifyRun — or the injection-time verdict, when the
+// model settles the run at injection. env carries the store-commit
+// timeline for models that consult it (nil for those that do not).
+func oracleRun(cp *Checkpoint, golden []float32, env *fault.Env, rng *rand.Rand, model fault.Model, sel fault.Selector) (fault.Outcome, error) {
+	clone := cp.App.Mem.Clone()
+	inj, err := fault.Inject(clone, rng, model, sel, env)
+	if err != nil {
+		return 0, err
 	}
+	if inj.Pre != 0 {
+		return inj.Pre, nil
+	}
+	return ClassifyRun(cp.App, clone, cp.Plan, golden)
+}
+
+// oracleOutcomes runs every run of c serially through oracleRun, with no
+// store in between, and returns the verdict vector.
+func oracleOutcomes(t testing.TB, cp *Checkpoint, c fault.Campaign, model fault.Model, sel fault.Selector) []fault.Outcome {
+	t.Helper()
+	golden, err := cp.Golden()
 	if err != nil {
 		t.Fatal(err)
 	}
+	var env fault.Env
+	if fault.NeedsTimeline(model) {
+		if env.Timeline, err = cp.Timeline(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]fault.Outcome, c.Runs)
+	oracle := fault.Campaign{Runs: c.Runs, Seed: c.Seed, Workers: 1}
+	if _, err := oracle.Execute(func(i int, rng *rand.Rand) (fault.Outcome, error) {
+		o, err := oracleRun(cp, golden, &env, rng, model, sel)
+		want[i] = o
+		return o, err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// forEachShard splits [0, runs) into shards of at most width runs the way
+// the fleet does (fleet.SplitShards) — a shard of up to mem.BatchLanes runs
+// is exactly one claim — and hands them to fn on workers concurrent
+// goroutines. Any error fails the test.
+func forEachShard(t testing.TB, runs, width, workers int, fn func(start, end int) error) {
+	t.Helper()
+	shards := fleet.SplitShards("", fleet.CampaignSpec{Runs: runs}, width)
+	errs := make([]error, len(shards))
+	sem := make(chan struct{}, workers) // bounds the shards in flight
+	var wg sync.WaitGroup
+	for i, sh := range shards {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(sh.Start, sh.End)
+			<-sem
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// shardedCampaign runs c through cp.CampaignRange in shards of at most
+// width runs on workers concurrent goroutines and merges the shard results.
+func shardedCampaign(t testing.TB, cp *Checkpoint, c fault.Campaign, width, workers int, model fault.Model, sel fault.Selector) fault.Result {
+	t.Helper()
+	var (
+		mu     sync.Mutex
+		merged fault.Result
+	)
+	forEachShard(t, c.Runs, width, workers, func(start, end int) error {
+		res, err := cp.CampaignRange(c, start, end, model, sel)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		merged.Add(res)
+		mu.Unlock()
+		return nil
+	})
+	return merged
+}
+
+// perRunOutcomes collects each run's verdict (not just the aggregate
+// counts) through the batched executor, in shards of at most width runs
+// on workers concurrent goroutines.
+func perRunOutcomes(t testing.TB, cp *Checkpoint, c fault.Campaign, width, workers int, model fault.Model, sel fault.Selector) []fault.Outcome {
+	t.Helper()
+	outs := make([]fault.Outcome, c.Runs)
+	forEachShard(t, c.Runs, width, workers, func(start, end int) error {
+		_, err := c.ExecuteRangeBatched(start, end, func(lo int, rngs []*rand.Rand) ([]fault.Outcome, error) {
+			os, err := cp.RunBatch(rngs, model, sel)
+			if err == nil {
+				copy(outs[lo:], os) // claims never overlap
+			}
+			return os, err
+		})
+		return err
+	})
 	return outs
 }
 
 // TestBatchedRunOutcomeParity is the batched path's run-granular property
-// test: under randomized campaign shapes (seed, batch size, worker count),
-// every case must produce the exact per-run verdict vector the per-run
-// path produces — not merely equal aggregate counts. Three cheap
+// test: under randomized campaign shapes (seed, shard width, concurrent
+// shards), every case must produce the exact per-run verdict vector of the
+// clone-per-run oracle — not merely equal aggregate counts. Three cheap
 // applications cover every fault-model family × scheme over the whole
 // image. C-NN, A-SRAD and A-Meanfilter add the hot-set and miss-weighted
 // selectors: hot-set faults are where value convergence and the
@@ -114,7 +191,7 @@ func TestBatchedRunOutcomeParity(t *testing.T) {
 		spec, selKind  string
 		runs           int
 		seed           int64
-		batch, workers int
+		width, workers int
 	}
 	var cases []parityCase
 	add := func(app string, scheme core.Scheme, spec, selKind string, minRuns, spread int) {
@@ -122,7 +199,7 @@ func TestBatchedRunOutcomeParity(t *testing.T) {
 			app: app, scheme: scheme, spec: spec, selKind: selKind,
 			runs:    minRuns + prng.Intn(spread),
 			seed:    prng.Int63(),
-			batch:   []int{2, 3, 5, 8, 64}[prng.Intn(5)],
+			width:   []int{2, 3, 5, 8, 64}[prng.Intn(5)],
 			workers: 1 + prng.Intn(3),
 		})
 	}
@@ -174,13 +251,13 @@ func TestBatchedRunOutcomeParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			sel := campaignSelector(t, s, cp, pc.app, pc.selKind)
-			c := fault.Campaign{Runs: pc.runs, Seed: pc.seed, Workers: pc.workers, Batch: pc.batch}
-			want := perRunOutcomes(t, cp, c, model, sel, false)
-			got := perRunOutcomes(t, cp, c, model, sel, true)
+			c := fault.Campaign{Runs: pc.runs, Seed: pc.seed, Workers: 1}
+			want := oracleOutcomes(t, cp, c, model, sel)
+			got := perRunOutcomes(t, cp, c, pc.width, pc.workers, model, sel)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Errorf("%s L%d seed=%d batch=%d workers=%d: run %d = %v, per-run path says %v",
-						pc.spec, level, pc.seed, pc.batch, pc.workers, i, got[i], want[i])
+					t.Errorf("%s L%d seed=%d width=%d workers=%d: run %d = %v, clone-per-run oracle says %v",
+						pc.spec, level, pc.seed, pc.width, pc.workers, i, got[i], want[i])
 				}
 			}
 		})
@@ -216,12 +293,8 @@ func TestBatchTelemetryReconciliation(t *testing.T) {
 	}
 	sel := wholeImageSelector(t, cp)
 	const runs = 40
-	c := s.campaign(runs, 99, 8)
-	c.Workers = 2
-	res, err := cp.Campaign(c, fault.StuckAt{BitsPerWord: 3, Blocks: 1}, sel)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Shards of 8 runs on two goroutines: several claims, two in flight.
+	res := shardedCampaign(t, cp, s.campaign(runs, 99), 8, 2, fault.StuckAt{BitsPerWord: 3, Blocks: 1}, sel)
 	if res.Runs != runs {
 		t.Fatalf("result runs = %d, want %d", res.Runs, runs)
 	}

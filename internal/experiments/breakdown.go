@@ -28,9 +28,6 @@ type BreakdownConfig struct {
 	// hot level. Default: detection and detection+correction (the
 	// unprotected baseline is always included).
 	Schemes []core.Scheme
-	// Batch overrides the campaign batch size (0 = the suite default;
-	// 1 disables batching). Results are byte-identical at any batch size.
-	Batch int
 }
 
 func (c BreakdownConfig) withDefaults() BreakdownConfig {
@@ -98,8 +95,7 @@ func FaultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]BreakdownCell, error)
 			Field("seed", cfg.Seed).
 			Field("models", fault.ModelsKey(cfg.Models)).
 			Field("apps", cfg.Apps).
-			Field("schemes", cfg.Schemes).
-			Field("batch", s.batchFor(cfg.Batch)),
+			Field("schemes", cfg.Schemes),
 		func() ([]BreakdownCell, error) { return faultModelBreakdown(s, cfg) })
 }
 
@@ -147,7 +143,7 @@ func faultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]BreakdownCell, error)
 		}
 		cells := make([]BreakdownCell, 0, len(cfg.Models))
 		for _, model := range cfg.Models {
-			res, err := cp.Campaign(s.campaign(cfg.Runs, cfg.Seed, cfg.Batch), model, sel)
+			res, err := cp.Campaign(s.campaign(cfg.Runs, cfg.Seed), model, sel)
 			if err != nil {
 				return fmt.Errorf("experiments: breakdown %s %v L%d %v: %w",
 					t.app, t.scheme, t.level, model, err)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,12 +20,12 @@ import (
 // Checkpoint is the reusable golden state of one (application, scheme,
 // protection-level) campaign configuration: the post-input-load memory
 // image with replicas allocated, the replication plan, the fault-free
-// golden output and post-run image, and a pool of reusable copy-on-write
-// forks. Checkpoints are built once per configuration through the suite
-// memo and shared by every campaign run — across fault models, across the
-// Fig. 6/7/9 experiments, and across the public Workload API — so repeat
-// campaigns skip application construction, plan building, the golden run,
-// and the per-run image clone entirely.
+// golden output and post-run image, and free-lists of reusable
+// copy-on-write forks. Checkpoints are built once per configuration
+// through the suite memo and shared by every campaign run — across fault
+// models, across the Fig. 6/7/9 experiments, and across the public
+// Workload API — so repeat campaigns skip application construction, plan
+// building, the golden run, and the per-run image clone entirely.
 type Checkpoint struct {
 	// App is the configuration's private application instance (its memory
 	// image includes the plan's replicas). Treat as read-only.
@@ -40,10 +41,13 @@ type Checkpoint struct {
 	goldenErr  error
 	classifier fault.Classifier
 
-	forks sync.Pool
-	// dirtySets pools the batched path's per-lane divergent-word sets
-	// alongside the forks.
-	dirtySets sync.Pool
+	// kits and scratches recycle the batched path's per-lane state (a fork
+	// and its divergent-word set) and per-claim injection scratch. Unlike
+	// sync.Pool, a free-list never drops an item on its own, so the
+	// steady-state allocation count of a campaign is the same under every
+	// runtime, the race detector included.
+	kits      freeList[laneKit]
+	scratches freeList[*fault.Scratch]
 
 	missOnce sync.Once
 	missSel  fault.Selector
@@ -69,10 +73,6 @@ type Checkpoint struct {
 	cfgKey    string
 	storeKey  store.Key
 	lazyBytes atomic.Int64
-
-	// scratch pools per-worker fault-injection scratch (fault.Scratch) so
-	// steady-state campaign runs stop allocating selector permutations.
-	scratch sync.Pool
 
 	tele checkpointTelemetry
 }
@@ -127,7 +127,7 @@ func (s *Suite) checkpoint(key string, build func() (*kernels.App, *core.Plan, e
 		reg.Counter("dcrm_checkpoint_requests_total",
 			"Campaign checkpoint lookups (hits = requests - builds).").Inc()
 	}
-	// Checkpoints stay live objects (fork pools, reattached kernels) and
+	// Checkpoints stay live objects (fork free-lists, reattached kernels) and
 	// never persist as a whole; their lazy pieces persist individually as
 	// artifacts (see artifact.go). The memory-tier size starts at the image
 	// and is re-accounted upward as artifacts materialize (UpdateSize).
@@ -154,6 +154,10 @@ func (s *Suite) newCheckpoint(app *kernels.App, plan *core.Plan, cfgKey string, 
 		App: app, Plan: plan,
 		suite: s, cfgKey: cfgKey, storeKey: storeKey,
 	}
+	// Bound each free-list at what one campaign holds in flight: a full
+	// claim of lanes, and one scratch, per processor.
+	cp.kits.max = mem.BatchLanes * runtime.GOMAXPROCS(0)
+	cp.scratches.max = runtime.GOMAXPROCS(0)
 	if reg := s.cfg.Telemetry; reg != nil {
 		cp.tele = checkpointTelemetry{
 			forks: reg.Counter("dcrm_campaign_forks_total",
@@ -273,116 +277,84 @@ func (cp *Checkpoint) traces() ([]*simt.KernelTrace, error) {
 	return cp.suite.Traces(cp.App.Name)
 }
 
-// getScratch takes per-worker fault-injection scratch from the pool or
-// creates one; return it with cp.scratch.Put. The scratch only buffers
-// draws, so pooling cannot change results.
+// freeList is a bounded, mutex-guarded stack of reusable items, the idiom
+// the timing engine's event scheduler uses for its slab. Items put beyond
+// the bound are left to the garbage collector.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+	max   int
+}
+
+// get pops a recycled item, reporting false when the list is empty.
+func (l *freeList[T]) get() (item T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.items)
+	if n == 0 {
+		return item, false
+	}
+	item = l.items[n-1]
+	var zero T
+	l.items[n-1] = zero
+	l.items = l.items[:n-1]
+	return item, true
+}
+
+// put recycles an item unless the list already holds its bound.
+func (l *freeList[T]) put(item T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.items) < l.max {
+		l.items = append(l.items, item)
+	}
+}
+
+// laneKit is one batched lane's reusable state: a copy-on-write fork of
+// the checkpoint image and the lane's divergent-word set.
+type laneKit struct {
+	fork  *mem.Memory
+	dirty *simt.DirtySet
+}
+
+// getKit takes a reset lane kit from the free-list or creates one; return
+// it with cp.kits.put.
+func (cp *Checkpoint) getKit() laneKit {
+	if k, ok := cp.kits.get(); ok {
+		k.fork.Reset()
+		k.dirty.Reset()
+		return k
+	}
+	if cp.tele.forks != nil {
+		cp.tele.forks.Inc()
+	}
+	return laneKit{fork: cp.App.Mem.Fork(), dirty: simt.NewDirtySet(cp.App.Mem.TotalBlocks())}
+}
+
+// getScratch takes fault-injection scratch from the free-list or creates
+// one; return it with cp.scratches.put. The scratch only buffers draws, so
+// recycling it cannot change results.
 func (cp *Checkpoint) getScratch() *fault.Scratch {
-	if sc, ok := cp.scratch.Get().(*fault.Scratch); ok {
+	if sc, ok := cp.scratches.get(); ok {
 		return sc
 	}
 	return &fault.Scratch{}
 }
 
-// getDirtySet takes an emptied per-lane divergent-word set from the pool
-// or creates one sized for the checkpoint's image.
-func (cp *Checkpoint) getDirtySet() *simt.DirtySet {
-	if d, ok := cp.dirtySets.Get().(*simt.DirtySet); ok {
-		d.Reset()
-		return d
-	}
-	return simt.NewDirtySet(cp.App.Mem.TotalBlocks())
-}
-
-// getFork takes a reset fork from the pool or creates one.
-func (cp *Checkpoint) getFork() *mem.Memory {
-	if f, ok := cp.forks.Get().(*mem.Memory); ok {
-		f.Reset()
-		return f
-	}
-	if cp.tele.forks != nil {
-		cp.tele.forks.Inc()
-	}
-	return cp.App.Mem.Fork()
-}
-
-// RunOne executes one fault-injected campaign run against the checkpoint:
-// fork the golden image copy-on-write, inject under the fault model, honour
-// injection-time pre-classification (store-masked or ECC-detected transient
-// faults never execute), prune runs whose overlay faults are provably inert
-// (bit-identical to the golden run, so Masked without executing), otherwise
-// execute functionally and classify by streaming comparison with the golden
-// post-run image. Safe for concurrent use; the rng carries all per-run
-// randomness, so results are bit-identical to the legacy clone-per-run path
-// at any worker count.
-func (cp *Checkpoint) RunOne(rng *rand.Rand, model fault.Model, sel fault.Selector) (fault.Outcome, error) {
-	if err := cp.ensureGolden(); err != nil {
-		return 0, err
-	}
-	var env fault.Env
-	if fault.NeedsTimeline(model) {
-		tl, err := cp.Timeline()
-		if err != nil {
-			return 0, err
-		}
-		env.Timeline = tl
-	}
-	env.Scratch = cp.getScratch()
-	defer cp.scratch.Put(env.Scratch)
-	f := cp.getFork()
-	defer cp.forks.Put(f)
-	inj, err := fault.Inject(f, rng, model, sel, &env)
-	if err != nil {
-		return 0, err
-	}
-	if inj.Pre != 0 {
-		if cp.tele.pre != nil {
-			cp.tele.pre.Inc()
-		}
-		return inj.Pre, nil
-	}
-	// The inert prune only applies to overlay faults; a transient flip is
-	// a genuine store (DirtyBlocks > 0) that must execute even though the
-	// overlay is empty (FaultsInert is vacuously true then).
-	if f.DirtyBlocks() == 0 && f.FaultsInert() {
-		if cp.tele.pruned != nil {
-			cp.tele.pruned.Inc()
-		}
-		return fault.Masked, nil
-	}
-	before := f.CopiedBlocks()
-	if cp.Plan != nil {
-		err = cp.App.RunOn(f, cp.Plan.ForMemory(f))
-	} else {
-		err = cp.App.RunOn(f, nil)
-	}
-	if cp.tele.runs != nil {
-		cp.tele.runs.Inc()
-		cp.tele.copies.Add(f.CopiedBlocks() - before)
-	}
-	return cp.classifier.Classify(err, f, cp.App.Output)
-}
-
 // Campaign executes c against the checkpoint under the given fault model
-// and block selector. A batch size above 1 (the default — see
-// fault.Campaign.Batch) routes through the batched group-replay path;
-// outcomes are byte-identical either way.
+// and block selector, in claims of up to mem.BatchLanes runs through
+// RunBatch.
 func (cp *Checkpoint) Campaign(c fault.Campaign, model fault.Model, sel fault.Selector) (fault.Result, error) {
 	return cp.CampaignRange(c, 0, c.Runs, model, sel)
 }
 
 // CampaignRange executes only the run indices in [start, end) of c — one
-// fleet shard — against the checkpoint, batching claims internally like
-// Campaign. Each run derives its random stream from (c.Seed, index)
-// exactly like Campaign, so merging every shard of a partition with
-// fault.Result.Add reproduces the full campaign's result byte for byte,
-// regardless of each shard's batch size.
+// fleet shard — against the checkpoint, in claims like Campaign. Each run
+// derives its random stream from (c.Seed, index) exactly like Campaign, so
+// merging every shard of a partition with fault.Result.Add reproduces the
+// full campaign's result byte for byte, however the range is split.
 func (cp *Checkpoint) CampaignRange(c fault.Campaign, start, end int, model fault.Model, sel fault.Selector) (fault.Result, error) {
-	if c.BatchSize() > 1 {
-		return c.ExecuteRangeBatched(start, end, func(lo int, rngs []*rand.Rand) ([]fault.Outcome, error) {
-			return cp.RunBatch(lo, rngs, model, sel)
-		})
-	}
-	return c.ExecuteRange(start, end, func(_ int, rng *rand.Rand) (fault.Outcome, error) {
-		return cp.RunOne(rng, model, sel)
+	return c.ExecuteRangeBatched(start, end, func(_ int, rngs []*rand.Rand) ([]fault.Outcome, error) {
+		return cp.RunBatch(rngs, model, sel)
 	})
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/core"
@@ -16,13 +15,16 @@ var differentialApps = []string{"P-BICG", "P-GESUMMV", "P-MVT", "A-Sobel", "A-La
 
 // FuzzCampaignDifferential checks the batched campaign path against the
 // one slow, obviously correct reference: for a fuzz-chosen application,
-// scheme, selector, fault model, seed, run count, batch size and worker
-// count, the batched per-run verdict vector must equal the clone-per-run
-// oracle's — a deep mem.Clone of the prepared image per run, fault.Inject,
-// and ClassifyRun, run serially with no store in between.
+// scheme, selector, fault model, seed, run count, shard width and number
+// of concurrent shards, the batched per-run verdict vector must equal the
+// clone-per-run oracle's (oracleRun: a deep mem.Clone of the prepared
+// image per run, fault.Inject, and ClassifyRun, run serially with no store
+// in between). The run range is split the way the fleet splits it, so the
+// target also fuzzes shard boundaries; a shard of up to 64 runs is one
+// claim.
 func FuzzCampaignDifferential(f *testing.F) {
 	// The seed corpus lives in testdata/fuzz/FuzzCampaignDifferential.
-	f.Fuzz(func(t *testing.T, app, scheme, selKind, family, p1, p2 uint8, seed int64, runs, batch, workers uint8) {
+	f.Fuzz(func(t *testing.T, app, scheme, selKind, family, p1, p2 uint8, seed int64, runs, width, workers uint8) {
 		name := differentialApps[int(app)%len(differentialApps)]
 		sch := []core.Scheme{core.None, core.Detection, core.Correction}[scheme%3]
 		kind := selectorKinds[int(selKind)%len(selectorKinds)]
@@ -39,7 +41,8 @@ func FuzzCampaignDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ParseModel(%q): %v", spec, err)
 		}
-		c := fault.Campaign{Runs: 1 + int(runs%16), Seed: seed, Batch: 1 + int(batch%64), Workers: 1 + int(workers%4)}
+		c := fault.Campaign{Runs: 1 + int(runs%16), Seed: seed, Workers: 1}
+		shardWidth, shardWorkers := 1+int(width%64), 1+int(workers%4)
 
 		s := testSuite(t)
 		base, err := s.App(name)
@@ -55,40 +58,12 @@ func FuzzCampaignDifferential(f *testing.F) {
 			t.Fatal(err)
 		}
 		sel := campaignSelector(t, s, cp, name, kind)
-		golden, err := cp.Golden()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var env fault.Env
-		if fault.NeedsTimeline(model) {
-			if env.Timeline, err = cp.Timeline(); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		want := make([]fault.Outcome, c.Runs)
-		oracle := fault.Campaign{Runs: c.Runs, Seed: c.Seed, Workers: 1, Batch: 1}
-		if _, err := oracle.ExecuteRange(0, c.Runs, func(i int, rng *rand.Rand) (fault.Outcome, error) {
-			clone := cp.App.Mem.Clone()
-			inj, err := fault.Inject(clone, rng, model, sel, &env)
-			if err != nil {
-				return 0, err
-			}
-			if inj.Pre != 0 {
-				want[i] = inj.Pre
-			} else if want[i], err = ClassifyRun(cp.App, clone, cp.Plan, golden); err != nil {
-				return 0, err
-			}
-			return want[i], nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-
-		got := perRunOutcomes(t, cp, c, model, sel, true)
+		want := oracleOutcomes(t, cp, c, model, sel)
+		got := perRunOutcomes(t, cp, c, shardWidth, shardWorkers, model, sel)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("%s %v %s %s seed=%d runs=%d batch=%d workers=%d: run %d = %v, clone-per-run oracle says %v",
-					name, sch, spec, kind, c.Seed, c.Runs, c.Batch, c.Workers, i, got[i], want[i])
+				t.Errorf("%s %v %s %s seed=%d runs=%d width=%d workers=%d: run %d = %v, clone-per-run oracle says %v",
+					name, sch, spec, kind, c.Seed, c.Runs, shardWidth, shardWorkers, i, got[i], want[i])
 			}
 		}
 	})

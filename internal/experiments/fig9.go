@@ -30,9 +30,6 @@ type Fig9Config struct {
 	// Schemes overrides the schemes swept. Default: detection and
 	// detection+correction (the unprotected baseline is always included).
 	Schemes []core.Scheme
-	// Batch overrides the campaign batch size (0 = the suite default;
-	// 1 disables batching). Results are byte-identical at any batch size.
-	Batch int
 }
 
 func (c Fig9Config) withDefaults() Fig9Config {
@@ -193,7 +190,7 @@ func fig9Resilience(s *Suite, cfg Fig9Config) ([]Fig9Cell, error) {
 		}
 		cells := make([]Fig9Cell, 0, len(cfg.Models))
 		for _, model := range cfg.Models {
-			res, err := cp.Campaign(s.campaign(cfg.Runs, cfg.Seed, cfg.Batch), model, sel)
+			res, err := cp.Campaign(s.campaign(cfg.Runs, cfg.Seed), model, sel)
 			if err != nil {
 				return fmt.Errorf("experiments: fig9 %s %v L%d %v: %w", t.app, t.scheme, t.level, model, err)
 			}

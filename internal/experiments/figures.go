@@ -220,9 +220,6 @@ type Fig6Config struct {
 	// Apps restricts the application set. Default: the evaluated eight of
 	// Table II.
 	Apps []string
-	// Batch overrides the campaign batch size (0 = the suite default;
-	// 1 disables batching). Results are byte-identical at any batch size.
-	Batch int
 }
 
 func (c Fig6Config) withDefaults() Fig6Config {
@@ -337,7 +334,7 @@ func fig6App(s *Suite, cfg Fig6Config, name string) ([]Fig6Cell, error) {
 			return nil, err
 		}
 		for _, model := range cfg.Models {
-			res, err := cp.Campaign(s.campaign(cfg.Runs, cfg.Seed, cfg.Batch), model, sel)
+			res, err := cp.Campaign(s.campaign(cfg.Runs, cfg.Seed), model, sel)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig6 %s/%s/%v: %w", name, sp.label, model, err)
 			}

@@ -11,10 +11,11 @@ import (
 
 // TestCampaignForkParity is the fast-path equivalence contract: for every
 // application and scheme, a campaign over the fork + checkpoint path must
-// produce bit-identical Results to the legacy clone-per-run path — at one
-// worker and at sixteen, unbatched (Batch 1), partially batched (8), and
-// at the full bit-parallel width (64). This also serves as the
-// serial-vs-parallel campaign determinism gate (run under -race in CI).
+// produce bit-identical Results to the clone-per-run oracle — split into
+// fleet shards one run wide (one-lane claims), eight wide, and at the full
+// bit-parallel width (64), run on one goroutine and on sixteen. This also
+// serves as the serial-vs-parallel campaign determinism gate (run under
+// -race in CI).
 func TestCampaignForkParity(t *testing.T) {
 	s := testSuite(t)
 	const (
@@ -51,33 +52,26 @@ func TestCampaignForkParity(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Legacy path: deep clone per run, full output extraction and
+			// Oracle: deep clone per run, full output extraction and
 			// metric evaluation per run.
 			golden, err := s.Golden(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			legacy, err := fault.Campaign{Runs: runs, Seed: seed, Workers: 1}.Execute(
-				func(_ int, rng *rand.Rand) (fault.Outcome, error) {
-					clone := cp.App.Mem.Clone()
-					if _, err := fault.Inject(clone, rng, model, sel, nil); err != nil {
-						return 0, err
-					}
-					return ClassifyRun(cp.App, clone, cp.Plan, golden)
-				})
+			c := fault.Campaign{Runs: runs, Seed: seed, Workers: 1}
+			want, err := c.Execute(func(_ int, rng *rand.Rand) (fault.Outcome, error) {
+				return oracleRun(cp, golden, nil, rng, model, sel)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			for _, workers := range []int{1, 16} {
-				for _, batch := range []int{1, 8, 64} {
-					got, err := cp.Campaign(fault.Campaign{Runs: runs, Seed: seed, Workers: workers, Batch: batch}, model, sel)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != legacy {
-						t.Errorf("%s %v L%d workers=%d batch=%d: fork path %+v != legacy clone path %+v",
-							name, scheme, level, workers, batch, got, legacy)
+				for _, width := range []int{1, 8, 64} {
+					got := shardedCampaign(t, cp, c, width, workers, model, sel)
+					if got != want {
+						t.Errorf("%s %v L%d workers=%d width=%d: fork path %+v != clone-per-run oracle %+v",
+							name, scheme, level, workers, width, got, want)
 					}
 				}
 			}

@@ -46,21 +46,10 @@ func (s *Suite) campaignWorkers() int {
 // campaign builds a fault.Campaign with the suite's nested worker bound,
 // telemetry registry, and cancellation context, so every experiment's
 // campaigns report live outcome counters when the suite is observed and
-// stop claiming runs once the suite's context is cancelled. batch is the
-// per-experiment override (0 falls back to the suite-wide default, which
-// itself defaults to fault.DefaultBatch).
-func (s *Suite) campaign(runs int, seed int64, batch int) fault.Campaign {
-	if batch == 0 {
-		batch = s.cfg.Batch
-	}
+// stop claiming runs once the suite's context is cancelled.
+func (s *Suite) campaign(runs int, seed int64) fault.Campaign {
 	return fault.Campaign{Runs: runs, Seed: seed, Workers: s.campaignWorkers(),
-		Batch: batch, Metrics: s.cfg.Telemetry, Context: s.ctx}
-}
-
-// batchFor resolves the effective campaign batch size for a
-// per-experiment override — the value folded into result-store keys.
-func (s *Suite) batchFor(override int) int {
-	return s.campaign(1, 0, override).BatchSize()
+		Metrics: s.cfg.Telemetry, Context: s.ctx}
 }
 
 // runTasks executes n independent task units on at most s.workers()

@@ -36,14 +36,11 @@ type CheckpointSpec struct {
 }
 
 // artifactsFor derives the artifact kinds a campaign sweep needs: the
-// golden always; the reference capture when the effective batch size routes
-// through group replay; the timeline when any swept model consults it; the
-// miss-weights when the selector is the Fig. 9 whole-space one.
-func artifactsFor(models []fault.Model, batch int, miss bool) []string {
-	kinds := []string{ArtifactGolden}
-	if batch > 1 {
-		kinds = append(kinds, ArtifactCapture)
-	}
+// golden and the group replay's reference capture always; the timeline
+// when any swept model consults it; the miss-weights when the selector is
+// the Fig. 9 whole-space one.
+func artifactsFor(models []fault.Model, miss bool) []string {
+	kinds := []string{ArtifactGolden, ArtifactCapture}
 	for _, m := range models {
 		if fault.NeedsTimeline(m) {
 			kinds = append(kinds, ArtifactTimeline)
@@ -159,15 +156,16 @@ func (s *Suite) Prewarm(ctx context.Context, specs []CheckpointSpec) error {
 }
 
 // Fig6PrewarmSpecs derives the checkpoint set Fig6HotVsRest(cfg) will use:
-// each app's unprotected baseline, with capture/timeline per the model
-// sweep. Defaults are resolved like the experiment resolves them.
+// each app's unprotected baseline, with the capture, and the timeline when
+// the model sweep needs it. Defaults are resolved like the experiment
+// resolves them.
 func (s *Suite) Fig6PrewarmSpecs(cfg Fig6Config) []CheckpointSpec {
 	cfg = cfg.withDefaults()
 	apps := cfg.Apps
 	if len(apps) == 0 {
 		apps = s.EvaluatedNames()
 	}
-	kinds := artifactsFor(cfg.Models, s.batchFor(cfg.Batch), false)
+	kinds := artifactsFor(cfg.Models, false)
 	specs := make([]CheckpointSpec, 0, len(apps))
 	for _, app := range apps {
 		specs = append(specs, CheckpointSpec{App: app, Artifacts: kinds})
@@ -185,7 +183,7 @@ func (s *Suite) Fig9PrewarmSpecs(cfg Fig9Config) ([]CheckpointSpec, error) {
 	if len(apps) == 0 {
 		apps = s.EvaluatedNames()
 	}
-	kinds := artifactsFor(cfg.Models, s.batchFor(cfg.Batch), true)
+	kinds := artifactsFor(cfg.Models, true)
 	var specs []CheckpointSpec
 	for _, name := range apps {
 		baseApp, err := s.App(name)
@@ -210,7 +208,7 @@ func (s *Suite) BreakdownPrewarmSpecs(cfg BreakdownConfig) ([]CheckpointSpec, er
 	if len(apps) == 0 {
 		apps = s.AllNames()
 	}
-	kinds := artifactsFor(cfg.Models, s.batchFor(cfg.Batch), false)
+	kinds := artifactsFor(cfg.Models, false)
 	var specs []CheckpointSpec
 	for _, name := range apps {
 		baseApp, err := s.App(name)
@@ -241,6 +239,6 @@ func (s *Suite) ShardPrewarmSpec(spec fleet.CampaignSpec) (CheckpointSpec, error
 		App:       spec.App,
 		Scheme:    scheme,
 		Level:     spec.Level,
-		Artifacts: artifactsFor([]fault.Model{model}, s.batchFor(spec.Batch), spec.Space == "miss"),
+		Artifacts: artifactsFor([]fault.Model{model}, spec.Space == "miss"),
 	}, nil
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // TestCampaignRaceClean exercises the full clone→inject→run→classify path
-// with multiple workers under the race detector.
+// (the clone-per-run oracle) with multiple workers under the race detector.
 func TestCampaignRaceClean(t *testing.T) {
 	s := testSuite(t)
-	app, plan, err := s.PlanFor("P-BICG", core.Detection, 2)
+	cp, err := s.Checkpoint("P-BICG", core.Detection, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,17 +21,13 @@ func TestCampaignRaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, err := MissWeightedSelector(app, plan, 0)
+	sel, err := MissWeightedSelector(cp.App, cp.Plan, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := fault.Campaign{Runs: 24, Seed: 3, Workers: 8}
 	if _, err := c.Execute(func(_ int, rng *rand.Rand) (fault.Outcome, error) {
-		clone := app.Mem.Clone()
-		if _, err := fault.Inject(clone, rng, fault.StuckAt{BitsPerWord: 3, Blocks: 5}, sel, nil); err != nil {
-			return 0, err
-		}
-		return ClassifyRun(app, clone, plan, golden)
+		return oracleRun(cp, golden, nil, rng, fault.StuckAt{BitsPerWord: 3, Blocks: 5}, sel)
 	}); err != nil {
 		t.Fatal(err)
 	}

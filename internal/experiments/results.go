@@ -78,8 +78,7 @@ func Fig6HotVsRest(s *Suite, cfg Fig6Config) ([]Fig6Cell, error) {
 			Field("runs", cfg.Runs).
 			Field("seed", cfg.Seed).
 			Field("models", fault.ModelsKey(cfg.Models)).
-			Field("apps", cfg.Apps).
-			Field("batch", s.batchFor(cfg.Batch)),
+			Field("apps", cfg.Apps),
 		func() ([]Fig6Cell, error) { return fig6HotVsRest(s, cfg) })
 }
 
@@ -112,8 +111,7 @@ func Fig9Resilience(s *Suite, cfg Fig9Config) ([]Fig9Cell, error) {
 			Field("seed", cfg.Seed).
 			Field("models", fault.ModelsKey(cfg.Models)).
 			Field("apps", cfg.Apps).
-			Field("schemes", cfg.Schemes).
-			Field("batch", s.batchFor(cfg.Batch)),
+			Field("schemes", cfg.Schemes),
 		func() ([]Fig9Cell, error) { return fig9Resilience(s, cfg) })
 }
 

@@ -31,9 +31,6 @@ func ValidateSpec(spec fleet.CampaignSpec) error {
 	if _, err := kernels.ByName(spec.App); err != nil {
 		return err
 	}
-	if spec.Batch < 0 {
-		return fmt.Errorf("experiments: campaign batch must be non-negative (0 = auto, 1 = unbatched), got %d", spec.Batch)
-	}
 	return nil
 }
 
@@ -53,7 +50,7 @@ func shardSelector(s *Suite, cp *Checkpoint, spec fleet.CampaignSpec) (fault.Sel
 
 // RunShard executes one fleet shard — the run-index range [shard.Start,
 // shard.End) of the campaign shard.Spec describes — against the suite's
-// memoized checkpoint and fork pools, and returns the shard's outcome
+// memoized checkpoint and its fork free-lists, and returns the shard's outcome
 // counts plus the content-addressed store key they were published under.
 //
 // Results are served through the suite's store: a shard key folds the
@@ -81,7 +78,6 @@ func RunShard(ctx context.Context, s *Suite, shard fleet.Shard) (fleet.Counts, s
 		Field("model", fault.ModelKey(model)).
 		Field("runs", spec.Runs).
 		Field("campaignSeed", spec.Seed).
-		Field("batch", s.batchFor(spec.Batch)).
 		Field("range", fmt.Sprintf("%d-%d", shard.Start, shard.End)).
 		Key()
 	counts, err := store.Do(s.st, key, store.Options[fleet.Counts]{Persist: true},
@@ -103,7 +99,7 @@ func RunShard(ctx context.Context, s *Suite, shard fleet.Shard) (fleet.Counts, s
 			if err != nil {
 				return fleet.Counts{}, err
 			}
-			c := s.campaign(spec.Runs, spec.Seed, spec.Batch)
+			c := s.campaign(spec.Runs, spec.Seed)
 			c.Context = ctx
 			res, err := cp.CampaignRange(c, shard.Start, shard.End, model, sel)
 			if err != nil {

@@ -31,7 +31,7 @@ func serialResult(t *testing.T, s *Suite, spec fleet.CampaignSpec) fault.Result 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cp.Campaign(s.campaign(spec.Runs, spec.Seed, spec.Batch), model, sel)
+	res, err := cp.Campaign(s.campaign(spec.Runs, spec.Seed), model, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,6 @@ func TestValidateSpec(t *testing.T) {
 		{App: "P-BICG", Scheme: "none", Space: "lukewarm", Model: "burst"},
 		{App: "P-BICG", Scheme: "none", Space: "hot", Model: "no-such-model"},
 		{App: "X-Unknown", Scheme: "none", Space: "hot", Model: "burst"},
-		{App: "P-BICG", Scheme: "none", Space: "hot", Model: "burst", Batch: -8},
 	} {
 		if err := ValidateSpec(bad); err == nil {
 			t.Errorf("spec %+v accepted", bad)

@@ -83,14 +83,6 @@ type SuiteConfig struct {
 	// Fig. 9 sweeps). 0 means GOMAXPROCS. Results are identical at any
 	// worker count; only wall-clock time changes.
 	Workers int
-	// Batch is the default campaign batch size: how many runs a campaign
-	// claim replays per functional pass (0 = auto, fault.DefaultBatch;
-	// 1 disables batching). Outcomes are byte-identical at any batch size —
-	// this is purely a performance control — but the effective batch is
-	// folded into campaign-result and shard store keys so differently
-	// batched artifacts never alias. Per-experiment configs (Fig6Config
-	// etc.) can override it per call.
-	Batch int
 	// Progress, when non-nil, receives a serialized stream of task
 	// completion events from every experiment fan-out (cmd/repro wires this
 	// to a stderr ETA reporter).

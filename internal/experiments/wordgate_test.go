@@ -161,22 +161,22 @@ func warpReadsWord(capd *captureData, wc *simt.WarpCapture, addrs []arch.Addr) b
 
 // runWordGate classifies one run under model through the batched path and
 // returns its verdict and the warps the replay executed and reproduced.
-// The verdict must match the per-run path's.
+// The verdict must match the clone-per-run oracle's.
 func runWordGate(t *testing.T, cp *Checkpoint, model fault.Model) (out fault.Outcome, replayed, applied float64) {
 	t.Helper()
 	sel := wholeImageSelector(t, cp)
-	want, err := cp.RunOne(rand.New(rand.NewSource(1)), model, sel)
+	want, err := oracleRun(cp, cp.golden, nil, rand.New(rand.NewSource(1)), model, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := wordGateReg.Snapshot()
-	outs, err := cp.RunBatch(0, []*rand.Rand{rand.New(rand.NewSource(1))}, model, sel)
+	outs, err := cp.RunBatch([]*rand.Rand{rand.New(rand.NewSource(1))}, model, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := wordGateReg.Snapshot()
 	if outs[0] != want {
-		t.Errorf("batched verdict %v, per-run path says %v", outs[0], want)
+		t.Errorf("batched verdict %v, clone-per-run oracle says %v", outs[0], want)
 	}
 	delta := func(name string) float64 { return counterValue(after, name) - counterValue(before, name) }
 	return outs[0], delta("dcrm_campaign_replayed_warps_total"), delta("dcrm_campaign_applied_warps_total")

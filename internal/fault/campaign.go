@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 
+	"github.com/datacentric-gpu/dcrm/internal/mem"
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 )
 
@@ -68,17 +69,14 @@ func Outcomes() []Outcome {
 type RunFunc func(runIdx int, rng *rand.Rand) (Outcome, error)
 
 // BatchRunFunc executes a contiguous claim of runs [start, start+len(rngs))
-// in one call, returning exactly one Outcome per run in index order.
-// rngs[i] is the same (Seed, start+i)-derived stream RunFunc would receive
-// for the run, so a batched executor that consumes each rng only for its
-// own run's injection reproduces the per-run path bit-for-bit. It must be
-// safe for concurrent invocation.
+// in one call, returning exactly one Outcome per run in index order. A
+// claim holds at most mem.BatchLanes runs — the width of one bit-parallel
+// classification sweep. rngs[i] is the same (Seed, start+i)-derived stream
+// RunFunc would receive for the run, so an executor that consumes each rng
+// only for its own run's injection classifies every run exactly as a
+// one-run-at-a-time executor would. It must be safe for concurrent
+// invocation.
 type BatchRunFunc func(start int, rngs []*rand.Rand) ([]Outcome, error)
-
-// DefaultBatch is the auto batch size: one bit-parallel classification
-// sweep resolves up to 64 lanes (mem.BatchLanes), so claims default to
-// that width.
-const DefaultBatch = 64
 
 // Campaign executes many independent fault-injection runs.
 type Campaign struct {
@@ -90,13 +88,6 @@ type Campaign struct {
 	Seed int64
 	// Workers bounds parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Batch sets how many runs a batched executor claims and replays per
-	// functional pass: 0 picks DefaultBatch, 1 disables batching, larger
-	// values bound the claim size. Outcomes are independent of Batch (the
-	// per-run rng derivation never changes); it is purely a performance
-	// control, but it is folded into result-store keys so differently
-	// batched artifacts never alias.
-	Batch int
 	// Metrics, when non-nil, receives live outcome counters
 	// (dcrm_fault_runs_total{outcome=...}) and the run-granular
 	// dcrm_campaign_runs_total as runs complete, so a long campaign can be
@@ -114,17 +105,6 @@ type Campaign struct {
 	// done no further runs start (in-flight runs finish) and Execute returns
 	// the context's error. Nil means the campaign always runs to completion.
 	Context context.Context
-}
-
-// BatchSize resolves the configured Batch (0 = DefaultBatch, minimum 1).
-func (c Campaign) BatchSize() int {
-	if c.Batch == 0 {
-		return DefaultBatch
-	}
-	if c.Batch < 1 {
-		return 1
-	}
-	return c.Batch
 }
 
 // Result aggregates campaign outcomes.
@@ -201,11 +181,6 @@ func (c Campaign) runSeed(i int) int64 {
 	return c.Seed ^ (int64(i)+1)*mix
 }
 
-// runRNG derives run i's random stream deterministically from (Seed, i).
-func (c Campaign) runRNG(i int) *rand.Rand {
-	return rand.New(rand.NewSource(c.runSeed(i)))
-}
-
 // ExecuteRange runs only the run indices in [start, end) — one shard of
 // the campaign. Each run's random stream is derived from (Seed, run index)
 // exactly as a full Execute derives it, so executing any partition of
@@ -225,22 +200,17 @@ func (c Campaign) ExecuteRange(start, end int, run RunFunc) (Result, error) {
 	})
 }
 
-// ExecuteBatched runs the whole campaign through a batched executor.
-func (c Campaign) ExecuteBatched(run BatchRunFunc) (Result, error) {
-	return c.ExecuteRangeBatched(0, c.Runs, run)
-}
-
 // ExecuteRangeBatched is ExecuteRange for a batched executor: workers claim
-// contiguous chunks of up to BatchSize() runs and hand each chunk to run in
-// one call. Chunk boundaries depend only on (start, end, BatchSize), never
-// on worker scheduling, and every run keeps its (Seed, index)-derived rng,
-// so results remain byte-identical across batch sizes and worker counts —
+// contiguous chunks of up to mem.BatchLanes runs and hand each chunk to run
+// in one call. Chunk boundaries depend only on (start, end), never on
+// worker scheduling, and every run keeps its (Seed, index)-derived rng, so
+// results remain byte-identical across worker counts and shard splits —
 // and mergeable with differently executed shards via Result.Add.
 func (c Campaign) ExecuteRangeBatched(start, end int, run BatchRunFunc) (Result, error) {
 	if run == nil {
 		return Result{}, fmt.Errorf("fault: nil batch run function")
 	}
-	return c.executeRange(start, end, c.BatchSize(), run)
+	return c.executeRange(start, end, mem.BatchLanes, run)
 }
 
 // executeRange is the shared chunk-claiming executor behind ExecuteRange

@@ -3,19 +3,21 @@ package fault
 import (
 	"math/rand"
 	"testing"
+
+	"github.com/datacentric-gpu/dcrm/internal/mem"
 )
 
 // TestProgressCountsRunsNotBatches: the Progress callback must advance
-// run by run even when the executor claims whole batches, so ETA math
-// built on it stays accurate on the batched path.
+// run by run even when the executor claims whole batches (150 runs are
+// claims of 64, 64 and 22), so ETA math built on it stays accurate on the
+// batched path.
 func TestProgressCountsRunsNotBatches(t *testing.T) {
-	const runs = 20
+	const runs = 150
 	var calls []int
 	c := Campaign{
 		Runs:    runs,
 		Seed:    7,
 		Workers: 1,
-		Batch:   8,
 		Progress: func(done, total int) {
 			if total != runs {
 				t.Errorf("Progress total = %d, want %d", total, runs)
@@ -23,7 +25,7 @@ func TestProgressCountsRunsNotBatches(t *testing.T) {
 			calls = append(calls, done)
 		},
 	}
-	res, err := c.ExecuteBatched(func(start int, rngs []*rand.Rand) ([]Outcome, error) {
+	res, err := c.ExecuteRangeBatched(0, runs, func(start int, rngs []*rand.Rand) ([]Outcome, error) {
 		outs := make([]Outcome, len(rngs))
 		for i := range outs {
 			outs[i] = Masked
@@ -46,33 +48,17 @@ func TestProgressCountsRunsNotBatches(t *testing.T) {
 	}
 }
 
-// TestBatchSizeResolution pins the Batch knob's resolution: 0 is the
-// bit-parallel default, negatives clamp to unbatched.
-func TestBatchSizeResolution(t *testing.T) {
-	for _, tc := range []struct{ batch, want int }{
-		{0, DefaultBatch},
-		{1, 1},
-		{-3, 1},
-		{8, 8},
-		{200, 200},
-	} {
-		if got := (Campaign{Batch: tc.batch}).BatchSize(); got != tc.want {
-			t.Errorf("BatchSize(%d) = %d, want %d", tc.batch, got, tc.want)
-		}
-	}
-}
-
 // TestBatchedChunkBoundaries: claims are contiguous [lo, hi) chunks of at
-// most BatchSize runs whose boundaries depend only on the range, never on
-// scheduling — the property that keeps batched shards mergeable.
+// most mem.BatchLanes runs whose boundaries depend only on the range, never
+// on scheduling — the property that keeps batched shards mergeable.
 func TestBatchedChunkBoundaries(t *testing.T) {
-	const runs = 23
+	const runs = 150
 	seen := make(map[int]int) // run index -> claims covering it
 	var starts []int
-	c := Campaign{Runs: runs, Seed: 1, Workers: 1, Batch: 5}
-	if _, err := c.ExecuteBatched(func(start int, rngs []*rand.Rand) ([]Outcome, error) {
-		if len(rngs) > 5 {
-			t.Errorf("claim [%d, %d) exceeds batch size 5", start, start+len(rngs))
+	c := Campaign{Runs: runs, Seed: 1, Workers: 1}
+	if _, err := c.ExecuteRangeBatched(0, runs, func(start int, rngs []*rand.Rand) ([]Outcome, error) {
+		if len(rngs) > mem.BatchLanes {
+			t.Errorf("claim [%d, %d) exceeds one %d-lane sweep", start, start+len(rngs), mem.BatchLanes)
 		}
 		starts = append(starts, start)
 		outs := make([]Outcome, len(rngs))
@@ -89,7 +75,7 @@ func TestBatchedChunkBoundaries(t *testing.T) {
 			t.Errorf("run %d covered by %d claims, want exactly 1", i, seen[i])
 		}
 	}
-	want := []int{0, 5, 10, 15, 20}
+	want := []int{0, 64, 128}
 	if len(starts) != len(want) {
 		t.Fatalf("claim starts = %v, want %v", starts, want)
 	}

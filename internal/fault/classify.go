@@ -18,13 +18,14 @@ var ErrUncorrectable = errors.New("fault: detected uncorrectable error")
 
 // Classifier maps fault-injected runs to Outcomes against a golden
 // checkpoint. The fast path is data-centric: instead of always extracting
-// the output vector and evaluating the quality metric, the post-run forked
-// memory is compared against the golden post-run image block by block
-// (mem.DivergesFrom — only blocks either run wrote, plus the overlaid
-// fault words, with early exit on the first divergence). A run whose
-// resolved post-run state is bit-identical to the golden one has exactly
-// the golden output, so its metric value is 0 and it is Masked under every
-// threshold; only divergent runs pay for output extraction and the metric.
+// the output vector and evaluating the quality metric, each post-run forked
+// memory is compared against the golden post-run image block by block —
+// only blocks either run wrote, plus the overlaid fault words, with early
+// exit on the first divergence — in one bit-parallel sweep over a whole
+// claim (mem.BatchDiverges). A run whose resolved post-run state is
+// bit-identical to the golden one has exactly the golden output, so its
+// metric value is 0 and it is Masked under every threshold; only divergent
+// runs pay for output extraction and the metric.
 type Classifier struct {
 	// Golden is the fault-free output under the metric.
 	Golden []float32
@@ -40,47 +41,21 @@ type Classifier struct {
 	DetectErr error
 }
 
-// Classify maps one run to its Outcome. m is the post-run fork; output
-// extracts the metric input from it and is only invoked when the streaming
-// comparison finds a divergence from the golden image.
-func (c *Classifier) Classify(runErr error, m *mem.Memory, output func(*mem.Memory) []float32) (Outcome, error) {
-	if runErr != nil {
-		if errors.Is(runErr, ErrUncorrectable) {
-			return DUE, nil
-		}
-		if c.DetectErr != nil && errors.Is(runErr, c.DetectErr) {
-			return Detected, nil
-		}
-		// A fault that corrupts an index (e.g. A-SRAD's neighbour arrays)
-		// can push an access out of bounds; that run crashed rather than
-		// silently corrupting output.
-		return Crashed, nil
-	}
-	if c.GoldenPost == nil {
-		return 0, fmt.Errorf("fault: classifier has no golden post-run image")
-	}
-	if !m.DivergesFrom(c.GoldenPost) {
-		return Masked, nil
-	}
-	sdc, err := c.Metric.IsSDC(output(m), c.Golden)
-	if err != nil {
-		return 0, err
-	}
-	if sdc {
-		return SDC, nil
-	}
-	return Masked, nil
-}
-
-// ClassifyBatch resolves up to mem.BatchLanes runs in one sweep: lane i is
-// classified exactly as Classify(runErrs[i], forks[i], output) would, but
-// the error-free lanes share a single bit-parallel divergence scan against
-// the golden image (mem.BatchDiverges) instead of one streaming comparison
-// each. Only lanes the scan marks divergent pay for output extraction and
-// the quality metric.
+// ClassifyBatch resolves up to mem.BatchLanes runs in one sweep. Lane i
+// ran on the post-run fork forks[i] and ended with runErrs[i]. A run error
+// decides the lane on its own: ErrUncorrectable is DUE (outranking the
+// scheme's detection sentinel, since ECC sees the corruption before the
+// software check would), DetectErr is Detected, and any other error — a
+// fault that pushed an index out of bounds, say — is Crashed. The
+// error-free lanes share one divergence scan against the golden image
+// (mem.BatchDiverges); only lanes it marks divergent pay for output
+// extraction and the quality metric, which decides SDC vs. Masked.
 func (c *Classifier) ClassifyBatch(runErrs []error, forks []*mem.Memory, output func(*mem.Memory) []float32) ([]Outcome, error) {
 	if len(runErrs) != len(forks) {
 		return nil, fmt.Errorf("fault: batch classify got %d errors for %d forks", len(runErrs), len(forks))
+	}
+	if len(forks) > mem.BatchLanes {
+		return nil, fmt.Errorf("fault: batch classify got %d lanes, one sweep holds %d", len(forks), mem.BatchLanes)
 	}
 	outs := make([]Outcome, len(forks))
 	clean := make([]*mem.Memory, len(forks))

@@ -18,7 +18,7 @@ import (
 
 // Scratch is one worker's reusable injection scratch. The zero value is
 // ready to use. Not safe for concurrent use; campaigns keep one per worker
-// (the experiments checkpoint pools them alongside its fork pool). Slices
+// (the experiments checkpoint recycles them on a free-list). Slices
 // returned by injection paths using a Scratch are valid only until the next
 // run on the same Scratch.
 type Scratch struct {

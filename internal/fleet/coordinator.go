@@ -534,8 +534,13 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	})
 }
 
+// decodeJSON decodes a request body into v, answering 400 to malformed
+// JSON and to any field v does not declare, so a stale or typo'd request
+// fails closed instead of running with defaults.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		writeFleetError(w, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err))
 		return false
 	}

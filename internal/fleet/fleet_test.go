@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -301,6 +304,33 @@ func TestCoordinatorRejectsBadSubmissionsAndCompletions(t *testing.T) {
 		Counts: Counts{Runs: 1, Masked: 1}, // range holds 4
 	}); err == nil {
 		t.Error("run-count mismatch accepted")
+	}
+}
+
+// TestCoordinatorRejectsUnknownFields: a campaign submission carrying a
+// field CampaignSpec does not declare — the removed "batch", or a typo —
+// gets a 400 instead of silently running with defaults; the same body
+// without it is accepted.
+func TestCoordinatorRejectsUnknownFields(t *testing.T) {
+	c, _ := newTestCoordinator(t, nil)
+	mux := http.NewServeMux()
+	c.Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	const fields = `"app":"P-BICG","scheme":"none","space":"hot","model":"burst","runs":8,"seed":7`
+	for body, want := range map[string]int{
+		`{` + fields + `,"batch":8}`: http.StatusBadRequest,
+		`{` + fields + `,"seeds":7}`: http.StatusBadRequest,
+		`{` + fields + `}`:           http.StatusAccepted,
+	} {
+		resp, err := http.Post(srv.URL+"/v1/fleet/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("POST %s = %d, want %d", body, resp.StatusCode, want)
+		}
 	}
 }
 

@@ -54,13 +54,6 @@ type CampaignSpec struct {
 	// ShardRuns is the target shard size in runs (0 = the coordinator's
 	// default). The split never changes results, only scheduling grain.
 	ShardRuns int `json:"shard_runs,omitempty"`
-	// Batch is the worker-side campaign batch size: how many runs one
-	// claim replays per functional pass (0 = the runner's default;
-	// 1 disables batching; negative is rejected at submission). Outcomes
-	// are byte-identical at any batch size, but the value is part of the
-	// spec identity, so differently batched shard results never share a
-	// store key.
-	Batch int `json:"batch,omitempty"`
 }
 
 // String renders the spec compactly for logs and errors.

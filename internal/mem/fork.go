@@ -150,7 +150,9 @@ func (m *Memory) blockBytes(block int) []byte {
 // byte-wise, then the few fault-overlaid words are compared through
 // ReadWord — every untouched, un-overlaid word trivially resolves to the
 // shared root bytes on both sides. A false return therefore proves the two
-// resolved images are bit-identical everywhere.
+// resolved images are bit-identical everywhere. Campaigns classify through
+// the bit-parallel BatchDiverges; this one-lane form is the reference its
+// property test checks it against.
 func (m *Memory) DivergesFrom(golden *Memory) bool {
 	for _, b := range m.dirtyIdx {
 		if !bytes.Equal(m.blockBytes(int(b)), golden.blockBytes(int(b))) {
