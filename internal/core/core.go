@@ -328,12 +328,22 @@ func (p *Plan) ReplicaBlock(bufID int16, primary arch.BlockAddr, copy int) arch.
 	return obj.replicas[copy-1].FirstBlock() + (primary - obj.primary.FirstBlock())
 }
 
-// ReplicaWord returns the address of the word that copy (1-based) of a
-// protected object holds for the primary word at primary: the same
-// in-block offset of the block ReplicaBlock names. For an unprotected
-// object or an out-of-range copy it returns primary.
-func (p *Plan) ReplicaWord(bufID int16, primary arch.Addr, copy int) arch.Addr {
-	return p.ReplicaBlock(bufID, primary.Block(), copy).Base() + primary%arch.BlockBytes
+// PrimaryWord inverts ReplicaBlock's layout: for the address of a word in
+// a replica, the padded tail of its last block included, it returns the
+// word at the same offset of the protected object — the primary word whose
+// reads compare or vote against it. Every other address maps to itself.
+func (p *Plan) PrimaryWord(a arch.Addr) arch.Addr {
+	for _, obj := range p.objects {
+		if obj == nil {
+			continue
+		}
+		for _, r := range obj.replicas {
+			if off := a - r.Base; a >= r.Base && off < arch.Addr(r.Blocks()*arch.BlockBytes) {
+				return obj.primary.Base + off
+			}
+		}
+	}
+	return a
 }
 
 // Lazy implements timing.ProtectionPlan: only the detection scheme

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/mem"
 	"github.com/datacentric-gpu/dcrm/internal/simt"
 )
@@ -333,21 +334,44 @@ func TestTimingPlanInterface(t *testing.T) {
 	}
 }
 
-// TestReplicaWord pins the replica word of every primary word to the same
-// element of each copy — the word the functional read path compares or
-// votes against.
-func TestReplicaWord(t *testing.T) {
-	_, b, p := prep(t, Correction, 70) // spans three blocks, the last partial
-	reps := p.Replicas(b)
-	for c := 1; c <= len(reps); c++ {
-		for i := 0; i < 70; i++ {
-			if got, want := p.ReplicaWord(int16(b.ID), b.ElemAddr(i), c), reps[c-1].ElemAddr(i); got != want {
-				t.Fatalf("copy %d element %d: ReplicaWord = %#x, want %#x", c, i, got, want)
+// TestPrimaryWord pins the replica→primary map batched campaigns seed
+// their divergent words through: under both schemes, every word of every
+// copy — the first block and the padded tail of the last included — maps
+// to the word at the same offset of the primary, the one whose reads
+// compare or vote against it. Primary words, unprotected words and
+// unallocated addresses map to themselves.
+func TestPrimaryWord(t *testing.T) {
+	for _, scheme := range []Scheme{Detection, Correction} {
+		m := mem.New()
+		hot, err := m.Alloc("hot", 70*4, true) // three blocks, the last partial
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := m.Alloc("cold", 40*4, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewPlan(m, PlanConfig{Scheme: scheme, Objects: []*mem.Buffer{hot}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps := p.Replicas(hot)
+		if len(reps) != scheme.Copies()-1 {
+			t.Fatalf("%v: %d replicas, want %d", scheme, len(reps), scheme.Copies()-1)
+		}
+		words := hot.Blocks() * arch.BlockBytes / arch.WordBytes
+		for c, r := range reps {
+			for i := 0; i < words; i++ {
+				if got, want := p.PrimaryWord(r.ElemAddr(i)), hot.ElemAddr(i); got != want {
+					t.Fatalf("%v copy %d word %d: PrimaryWord = %#x, want %#x", scheme, c+1, i, got, want)
+				}
 			}
 		}
-	}
-	if got := p.ReplicaWord(int16(b.ID+99), b.ElemAddr(3), 1); got != b.ElemAddr(3) {
-		t.Errorf("unprotected ReplicaWord = %#x, want the primary word %#x", got, b.ElemAddr(3))
+		for _, a := range []arch.Addr{hot.ElemAddr(0), hot.ElemAddr(69), cold.ElemAddr(5), arch.Addr(m.Size()), arch.Addr(m.Size() + 4*arch.BlockBytes)} {
+			if got := p.PrimaryWord(a); got != a {
+				t.Errorf("%v: PrimaryWord(%#x) = %#x, want the address itself", scheme, a, got)
+			}
+		}
 	}
 }
 

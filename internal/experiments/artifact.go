@@ -2,12 +2,17 @@
 // golden output + post-run image, store-commit timeline, batched-replay
 // reference capture, and miss-selector weights — factored into individually
 // keyed, serializable artifacts served through the suite's content-addressed
-// store. Each artifact is keyed by the suite identity, the checkpoint
-// configuration, its kind, and artifactFormatVersion (so encodings never
-// alias across format changes), and persists through the store's checksummed
-// disk tier: a second process, a restarted fleet worker, or a peer sharing
-// the store directory fetches instead of recomputing. Corrupt disk entries
-// are detected by the store and recomputed transparently.
+// store. Each artifact is keyed by the suite identity, its kind,
+// artifactFormatVersion (so encodings never alias across format changes),
+// and what it depends on: the golden and the capture by application alone,
+// because a protected instance runs and records exactly what its base
+// instance does (its replicas are allocated after every primary object and
+// no kernel addresses them); the timeline and the miss weights by
+// checkpoint configuration, because the plan's replica traffic changes
+// them. Artifacts persist through the store's checksummed disk tier: a
+// second process, a restarted fleet worker, or a peer sharing the store
+// directory fetches instead of recomputing. Corrupt disk entries are
+// detected by the store and recomputed transparently.
 //
 // Byte-identity contract: both the freshly-computed and the decoded paths
 // reconstruct the live checkpoint state from the same pure-data artifact
@@ -29,7 +34,7 @@ import (
 // artifactFormatVersion is folded into every artifact key. Bump it whenever
 // any artifact encoding changes shape or meaning: old disk entries then
 // simply stop being addressed, rather than decoding into the wrong state.
-const artifactFormatVersion = 1
+const artifactFormatVersion = 2
 
 // Artifact kinds — the nodes of the checkpoint artifact DAG. All four hang
 // off the checkpoint's prepared image (app + plan); none depends on another,
@@ -39,7 +44,7 @@ const (
 	// the post-run image as a dirty-block delta against the prepared image.
 	ArtifactGolden = "golden"
 	// ArtifactCapture is the recorded reference execution the batched
-	// group-replay path replays against (replica footprints pre-expanded).
+	// group-replay path replays against, one per application.
 	ArtifactCapture = "capture"
 	// ArtifactTimeline is the store-commit timeline consulted by
 	// timeline-using fault models (fault.NeedsTimeline).
@@ -67,9 +72,13 @@ type goldenArtifact struct {
 // captureArtifact is the serialized reference recording. Ok=false caches
 // "capture unavailable" (recording failed or exceeded maxCaptureBytes), so
 // a warm process skips the doomed recording attempt too and falls back to
-// block-granular batching exactly like the process that first tried.
+// block-granular batching exactly like the process that first tried. Bytes
+// is the recording's simt.CaptureLog.ApproxBytes: every checkpoint of the
+// application shares the recorded warps, so the artifact's store entry is
+// charged for them once, at this size.
 type captureArtifact struct {
 	Ok      bool
+	Bytes   int64
 	Kernels []captureKernelArtifact
 }
 
@@ -88,13 +97,14 @@ type missArtifact struct {
 
 // artifactKey addresses one artifact of this checkpoint: suite identity
 // (version, GPU config, seed, scale) + format version + kind + the
-// checkpoint configuration key.
+// application for the golden and the capture, the checkpoint configuration
+// key for the others.
 func (cp *Checkpoint) artifactKey(kind string) store.Key {
-	return cp.suite.key("artifact").
-		Field("v", artifactFormatVersion).
-		Field("kind", kind).
-		Field("cfg", cp.cfgKey).
-		Key()
+	k := cp.suite.key("artifact").Field("v", artifactFormatVersion).Field("kind", kind)
+	if kind == ArtifactGolden || kind == ArtifactCapture {
+		return k.Field("app", cp.App.Name).Key()
+	}
+	return k.Field("cfg", cp.cfgKey).Key()
 }
 
 // artifactDo serves one artifact through the suite store: memory tier,
@@ -104,8 +114,10 @@ func (cp *Checkpoint) artifactKey(kind string) store.Key {
 // dcrm_artifact_requests_total counts first-use requests per kind,
 // dcrm_artifact_computed_total counts the requests that actually ran the
 // computation — a fully warm process shows requests with zero computes.
-// (A free function because Go methods cannot be generic.)
-func artifactDo[T any](cp *Checkpoint, kind string, compute func() (T, error)) (T, error) {
+// size, when non-nil, is the store entry's accounted size (the store's
+// default otherwise). (A free function because Go methods cannot be
+// generic.)
+func artifactDo[T any](cp *Checkpoint, kind string, size func(T) int64, compute func() (T, error)) (T, error) {
 	if cp.tele.artRequests != nil {
 		cp.tele.artRequests.With(kind).Inc()
 	}
@@ -120,12 +132,13 @@ func artifactDo[T any](cp *Checkpoint, kind string, compute func() (T, error)) (
 		// computation; the sync.Once wrappers still memoize per checkpoint.
 		return counted()
 	}
-	return store.Do(cp.suite.st, cp.artifactKey(kind), store.Options[T]{Persist: true}, counted)
+	return store.Do(cp.suite.st, cp.artifactKey(kind), store.Options[T]{Persist: true, Size: size}, counted)
 }
 
 // computeGoldenArtifact runs the fault-free golden execution on a throwaway
 // fork and snapshots its effects. Replicas are fault-free here, so the
-// golden run skips the scheme overlay exactly like the legacy path.
+// golden run skips the scheme overlay, and every instance of the
+// application yields the same artifact (TestProtectedInstanceCapturesMatchBase).
 func computeGoldenArtifact(cp *Checkpoint) (goldenArtifact, error) {
 	f := cp.App.Mem.Fork()
 	if err := cp.App.RunOn(f, nil); err != nil {
@@ -136,10 +149,11 @@ func computeGoldenArtifact(cp *Checkpoint) (goldenArtifact, error) {
 }
 
 // reconstructCapture rebuilds the live capture state from its artifact:
-// kernels reattach to the checkpoint's kernel list by launch index. Returns
-// nil when the artifact records "capture unavailable" or does not match the
-// application shape (callers fall back to full per-lane execution).
-func (cp *Checkpoint) reconstructCapture(art captureArtifact) *captureData {
+// kernels reattach to the checkpoint's kernel list by launch index, the
+// recorded warps stay shared with the artifact. Returns nil when the
+// artifact records "capture unavailable" or does not match the application
+// shape (callers fall back to full per-lane execution).
+func (cp *Checkpoint) reconstructCapture(art captureArtifact) *simt.CaptureLog {
 	if !art.Ok || len(art.Kernels) != len(cp.App.Kernels) {
 		return nil
 	}
@@ -147,23 +161,14 @@ func (cp *Checkpoint) reconstructCapture(art captureArtifact) *captureData {
 	for i := range art.Kernels {
 		log.Kernels[i] = &simt.KernelCapture{Kernel: cp.App.Kernels[i], Warps: art.Kernels[i].Warps}
 	}
-	bufs := cp.App.Mem.Buffers()
-	var replicas [][]arch.Addr
-	if cp.Plan != nil {
-		replicas = make([][]arch.Addr, len(bufs))
-		for _, b := range bufs {
-			id := int16(b.ID)
-			for c := 1; c < cp.Plan.Copies(0, id); c++ {
-				replicas[b.ID] = append(replicas[b.ID], cp.Plan.ReplicaWord(id, b.Base, c)-b.Base)
-			}
-		}
-	}
-	return &captureData{log: log, bufs: bufs, replicas: replicas}
+	return log
 }
 
 // Artifact footprint estimates for the checkpoint LRU re-accounting: the
 // memory tier admits a checkpoint at its image size, then grows the
-// accounted size as lazy artifacts materialize.
+// accounted size as lazy artifacts materialize. The capture is not among
+// them: its warps are shared by every checkpoint of the application and
+// charged once, to the artifact's own store entry.
 
 func goldenFootprint(art goldenArtifact) int64 {
 	// output slice + the restored golden-post fork's private blocks (the

@@ -118,25 +118,25 @@ func TestArtifactParity(t *testing.T) {
 	recomputed := func(kind string) error {
 		return fmt.Errorf("%s artifact recomputed on a warm store", kind)
 	}
-	decodedGolden, err := artifactDo(cp2, ArtifactGolden, func() (goldenArtifact, error) {
+	decodedGolden, err := artifactDo(cp2, ArtifactGolden, nil, func() (goldenArtifact, error) {
 		return goldenArtifact{}, recomputed(ArtifactGolden)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodedCapture, err := artifactDo(cp2, ArtifactCapture, func() (captureArtifact, error) {
+	decodedCapture, err := artifactDo(cp2, ArtifactCapture, nil, func() (captureArtifact, error) {
 		return captureArtifact{}, recomputed(ArtifactCapture)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodedTimeline, err := artifactDo(cp2, ArtifactTimeline, func() (*fault.Timeline, error) {
+	decodedTimeline, err := artifactDo(cp2, ArtifactTimeline, nil, func() (*fault.Timeline, error) {
 		return nil, recomputed(ArtifactTimeline)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodedMiss, err := artifactDo(cp2, ArtifactMissWeights, func() (missArtifact, error) {
+	decodedMiss, err := artifactDo(cp2, ArtifactMissWeights, nil, func() (missArtifact, error) {
 		return missArtifact{}, recomputed(ArtifactMissWeights)
 	})
 	if err != nil {
@@ -330,5 +330,72 @@ func TestPrewarmEquivalence(t *testing.T) {
 	}
 	if got := outputs(warmed); !bytes.Equal(got, lazy) {
 		t.Errorf("prewarmed figure output diverges from lazy output\nlazy:     %s\nprewarmed: %s", lazy, got)
+	}
+}
+
+// TestOneGoldenAndCapturePerApp is the sharing gate: a Fig. 6 + Fig. 9
+// build runs the golden execution and records the reference capture once
+// per application, however many (scheme, level) configurations share
+// them, while the miss weights — which the plan's replica traffic changes
+// — are computed once per Fig. 9 configuration.
+func TestOneGoldenAndCapturePerApp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure sweeps in -short mode")
+	}
+	reg := telemetry.NewRegistry()
+	s := paritySuite(t, nil, reg)
+	if _, err := Fig6HotVsRest(s, Fig6Config{Runs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig9Resilience(s, Fig9Config{Runs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	specs, err := s.Fig9PrewarmSpecs(Fig9Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apps := len(s.EvaluatedNames())
+	snap := reg.Snapshot()
+	for kind, want := range map[string]int{ArtifactGolden: apps, ArtifactCapture: apps, ArtifactMissWeights: len(specs)} {
+		if got := counterValue(snap, "dcrm_artifact_computed_total", telemetry.Label{Name: "kind", Value: kind}); got != float64(want) {
+			t.Errorf("%s artifacts computed %v times, want %d", kind, got, want)
+		}
+	}
+}
+
+// TestSharedCaptureChargedOnce: the capture every protected checkpoint of
+// an application shares is charged to the store's memory tier once, by its
+// own entry, and not again to each checkpoint that replays against it.
+func TestSharedCaptureChargedOnce(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := paritySuite(t, nil, reg)
+	const app = "P-BICG"
+	base, err := s.App(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cps []*Checkpoint
+	for _, scheme := range []core.Scheme{core.Detection, core.Correction} {
+		for _, level := range sortedLevels(base)[1:] {
+			cp, err := s.Checkpoint(app, scheme, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cps = append(cps, cp)
+		}
+	}
+	memBytes := func() float64 { return counterValue(reg.Snapshot(), "dcrm_store_mem_bytes") }
+	before := memBytes()
+	for _, cp := range cps {
+		if cp.ensureCapture() == nil {
+			t.Fatalf("%s: no capture", app)
+		}
+	}
+	capture := computeCaptureArtifact(cps[0])
+	if len(cps) < 2 || capture.Bytes <= 0 {
+		t.Fatalf("%d checkpoints, capture of %d B: want several sharing a non-empty capture", len(cps), capture.Bytes)
+	}
+	if got := memBytes() - before; got != float64(capture.Bytes) {
+		t.Errorf("%d checkpoints' captures raised the accounted bytes by %v, want one capture's %d", len(cps), got, capture.Bytes)
 	}
 }

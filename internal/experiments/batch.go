@@ -12,12 +12,13 @@
 //   - Each lane tracks its divergence from the golden run per 32-bit word
 //     and by value (simt.DirtySet): it starts at the run's fault words and
 //     grows only by the words an executed warp commits with a value other
-//     than the recorded one.
+//     than the recorded one. A fault word in a replica of a protected
+//     object seeds the same word of its primary instead, so the one
+//     recording of the application serves every protection configuration.
 //   - A lane only *executes* the warps one of whose recorded loads reads a
-//     dirty word — replica words of protected objects included; every
-//     other warp is reproduced by applying the recorded golden stores to
-//     the lane's fork (see internal/simt/replay.go for the soundness
-//     argument). A per-block bitset filters first.
+//     dirty word; every other warp is reproduced by applying the recorded
+//     golden stores to the lane's fork (see internal/simt/replay.go for the
+//     soundness argument). A per-block bitset filters first.
 //   - Executed warps still serve each clean lane of a load from the
 //     recording, reading from the fork only the words where the lane's
 //     corruption can show through.
@@ -43,101 +44,48 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/simt"
 )
 
-// maxCaptureBytes bounds the per-checkpoint reference recording. Beyond it
+// maxCaptureBytes bounds an application's reference recording. Beyond it
 // the batched path falls back to block-granular batching rather than hold
-// an oversized capture alive for the checkpoint's lifetime.
+// an oversized capture alive.
 const maxCaptureBytes = 64 << 20
 
-// captureData is a checkpoint's memoized reference recording, with replica
-// blocks expanded into every load's footprint and the per-warp load-block
-// unions precomputed, plus the buffer layout its word-level checks resolve
-// recorded indices against.
-type captureData struct {
-	log  *simt.CaptureLog
-	bufs []*mem.Buffer
-	// replicas holds, per buffer ID, the byte offset from each word of a
-	// protected object to the same word of each replica (simt.LaneReplay's
-	// Replicas), derived from the plan.
-	replicas [][]arch.Addr
-}
-
 // ensureCapture materializes the capture artifact once per checkpoint —
-// recording the reference execution, or fetching the recorded warps from
-// the store — and returns nil when the batched replay cannot be used
-// (recording failed or exceeded maxCaptureBytes; the artifact caches that
-// verdict too) — callers then fall back to full per-lane execution.
-func (cp *Checkpoint) ensureCapture() *captureData {
+// recording the reference execution, or fetching the application's
+// recorded warps from the store — and returns nil when the batched replay
+// cannot be used (recording failed or exceeded maxCaptureBytes; the
+// artifact caches that verdict too) — callers then fall back to full
+// per-lane execution.
+func (cp *Checkpoint) ensureCapture() *simt.CaptureLog {
 	cp.captureOnce.Do(func() {
-		art, err := artifactDo(cp, ArtifactCapture, func() (captureArtifact, error) {
-			return computeCaptureArtifact(cp), nil
-		})
+		art, err := artifactDo(cp, ArtifactCapture, func(a captureArtifact) int64 { return a.Bytes },
+			func() (captureArtifact, error) { return computeCaptureArtifact(cp), nil })
 		if err != nil {
 			return // capture is an optimization; fall back rather than fail
 		}
 		cp.capture = cp.reconstructCapture(art)
-		if cp.capture != nil {
-			cp.addLazyBytes(cp.capture.log.ApproxBytes())
-		}
 	})
 	return cp.capture
 }
 
-// computeCaptureArtifact records the reference execution and pre-expands
-// replica footprints into its load records. A failed or oversized recording
-// yields Ok=false — a persisted "don't bother" verdict.
+// computeCaptureArtifact records the reference execution on a throwaway
+// fork, with no scheme reader: a protected instance records exactly what
+// its base instance does, so the one recording serves every configuration
+// of the application. A failed or oversized recording yields Ok=false — a
+// persisted "don't bother" verdict.
 func computeCaptureArtifact(cp *Checkpoint) captureArtifact {
-	f := cp.App.Mem.Fork()
-	var reader simt.WordReader
-	if cp.Plan != nil {
-		reader = cp.Plan.ForMemory(f)
-	}
-	log, err := cp.App.CaptureRun(f, reader)
+	log, err := cp.App.CaptureRun(cp.App.Mem.Fork(), nil)
 	if err != nil {
 		return captureArtifact{}
 	}
-	// Replica expansion: a load of a protected object invisibly reads
-	// the scheme's copies too. Folding the replica blocks into each
-	// record's footprint makes "all recorded blocks clean" prove the
-	// full read — copies included — resolves to golden data, so a fault
-	// in a replica block routes the warp to real execution where the
-	// detection/correction semantics fire exactly. Expansion happens here,
-	// before persisting, so decoded artifacts carry it already.
-	nblocks := cp.App.Mem.TotalBlocks()
-	seen := simt.NewBlockSet(nblocks)
-	for _, kc := range log.Kernels {
-		for _, wc := range kc.Warps {
-			seen.Reset()
-			union := wc.LoadBlocks[:0]
-			for i := range wc.Loads {
-				rec := &wc.Loads[i]
-				if cp.Plan != nil {
-					if copies := cp.Plan.Copies(0, rec.BufID); copies > 1 {
-						primary := rec.Blocks
-						for c := 1; c < copies; c++ {
-							for _, b := range primary[:len(primary):len(primary)] {
-								rec.Blocks = append(rec.Blocks, cp.Plan.ReplicaBlock(rec.BufID, b, c))
-							}
-						}
-					}
-				}
-				for _, b := range rec.Blocks {
-					if !seen.Has(b) {
-						seen.Add(b)
-						union = append(union, b)
-					}
-				}
-			}
-			wc.LoadBlocks = union
-		}
-	}
-	if log.ApproxBytes() > maxCaptureBytes {
+	bytes := log.ApproxBytes()
+	if bytes > maxCaptureBytes {
 		return captureArtifact{}
 	}
 	kernels := make([]captureKernelArtifact, len(log.Kernels))
 	for i, kc := range log.Kernels {
 		kernels[i] = captureKernelArtifact{Warps: kc.Warps}
 	}
-	return captureArtifact{Ok: true, Kernels: kernels}
+	return captureArtifact{Ok: true, Bytes: bytes, Kernels: kernels}
 }
 
 // batchLane is one surviving run of a batched claim: its fork, its
@@ -193,6 +141,16 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 		}
 	}()
 
+	// primary maps a replica word to its primary word (the identity when
+	// unprotected). The recording holds no replica: the scheme reads a copy
+	// with every load of its primary word, and no kernel stores to either,
+	// so a copy's word diverges exactly when injection made it diverge, and
+	// "the primary word or one of its copies is dirty" — what a load must
+	// check — holds exactly when the seeded primary word is dirty.
+	primary := func(a arch.Addr) arch.Addr { return a }
+	if cp.Plan != nil {
+		primary = cp.Plan.PrimaryWord
+	}
 	var scratch []arch.BlockAddr
 	for i, rng := range rngs {
 		kit := cp.getKit()
@@ -223,16 +181,18 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 		}
 		// Seed the divergent words: every word of a block a transient flip
 		// materialized (conservative), and each stuck-at or burst overlay
-		// word.
+		// word — a replica's through primary, as the word or block of the
+		// protected object the scheme reads it with (see primary below).
 		ln := &batchLane{idx: i, laneKit: kit}
 		ln.first = arch.BlockAddr(^uint64(0))
 		scratch = f.DirtyBlockList(scratch[:0])
 		for _, b := range scratch {
+			b = primary(b.Base()).Block()
 			ln.dirty.AddBlock(b)
 			ln.first = min(ln.first, b)
 		}
 		for w := 0; w < f.FaultCount(); w++ {
-			a := f.FaultWord(w)
+			a := primary(f.FaultWord(w))
 			ln.dirty.AddWord(a)
 			ln.first = min(ln.first, a.Block())
 		}
@@ -266,8 +226,8 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 	for li, ln := range lanes {
 		copiedBefore[li] = ln.fork.CopiedBlocks()
 	}
-	if capd := cp.ensureCapture(); capd != nil {
-		cp.replayGroup(capd, lanes)
+	if log := cp.ensureCapture(); log != nil {
+		cp.replayGroup(log, lanes)
 	} else {
 		// Fallback: block-granular batching only — every lane executes in
 		// full, sharing fork setup and the classification sweep below.
@@ -316,12 +276,13 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 // or reproduces it by applying the recorded stores. An executed warp that
 // stays in sync adds to the lane's dirty set, as it commits them, exactly
 // the words whose value differs from the recorded store.
-func (cp *Checkpoint) replayGroup(capd *captureData, lanes []*batchLane) {
+func (cp *Checkpoint) replayGroup(log *simt.CaptureLog, lanes []*batchLane) {
+	bufs := cp.App.Mem.Buffers()
 	for _, ln := range lanes {
-		ln.rp = simt.LaneReplay{Dirty: ln.dirty, Bufs: capd.bufs, Replicas: capd.replicas}
+		ln.rp = simt.LaneReplay{Dirty: ln.dirty, Bufs: bufs}
 	}
 	var replayed, applied uint64
-	for _, kc := range capd.log.Kernels {
+	for _, kc := range log.Kernels {
 		for _, wc := range kc.Warps {
 			for _, ln := range lanes {
 				if ln.err != nil {
@@ -330,7 +291,7 @@ func (cp *Checkpoint) replayGroup(capd *captureData, lanes []*batchLane) {
 					continue
 				}
 				if !ln.taint && !ln.rp.ReadsDirty(wc) {
-					applyWarpStores(ln.fork, capd.bufs, wc)
+					applyWarpStores(ln.fork, bufs, wc)
 					applied++
 					continue
 				}

@@ -62,9 +62,10 @@ type Checkpoint struct {
 
 	// The reference recording for batched replay is lazy too: only batched
 	// campaigns pay for it (nil capture after the once = fall back to full
-	// per-lane execution).
+	// per-lane execution). Its warps are the application's one recording,
+	// shared with every other checkpoint of the application.
 	captureOnce sync.Once
-	capture     *captureData
+	capture     *simt.CaptureLog
 
 	// Artifact-cache plumbing (see artifact.go): the owning suite (store +
 	// identity), this configuration's key, the checkpoint's own memory-tier
@@ -171,7 +172,7 @@ func (s *Suite) newCheckpoint(app *kernels.App, plan *core.Plan, cfgKey string, 
 			runs: reg.Counter("dcrm_campaign_fork_runs_total",
 				"Campaign runs executed on copy-on-write forks."),
 			batches: reg.Counter("dcrm_campaign_batches_total",
-				"Batched campaign claims executed (each claim replays up to Batch runs)."),
+				"Batched campaign claims executed (each claim replays up to 64 runs)."),
 			occupancy: reg.Histogram("dcrm_campaign_batch_occupancy",
 				"Lanes per batched claim that survived pruning into group replay.",
 				[]float64{0, 1, 2, 4, 8, 16, 32, 48, 64}),
@@ -200,7 +201,7 @@ func (s *Suite) newCheckpoint(app *kernels.App, plan *core.Plan, cfgKey string, 
 // a warm start is bit-identical to a cold one.
 func (cp *Checkpoint) ensureGolden() error {
 	cp.goldenOnce.Do(func() {
-		art, err := artifactDo(cp, ArtifactGolden, func() (goldenArtifact, error) {
+		art, err := artifactDo(cp, ArtifactGolden, nil, func() (goldenArtifact, error) {
 			return computeGoldenArtifact(cp)
 		})
 		if err != nil {
@@ -240,7 +241,7 @@ func (cp *Checkpoint) Golden() ([]float32, error) {
 // rebuilt from the persisted histogram on both paths.
 func (cp *Checkpoint) MissSelector() (fault.Selector, error) {
 	cp.missOnce.Do(func() {
-		art, err := artifactDo(cp, ArtifactMissWeights, func() (missArtifact, error) {
+		art, err := artifactDo(cp, ArtifactMissWeights, nil, func() (missArtifact, error) {
 			traces, err := cp.traces()
 			if err != nil {
 				return missArtifact{}, err

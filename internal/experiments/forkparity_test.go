@@ -53,8 +53,9 @@ func TestCampaignForkParity(t *testing.T) {
 			}
 
 			// Oracle: deep clone per run, full output extraction and
-			// metric evaluation per run.
-			golden, err := s.Golden(name)
+			// metric evaluation per run, against the base instance's own
+			// golden run rather than the checkpoint's golden artifact.
+			golden, err := base.GoldenRun()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,14 +6,17 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
+	"github.com/datacentric-gpu/dcrm/internal/simt"
 )
 
 var updateMissWeightsGolden = flag.Bool("update-missweights-golden", false,
@@ -161,4 +164,87 @@ func TestProtectedInstanceTracesMatchBase(t *testing.T) {
 		t.Fatal("no protected configurations checked")
 	}
 	t.Logf("%d protected configurations match their base traces", configs)
+}
+
+// TestProtectedInstanceCapturesMatchBase pins what lets every checkpoint of
+// an application share one golden artifact and one reference capture: for
+// each of Fig. 9's configurations, the golden artifact and the capture
+// recorded on the configuration's instance (no scheme reader, as
+// computeCaptureArtifact records it) deep-equal the application's
+// baseline ones, because replicas are allocated after every primary object
+// and no kernel addresses them. Protected configurations run as parallel
+// subtests.
+func TestProtectedInstanceCapturesMatchBase(t *testing.T) {
+	s := testSuite(t)
+	specs, err := s.Fig9PrewarmSpecs(Fig9Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(t *testing.T, sp CheckpointSpec) (goldenArtifact, captureArtifact) {
+		t.Helper()
+		scheme := sp.Scheme
+		if scheme == 0 {
+			scheme = core.None
+		}
+		cp, err := s.Checkpoint(sp.App, scheme, sp.Level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden, err := computeGoldenArtifact(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		capture := computeCaptureArtifact(cp)
+		if !capture.Ok {
+			t.Fatalf("%s %v L%d: no capture", sp.App, scheme, sp.Level)
+		}
+		return golden, capture
+	}
+	var baseApp string
+	var baseGolden goldenArtifact
+	var baseCapture captureArtifact
+	protected := 0
+	for _, sp := range specs {
+		if sp.Level == 0 {
+			baseApp = sp.App
+			baseGolden, baseCapture = record(t, sp)
+			continue
+		}
+		if sp.App != baseApp {
+			t.Fatalf("%s %v L%d precedes the app's baseline", sp.App, sp.Scheme, sp.Level)
+		}
+		protected++
+		wantGolden, wantCapture := baseGolden, baseCapture
+		t.Run(fmt.Sprintf("%s/%v/L%d", sp.App, sp.Scheme, sp.Level), func(t *testing.T) {
+			t.Parallel()
+			golden, capture := record(t, sp)
+			if !reflect.DeepEqual(golden, wantGolden) {
+				t.Error("golden artifact differs from the baseline's")
+			}
+			if !sameCapture(capture, wantCapture) {
+				t.Error("capture differs from the baseline's")
+			}
+		})
+	}
+	if protected == 0 || protected == len(specs) {
+		t.Fatalf("%d of %d configurations protected, want baselines and protected ones", protected, len(specs))
+	}
+}
+
+// sameCapture is reflect.DeepEqual over two capture artifacts, applied
+// warp by warp: DeepEqual remembers every slice it compares, so one call
+// over a whole multi-megabyte recording spends most of its time growing
+// that map.
+func sameCapture(a, b captureArtifact) bool {
+	if a.Ok != b.Ok || a.Bytes != b.Bytes || len(a.Kernels) != len(b.Kernels) {
+		return false
+	}
+	for k := range a.Kernels {
+		if !slices.EqualFunc(a.Kernels[k].Warps, b.Kernels[k].Warps, func(x, y *simt.WarpCapture) bool {
+			return reflect.DeepEqual(x, y)
+		}) {
+			return false
+		}
+	}
+	return true
 }

@@ -5,9 +5,11 @@
 // fan-out is one (checkpoint, artifact kind) pair — artifact granularity —
 // and the store's singleflight front coalesces concurrent builders of the
 // same artifact, within this process and (through the disk tier) across
-// processes. Prewarming is purely a scheduling change: every artifact is
-// built by the same code the lazy path runs, so campaign results are
-// bit-identical with or without it.
+// processes; the golden and capture units of one application's
+// configurations all name its one golden and capture artifact.
+// Prewarming is purely a scheduling change: every artifact is built by the
+// same code the lazy path runs, so campaign results are bit-identical with
+// or without it.
 package experiments
 
 import (

@@ -17,7 +17,11 @@ func TestCampaignRaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	golden, err := s.Golden("P-BICG")
+	base, err := s.App("P-BICG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := base.GoldenRun()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +38,9 @@ func TestCampaignRaceClean(t *testing.T) {
 }
 
 // TestSuiteMemoRace is the regression test for the formerly unsynchronized
-// Suite memo maps: 8 goroutines hammer App/Profile/Golden/Traces/PlanFor
-// over the same applications under the race detector. Before the memos
+// Suite memo maps: 8 goroutines hammer App/Profile/Traces/PlanFor, and a
+// golden run on each shared base instance, over the same applications
+// under the race detector. Before the memos
 // were once-guarded this was a guaranteed map race for any concurrent
 // caller.
 func TestSuiteMemoRace(t *testing.T) {
@@ -65,12 +70,14 @@ func TestSuiteMemoRace(t *testing.T) {
 			// the memo lock, not just the same entry's once.
 			for k := 0; k < len(apps); k++ {
 				name := apps[(g+k)%len(apps)]
-				_, err := s.App(name)
+				a, err := s.App(name)
 				record(err)
 				_, err = s.Profile(name)
 				record(err)
-				_, err = s.Golden(name)
-				record(err)
+				if a != nil {
+					_, err = a.GoldenRun()
+					record(err)
+				}
 				_, err = s.Traces(name)
 				record(err)
 				_, _, err = s.PlanFor(name, core.Detection, 2)

@@ -145,12 +145,13 @@ func (s Scale) spec() scaleSpec {
 }
 
 // Suite builds and caches the paper's applications, their profiles, their
-// fault-free golden outputs, their baseline traces, and their campaign
-// checkpoints, all through the content-addressed result store. Building
-// C-NN's network is expensive, so one network is shared across every C-NN
-// instance the experiments create. All methods are safe for concurrent
-// use; the cached artifacts are built once per key and must be treated as
-// read-only by callers.
+// baseline traces, and their campaign checkpoints with the checkpoints'
+// artifacts (one golden run and one reference capture per application),
+// all through the content-addressed result store. Building C-NN's network
+// is expensive, so one network is shared across every C-NN instance the
+// experiments create. All methods are safe for concurrent use; the cached
+// artifacts are built once per key and must be treated as read-only by
+// callers.
 type Suite struct {
 	cfg SuiteConfig
 	net *nn.Network
@@ -282,19 +283,6 @@ func (s *Suite) Profile(name string) (*profile.Profile, error) {
 				return nil, err
 			}
 			return profile.Collect(a)
-		})
-}
-
-// Golden returns the cached fault-free output of the named application.
-func (s *Suite) Golden(name string) ([]float32, error) {
-	return store.Do(s.st, s.key("golden").Field("name", name).Key(),
-		store.Options[[]float32]{Persist: true},
-		func() ([]float32, error) {
-			a, err := s.App(name)
-			if err != nil {
-				return nil, err
-			}
-			return a.GoldenRun()
 		})
 }
 

@@ -18,7 +18,7 @@ import (
 // fetch when an earlier process already persisted the timeline artifact.
 func (cp *Checkpoint) Timeline() (*fault.Timeline, error) {
 	cp.timelineOnce.Do(func() {
-		cp.timeline, cp.timelineErr = artifactDo(cp, ArtifactTimeline, func() (*fault.Timeline, error) {
+		cp.timeline, cp.timelineErr = artifactDo(cp, ArtifactTimeline, nil, func() (*fault.Timeline, error) {
 			return captureTimeline(cp)
 		})
 		if cp.timelineErr == nil {

@@ -41,6 +41,30 @@ func (m fixedStuck) Inject(f *mem.Memory, _ *rand.Rand, _ fault.Selector, _ *fau
 	return fault.Injection{}, nil
 }
 
+// flipWord is one transient upset: mask's bits of the word at addr flip.
+type flipWord struct {
+	addr arch.Addr
+	mask uint32
+}
+
+// fixedFlips is a fault model that applies chosen bit flips at injection
+// time, materializing their blocks in the run's fork the way a transient
+// upset does, instead of drawing sites from the selector.
+type fixedFlips []flipWord
+
+func (fixedFlips) Name() string     { return "fixed-flip" }
+func (m fixedFlips) Params() string { return fmt.Sprint([]flipWord(m)) }
+func (fixedFlips) Validate() error  { return nil }
+func (m fixedFlips) String() string { return "fixed flips " + m.Params() }
+func (m fixedFlips) Inject(f *mem.Memory, _ *rand.Rand, _ fault.Selector, _ *fault.Env) (fault.Injection, error) {
+	for _, w := range m {
+		if err := f.FlipBits(w.addr, w.mask); err != nil {
+			return fault.Injection{}, err
+		}
+	}
+	return fault.Injection{}, nil
+}
+
 // zeroBits returns a mask of the n highest bits that are 0 in v.
 func zeroBits(v uint32, n int) uint32 {
 	var mask uint32
@@ -62,7 +86,7 @@ var (
 
 // wordGateCheckpoint returns a checkpoint of a telemetry-attached suite
 // shared by the word-gate tests, with its golden run and capture built.
-func wordGateCheckpoint(t *testing.T, app string, scheme core.Scheme) (*Checkpoint, *captureData) {
+func wordGateCheckpoint(t *testing.T, app string, scheme core.Scheme) *Checkpoint {
 	t.Helper()
 	wordGateOnce.Do(func() {
 		wordGateReg = telemetry.NewRegistry()
@@ -86,40 +110,53 @@ func wordGateCheckpoint(t *testing.T, app string, scheme core.Scheme) (*Checkpoi
 	if err := cp.ensureGolden(); err != nil {
 		t.Fatal(err)
 	}
-	capd := cp.ensureCapture()
-	if capd == nil {
+	if cp.ensureCapture() == nil {
 		t.Fatalf("%s: no capture", app)
 	}
-	return cp, capd
+	return cp
 }
 
 // wordReaders describes who reads a set of words in the recorded
 // execution, in serial warp order.
 type wordReaders struct {
 	// words counts the warps whose recorded loads read one of the words,
-	// directly or as the replica word a protected load reads with its
-	// primary; first is the serial index of the first of them (-1 if none).
+	// directly or — for a replica word — as the primary word a protected
+	// load reads it with; first is the serial index of the first of them
+	// (-1 if none).
 	words, first int
 	// blocks counts the warps whose load footprint holds one of the
-	// words' blocks; firstBlock is the serial index of the first (-1 if
-	// none).
-	blocks, firstBlock int
+	// words' blocks (a replica word's primary block); firstBlock is the
+	// serial index of the first (-1 if none), and blocksBefore counts
+	// those before first.
+	blocks, firstBlock, blocksBefore int
 	// warps counts every recorded warp.
 	warps int
 }
 
-// readersOf scans the recorded execution for the warps reading addrs.
-func readersOf(capd *captureData, addrs ...arch.Addr) wordReaders {
+// readersOf scans the checkpoint's recorded execution for the warps
+// reading addrs, each replica word mapped to its primary word first.
+func readersOf(cp *Checkpoint, addrs ...arch.Addr) wordReaders {
+	words := slices.Clone(addrs)
+	if cp.Plan != nil {
+		for i, a := range words {
+			words[i] = cp.Plan.PrimaryWord(a)
+		}
+	}
+	bufs := cp.App.Mem.Buffers()
 	r := wordReaders{first: -1, firstBlock: -1}
-	for _, kc := range capd.log.Kernels {
+	for _, kc := range cp.ensureCapture().Kernels {
 		for _, wc := range kc.Warps {
-			if slices.ContainsFunc(addrs, func(a arch.Addr) bool { return slices.Contains(wc.LoadBlocks, a.Block()) }) {
+			reads := warpReadsWord(bufs, wc, words)
+			if slices.ContainsFunc(words, func(a arch.Addr) bool { return slices.Contains(wc.LoadBlocks, a.Block()) }) {
 				if r.blocks == 0 {
 					r.firstBlock = r.warps
 				}
 				r.blocks++
+				if r.words == 0 && !reads {
+					r.blocksBefore++
+				}
 			}
-			if warpReadsWord(capd, wc, addrs) {
+			if reads {
 				if r.words == 0 {
 					r.first = r.warps
 				}
@@ -131,28 +168,18 @@ func readersOf(capd *captureData, addrs ...arch.Addr) wordReaders {
 	return r
 }
 
-// warpReadsWord reports whether a recorded load of wc reads one of addrs,
-// directly or as a replica word.
-func warpReadsWord(capd *captureData, wc *simt.WarpCapture, addrs []arch.Addr) bool {
+// warpReadsWord reports whether a recorded load of wc reads one of words.
+func warpReadsWord(bufs []*mem.Buffer, wc *simt.WarpCapture, words []arch.Addr) bool {
 	for i := range wc.Loads {
 		rec := &wc.Loads[i]
-		buf := capd.bufs[rec.BufID]
-		offs := []arch.Addr{0}
-		if capd.replicas != nil {
-			offs = append(offs, capd.replicas[rec.BufID]...)
-		}
+		buf := bufs[rec.BufID]
 		idxs := rec.Idx
 		if rec.Broadcast {
 			idxs = []int32{rec.BIdx}
 		}
 		for _, idx := range idxs {
-			if idx == simt.InactiveLane {
-				continue
-			}
-			for _, off := range offs {
-				if slices.Contains(addrs, buf.ElemAddr(int(idx))+off) {
-					return true
-				}
+			if idx != simt.InactiveLane && slices.Contains(words, buf.ElemAddr(int(idx))) {
+				return true
 			}
 		}
 	}
@@ -187,7 +214,7 @@ func runWordGate(t *testing.T, cp *Checkpoint, model fault.Model) (out fault.Out
 // words execute; the warps of the bands between, whose stencil reaches a
 // faulty block only at its edge pixel, are reproduced from the recording.
 func TestBatchedWordGateCleanWords(t *testing.T) {
-	cp, capd := wordGateCheckpoint(t, "A-Meanfilter", core.None)
+	cp := wordGateCheckpoint(t, "A-Meanfilter", core.None)
 	img, okI := cp.App.Mem.BufferByName("Image")
 	fw, okW := cp.App.Mem.BufferByName("Filter_Width")
 	if !okI || !okW {
@@ -204,7 +231,7 @@ func TestBatchedWordGateCleanWords(t *testing.T) {
 		addrs = append(addrs, a)
 		model = append(model, stuckWord{addr: a, mask: zeroBits(cp.App.Mem.ReadWord(a), 3), high: true})
 	}
-	r := readersOf(capd, addrs...)
+	r := readersOf(cp, addrs...)
 	if r.words == 0 || r.blocks <= r.words {
 		t.Fatalf("readers %+v: want warps reading faulty blocks only at clean words", r)
 	}
@@ -224,13 +251,13 @@ func TestBatchedWordGateCleanWords(t *testing.T) {
 // every downstream warp — the next layers reading their outputs — is
 // reproduced.
 func TestBatchedWordGateConvergedStores(t *testing.T) {
-	cp, capd := wordGateCheckpoint(t, "C-NN", core.None)
+	cp := wordGateCheckpoint(t, "C-NN", core.None)
 	n1, ok := cp.App.Mem.BufferByName("L1_Neurons")
 	if !ok {
 		t.Fatal("C-NN has no L1_Neurons object")
 	}
 	addr := n1.ElemAddr(n1.Len4() / 3)
-	r := readersOf(capd, addr)
+	r := readersOf(cp, addr)
 	if r.words == 0 {
 		t.Fatal("no warp reads the chosen L1_Neurons word")
 	}
@@ -252,15 +279,9 @@ func TestBatchedWordGateConvergedStores(t *testing.T) {
 // Detected; the earlier warps reading other words of the replica block are
 // reproduced.
 func TestBatchedWordGateReplicaDetects(t *testing.T) {
-	cp, capd := wordGateCheckpoint(t, "C-NN", core.Detection)
-	w1, ok := cp.App.Mem.BufferByName("Layer1_Weights")
-	if !ok || !cp.Plan.IsProtected(w1) {
-		t.Fatal("C-NN's Layer1_Weights is not protected under detection")
-	}
-	// Element 29 is a weight of the second feature map; its 128 B block
-	// also holds the first map's weights, read by earlier warps.
-	addr := cp.Plan.ReplicaWord(int16(w1.ID), w1.ElemAddr(29), 1)
-	r := readersOf(capd, addr)
+	cp := wordGateCheckpoint(t, "C-NN", core.Detection)
+	addr := replicaWord29(t, cp)
+	r := readersOf(cp, addr)
 	if r.words == 0 || r.firstBlock >= r.first {
 		t.Fatalf("readers %+v: want earlier warps reading only other words of the replica block", r)
 	}
@@ -274,5 +295,43 @@ func TestBatchedWordGateReplicaDetects(t *testing.T) {
 	if replayed != 0 || applied != float64(r.first) {
 		t.Errorf("replayed %v, applied %v warps; want 0 and the %d warps before the first reader",
 			replayed, applied, r.first)
+	}
+}
+
+// replicaWord29 returns the address of element 29 of the replica of C-NN's
+// Layer1_Weights under the checkpoint's detection plan. Element 29 is a
+// weight of the second feature map; its 128 B block also holds the first
+// map's weights, read by earlier warps.
+func replicaWord29(t *testing.T, cp *Checkpoint) arch.Addr {
+	t.Helper()
+	w1, ok := cp.App.Mem.BufferByName("Layer1_Weights")
+	if !ok || !cp.Plan.IsProtected(w1) {
+		t.Fatal("C-NN's Layer1_Weights is not protected under detection")
+	}
+	return cp.Plan.Replicas(w1)[0].ElemAddr(29)
+}
+
+// TestBatchedWordGateReplicaFlipDetects: a transient flip in a replica of
+// a protected object materializes the replica block, which seeds every
+// word of the primary block the scheme reads it with. The earlier warps
+// reading other words of that block execute and stay clean, the first
+// warp reading the flipped word's primary detects the mismatch, and the
+// verdict is the clone-per-run oracle's.
+func TestBatchedWordGateReplicaFlipDetects(t *testing.T) {
+	cp := wordGateCheckpoint(t, "C-NN", core.Detection)
+	addr := replicaWord29(t, cp)
+	r := readersOf(cp, addr)
+	if r.words == 0 || r.blocksBefore == 0 {
+		t.Fatalf("readers %+v: want earlier warps reading only other words of the block", r)
+	}
+	out, replayed, applied := runWordGate(t, cp, fixedFlips{{addr: addr, mask: 0b111}})
+	if out != fault.Detected {
+		t.Errorf("verdict %v, want %v", out, fault.Detected)
+	}
+	// The reading warp aborts on the mismatch, so it counts as neither
+	// replayed nor applied.
+	if replayed != float64(r.blocksBefore) || applied != float64(r.first-r.blocksBefore) {
+		t.Errorf("replayed %v, applied %v warps; want the %d earlier readers of the block executed and the other %d warps before the first reader reproduced",
+			replayed, applied, r.blocksBefore, r.first-r.blocksBefore)
 	}
 }

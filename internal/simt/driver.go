@@ -67,12 +67,14 @@ func (d *Driver) Run(k *Kernel) (*KernelTrace, error) {
 		}
 	}
 	var kcap *KernelCapture
+	var seen *BlockSet
 	if d.Capture != nil {
 		kcap = &KernelCapture{
 			Kernel: k,
 			Warps:  make([]*WarpCapture, k.Grid.Count()*warpsPerCTA),
 		}
 		d.Capture.Kernels = append(d.Capture.Kernels, kcap)
+		seen = NewBlockSet(d.Mem.TotalBlocks())
 	}
 
 	ctx := &WarpCtx{blockDim: k.Block, drv: d, tracing: d.Tracing}
@@ -111,6 +113,7 @@ func (d *Driver) Run(k *Kernel) (*KernelTrace, error) {
 						trace.Warps[ctx.GlobalWarpID] = ctx.trace
 					}
 					if kcap != nil {
+						ctx.capture.LoadBlocks = loadFootprint(ctx.capture.Loads, seen)
 						kcap.Warps[ctx.GlobalWarpID] = ctx.capture
 						ctx.capture = nil
 					}
@@ -119,6 +122,26 @@ func (d *Driver) Run(k *Kernel) (*KernelTrace, error) {
 		}
 	}
 	return trace, nil
+}
+
+// loadFootprint returns the deduplicated union of the loads' blocks, in
+// first-touch order. seen must be empty, and is left empty: every bit set
+// here belongs to a block of the union, so clearing the union's bitset
+// words clears them all.
+func loadFootprint(loads []LoadRec, seen *BlockSet) []arch.BlockAddr {
+	var union []arch.BlockAddr
+	for i := range loads {
+		for _, b := range loads[i].Blocks {
+			if !seen.Has(b) {
+				seen.Add(b)
+				union = append(union, b)
+			}
+		}
+	}
+	for _, b := range union {
+		seen.bits[uint(b)/64] = 0
+	}
+	return union
 }
 
 // RunWarp executes one recorded warp of k against the driver's memory. rp,

@@ -15,9 +15,7 @@
 // invariant: a word outside the set holds the value the golden run holds at
 // the same point in the serial warp order. The set starts at the run's
 // fault words and only grows: an executed warp adds exactly the words whose
-// committed value differs from the recorded store. A protected object's
-// replica words count as read by every load of the object, so a fault in a
-// replica reaches the detection/correction semantics. A per-block bitset
+// committed value differs from the recorded store. A per-block bitset
 // filters first; words are checked only inside dirty blocks.
 //
 // LaneReplay carries the same argument into the executed warps themselves:
@@ -68,8 +66,9 @@ type WarpCapture struct {
 	// Loads and Stores are the warp's memory instructions in program order.
 	Loads  []LoadRec
 	Stores []StoreRec
-	// LoadBlocks is the deduplicated union of every load's Blocks — the
-	// warp's read footprint. A run whose divergent blocks miss this set
+	// LoadBlocks is the deduplicated union of every load's Blocks in
+	// first-touch order — the warp's read footprint, built by the Driver as
+	// the warp finishes. A run whose divergent blocks miss this set
 	// entirely cannot observe the divergence in this warp.
 	LoadBlocks []arch.BlockAddr
 }
@@ -90,10 +89,7 @@ type LoadRec struct {
 	// Vals are the loaded 32-bit values per lane (vector loads: length
 	// NumLanes, undefined at inactive lanes; broadcast loads: length 1).
 	Vals []uint32
-	// Blocks are the coalesced blocks the load touches. For loads of
-	// protected objects the capture owner appends the replica blocks the
-	// protection scheme reads invisibly, so a clean Blocks set proves the
-	// full read (copies included) resolves to golden data.
+	// Blocks are the coalesced blocks the load touches.
 	Blocks []arch.BlockAddr
 }
 
@@ -143,13 +139,6 @@ type BlockSet struct {
 // NewBlockSet returns a set sized for a memory of nblocks blocks.
 func NewBlockSet(nblocks int) *BlockSet {
 	return &BlockSet{bits: make([]uint64, (nblocks+63)/64)}
-}
-
-// Reset clears the set.
-func (s *BlockSet) Reset() {
-	for i := range s.bits {
-		s.bits[i] = 0
-	}
 }
 
 // Add inserts one block.
@@ -232,11 +221,11 @@ func (d *DirtySet) AnyBlock(blocks []arch.BlockAddr) bool {
 // recorded warp for real. It walks the warp's recorded load/store sequence
 // in lockstep with the execution: as long as every issued instruction
 // matches the recording (same site, object, and indices), each lane of a
-// load whose words — replicas included — are all outside Dirty is served
-// from the recorded value, and each store adds to Dirty exactly the words
-// whose committed value differs from the recorded one. The first sequence
-// mismatch sets Desync and stops all serving — the caller must treat the
-// lane as fully divergent from then on.
+// load whose words are all outside Dirty is served from the recorded value,
+// and each store adds to Dirty exactly the words whose committed value
+// differs from the recorded one. The first sequence mismatch sets Desync
+// and stops all serving — the caller must treat the lane as fully
+// divergent from then on.
 type LaneReplay struct {
 	// WC is the warp being replayed.
 	WC *WarpCapture
@@ -246,11 +235,6 @@ type LaneReplay struct {
 	// Bufs are the memory's buffers indexed by ID, resolving recorded
 	// indices to word addresses.
 	Bufs []*mem.Buffer
-	// Replicas holds, per buffer ID, the byte distance from each word of a
-	// protected object to the same word of each of its replicas (nil for
-	// unprotected objects). The protection scheme reads those words with
-	// every load of the object, so they count toward whether it is clean.
-	Replicas [][]arch.Addr
 
 	loadCur  int
 	storeCur int
@@ -271,28 +255,18 @@ func (rp *LaneReplay) Reset(wc *WarpCapture) {
 }
 
 // wordDirty reports whether reading element idx of buf can observe the
-// lane's divergence: its word or a replica word the scheme reads with it
-// is dirty. An index outside the buffer counts as dirty.
+// lane's divergence: its word is dirty, or the index falls outside the
+// buffer.
 func (rp *LaneReplay) wordDirty(buf *mem.Buffer, idx int32) bool {
 	a := buf.ElemAddr(int(idx))
-	if idx < 0 || !buf.Contains(a) || rp.Dirty.HasWord(a) {
-		return true
-	}
-	if buf.ID < len(rp.Replicas) {
-		for _, off := range rp.Replicas[buf.ID] {
-			if rp.Dirty.HasWord(a + off) {
-				return true
-			}
-		}
-	}
-	return false
+	return idx < 0 || !buf.Contains(a) || rp.Dirty.HasWord(a)
 }
 
 // ReadsDirty reports whether any recorded load of wc reads a dirty word:
 // vector loads at each active lane's index, broadcast loads at their one
-// index, replica words included. A warp that reads no dirty word behaves
-// bit-identically to the recording, so the executor may reproduce it by
-// applying its recorded stores. The block bitset filters first, at warp
+// index. A warp that reads no dirty word behaves bit-identically to the
+// recording, so the executor may reproduce it by applying its recorded
+// stores. The block bitset filters first, at warp
 // and then at load granularity.
 func (rp *LaneReplay) ReadsDirty(wc *WarpCapture) bool {
 	if !rp.Dirty.AnyBlock(wc.LoadBlocks) {
@@ -351,9 +325,9 @@ func (rp *LaneReplay) matchIndices(rec *LoadRec, idx []int32, n int) bool {
 }
 
 // serveVectorF32 matches the next recorded load against an issued vector
-// load. When every touched block — replicas included — is clean, it serves
-// the recorded values into dst in the same pass that verifies the index
-// vector and returns (rec, true). Otherwise the caller reads memory: a nil
+// load. When every touched block is clean, it serves the recorded values
+// into dst in the same pass that verifies the index vector and returns
+// (rec, true). Otherwise the caller reads memory: a nil
 // record means the lane desynced and every lane must be read; a non-nil
 // record (sequence verified, cursor advanced) means only the lanes whose
 // words are dirty must be read, the rest being served from rec.Vals.
@@ -414,8 +388,8 @@ func (rp *LaneReplay) serveVectorI32(pc uint16, bufID int16, idx []int32, n int,
 }
 
 // serveBroadcast is the vector serve for warp-uniform loads: it returns
-// the record when the load is in sync and its word — replicas included —
-// is clean, and nil when the caller must read memory.
+// the record when the load is in sync and its word is clean, and nil when
+// the caller must read memory.
 func (rp *LaneReplay) serveBroadcast(pc uint16, buf *mem.Buffer, bidx int32) *LoadRec {
 	if rp.Desync || rp.loadCur >= len(rp.WC.Loads) {
 		rp.Desync = true

@@ -1,6 +1,7 @@
 package simt
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
@@ -26,6 +27,43 @@ func TestDirtySet(t *testing.T) {
 	d.Reset()
 	if d.HasWord(a) || d.HasWord(arch.BlockAddr(3).Base()) || d.AnyBlock([]arch.BlockAddr{0, 1, 2, 3}) {
 		t.Error("Reset left dirty state behind")
+	}
+}
+
+// TestCaptureLoadFootprint pins the read footprint the Driver records per
+// warp: the union of the warp's load blocks, vector and broadcast alike,
+// each block once, in first-touch order, and nothing carried over from the
+// warp before.
+func TestCaptureLoadFootprint(t *testing.T) {
+	m, in := newTestMem(t, "in", 64) // two blocks
+	ld, bc := Site{PC: 1, Name: "ld"}, Site{PC: 2, Name: "bc"}
+	k := &Kernel{
+		KernelName: "footprint",
+		Grid:       arch.Dim3{X: 2},
+		Block:      arch.Dim3{X: arch.WarpSize},
+		Run: func(w *WarpCtx) {
+			idx, v := w.ScratchI32(0), w.ScratchF32(0)
+			first := int32(32 * w.CTAIdx.X) // warp 0: block 0; warp 1: block 1
+			for lane := 0; lane < w.NumLanes; lane++ {
+				idx[lane] = first + int32(lane)
+			}
+			w.LoadF32(ld, in, idx, v)
+			for lane := 0; lane < w.NumLanes; lane++ {
+				idx[lane] = 16 + int32(lane) // straddles both blocks
+			}
+			w.LoadF32(ld, in, idx, v)
+			w.LoadF32Broadcast(bc, in, 63-first)
+		},
+	}
+	log := &CaptureLog{}
+	if _, err := (&Driver{Mem: m, Capture: log}).Run(k); err != nil {
+		t.Fatal(err)
+	}
+	b0, b1 := in.FirstBlock(), in.FirstBlock()+1
+	for w, want := range [][]arch.BlockAddr{{b0, b1}, {b1, b0}} {
+		if got := log.Kernels[0].Warps[w].LoadBlocks; !slices.Equal(got, want) {
+			t.Errorf("warp %d load footprint %v, want %v", w, got, want)
+		}
 	}
 }
 
@@ -69,7 +107,9 @@ func TestLaneReplayWordGranular(t *testing.T) {
 		t.Fatal(err)
 	}
 	wc := log.Kernels[0].Warps[0]
-	wc.LoadBlocks = wc.Loads[0].Blocks // the footprint union the capture owner builds
+	if !slices.Equal(wc.LoadBlocks, wc.Loads[0].Blocks) {
+		t.Fatalf("load footprint %v, want the one load's blocks %v", wc.LoadBlocks, wc.Loads[0].Blocks)
+	}
 
 	// Lane 3 reads in[6]: give it a new value and mark it dirty. Also
 	// change in[8], lane 4's word, without marking it: only a clean lane
@@ -108,22 +148,6 @@ func TestLaneReplayWordGranular(t *testing.T) {
 	clean.AddWord(in.ElemAddr(7))
 	if (&LaneReplay{Dirty: clean, Bufs: f.Buffers()}).ReadsDirty(wc) {
 		t.Error("gate executes a warp that reads only clean words of a dirty block")
-	}
-	// A replica word counts as read with its primary. Let out stand in for
-	// in's replica, its blocks expanded into the load footprint as the
-	// capture owner does for protected objects.
-	rec := &wc.Loads[0]
-	n := len(rec.Blocks)
-	for _, b := range rec.Blocks[:n:n] {
-		rec.Blocks = append(rec.Blocks, b+out.FirstBlock()-in.FirstBlock())
-	}
-	wc.LoadBlocks = rec.Blocks
-	rep := NewDirtySet(f.TotalBlocks())
-	rep.AddWord(out.ElemAddr(2)) // the replica of in[2], read by lane 1
-	replicas := make([][]arch.Addr, len(f.Buffers()))
-	replicas[in.ID] = []arch.Addr{out.Base - in.Base}
-	if !(&LaneReplay{Dirty: rep, Bufs: f.Buffers(), Replicas: replicas}).ReadsDirty(wc) {
-		t.Error("gate ignores a dirty replica word")
 	}
 }
 
