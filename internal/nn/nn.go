@@ -10,6 +10,18 @@
 // (see data.go). The resulting classifier reaches high accuracy on the
 // synthetic set and, critically for the paper's experiments, degrades into
 // misclassifications when its weight objects are corrupted.
+//
+// Summation order is part of the contract. Every C-NN golden (the stuck-at
+// outcomes, campaign verdicts, the golden output) depends on the weights bit
+// for bit, and float32 addition is not associative, so each forward output
+// keeps one fixed term sequence: its start value (the bias in layers 1 and
+// 3, zero in layer 2), then its s += x*w terms in tap or input order — in
+// layer 2, each input map's bias followed by that map's 25 taps. The kernels
+// interleave only independent outputs and keep the s += x*w form, so any
+// compiler fusion applies as it would to a one-output-at-a-time loop. Train
+// extracts features in parallel but sums the normal equations serially in
+// sample order. TestTrainedNetworkGolden, TestLayerForwardMatchesReference
+// and TestNormalEquationsMatchReference pin this.
 package nn
 
 import (
@@ -80,57 +92,118 @@ func (n *Network) Validate() error {
 }
 
 // Layer1Forward computes the first conv layer into out (Layer1Neurons).
+// Four pixels of a row are summed together, sharing each weight load;
+// neighbouring pixels' windows start Layer1Stride (2) inputs apart.
 func (n *Network) Layer1Forward(img []float32, out []float32) {
 	for m := 0; m < Layer1Maps; m++ {
-		wb := m * (1 + KernelTaps)
-		bias := n.Layer1W[wb]
+		w := n.Layer1W[m*(1+KernelTaps) : (m+1)*(1+KernelTaps)]
+		bias, taps := w[0], w[1:]
 		for py := 0; py < Layer1Side; py++ {
-			for px := 0; px < Layer1Side; px++ {
-				sum := bias
-				wy, wx := py*Layer1Stride, px*Layer1Stride
-				for i := 0; i < KernelTaps; i++ {
-					iy, ix := wy+i/KernelSide, wx+i%KernelSide
-					sum += img[iy*ImageSide+ix] * n.Layer1W[wb+1+i]
+			dst := out[(m*Layer1Side+py)*Layer1Side : (m*Layer1Side+py+1)*Layer1Side]
+			px := 0
+			for ; px+4 <= Layer1Side; px += 4 {
+				win := img[py*Layer1Stride*ImageSide+px*Layer1Stride:]
+				s0, s1, s2, s3 := bias, bias, bias, bias
+				for ky := 0; ky < KernelSide; ky++ {
+					x := (*[KernelSide + 3*Layer1Stride]float32)(win[ky*ImageSide:])
+					t := (*[KernelSide]float32)(taps[ky*KernelSide:])
+					for kx := 0; kx < KernelSide; kx++ {
+						wi := t[kx]
+						s0 += x[kx] * wi
+						s1 += x[kx+2] * wi
+						s2 += x[kx+4] * wi
+						s3 += x[kx+6] * wi
+					}
 				}
-				out[m*Layer1Side*Layer1Side+py*Layer1Side+px] = activation(sum)
+				dst[px] = activation(s0)
+				dst[px+1] = activation(s1)
+				dst[px+2] = activation(s2)
+				dst[px+3] = activation(s3)
+			}
+			for ; px < Layer1Side; px++ {
+				win := img[py*Layer1Stride*ImageSide+px*Layer1Stride:]
+				sum := bias
+				for ky := 0; ky < KernelSide; ky++ {
+					x := (*[KernelSide]float32)(win[ky*ImageSide:])
+					t := (*[KernelSide]float32)(taps[ky*KernelSide:])
+					for kx := 0; kx < KernelSide; kx++ {
+						sum += x[kx] * t[kx]
+					}
+				}
+				dst[px] = activation(sum)
 			}
 		}
 	}
 }
 
 // Layer2Forward computes the second conv layer: in is Layer1Neurons, out is
-// Layer2Neurons.
+// Layer2Neurons. The five pixels of a row are summed together, sharing each
+// weight load; neighbouring pixels' windows start Layer1Stride (2) inputs
+// apart.
 func (n *Network) Layer2Forward(in []float32, out []float32) {
+	const mapWeights = Layer1Maps * (1 + KernelTaps)
 	for o := 0; o < Layer2Maps; o++ {
+		wo := n.Layer2W[o*mapWeights : (o+1)*mapWeights]
 		for py := 0; py < Layer2Side; py++ {
-			for px := 0; px < Layer2Side; px++ {
-				var sum float32
-				wy, wx := py*Layer1Stride, px*Layer1Stride
-				for m := 0; m < Layer1Maps; m++ {
-					wb := (o*Layer1Maps + m) * (1 + KernelTaps)
-					sum += n.Layer2W[wb] // per-(out,in) bias contribution
-					base := m * Layer1Side * Layer1Side
-					for i := 0; i < KernelTaps; i++ {
-						iy, ix := wy+i/KernelSide, wx+i%KernelSide
-						sum += in[base+iy*Layer1Side+ix] * n.Layer2W[wb+1+i]
+			var s0, s1, s2, s3, s4 float32
+			for m := 0; m < Layer1Maps; m++ {
+				w := wo[m*(1+KernelTaps) : (m+1)*(1+KernelTaps)]
+				// Per-(out,in) bias contribution, then the map's taps.
+				b := w[0]
+				s0 += b
+				s1 += b
+				s2 += b
+				s3 += b
+				s4 += b
+				taps := w[1:]
+				plane := in[m*Layer1Side*Layer1Side+py*Layer1Stride*Layer1Side:]
+				for ky := 0; ky < KernelSide; ky++ {
+					x := (*[Layer1Side]float32)(plane[ky*Layer1Side:])
+					t := (*[KernelSide]float32)(taps[ky*KernelSide:])
+					for kx := 0; kx < KernelSide; kx++ {
+						wi := t[kx]
+						s0 += x[kx] * wi
+						s1 += x[kx+2] * wi
+						s2 += x[kx+4] * wi
+						s3 += x[kx+6] * wi
+						s4 += x[kx+8] * wi
 					}
 				}
-				out[o*Layer2Side*Layer2Side+py*Layer2Side+px] = activation(sum)
 			}
+			dst := out[(o*Layer2Side+py)*Layer2Side : (o*Layer2Side+py+1)*Layer2Side]
+			dst[0] = activation(s0)
+			dst[1] = activation(s1)
+			dst[2] = activation(s2)
+			dst[3] = activation(s3)
+			dst[4] = activation(s4)
 		}
 	}
 }
 
 // Layer3Forward computes the first FC layer: in is Layer2Neurons, out is
-// Layer3Units.
+// Layer3Units. Four units (Layer3Units is a multiple of four) are summed
+// together, sharing each input load.
 func (n *Network) Layer3Forward(in []float32, out []float32) {
-	for u := 0; u < Layer3Units; u++ {
-		wb := u * (Layer2Neurons + 1)
-		sum := n.Layer3W[wb]
-		for i := 0; i < Layer2Neurons; i++ {
-			sum += in[i] * n.Layer3W[wb+1+i]
+	x := (*[Layer2Neurons]float32)(in)
+	const stride = Layer2Neurons + 1
+	for u := 0; u < Layer3Units; u += 4 {
+		w := n.Layer3W[u*stride : (u+4)*stride]
+		w0 := (*[Layer2Neurons]float32)(w[1:stride])
+		w1 := (*[Layer2Neurons]float32)(w[stride+1 : 2*stride])
+		w2 := (*[Layer2Neurons]float32)(w[2*stride+1 : 3*stride])
+		w3 := (*[Layer2Neurons]float32)(w[3*stride+1 : 4*stride])
+		s0, s1, s2, s3 := w[0], w[stride], w[2*stride], w[3*stride]
+		for i, xi := range x {
+			s0 += xi * w0[i]
+			s1 += xi * w1[i]
+			s2 += xi * w2[i]
+			s3 += xi * w3[i]
 		}
-		out[u] = activation(sum)
+		o := out[u : u+4]
+		o[0] = activation(s0)
+		o[1] = activation(s1)
+		o[2] = activation(s2)
+		o[3] = activation(s3)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 )
 
 // TrainConfig configures the deterministic network construction.
@@ -136,32 +138,9 @@ func Train(cfg TrainConfig) (*Network, error) {
 		Layer4W: make([]float32, Layer4Weights),
 	}
 
-	train := GenerateDataset(cfg.TrainSamples, cfg.Seed+1)
+	// Ridge fit of the output layer: solve (XᵀX + λI)·W = XᵀY.
 	dim := Layer3Units + 1 // bias feature
-	// Normal equations: A = XᵀX + λI (dim×dim), B = XᵀY (dim×Classes).
-	a := make([]float64, dim*dim)
-	b := make([]float64, dim*Classes)
-	x := make([]float64, dim)
-	for s, img := range train.Images {
-		feats := n.Features(img)
-		x[0] = 1
-		for i, f := range feats {
-			x[i+1] = float64(f)
-		}
-		label := train.Labels[s]
-		for i := 0; i < dim; i++ {
-			for j := 0; j < dim; j++ {
-				a[i*dim+j] += x[i] * x[j]
-			}
-			for cls := 0; cls < Classes; cls++ {
-				y := -1.0
-				if cls == label {
-					y = 1.0
-				}
-				b[i*Classes+cls] += x[i] * y
-			}
-		}
-	}
+	a, b := n.normalEquations(GenerateDataset(cfg.TrainSamples, cfg.Seed+1))
 	for i := 0; i < dim; i++ {
 		a[i*dim+i] += cfg.Ridge
 	}
@@ -176,6 +155,64 @@ func Train(cfg TrainConfig) (*Network, error) {
 		}
 	}
 	return n, nil
+}
+
+// normalEquations returns A = XᵀX (dim×dim) and B = XᵀY (dim×Classes) of
+// the output-layer fit over ds, where a row of X is [1, Features(image)] and
+// Y holds ±1 class indicators. Features are extracted in parallel, but the
+// sums run serially in sample order. Only A's upper triangle is summed:
+// x_i·x_j equals x_j·x_i exactly, so mirroring it reproduces the full sum.
+func (n *Network) normalEquations(ds Dataset) (a, b []float64) {
+	const dim = Layer3Units + 1
+	a = make([]float64, dim*dim)
+	b = make([]float64, dim*Classes)
+	x := make([]float64, dim)
+	for s, f := range n.batchFeatures(ds.Images) {
+		x[0] = 1
+		for i, v := range f {
+			x[i+1] = float64(v)
+		}
+		label := ds.Labels[s]
+		for i, xi := range x {
+			row := a[i*dim : (i+1)*dim]
+			for j := i; j < dim; j++ {
+				row[j] += xi * x[j]
+			}
+			for cls := 0; cls < Classes; cls++ {
+				y := -1.0
+				if cls == label {
+					y = 1.0
+				}
+				b[i*Classes+cls] += xi * y
+			}
+		}
+	}
+	for i := 0; i < dim; i++ {
+		for j := i + 1; j < dim; j++ {
+			a[j*dim+i] = a[i*dim+j]
+		}
+	}
+	return a, b
+}
+
+// batchFeatures runs Features over images on GOMAXPROCS goroutines. Each
+// sample's vector lands at its own index, so the result does not depend on
+// the width.
+func (n *Network) batchFeatures(images [][]float32) [][]float32 {
+	feats := make([][]float32, len(images))
+	workers := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := w; s < len(images); s += workers {
+				feats[s] = n.Features(images[s])
+			}
+		}()
+	}
+	wg.Wait()
+	return feats
 }
 
 // solveMulti solves A·W = B for W (dim×cols) via Gaussian elimination with

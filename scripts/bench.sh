@@ -9,17 +9,20 @@
 # and the campaign-fabric scaling benchmarks (BenchmarkFleetCampaign at 1
 # and 3 workers) into BENCH_fleet.json (or $4), and the checkpoint
 # artifact cold-start benchmarks (BenchmarkColdStart cold/prewarmed/
-# secondprocess) into BENCH_coldstart.json (or $5).
+# secondprocess) into BENCH_coldstart.json (or $5), and the C-NN network
+# construction benchmark (BenchmarkTrain) into BENCH_nn.json (or $6).
 # The campaign file also carries frozen historical measurements: the
 # pre-fork clone-path numbers under the *PreFork names and the pre-batch
 # one-run-per-replay fork-path numbers under the *PreBatch names, so
 # scripts/bench_compare.sh can report the fast-path and batched-execution
-# speedups against the code each generation replaced. CI re-runs this
+# speedups against the code each generation replaced; the nn file carries
+# the pre-blocking network construction under BenchmarkTrainPreBlock the
+# same way. CI re-runs this
 # with a short BENCHTIME and compares against the committed baselines
 # (warn-only).
 #
 #   scripts/bench.sh                  # refresh all baselines (1s rounds)
-#   BENCHTIME=100x scripts/bench.sh timing.json campaign.json serve.json fleet.json coldstart.json
+#   BENCHTIME=100x scripts/bench.sh timing.json campaign.json serve.json fleet.json coldstart.json nn.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,6 +32,7 @@ CAMPAIGN_OUT="${2:-BENCH_campaign.json}"
 SERVE_OUT="${3:-BENCH_serve.json}"
 FLEET_OUT="${4:-BENCH_fleet.json}"
 COLD_OUT="${5:-BENCH_coldstart.json}"
+NN_OUT="${6:-BENCH_nn.json}"
 
 # Frozen historical baselines, marked "frozen": true — kept as data,
 # never re-run, because the code they measured is gone;
@@ -50,6 +54,13 @@ FROZEN_ENTRIES='    {"name": "BenchmarkCampaignFig6PreFork", "frozen": true, "it
 TIMING_FROZEN_ENTRIES='    {"name": "BenchmarkRunKernelPreShard", "frozen": true, "iterations": 0, "ns_per_op": 2440147, "bytes_per_op": 0, "allocs_per_op": 0},
     {"name": "BenchmarkRunKernelDetectionPreShard", "frozen": true, "iterations": 0, "ns_per_op": 4255882, "bytes_per_op": 0, "allocs_per_op": 0},
     {"name": "BenchmarkRunKernelCorrectionPreShard", "frozen": true, "iterations": 0, "ns_per_op": 9522676, "bytes_per_op": 0, "allocs_per_op": 0},'
+
+#   *PreBlock: nn.Train with one-output-at-a-time forward layers and
+#              serial feature extraction, measured on the code the
+#              register-blocked layers and parallel features replaced.
+# (Same benchmark configuration, -benchtime 1s, the median of 11 runs on
+# the 2-core host at GOMAXPROCS 2.)
+NN_FROZEN_ENTRIES='    {"name": "BenchmarkTrainPreBlock", "frozen": true, "iterations": 0, "ns_per_op": 526096744, "bytes_per_op": 2999904, "allocs_per_op": 1213},'
 
 # Host metadata recorded in every baseline: parallel-scaling ratios (fleet
 # workers, prewarm) only reproduce on a comparable host, so the compare
@@ -129,3 +140,13 @@ raw=$(go test ./internal/experiments -run '^$' \
 echo "$raw" >&2
 render_json "$raw" "$BENCHTIME" > "$COLD_OUT"
 echo "wrote $COLD_OUT" >&2
+
+# C-NN network construction: one op is nn.Train(TrainConfig{}), which every
+# experiments.NewSuite pays. Feature extraction fans over GOMAXPROCS, so the
+# ratio to the frozen pre-block number grows with the core count.
+raw=$(go test ./internal/nn -run '^$' \
+  -bench 'BenchmarkTrain$' \
+  -benchmem -benchtime "$BENCHTIME")
+echo "$raw" >&2
+render_json "$raw" "$BENCHTIME" "$NN_FROZEN_ENTRIES" > "$NN_OUT"
+echo "wrote $NN_OUT" >&2

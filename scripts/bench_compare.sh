@@ -95,10 +95,14 @@ fi
 # Speedup report against frozen generations: a frozen baseline entry
 # named <X>PreFork pins the ns/op of the clone-per-run code <X> replaced,
 # <X>PreBatch pins the unbatched fork-path code the batched group replay
-# replaced, and <X>PreShard pins the timing engine before its replay
-# adopted the message-window model. PreFork/PreBatch carry a >=3x
+# replaced, <X>PreShard pins the timing engine before its replay
+# adopted the message-window model, and <X>PreBlock pins network
+# construction before its forward layers were register-blocked and its
+# feature extraction parallelised. PreFork/PreBatch carry a >=3x
 # speedup floor; PreShard carries a parity floor instead — the windowed
-# engine must stay within 25% of the engine it replaced.
+# engine must stay within 25% of the engine it replaced. PreBlock carries
+# a 2x floor: at GOMAXPROCS 1, where only the blocked kernels count, it
+# measured 3.6x.
 # The batched-vs-unbatched floor is skipped on single-core hosts: the
 # batched path's worker parallelism cannot show there, so the honest
 # ratio is lower and a warning would be noise.
@@ -109,6 +113,7 @@ while read -r name prens; do
     *PreBatch) base="${name%PreBatch}"; label="pre-batch" ;;
     *PreFork)  base="${name%PreFork}";  label="pre-fork" ;;
     *PreShard) base="${name%PreShard}"; label="pre-shard"; floor=0.75 ;;
+    *PreBlock) base="${name%PreBlock}"; label="pre-block"; floor=2.0 ;;
     *)         continue ;;
   esac
   cur=$(parse "$CUR" | awk -v n="$base" '$1 == n { print $2 }')
