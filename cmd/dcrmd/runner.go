@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -231,51 +230,22 @@ func (r *runner) submit(kind string, params jobParams) (job, error) {
 	return snap, nil
 }
 
-// prewarmSpecs derives the checkpoint artifacts a job's experiment is about
-// to need, so execute can build them in parallel before the campaign
-// serializes on them. fig7 is a pure timing sweep — nothing to warm.
-func prewarmSpecs(s *experiments.Suite, kind string, p jobParams) ([]experiments.CheckpointSpec, error) {
-	switch kind {
-	case "fig6":
-		return s.Fig6PrewarmSpecs(experiments.Fig6Config{Runs: p.Runs, Seed: p.Seed, Apps: p.Apps}), nil
-	case "fig9":
-		return s.Fig9PrewarmSpecs(experiments.Fig9Config{Runs: p.Runs, Seed: p.Seed, Apps: p.Apps})
-	case "breakdown":
-		models, err := p.models()
-		if err != nil {
-			return nil, err
-		}
-		return s.BreakdownPrewarmSpecs(experiments.BreakdownConfig{
-			Runs: p.Runs, Seed: p.Seed, Apps: p.Apps, Models: models,
-		})
-	}
-	return nil, nil
-}
-
 // execute runs one job to completion. Suite construction errors fail the
-// job rather than the daemon. Before the experiment starts, the job's
-// checkpoint artifacts are prewarmed over the suite's worker pool; any
-// prewarm error (a bad app name, a failed build) is the same error the
-// experiment itself would have hit, so it fails the job directly.
+// job rather than the daemon. The experiment builds its checkpoint
+// artifacts on first use, or fetches them from the suite's store.
 func (r *runner) execute(j *job, key string, runFn func(*experiments.Suite, jobParams) (any, error)) {
 	defer r.wg.Done()
 
 	r.mu.Lock()
 	j.State = stateRunning
 	j.Started = time.Now().UTC()
-	kind, params := j.Kind, j.Params
+	params := j.Params
 	r.mu.Unlock()
 	r.jobsRunning.Add(1)
 	defer r.jobsRunning.Add(-1)
 
 	var result any
 	suite, err := r.getSuite()
-	if err == nil {
-		var specs []experiments.CheckpointSpec
-		if specs, err = prewarmSpecs(suite, kind, params); err == nil {
-			err = suite.Prewarm(context.Background(), specs)
-		}
-	}
 	if err == nil {
 		result, err = runFn(suite, params)
 	}

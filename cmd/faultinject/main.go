@@ -6,21 +6,19 @@
 //
 //	faultinject [-runs 1000] [-apps P-BICG,A-Laplacian] [-seed 7] [-workers 0]
 //	            [-quiet] [-model spec[;spec...]] [-breakdown] [-csv dir] [-store-dir dir]
-//	            [-prewarm] [-metrics-out metrics.txt]
-//	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	            [-metrics-out metrics.txt] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Campaign progress (completed configurations, elapsed time, ETA) is
 // reported on stderr; -quiet silences it. Results on stdout are
 // byte-identical either way. With -csv the result cells are also exported
 // as CSV (parent directories are created as needed); with -store-dir the
 // campaign result is persisted to a content-addressed store so a repeat
-// invocation with the same configuration answers without recomputing.
-//
-// -prewarm builds the experiment's checkpoint artifacts (goldens, batched-
-// replay captures, store timelines) in parallel before the campaigns start;
-// with -store-dir they persist, so a second invocation fetches them from
-// disk instead of recomputing. -metrics-out writes a Prometheus snapshot of
-// the process's internal telemetry (including the
+// invocation with the same configuration answers without recomputing. The
+// store also keeps the checkpoint artifacts (goldens, batched-replay
+// captures, store timelines) each campaign builds on first use, so a later
+// invocation with another seed or run count fetches them from disk instead
+// of recomputing. -metrics-out writes a Prometheus snapshot of the
+// process's internal telemetry (including the
 // dcrm_artifact_{requests,computed}_total counters that prove a warm start
 // recomputed nothing) at exit.
 //
@@ -33,7 +31,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -65,7 +62,6 @@ func run() error {
 	breakdown := flag.Bool("breakdown", false, "run the fault-model × scheme outcome breakdown instead of Fig. 6")
 	csvDir := flag.String("csv", "", "also export the result cells as CSV into this directory (created if missing)")
 	storeDir := flag.String("store-dir", "", "persist results to this content-addressed store directory (created if missing); repeat runs warm-start from it")
-	prewarm := flag.Bool("prewarm", false, "build the experiment's checkpoint artifacts (goldens, captures, timelines) in parallel before the campaigns; results are identical either way")
 	metricsOut := flag.String("metrics-out", "", "write a Prometheus snapshot of internal telemetry to this file at exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (go tool pprof) to this file")
@@ -74,6 +70,9 @@ func run() error {
 	if *showVersion {
 		fmt.Println(version.String())
 		return nil
+	}
+	if err := checkRuns(*runs); err != nil {
+		return err
 	}
 	stopProfiling, err := startProfiling(*cpuProfile, *memProfile)
 	if err != nil {
@@ -125,26 +124,22 @@ func run() error {
 		bcfg := experiments.BreakdownConfig{
 			Runs: *runs, Seed: *seed, Models: models, Apps: appList,
 		}
-		if *prewarm {
-			specs, err := suite.BreakdownPrewarmSpecs(bcfg)
-			if err != nil {
-				return err
-			}
-			if err := suite.Prewarm(context.Background(), specs); err != nil {
-				return err
-			}
-		}
 		return runBreakdown(suite, bcfg, *csvDir)
 	}
 	fcfg := experiments.Fig6Config{
 		Runs: *runs, Seed: *seed, Models: models, Apps: appList,
 	}
-	if *prewarm {
-		if err := suite.Prewarm(context.Background(), suite.Fig6PrewarmSpecs(fcfg)); err != nil {
-			return err
-		}
-	}
 	return runFig6(suite, fcfg, *csvDir)
+}
+
+// checkRuns rejects a -runs value below one. The experiment configs read 0
+// as "use the default", so -runs 0 would print "out of 0 runs" over a
+// default-sized campaign.
+func checkRuns(runs int) error {
+	if runs < 1 {
+		return fmt.Errorf("-runs %d: want at least 1 run per configuration", runs)
+	}
+	return nil
 }
 
 // writeMetrics snapshots the telemetry registry in Prometheus text format.

@@ -54,7 +54,7 @@ func run() error {
 		fmt.Println(version.String())
 		return nil
 	}
-	if err := checkSelection(*fig, *table); err != nil {
+	if err := checkSelection(*fig, *table, *runs); err != nil {
 		return err
 	}
 	stopProfiling, err := startProfiling(*cpuProfile, *memProfile)
@@ -134,8 +134,10 @@ func run() error {
 }
 
 // checkSelection rejects a -fig or -table value that names nothing this
-// command prints (0 means the flag is unset).
-func checkSelection(fig, table int) error {
+// command prints (0 means the flag is unset), and a -runs value below one:
+// the experiment configs read 0 as "use the default", so -runs 0 would
+// print "0 runs/config" over a default-sized campaign.
+func checkSelection(fig, table, runs int) error {
 	switch fig {
 	case 0, 2, 3, 4, 6, 7, 9:
 	default:
@@ -145,6 +147,9 @@ func checkSelection(fig, table int) error {
 	case 0, 1, 2, 3:
 	default:
 		return fmt.Errorf("unknown table %d (want 1, 2 or 3)", table)
+	}
+	if runs < 1 {
+		return fmt.Errorf("-runs %d: want at least 1 run per configuration", runs)
 	}
 	return nil
 }

@@ -5,16 +5,18 @@
 // Usage:
 //
 //	resilience -perf [-apps …] [-workers 0] [-csv dir] [-store-dir dir] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
-//	resilience -sdc [-runs 1000] [-apps …] [-workers 0] [-prewarm] [-csv dir] [-store-dir dir] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	resilience -sdc [-runs 1000] [-apps …] [-workers 0] [-csv dir] [-store-dir dir] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // With -csv the Fig. 7 points and Fig. 9 cells are also exported as CSV
 // (parent directories are created as needed); with -store-dir results are
 // persisted to a content-addressed store so a repeat invocation with the
-// same configuration answers without recomputing.
+// same configuration answers without recomputing, and the Fig. 9
+// checkpoint artifacts (goldens, captures, miss weights) the campaigns
+// build on first use persist with them, so a later invocation with another
+// seed or run count fetches them from disk.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -44,7 +46,6 @@ func run() error {
 	workers := flag.Int("workers", 0, "experiment fan-out goroutines (0 = GOMAXPROCS); results are identical at any count")
 	csvDir := flag.String("csv", "", "also export figure data as CSV into this directory (created if missing)")
 	storeDir := flag.String("store-dir", "", "persist results to this content-addressed store directory (created if missing); repeat runs warm-start from it")
-	prewarm := flag.Bool("prewarm", false, "build the Fig. 9 checkpoint artifacts (goldens, captures, miss weights) in parallel before the campaigns; results are identical either way")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (go tool pprof) to this file")
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -52,6 +53,9 @@ func run() error {
 	if *showVersion {
 		fmt.Println(version.String())
 		return nil
+	}
+	if err := checkRuns(*runs); err != nil {
+		return err
 	}
 	stopProfiling, err := startProfiling(*cpuProfile, *memProfile)
 	if err != nil {
@@ -87,20 +91,19 @@ func run() error {
 		}
 	}
 	if *sdc {
-		if *prewarm {
-			specs, err := suite.Fig9PrewarmSpecs(experiments.Fig9Config{
-				Runs: *runs, Seed: *seed, Apps: appList,
-			})
-			if err != nil {
-				return err
-			}
-			if err := suite.Prewarm(context.Background(), specs); err != nil {
-				return err
-			}
-		}
 		if err := runSDC(suite, appList, *runs, *seed, *csvDir); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// checkRuns rejects a -runs value below one. The experiment configs read 0
+// as "use the default", so -runs 0 would print "out of 0 runs" over a
+// default-sized campaign.
+func checkRuns(runs int) error {
+	if runs < 1 {
+		return fmt.Errorf("-runs %d: want at least 1 run per configuration", runs)
 	}
 	return nil
 }

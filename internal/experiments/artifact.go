@@ -9,10 +9,13 @@
 // instance does (its replicas are allocated after every primary object and
 // no kernel addresses them); the timeline and the miss weights by
 // checkpoint configuration, because the plan's replica traffic changes
-// them. Artifacts persist through the store's checksummed disk tier: a
-// second process, a restarted fleet worker, or a peer sharing the store
-// directory fetches instead of recomputing. Corrupt disk entries are
-// detected by the store and recomputed transparently.
+// them. An artifact is built in one way only: on first use, by whichever
+// figure, campaign or fleet shard needs it, with the store's singleflight
+// making concurrent first users share one computation. Artifacts persist
+// through the store's checksummed disk tier: a second process, a restarted
+// fleet worker, or a peer sharing the store directory fetches instead of
+// recomputing. Corrupt disk entries are detected by the store and
+// recomputed transparently.
 //
 // Byte-identity contract: both the freshly-computed and the decoded paths
 // reconstruct the live checkpoint state from the same pure-data artifact
@@ -37,8 +40,7 @@ import (
 const artifactFormatVersion = 2
 
 // Artifact kinds — the nodes of the checkpoint artifact DAG. All four hang
-// off the checkpoint's prepared image (app + plan); none depends on another,
-// so a prewarm can build them concurrently.
+// off the checkpoint's prepared image (app + plan); none depends on another.
 const (
 	// ArtifactGolden is the fault-free golden run: the metric output plus
 	// the post-run image as a dirty-block delta against the prepared image.
@@ -53,11 +55,6 @@ const (
 	// miss-weighted block selector.
 	ArtifactMissWeights = "missweights"
 )
-
-// ArtifactKinds lists every artifact kind in canonical order.
-func ArtifactKinds() []string {
-	return []string{ArtifactGolden, ArtifactCapture, ArtifactTimeline, ArtifactMissWeights}
-}
 
 // goldenArtifact is the serialized golden run: the metric output and the
 // post-run memory image as a delta (mem.Memory.SnapshotBlocks) against the
@@ -109,8 +106,7 @@ func (cp *Checkpoint) artifactKey(kind string) store.Key {
 
 // artifactDo serves one artifact through the suite store: memory tier,
 // then checksummed disk tier, then compute — computed at most once among
-// concurrent callers by the store's singleflight, which is what gives
-// Prewarm its artifact-granularity coalescing. Telemetry:
+// concurrent callers by the store's singleflight. Telemetry:
 // dcrm_artifact_requests_total counts first-use requests per kind,
 // dcrm_artifact_computed_total counts the requests that actually ran the
 // computation — a fully warm process shows requests with zero computes.
@@ -210,9 +206,9 @@ func (cp *Checkpoint) footprint() int64 {
 }
 
 // BuildArtifact forces one artifact kind to exist — computing it, or
-// fetching it from the store's memory or disk tier. It is the unit of work
-// Suite.Prewarm fans out. Capture unavailability is not an error (the
-// batched path falls back); every other kind surfaces its build error.
+// fetching it from the store's memory or disk tier — through the same
+// first-use path a campaign takes. Capture unavailability is not an error
+// (the batched path falls back); every other kind surfaces its build error.
 func (cp *Checkpoint) BuildArtifact(kind string) error {
 	switch kind {
 	case ArtifactGolden:

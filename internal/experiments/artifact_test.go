@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -17,10 +15,11 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 )
 
-// artifactCampaign runs a small campaign that touches all four artifact
-// kinds: the golden (classification), the reference capture (group
-// replay), the timeline (transient faults), and the miss weights (the
-// selector).
+// artifactCampaign runs a small campaign that touches three artifact
+// kinds: the golden (classification), the timeline (transient faults),
+// and the miss weights (the selector). Every one of its runs is
+// classified without a replay, so it never asks for the reference
+// capture; buildAllArtifacts forces that one.
 func artifactCampaign(t *testing.T, s *Suite) fault.Result {
 	t.Helper()
 	cp, err := s.Checkpoint("P-BICG", core.None, 0)
@@ -48,6 +47,9 @@ func gobBytes(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
+// artifactKinds lists every checkpoint artifact kind.
+var artifactKinds = []string{ArtifactGolden, ArtifactCapture, ArtifactTimeline, ArtifactMissWeights}
+
 // buildAllArtifacts forces every artifact kind on the app's baseline
 // checkpoint and returns it.
 func buildAllArtifacts(t *testing.T, s *Suite) *Checkpoint {
@@ -56,7 +58,7 @@ func buildAllArtifacts(t *testing.T, s *Suite) *Checkpoint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range ArtifactKinds() {
+	for _, kind := range artifactKinds {
 		if err := cp.BuildArtifact(kind); err != nil {
 			t.Fatalf("build %s: %v", kind, err)
 		}
@@ -192,7 +194,7 @@ func TestArtifactCorruptionRecovery(t *testing.T) {
 		{"bitflip", func(raw []byte) []byte { raw[len(raw)-1] ^= 0xff; return raw }},
 		{"truncate", func(raw []byte) []byte { return raw[:len(raw)/2] }},
 	}
-	for _, kind := range ArtifactKinds() {
+	for _, kind := range artifactKinds {
 		for _, m := range mangles {
 			t.Run(kind+"/"+m.name, func(t *testing.T) {
 				hash := cp1.artifactKey(kind).Hash()
@@ -211,9 +213,9 @@ func TestArtifactCorruptionRecovery(t *testing.T) {
 					t.Fatal(err)
 				}
 				s := paritySuite(t, st, reg)
-				// Force every kind like a restarted worker's prewarm would:
-				// the corrupt entry is detected, recomputed, and rewritten;
-				// the intact kinds decode from disk.
+				// Force every kind: the corrupt entry is detected,
+				// recomputed, and rewritten; the intact kinds decode from
+				// disk.
 				buildAllArtifacts(t, s)
 				if res := artifactCampaign(t, s); res != baseline {
 					t.Errorf("campaign after %s corruption = %+v, want %+v", kind, res, baseline)
@@ -222,7 +224,7 @@ func TestArtifactCorruptionRecovery(t *testing.T) {
 				if c, ok := snap.Get("dcrm_artifact_computed_total", telemetry.Label{Name: "kind", Value: kind}); !ok || c.Value != 1 {
 					t.Errorf("corrupt %s artifact: computed counter = %v, want exactly 1", kind, c)
 				}
-				for _, other := range ArtifactKinds() {
+				for _, other := range artifactKinds {
 					if other == kind {
 						continue
 					}
@@ -241,24 +243,20 @@ func TestArtifactCorruptionRecovery(t *testing.T) {
 }
 
 // TestSecondProcessServesArtifacts is the warm-start telemetry gate: after
-// one process prewarms into a disk store, a second process prewarming the
-// same specs and running a campaign must request every artifact kind and
-// compute none of them.
+// one process builds every artifact kind into a disk store, a second
+// process building them and running a campaign must request every
+// artifact kind and compute none of them.
 func TestSecondProcessServesArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaigns in -short mode")
 	}
 	dir := t.TempDir()
-	specs := []CheckpointSpec{{App: "P-BICG", Artifacts: ArtifactKinds()}}
 
 	st1, err := store.Open(store.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := paritySuite(t, st1, nil)
-	if err := s1.Prewarm(context.Background(), specs); err != nil {
-		t.Fatal(err)
-	}
+	buildAllArtifacts(t, paritySuite(t, st1, nil))
 
 	reg := telemetry.NewRegistry()
 	st2, err := store.Open(store.Config{Dir: dir, Telemetry: reg})
@@ -266,13 +264,11 @@ func TestSecondProcessServesArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := paritySuite(t, st2, reg)
-	if err := s2.Prewarm(context.Background(), specs); err != nil {
-		t.Fatal(err)
-	}
+	buildAllArtifacts(t, s2)
 	artifactCampaign(t, s2)
 
 	snap := reg.Snapshot()
-	for _, kind := range ArtifactKinds() {
+	for _, kind := range artifactKinds {
 		if r, ok := snap.Get("dcrm_artifact_requests_total", telemetry.Label{Name: "kind", Value: kind}); !ok || r.Value == 0 {
 			t.Errorf("warm process recorded no %s artifact requests", kind)
 		}
@@ -282,54 +278,6 @@ func TestSecondProcessServesArtifacts(t *testing.T) {
 	}
 	if hits, ok := snap.Get("dcrm_store_disk_hits_total"); !ok || hits.Value == 0 {
 		t.Error("warm process served nothing from the disk tier")
-	}
-}
-
-// TestPrewarmEquivalence checks that Prewarm is purely a scheduling change:
-// figure outputs with a prewarmed suite match a lazily-built suite exactly.
-func TestPrewarmEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaign sweeps in -short mode")
-	}
-	apps := []string{"P-BICG"}
-	fig6cfg := Fig6Config{Runs: 6, Seed: 5, Apps: apps}
-	fig9cfg := Fig9Config{Runs: 6, Seed: 5, Apps: apps}
-
-	outputs := func(s *Suite) []byte {
-		t.Helper()
-		fig6, err := Fig6HotVsRest(s, fig6cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fig9, err := Fig9Resilience(s, fig9cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := json.Marshal(struct {
-			Fig6 []Fig6Cell
-			Fig9 []Fig9Cell
-		}{fig6, fig9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	lazy := outputs(paritySuite(t, nil, nil))
-
-	warmed := paritySuite(t, nil, nil)
-	if err := warmed.Prewarm(context.Background(), warmed.Fig6PrewarmSpecs(fig6cfg)); err != nil {
-		t.Fatal(err)
-	}
-	specs, err := warmed.Fig9PrewarmSpecs(fig9cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := warmed.Prewarm(context.Background(), specs); err != nil {
-		t.Fatal(err)
-	}
-	if got := outputs(warmed); !bytes.Equal(got, lazy) {
-		t.Errorf("prewarmed figure output diverges from lazy output\nlazy:     %s\nprewarmed: %s", lazy, got)
 	}
 }
 
@@ -350,13 +298,13 @@ func TestOneGoldenAndCapturePerApp(t *testing.T) {
 	if _, err := Fig9Resilience(s, Fig9Config{Runs: 2}); err != nil {
 		t.Fatal(err)
 	}
-	specs, err := s.Fig9PrewarmSpecs(Fig9Config{})
+	cfgs, err := s.fig9Configs(s.EvaluatedNames(), Fig9Config{}.withDefaults().Schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	apps := len(s.EvaluatedNames())
 	snap := reg.Snapshot()
-	for kind, want := range map[string]int{ArtifactGolden: apps, ArtifactCapture: apps, ArtifactMissWeights: len(specs)} {
+	for kind, want := range map[string]int{ArtifactGolden: apps, ArtifactCapture: apps, ArtifactMissWeights: len(cfgs)} {
 		if got := counterValue(snap, "dcrm_artifact_computed_total", telemetry.Label{Name: "kind", Value: kind}); got != float64(want) {
 			t.Errorf("%s artifacts computed %v times, want %d", kind, got, want)
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/core"
@@ -11,32 +10,48 @@ import (
 
 // Cold-start benchmark shape: one op is bringing a multi-checkpoint
 // campaign session to fully-warm artifacts — two applications, baseline
-// plus a protected configuration each, all four artifact kinds (16 units).
-// "cold" builds them the way a lazy first campaign serializes them,
-// "prewarmed" fans the same units over the worker pool, and
-// "secondprocess" warm-starts a fresh process from the disk tier (and
-// fails the run if anything recomputes). Suite construction and input
-// images are built outside the timer: the measured region is exactly the
-// artifact work Prewarm parallelizes. BENCH_coldstart.json records the
-// committed baseline; scripts/bench.sh regenerates it and CI compares
-// warn-only via scripts/bench_compare.sh.
+// plus a protected configuration each, all four artifact kinds (16 units),
+// built one after another on one goroutine. "cold" builds them into an
+// empty store; "secondprocess" warm-starts a fresh process from the disk
+// tier the same build filled (and fails the run if anything recomputes).
+// Suite construction and input images are built outside the timer: the
+// measured region is exactly the artifact work. BENCH_coldstart.json
+// records the committed baseline; scripts/bench.sh regenerates it and CI
+// compares warn-only via scripts/bench_compare.sh.
 
-// benchColdSpecs names the benchmark's artifact workload and forces the
-// plan-invariant inputs (application images) so the timed region starts
-// from the same warm images on every variant.
-func benchColdSpecs(b *testing.B, s *Suite) []CheckpointSpec {
+// benchColdConfigs names the benchmark's checkpoint configurations and
+// forces the plan-invariant inputs (application images) so the timed
+// region starts from the same warm images on every variant.
+func benchColdConfigs(b *testing.B, s *Suite) []checkpointConfig {
 	b.Helper()
-	var specs []CheckpointSpec
+	var cfgs []checkpointConfig
 	for _, name := range []string{"P-BICG", "A-Laplacian"} {
 		app, err := s.App(name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		specs = append(specs,
-			CheckpointSpec{App: name, Artifacts: ArtifactKinds()},
-			CheckpointSpec{App: name, Scheme: core.Detection, Level: app.HotCount, Artifacts: ArtifactKinds()})
+		cfgs = append(cfgs,
+			checkpointConfig{name, core.None, 0},
+			checkpointConfig{name, core.Detection, app.HotCount})
 	}
-	return specs
+	return cfgs
+}
+
+// buildColdArtifacts builds every artifact kind of each configuration,
+// checkpoint by checkpoint, the way a first campaign meets them.
+func buildColdArtifacts(b *testing.B, s *Suite, cfgs []checkpointConfig) {
+	b.Helper()
+	for _, c := range cfgs {
+		cp, err := s.Checkpoint(c.app, c.scheme, c.level)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, kind := range artifactKinds {
+			if err := cp.BuildArtifact(kind); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // benchColdSuite builds a fresh suite over st, outside the caller's timer.
@@ -58,37 +73,9 @@ func BenchmarkColdStart(b *testing.B) {
 				b.Fatal(err)
 			}
 			s := benchColdSuite(b, st, nil)
-			specs := benchColdSpecs(b, s)
+			cfgs := benchColdConfigs(b, s)
 			b.StartTimer()
-			// The lazy path: each configuration's artifacts built
-			// back-to-back on one goroutine, checkpoint by checkpoint.
-			for _, sp := range specs {
-				cp, err := s.Checkpoint(sp.App, max(sp.Scheme, core.None), sp.Level)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, kind := range sp.Artifacts {
-					if err := cp.BuildArtifact(kind); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}
-	})
-
-	b.Run("prewarmed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			st, err := store.Open(store.Config{Dir: b.TempDir()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := benchColdSuite(b, st, nil)
-			specs := benchColdSpecs(b, s)
-			b.StartTimer()
-			if err := s.Prewarm(context.Background(), specs); err != nil {
-				b.Fatal(err)
-			}
+			buildColdArtifacts(b, s, cfgs)
 		}
 	})
 
@@ -99,9 +86,7 @@ func BenchmarkColdStart(b *testing.B) {
 			b.Fatal(err)
 		}
 		seed := benchColdSuite(b, seedStore, nil)
-		if err := seed.Prewarm(context.Background(), benchColdSpecs(b, seed)); err != nil {
-			b.Fatal(err)
-		}
+		buildColdArtifacts(b, seed, benchColdConfigs(b, seed))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -111,14 +96,12 @@ func BenchmarkColdStart(b *testing.B) {
 				b.Fatal(err)
 			}
 			s := benchColdSuite(b, st, reg)
-			specs := benchColdSpecs(b, s)
+			cfgs := benchColdConfigs(b, s)
 			b.StartTimer()
-			if err := s.Prewarm(context.Background(), specs); err != nil {
-				b.Fatal(err)
-			}
+			buildColdArtifacts(b, s, cfgs)
 			b.StopTimer()
 			snap := reg.Snapshot()
-			for _, kind := range ArtifactKinds() {
+			for _, kind := range artifactKinds {
 				if c, ok := snap.Get("dcrm_artifact_computed_total", telemetry.Label{Name: "kind", Value: kind}); ok && c.Value != 0 {
 					b.Fatalf("second process recomputed the %s artifact %v times", kind, c.Value)
 				}

@@ -129,6 +129,34 @@ func missWeights(app string, plan *core.Plan, traces []*simt.KernelTrace) ([]arc
 	return blocks, weights, nil
 }
 
+// checkpointConfig names one (application, scheme, level) campaign
+// configuration.
+type checkpointConfig struct {
+	app    string
+	scheme core.Scheme
+	level  int
+}
+
+// fig9Configs enumerates Fig. 9's configurations in serial sweep order:
+// each application's unprotected baseline, then every cumulative
+// protection level under each scheme.
+func (s *Suite) fig9Configs(apps []string, schemes []core.Scheme) ([]checkpointConfig, error) {
+	var cfgs []checkpointConfig
+	for _, name := range apps {
+		baseApp, err := s.App(name)
+		if err != nil {
+			return nil, err
+		}
+		cfgs = append(cfgs, checkpointConfig{name, core.None, 0})
+		for _, scheme := range schemes {
+			for _, level := range sortedLevels(baseApp)[1:] {
+				cfgs = append(cfgs, checkpointConfig{name, scheme, level})
+			}
+		}
+	}
+	return cfgs, nil
+}
+
 // fig9Resilience is Fig9Resilience's compute path (store miss): inject
 // faults across the whole application address space (block choice weighted
 // by L1-missed accesses, replicas included) and count SDC outcomes as
@@ -157,24 +185,10 @@ func fig9Resilience(s *Suite, cfg Fig9Config) ([]Fig9Cell, error) {
 		return nil, err
 	}
 
-	// Phase 2: enumerate the configuration sweep in serial order.
-	type task struct {
-		app    string
-		scheme core.Scheme
-		level  int
-	}
-	var tasks []task
-	for _, name := range apps {
-		baseApp, err := s.App(name)
-		if err != nil {
-			return nil, err
-		}
-		tasks = append(tasks, task{name, core.None, 0})
-		for _, scheme := range cfg.Schemes {
-			for _, level := range sortedLevels(baseApp)[1:] {
-				tasks = append(tasks, task{name, scheme, level})
-			}
-		}
+	// Phase 2: the configuration sweep, in serial order.
+	tasks, err := s.fig9Configs(apps, cfg.Schemes)
+	if err != nil {
+		return nil, err
 	}
 
 	perTask := make([][]Fig9Cell, len(tasks))

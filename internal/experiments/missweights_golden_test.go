@@ -176,17 +176,13 @@ func TestProtectedInstanceTracesMatchBase(t *testing.T) {
 // subtests.
 func TestProtectedInstanceCapturesMatchBase(t *testing.T) {
 	s := testSuite(t)
-	specs, err := s.Fig9PrewarmSpecs(Fig9Config{})
+	cfgs, err := s.fig9Configs(s.EvaluatedNames(), Fig9Config{}.withDefaults().Schemes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	record := func(t *testing.T, sp CheckpointSpec) (goldenArtifact, captureArtifact) {
+	record := func(t *testing.T, c checkpointConfig) (goldenArtifact, captureArtifact) {
 		t.Helper()
-		scheme := sp.Scheme
-		if scheme == 0 {
-			scheme = core.None
-		}
-		cp, err := s.Checkpoint(sp.App, scheme, sp.Level)
+		cp, err := s.Checkpoint(c.app, c.scheme, c.level)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +192,7 @@ func TestProtectedInstanceCapturesMatchBase(t *testing.T) {
 		}
 		capture := computeCaptureArtifact(cp)
 		if !capture.Ok {
-			t.Fatalf("%s %v L%d: no capture", sp.App, scheme, sp.Level)
+			t.Fatalf("%s %v L%d: no capture", c.app, c.scheme, c.level)
 		}
 		return golden, capture
 	}
@@ -204,20 +200,20 @@ func TestProtectedInstanceCapturesMatchBase(t *testing.T) {
 	var baseGolden goldenArtifact
 	var baseCapture captureArtifact
 	protected := 0
-	for _, sp := range specs {
-		if sp.Level == 0 {
-			baseApp = sp.App
-			baseGolden, baseCapture = record(t, sp)
+	for _, c := range cfgs {
+		if c.level == 0 {
+			baseApp = c.app
+			baseGolden, baseCapture = record(t, c)
 			continue
 		}
-		if sp.App != baseApp {
-			t.Fatalf("%s %v L%d precedes the app's baseline", sp.App, sp.Scheme, sp.Level)
+		if c.app != baseApp {
+			t.Fatalf("%s %v L%d precedes the app's baseline", c.app, c.scheme, c.level)
 		}
 		protected++
 		wantGolden, wantCapture := baseGolden, baseCapture
-		t.Run(fmt.Sprintf("%s/%v/L%d", sp.App, sp.Scheme, sp.Level), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s/%v/L%d", c.app, c.scheme, c.level), func(t *testing.T) {
 			t.Parallel()
-			golden, capture := record(t, sp)
+			golden, capture := record(t, c)
 			if !reflect.DeepEqual(golden, wantGolden) {
 				t.Error("golden artifact differs from the baseline's")
 			}
@@ -226,8 +222,8 @@ func TestProtectedInstanceCapturesMatchBase(t *testing.T) {
 			}
 		})
 	}
-	if protected == 0 || protected == len(specs) {
-		t.Fatalf("%d of %d configurations protected, want baselines and protected ones", protected, len(specs))
+	if protected == 0 || protected == len(cfgs) {
+		t.Fatalf("%d of %d configurations protected, want baselines and protected ones", protected, len(cfgs))
 	}
 }
 

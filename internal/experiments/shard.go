@@ -52,6 +52,9 @@ func shardSelector(s *Suite, cp *Checkpoint, spec fleet.CampaignSpec) (fault.Sel
 // shard.End) of the campaign shard.Spec describes — against the suite's
 // memoized checkpoint and its fork free-lists, and returns the shard's outcome
 // counts plus the content-addressed store key they were published under.
+// The checkpoint's artifacts are built on first use, or fetched from the
+// store, as the campaign needs them; the worker's heartbeat loop runs on
+// its own goroutine, so the lease stays alive meanwhile.
 //
 // Results are served through the suite's store: a shard key folds the
 // full suite identity, the campaign spec, and the run range, so a
@@ -82,15 +85,6 @@ func RunShard(ctx context.Context, s *Suite, shard fleet.Shard) (fleet.Counts, s
 		Key()
 	counts, err := store.Do(s.st, key, store.Options[fleet.Counts]{Persist: true},
 		func() (fleet.Counts, error) {
-			// Prewarm the shard's checkpoint artifacts in parallel (the
-			// worker's heartbeat loop runs on its own goroutine, so the lease
-			// stays alive while artifacts build or stream in from disk). The
-			// campaign below then starts against fully warm state.
-			if ps, err := s.ShardPrewarmSpec(spec); err == nil {
-				if err := s.Prewarm(ctx, []CheckpointSpec{ps}); err != nil {
-					return fleet.Counts{}, err
-				}
-			}
 			cp, err := s.Checkpoint(spec.App, scheme, spec.Level)
 			if err != nil {
 				return fleet.Counts{}, err

@@ -8,8 +8,8 @@
 # (BenchmarkDcrmdHotServe cold/warm/dup) into BENCH_serve.json (or $3),
 # and the campaign-fabric scaling benchmarks (BenchmarkFleetCampaign at 1
 # and 3 workers) into BENCH_fleet.json (or $4), and the checkpoint
-# artifact cold-start benchmarks (BenchmarkColdStart cold/prewarmed/
-# secondprocess) into BENCH_coldstart.json (or $5), and the C-NN network
+# artifact cold-start benchmarks (BenchmarkColdStart cold/secondprocess)
+# into BENCH_coldstart.json (or $5), and the C-NN network
 # construction benchmark (BenchmarkTrain) into BENCH_nn.json (or $6).
 # The campaign file also carries frozen historical measurements: the
 # pre-fork clone-path numbers under the *PreFork names and the pre-batch
@@ -63,8 +63,8 @@ TIMING_FROZEN_ENTRIES='    {"name": "BenchmarkRunKernelPreShard", "frozen": true
 NN_FROZEN_ENTRIES='    {"name": "BenchmarkTrainPreBlock", "frozen": true, "iterations": 0, "ns_per_op": 526096744, "bytes_per_op": 2999904, "allocs_per_op": 1213},'
 
 # Host metadata recorded in every baseline: parallel-scaling ratios (fleet
-# workers, prewarm) only reproduce on a comparable host, so the compare
-# script reads the recorded core count before gating on them.
+# workers) only reproduce on a comparable host, so the compare script reads
+# the recorded core count before gating on them.
 CORES=$(nproc 2>/dev/null || echo 1)
 MAXPROCS="${GOMAXPROCS:-$CORES}"
 GO_VERSION=$(go version | { read -r _ _ v _; echo "$v"; })
@@ -130,10 +130,10 @@ render_json "$raw" "$BENCHTIME" > "$FLEET_OUT"
 echo "wrote $FLEET_OUT" >&2
 
 # Checkpoint artifact cold start: one op warms a four-checkpoint campaign
-# session's full artifact set — serially (cold), fanned over the worker
-# pool (prewarmed), and from the disk tier in a fresh process
-# (secondprocess). The prewarmed/cold ratio reflects min(units, cores);
-# the compare script gates it only on multi-core hosts.
+# session's full artifact set on one goroutine — built into an empty store
+# (cold), and fetched from the disk tier in a fresh process
+# (secondprocess). The cold/secondprocess ratio is the artifact store's
+# cross-process win; it does not depend on the core count.
 raw=$(go test ./internal/experiments -run '^$' \
   -bench 'BenchmarkColdStart' \
   -benchmem -benchtime "$BENCHTIME")

@@ -169,26 +169,20 @@ if [ -n "$one" ] && [ -n "$three" ]; then
   fi
 fi
 
-# Cold-start prewarm gate (warn-only): prewarming a multi-checkpoint
-# artifact set should beat the serial lazy build by >=2x — but only where
-# the host has cores for the fan-out; on a single core the honest ratio is
-# ~1x (same work, different schedule) and warning would be noise. The
-# second-process number is informational here: its zero-recompute claim is
-# asserted inside the benchmark itself and by the CI warm-start gate.
+# Cold-start warm-start gate (warn-only): a second process fetching the
+# multi-checkpoint artifact set from the disk tier should beat building it
+# cold by >=3x. This is the cross-process win of the artifact store; both
+# variants build on one goroutine, so the ratio needs no core-count gating.
+# The zero-recompute claim is asserted inside the benchmark itself and by
+# the CI warm-start gate.
 cold=$(parse "$CUR" | awk '$1 == "BenchmarkColdStart/cold" { print $2 }')
-pre=$(parse "$CUR" | awk '$1 == "BenchmarkColdStart/prewarmed" { print $2 }')
 second=$(parse "$CUR" | awk '$1 == "BenchmarkColdStart/secondprocess" { print $2 }')
-if [ -n "$cold" ] && [ -n "$pre" ]; then
-  ratio=$(awk -v c="$cold" -v p="$pre" 'BEGIN { printf "%.2f", c / p }')
-  echo "cold start: cold ${cold} ns/op, prewarmed ${pre} ns/op (${ratio}x, ${cores} cores)"
-  [ -n "$second" ] && echo "cold start: second-process warm start ${second} ns/op"
-  if [ "$cores" -ge 2 ]; then
-    if awk -v r="$ratio" 'BEGIN { exit !(r < 2.0) }'; then
-      echo "WARNING: prewarm speedup ${ratio}x below the 2x floor"
-      status=warn
-    fi
-  else
-    echo "NOTE: prewarm speedup not gated on ${cores}-core host (needs >=2 cores for the fan-out)"
+if [ -n "$cold" ] && [ -n "$second" ]; then
+  ratio=$(awk -v c="$cold" -v s="$second" 'BEGIN { printf "%.2f", c / s }')
+  echo "cold start: cold ${cold} ns/op, second process ${second} ns/op (${ratio}x)"
+  if awk -v r="$ratio" 'BEGIN { exit !(r < 3.0) }'; then
+    echo "WARNING: second-process warm start ${ratio}x below the 3x floor"
+    status=warn
   fi
 fi
 
