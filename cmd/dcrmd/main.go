@@ -74,17 +74,11 @@ func run() error {
 		return nil
 	}
 
-	cfg := experiments.SuiteConfig{Workers: *workers}
-	switch *scale {
-	case "small":
-		cfg.Scale = experiments.ScaleSmall
-	case "medium":
-		cfg.Scale = experiments.ScaleMedium
-	case "large":
-		cfg.Scale = experiments.ScaleLarge
-	default:
-		return fmt.Errorf("unknown scale %q", *scale)
+	sc, err := experiments.ParseScale(*scale)
+	if err != nil {
+		return err
 	}
+	cfg := experiments.SuiteConfig{Workers: *workers, Scale: sc}
 
 	reg := telemetry.NewRegistry()
 	if *storeDir != "" {

@@ -1,411 +1,277 @@
-// Command repro regenerates every table and figure of the paper's
-// evaluation in one invocation, printing paper-vs-measured rows. The run
-// count for the fault-injection figures is configurable; the paper uses
-// 1000 runs per configuration (95% CI ±3%). Independent work units fan
-// out over -workers goroutines (task progress and an ETA appear on
-// stderr); results are bit-identical at any worker count.
+// Command repro regenerates the paper's evaluation. Without a verb it
+// prints every table and figure in one invocation as paper-vs-measured
+// rows; the verbs run one stage of the pipeline with its own knobs:
 //
-// Usage:
+//	repro [-runs 200] [-fig 2|3|4|6|7|9] [-table 1|2|3] [-csv dir]
+//	repro profile [-list | -warps | -objects | -series APP] [-points 40]
+//	repro inject [-runs 1000] [-apps A,B] [-seed 7] [-model spec[;spec...]] [-breakdown] [-csv dir]
+//	repro resilience [-perf] [-sdc] [-runs 1000] [-apps A,B] [-seed 11] [-csv dir]
+//	repro sim [-app P-BICG] [-scheme none|detection|correction] [-level -1] [-scheduler gto|lrr] [-trace out.json]
 //
-//	repro [-runs 200] [-workers 0] [-fig 2|3|4|6|7|9] [-table 1|2|3] [-scale small] [-csv dir]
-//	      [-store-dir dir] [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+// Every form also takes the suite flags:
 //
-// With -store-dir, every figure and table result is persisted to a
-// content-addressed on-disk store keyed by the full experiment
-// configuration and simulator version: a repeat invocation with the same
-// flags answers from the store, byte-identical to a fresh computation.
+//	[-workers 0] [-store-dir dir] [-scale small|medium|large] [-quiet]
+//	[-metrics-out metrics.txt] [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-version]
+//
+// Independent work units fan out over -workers goroutines (task progress
+// and an ETA appear on stderr unless -quiet); results are bit-identical at
+// any worker count. The fault-injection run count is configurable; the
+// paper uses 1000 runs per configuration (95% CI ±3%). With -store-dir,
+// every figure result and the checkpoint artifacts the campaigns build
+// (goldens, captures, store timelines, miss weights) persist in a
+// content-addressed on-disk store keyed by the full configuration and
+// simulator version, so a repeat invocation answers from the store,
+// byte-identical to a fresh computation, and a campaign with another seed
+// or run count fetches its artifacts from disk. -metrics-out writes a
+// Prometheus snapshot of the process's telemetry at exit, including the
+// dcrm_artifact_{requests,computed}_total counters that prove a warm start
+// recomputed nothing. With -csv, the result data is also exported as CSV.
+// Every output flag creates the directories its path needs.
+//
+// inject's -model takes semicolon-separated fault-model registry specs
+// ("stuck-at:bits=3,blocks=1;transient:flips=2"; see docs/FAULT-MODELS.md),
+// and -breakdown switches from Fig. 6's hot-vs-rest experiment to the
+// fault-model × scheme outcome breakdown over all ten applications, DUE
+// runs included. resilience runs the Fig. 7 overhead sweep (-perf) and the
+// Fig. 9 campaigns (-sdc), both when neither is given. sim prints one
+// application's per-kernel timing statistics; -trace writes a Chrome
+// trace_event timeline and always simulates, since a stored result has no
+// timeline to record.
+//
+// Usage errors (an unknown verb, a positional argument, an undefined flag)
+// exit 2; failures exit 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
-	"github.com/datacentric-gpu/dcrm/internal/arch"
-	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/experiments"
 	"github.com/datacentric-gpu/dcrm/internal/store"
+	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 	"github.com/datacentric-gpu/dcrm/internal/version"
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	runs := flag.Int("runs", 200, "fault-injection runs per configuration (paper: 1000)")
-	fig := flag.Int("fig", 0, "regenerate a single figure (2,3,4,6,7,9)")
-	table := flag.Int("table", 0, "regenerate a single table (1,2,3)")
-	csvDir := flag.String("csv", "", "also export figure data as CSV into this directory")
-	storeDir := flag.String("store-dir", "", "persist results to this content-addressed store directory (created if missing); repeat runs warm-start from it")
-	scale := flag.String("scale", "small", "workload input scale: small, medium, large")
-	workers := flag.Int("workers", 0, "experiment fan-out goroutines (0 = GOMAXPROCS); results are identical at any count")
-	quiet := flag.Bool("quiet", false, "suppress the stderr progress/ETA reporter")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile (go tool pprof) to this file")
-	showVersion := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
-	if *showVersion {
-		fmt.Println(version.String())
-		return nil
+// command is one form of repro: the verb-less figures build or a verb.
+type command interface {
+	// register defines the command's own flags on fs.
+	register(fs *flag.FlagSet)
+	// check validates the parsed flags before any suite is built.
+	check() error
+	// run prints the command's results to w.
+	run(s *experiments.Suite, w io.Writer) error
+}
+
+// verbs lists repro's subcommands in usage order.
+var verbs = []struct {
+	name, summary string
+	new           func() command
+}{
+	{"profile", "access-pattern analysis: Figs. 3-4 and Table III", func() command { return new(profileCmd) }},
+	{"inject", "Fig. 6 fault-injection campaigns and the outcome breakdown", func() command { return new(injectCmd) }},
+	{"resilience", "Fig. 7 overhead sweep and Fig. 9 campaigns", func() command { return new(resilienceCmd) }},
+	{"sim", "one application on the timing simulator", func() command { return new(simCmd) }},
+}
+
+// run executes one repro invocation and returns its exit status: 0 on
+// success or -h, 2 for a usage error, 1 for a failure.
+func run(args []string, stdout, stderr io.Writer) int {
+	name, cmd := "repro", command(new(figuresCmd))
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		cmd = nil
+		for _, v := range verbs {
+			if v.name == args[0] {
+				name, cmd = "repro "+v.name, v.new()
+			}
+		}
+		if cmd == nil {
+			fmt.Fprintf(stderr, "repro: unknown verb %q (want profile, inject, resilience or sim)\n", args[0])
+			return 2
+		}
+		args = args[1:]
 	}
-	if err := checkSelection(*fig, *table, *runs); err != nil {
-		return err
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { usage(fs) }
+	var sf suiteFlags
+	sf.register(fs)
+	cmd.register(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	stopProfiling, err := startProfiling(*cpuProfile, *memProfile)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "%s: unexpected argument %q\n", name, fs.Arg(0))
+		return 2
+	}
+	if sf.version {
+		fmt.Fprintln(stdout, version.String())
+		return 0
+	}
+	err := cmd.check()
+	if err == nil {
+		err = sf.withSuite(stderr, func(s *experiments.Suite) error { return cmd.run(s, stdout) })
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", name, err)
+		return 1
+	}
+	return 0
+}
+
+func usage(fs *flag.FlagSet) {
+	w := fs.Output()
+	fmt.Fprintf(w, "usage: %s [flags]\n", fs.Name())
+	if fs.Name() == "repro" {
+		fmt.Fprintln(w, "\nWithout a verb, repro prints every table and figure. Verbs:")
+		for _, v := range verbs {
+			fmt.Fprintf(w, "  %-11s %s\n", v.name, v.summary)
+		}
+		fmt.Fprintln(w)
+	}
+	fmt.Fprintln(w, "flags:")
+	fs.PrintDefaults()
+}
+
+// suiteFlags are the flags every command shares: they size, persist,
+// observe and profile the one experiments.Suite each invocation builds.
+type suiteFlags struct {
+	workers                     int
+	storeDir, scale, metricsOut string
+	cpuProfile, memProfile      string
+	quiet, version              bool
+}
+
+func (f *suiteFlags) register(fs *flag.FlagSet) {
+	fs.IntVar(&f.workers, "workers", 0, "experiment fan-out goroutines (0 = GOMAXPROCS); results are identical at any count")
+	fs.StringVar(&f.storeDir, "store-dir", "", "persist results to this content-addressed store directory (created if missing); repeat runs warm-start from it")
+	fs.StringVar(&f.scale, "scale", "small", "workload input scale: small, medium, large")
+	fs.BoolVar(&f.quiet, "quiet", false, "suppress the stderr progress/ETA reporter")
+	fs.StringVar(&f.metricsOut, "metrics-out", "", "write a Prometheus snapshot of internal telemetry to this file at exit")
+	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile (go tool pprof) to this file")
+	fs.StringVar(&f.memProfile, "memprofile", "", "write a heap profile (go tool pprof) to this file")
+	fs.BoolVar(&f.version, "version", false, "print version and exit")
+}
+
+// withSuite builds the suite the flags describe — its store, telemetry
+// registry, progress reporter and pprof profiles — and runs body on it.
+// Profiles, once started, are finalized and, once the suite is built, the
+// metrics snapshot is written, whether or not body failed.
+func (f *suiteFlags) withSuite(stderr io.Writer, body func(*experiments.Suite) error) (err error) {
+	scale, err := experiments.ParseScale(f.scale)
 	if err != nil {
 		return err
 	}
-	defer stopProfiling()
-	exportDir = *csvDir
-
-	cfg := experiments.SuiteConfig{Workers: *workers}
-	cfg.Progress = experiments.Progress(*quiet, os.Stderr)
-	if *storeDir != "" {
-		st, err := store.Open(store.Config{Dir: *storeDir})
+	cfg := experiments.SuiteConfig{
+		Workers:  f.workers,
+		Scale:    scale,
+		Progress: experiments.Progress(f.quiet, stderr),
+	}
+	if f.metricsOut != "" {
+		cfg.Telemetry = telemetry.NewRegistry()
+	}
+	stop, err := startProfiling(f.cpuProfile, f.memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stop()) }()
+	if f.storeDir != "" {
+		st, err := store.Open(store.Config{Dir: f.storeDir, Telemetry: cfg.Telemetry})
 		if err != nil {
 			return err
 		}
 		cfg.Store = st
 	}
-	switch *scale {
-	case "small":
-		cfg.Scale = experiments.ScaleSmall
-	case "medium":
-		cfg.Scale = experiments.ScaleMedium
-	case "large":
-		cfg.Scale = experiments.ScaleLarge
-	default:
-		return fmt.Errorf("unknown scale %q", *scale)
-	}
 	suite, err := experiments.NewSuite(cfg)
 	if err != nil {
 		return err
 	}
-
-	all := *fig == 0 && *table == 0
-	if all || *table == 1 {
-		printTable1()
+	err = body(suite)
+	if f.metricsOut != "" {
+		err = errors.Join(err, writeFile(f.metricsOut, cfg.Telemetry.WritePrometheus))
 	}
-	if all || *table == 2 {
-		if err := printTable2(suite); err != nil {
-			return err
-		}
-	}
-	if all || *fig == 2 {
-		printFig2()
-	}
-	if all || *fig == 3 {
-		if err := printFig3(suite); err != nil {
-			return err
-		}
-	}
-	if all || *fig == 4 {
-		if err := printFig4(suite); err != nil {
-			return err
-		}
-	}
-	if all || *table == 3 {
-		if err := printTable3(suite); err != nil {
-			return err
-		}
-	}
-	if all || *fig == 6 {
-		if err := printFig6(suite, *runs); err != nil {
-			return err
-		}
-	}
-	if all || *fig == 7 {
-		if err := printFig7(suite); err != nil {
-			return err
-		}
-	}
-	if all || *fig == 9 {
-		if err := printFig9(suite, *runs); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
-// checkSelection rejects a -fig or -table value that names nothing this
-// command prints (0 means the flag is unset), and a -runs value below one:
-// the experiment configs read 0 as "use the default", so -runs 0 would
-// print "0 runs/config" over a default-sized campaign.
-func checkSelection(fig, table, runs int) error {
-	switch fig {
-	case 0, 2, 3, 4, 6, 7, 9:
-	default:
-		return fmt.Errorf("unknown figure %d (want 2, 3, 4, 6, 7 or 9)", fig)
-	}
-	switch table {
-	case 0, 1, 2, 3:
-	default:
-		return fmt.Errorf("unknown table %d (want 1, 2 or 3)", table)
-	}
+// checkRuns rejects a -runs value below one. The experiment configs read 0
+// as "use the default", so -runs 0 would report zero runs over a
+// default-sized campaign.
+func checkRuns(runs int) error {
 	if runs < 1 {
 		return fmt.Errorf("-runs %d: want at least 1 run per configuration", runs)
 	}
 	return nil
 }
 
-// exportDir receives CSV exports when the -csv flag is set.
-var exportDir string
+// splitApps parses an -apps list; empty means the experiment's default set.
+func splitApps(apps string) []string {
+	if apps == "" {
+		return nil
+	}
+	return strings.Split(apps, ",")
+}
+
+// create creates the output file path and its parent directories as
+// needed: every output flag may name a directory that does not exist yet.
+func create(path string) (*os.File, error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, err
+	}
+	return os.Create(path)
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // startProfiling starts a CPU profile and arranges a heap profile snapshot,
-// as requested; the returned stop function finalizes both and must run
-// before process exit.
-func startProfiling(cpuPath, memPath string) (stop func(), err error) {
-	stop = func() {}
+// as requested; the returned stop function finalizes both.
+func startProfiling(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
 	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
+		if cpu, err = create(cpuPath); err != nil {
 			return nil, err
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
 			return nil, err
 		}
-		stop = func() {
+	}
+	return func() error {
+		if cpu != nil {
 			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	if memPath != "" {
-		cpuStop := stop
-		stop = func() {
-			cpuStop()
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
+			if err := cpu.Close(); err != nil {
+				return err
 			}
-			defer f.Close()
+		}
+		if memPath == "" {
+			return nil
+		}
+		return writeFile(memPath, func(w io.Writer) error {
 			runtime.GC() // flush unreachable objects so the profile shows live heap
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}
-	}
-	return stop, nil
-}
-
-func section(title string) {
-	fmt.Printf("\n================ %s ================\n\n", title)
-}
-
-func printTable1() {
-	section("Table I — simulated GPU configuration")
-	var rows [][]string
-	for _, r := range experiments.Table1Config(arch.Default()) {
-		rows = append(rows, []string{r.Parameter, r.Value})
-	}
-	fmt.Print(experiments.RenderTable([]string{"parameter", "value"}, rows))
-}
-
-func printTable2(suite *experiments.Suite) error {
-	section("Table II — output error metrics")
-	t2, err := experiments.Table2ErrorMetrics(suite)
-	if err != nil {
-		return err
-	}
-	var rows [][]string
-	for _, r := range t2 {
-		rows = append(rows, []string{r.App, r.OutputFormat, r.Metric.String(), fmt.Sprintf("%g", r.Threshold)})
-	}
-	fmt.Print(experiments.RenderTable([]string{"application", "output", "metric", "SDC threshold"}, rows))
-	return nil
-}
-
-func printFig2() {
-	section("Fig. 2 — L2 cache size trend")
-	if exportDir != "" {
-		if err := experiments.ExportFig2CSV(exportDir); err != nil {
-			fmt.Fprintln(os.Stderr, "repro: csv:", err)
-		}
-	}
-	var rows [][]string
-	for _, r := range experiments.Fig2L2Trend() {
-		rows = append(rows, []string{r.Vendor, r.GPU, fmt.Sprintf("%d", r.Year), fmt.Sprintf("%d", r.L2KB)})
-	}
-	fmt.Print(experiments.RenderTable([]string{"vendor", "GPU", "year", "L2 (KB)"}, rows))
-}
-
-func printFig3(suite *experiments.Suite) error {
-	section("Fig. 3 — per-block access profiles")
-	results, err := experiments.Fig3AccessProfiles(suite, 40)
-	if err != nil {
-		return err
-	}
-	if exportDir != "" {
-		if err := experiments.ExportFig3CSV(exportDir, results); err != nil {
-			return err
-		}
-	}
-	var rows [][]string
-	for _, r := range results {
-		shape := "hot knee (a)-(f)"
-		if !r.HotPattern {
-			shape = "no knee (g)-(h)"
-		}
-		rows = append(rows, []string{r.App, fmt.Sprintf("%.0f×", r.MaxMinRatio), shape})
-	}
-	fmt.Print(experiments.RenderTable([]string{"application", "max/min block reads", "profile shape"}, rows))
-	return nil
-}
-
-func printFig4(suite *experiments.Suite) error {
-	section("Fig. 4 — warp sharing of data memory blocks")
-	results, err := experiments.Fig4WarpSharing(suite, 40)
-	if err != nil {
-		return err
-	}
-	if exportDir != "" {
-		if err := experiments.ExportFig4CSV(exportDir, results); err != nil {
-			return err
-		}
-	}
-	var rows [][]string
-	for _, r := range results {
-		rows = append(rows, []string{
-			r.App,
-			fmt.Sprintf("%.1f%%", r.Series[0]),
-			fmt.Sprintf("%.1f%%", r.Series[len(r.Series)-1]),
+			return pprof.WriteHeapProfile(w)
 		})
-	}
-	fmt.Print(experiments.RenderTable([]string{"application", "coldest-block share", "hottest-block share"}, rows))
-	return nil
-}
-
-func printTable3(suite *experiments.Suite) error {
-	section("Table III — data-object inventory")
-	rows, err := experiments.Table3DataObjects(suite)
-	if err != nil {
-		return err
-	}
-	if exportDir != "" {
-		if err := experiments.ExportTable3CSV(exportDir, rows); err != nil {
-			return err
-		}
-	}
-	var cells [][]string
-	for _, r := range rows {
-		names := ""
-		for i, o := range r.Objects {
-			if i > 0 {
-				names += ", "
-			}
-			if o.Hot {
-				names += "*"
-			}
-			names += o.Name
-		}
-		cells = append(cells, []string{
-			r.App, names,
-			fmt.Sprintf("%.3f%%", r.HotSizePercent),
-			fmt.Sprintf("%.2f%%", r.HotAccessPercent),
-		})
-	}
-	fmt.Print(experiments.RenderTable(
-		[]string{"application", "objects by accesses (* = hot)", "hot size", "hot accesses"}, cells))
-	return nil
-}
-
-func printFig6(suite *experiments.Suite, runs int) error {
-	section(fmt.Sprintf("Fig. 6 — hot vs rest vulnerability (%d runs/config)", runs))
-	cells, err := experiments.Fig6HotVsRest(suite, experiments.Fig6Config{Runs: runs})
-	if err != nil {
-		return err
-	}
-	if exportDir != "" {
-		if err := experiments.ExportFig6CSV(exportDir, cells); err != nil {
-			return err
-		}
-	}
-	var rows [][]string
-	for _, c := range cells {
-		rows = append(rows, []string{
-			c.App, c.Space, c.Model.String(),
-			fmt.Sprintf("%d/%d", c.Result.SDCRuns, c.Result.Runs),
-		})
-	}
-	fmt.Print(experiments.RenderTable([]string{"application", "space", "faults", "SDC"}, rows))
-	return nil
-}
-
-func printFig7(suite *experiments.Suite) error {
-	section("Fig. 7 — performance overhead of the resilience schemes")
-	points, err := experiments.Fig7Overhead(suite, experiments.Fig7Config{})
-	if err != nil {
-		return err
-	}
-	if exportDir != "" {
-		if err := experiments.ExportFig7CSV(exportDir, points); err != nil {
-			return err
-		}
-	}
-	var rows [][]string
-	for _, p := range points {
-		rows = append(rows, []string{
-			p.App, p.Scheme.String(), fmt.Sprintf("%d", p.Level),
-			fmt.Sprintf("%.4f", p.NormTime), fmt.Sprintf("%.4f", p.NormMisses),
-		})
-	}
-	fmt.Print(experiments.RenderTable(
-		[]string{"application", "scheme", "objects", "norm time", "norm L1 misses"}, rows))
-	hot, allLv, err := experiments.LevelMaps(suite, suite.EvaluatedNames())
-	if err != nil {
-		return err
-	}
-	sum := experiments.SummarizeFig7(points, hot, allLv)
-	fmt.Printf("\npaper vs measured averages:\n")
-	fmt.Printf("  detection  hot-only: paper +1.2%%   measured %+.2f%%\n", 100*sum.DetectionHotOverhead)
-	fmt.Printf("  correction hot-only: paper +3.4%%   measured %+.2f%%\n", 100*sum.CorrectionHotOverhead)
-	fmt.Printf("  detection  all:      paper +40.65%% measured %+.2f%%\n", 100*sum.DetectionAllOverhead)
-	fmt.Printf("  correction all:      paper +74.24%% measured %+.2f%%\n", 100*sum.CorrectionAllOverhead)
-	return nil
-}
-
-func printFig9(suite *experiments.Suite, runs int) error {
-	section(fmt.Sprintf("Fig. 9 — SDC vs protection level (%d runs/config)", runs))
-	cells, err := experiments.Fig9Resilience(suite, experiments.Fig9Config{Runs: runs})
-	if err != nil {
-		return err
-	}
-	if exportDir != "" {
-		if err := experiments.ExportFig9CSV(exportDir, cells); err != nil {
-			return err
-		}
-	}
-	var rows [][]string
-	for _, c := range cells {
-		scheme := c.Scheme.String()
-		if c.Scheme == core.None {
-			scheme = "baseline"
-		}
-		rows = append(rows, []string{
-			c.App, scheme, fmt.Sprintf("%d", c.Level), c.Model.String(),
-			fmt.Sprintf("%d/%d", c.Result.SDCRuns, c.Result.Runs),
-			fmt.Sprintf("%d", c.Result.DetectedRuns),
-		})
-	}
-	fmt.Print(experiments.RenderTable(
-		[]string{"application", "scheme", "objects", "faults", "SDC", "detected"}, rows))
-
-	hot := map[string]int{}
-	for _, name := range suite.EvaluatedNames() {
-		app, err := suite.App(name)
-		if err != nil {
-			return err
-		}
-		hot[name] = app.HotCount
-	}
-	fmt.Printf("\nSDC drop with hot-object protection: paper 98.97%%, measured %.2f%%\n",
-		experiments.SDCDropPercent(cells, hot))
-	return nil
+	}, nil
 }

@@ -3,12 +3,15 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
+	"github.com/datacentric-gpu/dcrm/internal/timing"
 )
 
 // sharedSuite caches one suite across tests (the C-NN network is the
@@ -539,5 +542,54 @@ func TestBreakEvenTerminateProbability(t *testing.T) {
 	}
 	if BreakEvenTerminateProbability(1.05, 1.01) != 0 {
 		t.Error("detection-dominates case should return 0")
+	}
+}
+
+// TestParseScale: ParseScale inverts Scale.String for all three scales
+// and rejects anything else with an error that names them.
+func TestParseScale(t *testing.T) {
+	for _, sc := range []Scale{ScaleSmall, ScaleMedium, ScaleLarge} {
+		got, err := ParseScale(sc.String())
+		if err != nil || got != sc {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", sc.String(), got, err, sc)
+		}
+	}
+	for _, name := range []string{"", "Small", "huge", "small "} {
+		_, err := ParseScale(name)
+		if err == nil {
+			t.Errorf("ParseScale(%q) accepted", name)
+			continue
+		}
+		for _, want := range []string{"small", "medium", "large"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("ParseScale(%q) error %q does not name %s", name, err, want)
+			}
+		}
+	}
+}
+
+// TestTraceAppMatchesSimulate: a traced replay returns the stats of the
+// untraced one for the same configuration, scheduler included, and records
+// a timeline.
+func TestTraceAppMatchesSimulate(t *testing.T) {
+	s := testSuite(t)
+	for _, cfg := range []SimConfig{
+		{App: "P-BICG", Scheme: core.None},
+		{App: "P-BICG", Scheme: core.Detection, Level: 1, Policy: timing.LRR},
+	} {
+		want, err := Simulate(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, got, err := TraceApp(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: TraceApp stats differ from Simulate's", cfg)
+		}
+		if tr.Len() == 0 {
+			t.Errorf("%+v: empty trace", cfg)
+		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // TestExportCreatesParentDirs pins the output-path contract the CLI flags
 // rely on: -csv may point at a directory that does not exist yet (nested
-// arbitrarily deep) and the exporter creates it rather than failing. Both
-// faultinject and resilience pass their -csv flag straight through here.
+// arbitrarily deep) and the exporter creates it rather than failing. Every
+// repro form passes its -csv flag straight through here.
 func TestExportCreatesParentDirs(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "out", "nested", "csv")
 	if err := ExportFig2CSV(dir); err != nil {

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
-	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/timing"
 )
@@ -50,8 +47,6 @@ type Fig7Config struct {
 // worker count. The wrapper has already resolved defaults.
 func fig7Overhead(s *Suite, cfg Fig7Config) ([]Fig7Point, error) {
 	apps := cfg.Apps
-	policy := cfg.Policy
-	gpu := arch.Default()
 
 	// Phase 1: build every application and capture its baseline traces.
 	err := s.runTasks("fig7: traces", len(apps), func(i int) error {
@@ -64,21 +59,16 @@ func fig7Overhead(s *Suite, cfg Fig7Config) ([]Fig7Point, error) {
 
 	// Phase 2: enumerate the timing runs in serial sweep order. Level 0
 	// under scheme None is the normalization baseline.
-	type task struct {
-		app    string
-		scheme core.Scheme
-		level  int
-	}
-	var tasks []task
+	var tasks []SimConfig
 	for _, name := range apps {
 		app, err := s.App(name)
 		if err != nil {
 			return nil, err
 		}
-		tasks = append(tasks, task{name, core.None, 0})
+		tasks = append(tasks, SimConfig{App: name, Scheme: core.None, Policy: cfg.Policy})
 		for _, scheme := range []core.Scheme{core.Detection, core.Correction} {
 			for _, level := range sortedLevels(app)[1:] {
-				tasks = append(tasks, task{name, scheme, level})
+				tasks = append(tasks, SimConfig{App: name, Scheme: scheme, Level: level, Policy: cfg.Policy})
 			}
 		}
 	}
@@ -86,44 +76,18 @@ func fig7Overhead(s *Suite, cfg Fig7Config) ([]Fig7Point, error) {
 	out := make([]Fig7Point, len(tasks))
 	err = s.runTasks("fig7: timing sweep", len(tasks), func(i int) error {
 		t := tasks[i]
-		traces, err := s.Traces(t.app)
+		st, err := replay(s, t, nil)
 		if err != nil {
 			return err
-		}
-		var tplan timing.ProtectionPlan
-		if t.scheme != core.None {
-			// The memoized campaign checkpoint carries the plan for this
-			// (app, scheme, level), so Fig. 7 and Fig. 9 share one plan
-			// construction per configuration instead of building it twice.
-			cp, err := s.Checkpoint(t.app, t.scheme, t.level)
-			if err != nil {
-				return err
-			}
-			if cp.Plan != nil {
-				tplan = cp.Plan
-			}
-		}
-		eng, err := timing.New(gpu, tplan)
-		if err != nil {
-			return fmt.Errorf("experiments: fig7 %s %v L%d: %w", t.app, t.scheme, t.level, err)
-		}
-		eng.Policy = policy
-		// Publish per-unit counters to the suite's registry (if observed).
-		// The registry's atomic counters merge concurrent engines safely,
-		// and observation does not affect the returned points.
-		eng.Metrics = s.cfg.Telemetry
-		st, err := eng.RunApp(t.app, traces)
-		if err != nil {
-			return fmt.Errorf("experiments: fig7 %s %v L%d: %w", t.app, t.scheme, t.level, err)
 		}
 		var stalls uint64
 		for _, k := range st.Kernels {
 			stalls += k.CompareStalls
 		}
 		out[i] = Fig7Point{
-			App:           t.app,
-			Scheme:        t.scheme,
-			Level:         t.level,
+			App:           t.App,
+			Scheme:        t.Scheme,
+			Level:         t.Level,
 			Cycles:        st.TotalCycles(),
 			L1Misses:      st.TotalL1Misses(),
 			CompareStalls: stalls,

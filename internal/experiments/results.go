@@ -7,6 +7,7 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
 	"github.com/datacentric-gpu/dcrm/internal/store"
+	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 	"github.com/datacentric-gpu/dcrm/internal/timing"
 )
 
@@ -127,7 +128,7 @@ type SimConfig struct {
 }
 
 // Simulate runs one (application, scheme, level, scheduler) configuration
-// on the timing simulator, served through the result store: cmd/gpusim's
+// on the timing simulator, served through the result store: `repro sim`'s
 // warm-start path. Runs that need a live engine attachment (a Chrome trace
 // recorder) must use TraceApp instead — a store hit has no engine to
 // record.
@@ -141,31 +142,57 @@ func Simulate(s *Suite, cfg SimConfig) (timing.AppStats, error) {
 			Field("scheme", cfg.Scheme).
 			Field("level", cfg.Level).
 			Field("policy", cfg.Policy),
-		func() (timing.AppStats, error) {
-			traces, err := s.Traces(cfg.App)
-			if err != nil {
-				return timing.AppStats{}, err
-			}
-			var tplan timing.ProtectionPlan
-			if cfg.Scheme != core.None && cfg.Level > 0 {
-				cp, err := s.Checkpoint(cfg.App, cfg.Scheme, cfg.Level)
-				if err != nil {
-					return timing.AppStats{}, err
-				}
-				if cp.Plan != nil {
-					tplan = cp.Plan
-				}
-			}
-			eng, err := timing.New(arch.Default(), tplan)
-			if err != nil {
-				return timing.AppStats{}, fmt.Errorf("experiments: simulate %s %v L%d: %w", cfg.App, cfg.Scheme, cfg.Level, err)
-			}
-			eng.Policy = cfg.Policy
-			eng.Metrics = s.cfg.Telemetry
-			st, err := eng.RunApp(cfg.App, traces)
-			if err != nil {
-				return timing.AppStats{}, fmt.Errorf("experiments: simulate %s %v L%d: %w", cfg.App, cfg.Scheme, cfg.Level, err)
-			}
-			return st, nil
-		})
+		func() (timing.AppStats, error) { return replay(s, cfg, nil) })
+}
+
+// TraceApp replays one timing configuration — the unit of the Fig. 7 sweep
+// — with a Chrome trace recorder attached, returning the timeline (per-SM,
+// per-L2-bank, and per-DRAM-channel lanes) and the run's stats. It always
+// simulates. Write the trace with Trace.WriteJSON and open it in
+// chrome://tracing or Perfetto.
+func TraceApp(s *Suite, cfg SimConfig) (*telemetry.Trace, timing.AppStats, error) {
+	tr := telemetry.NewTrace()
+	st, err := replay(s, cfg, tr)
+	if err != nil {
+		return nil, timing.AppStats{}, err
+	}
+	return tr, st, nil
+}
+
+// replay runs one timing configuration on a private engine over the
+// application's shared read-only traces: the body of every Fig. 7 task,
+// Simulate and TraceApp. The plan comes from the memoized campaign
+// checkpoint, so timing runs and Fig. 9 campaigns share one plan
+// construction per configuration. The engine publishes its counters to the
+// suite's registry (if observed), which does not affect the stats, and
+// records into tr when it is non-nil.
+func replay(s *Suite, cfg SimConfig, tr *telemetry.Trace) (timing.AppStats, error) {
+	traces, err := s.Traces(cfg.App)
+	if err != nil {
+		return timing.AppStats{}, err
+	}
+	var tplan timing.ProtectionPlan
+	if cfg.Scheme != core.None && cfg.Level > 0 {
+		cp, err := s.Checkpoint(cfg.App, cfg.Scheme, cfg.Level)
+		if err != nil {
+			return timing.AppStats{}, err
+		}
+		if cp.Plan != nil {
+			tplan = cp.Plan
+		}
+	}
+	eng, err := timing.New(arch.Default(), tplan)
+	if err != nil {
+		return timing.AppStats{}, fmt.Errorf("experiments: replay %s %v L%d: %w", cfg.App, cfg.Scheme, cfg.Level, err)
+	}
+	if cfg.Policy != 0 {
+		eng.Policy = cfg.Policy
+	}
+	eng.Metrics = s.cfg.Telemetry
+	eng.Trace = tr
+	st, err := eng.RunApp(cfg.App, traces)
+	if err != nil {
+		return timing.AppStats{}, fmt.Errorf("experiments: replay %s %v L%d: %w", cfg.App, cfg.Scheme, cfg.Level, err)
+	}
+	return st, nil
 }

@@ -69,6 +69,17 @@ func (s Scale) String() string {
 	}
 }
 
+// ParseScale is String's inverse for the three scales: "small", "medium"
+// or "large". Anything else is an error naming them.
+func ParseScale(name string) (Scale, error) {
+	for _, sc := range []Scale{ScaleSmall, ScaleMedium, ScaleLarge} {
+		if sc.String() == name {
+			return sc, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (want small, medium or large)", name)
+}
+
 // SuiteConfig configures the application suite shared by the experiments.
 type SuiteConfig struct {
 	// NNTrainSamples shrinks the C-NN weight construction for fast tests

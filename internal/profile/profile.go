@@ -329,47 +329,38 @@ func (p *Profile) HotSizePercent(hotObjects []*mem.Buffer) float64 {
 // sorted ascending, normalized to the maximum. At most maxPoints values are
 // returned, uniformly subsampled (the paper's plots are likewise decimated).
 func (p *Profile) NormalizedReadSeries(maxPoints int) []float64 {
-	if len(p.Blocks) == 0 || maxPoints <= 0 {
+	if len(p.Blocks) == 0 {
 		return nil
 	}
 	max := float64(p.Blocks[len(p.Blocks)-1].Reads)
 	if max == 0 {
 		max = 1
 	}
-	n := len(p.Blocks)
-	if n <= maxPoints {
-		out := make([]float64, n)
-		for i, b := range p.Blocks {
-			out[i] = float64(b.Reads) / max
-		}
-		return out
-	}
-	out := make([]float64, maxPoints)
-	for i := 0; i < maxPoints; i++ {
-		idx := i * (n - 1) / (maxPoints - 1)
-		out[i] = float64(p.Blocks[idx].Reads) / max
-	}
-	return out
+	return p.series(maxPoints, func(b BlockStat) float64 { return float64(b.Reads) / max })
 }
 
 // WarpSharePercentSeries returns the Fig. 4 y-series: per-block warp-
 // sharing percentages, ordered by read count ascending.
 func (p *Profile) WarpSharePercentSeries(maxPoints int) []float64 {
-	if len(p.Blocks) == 0 || maxPoints <= 0 {
+	return p.series(maxPoints, func(b BlockStat) float64 { return b.SharePercent })
+}
+
+// series maps f over the blocks in read order, uniformly subsampled to at
+// most maxPoints values. The first value is always the coldest block's and,
+// from two points on, the last is the hottest's; maxPoints <= 0 gives nil.
+func (p *Profile) series(maxPoints int, f func(BlockStat) float64) []float64 {
+	n := len(p.Blocks)
+	m := min(maxPoints, n)
+	if m <= 0 {
 		return nil
 	}
-	n := len(p.Blocks)
-	if n <= maxPoints {
-		out := make([]float64, n)
-		for i, b := range p.Blocks {
-			out[i] = b.SharePercent
+	out := make([]float64, m)
+	for i := range out {
+		idx := 0
+		if m > 1 {
+			idx = i * (n - 1) / (m - 1)
 		}
-		return out
-	}
-	out := make([]float64, maxPoints)
-	for i := 0; i < maxPoints; i++ {
-		idx := i * (n - 1) / (maxPoints - 1)
-		out[i] = p.Blocks[idx].SharePercent
+		out[i] = f(p.Blocks[idx])
 	}
 	return out
 }

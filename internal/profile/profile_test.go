@@ -268,6 +268,26 @@ func TestSeriesSubsampling(t *testing.T) {
 	}
 }
 
+// TestSeriesOnePoint: a one-point series is defined (it used to divide by
+// maxPoints-1) and holds the coldest block, the first point of every
+// longer series.
+func TestSeriesOnePoint(t *testing.T) {
+	app, err := kernels.NewBICG(kernels.BICGConfig{NX: 256, NY: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := collect(t, app)
+	for name, series := range map[string]func(int) []float64{
+		"NormalizedReadSeries":   p.NormalizedReadSeries,
+		"WarpSharePercentSeries": p.WarpSharePercentSeries,
+	} {
+		one, ten := series(1), series(10)
+		if len(one) != 1 || one[0] != ten[0] {
+			t.Errorf("%s(1) = %v, want [%v]", name, one, ten[0])
+		}
+	}
+}
+
 func TestRestBlocksDisjointFromHot(t *testing.T) {
 	app, err := kernels.NewMVT(kernels.MVTConfig{N: 128})
 	if err != nil {
