@@ -142,7 +142,7 @@ func TestDaemonAdmissionControl(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	r := newRunner(experiments.SuiteConfig{NNTrainSamples: 60, Workers: 2}, reg, 2)
-	srv := httptest.NewServer(newMux(r, newCoordinator(reg), reg, false))
+	srv := httptest.NewServer(newMux(r, reg, false))
 	defer func() {
 		srv.Close()
 		r.wait()

@@ -16,17 +16,9 @@
 // scheme outcome breakdown; accepts "models": a list of fault-model specs
 // such as "transient:flips=2" — see docs/FAULT-MODELS.md).
 //
-// The daemon is also the campaign fabric's control plane: /v1/fleet/*
-// shards fault campaigns across a worker fleet (see docs/ARCHITECTURE.md,
-// "Campaign fabric"). A second dcrmd started with -join becomes a worker
-// of that fleet:
-//
-//	dcrmd -addr :8080                          # coordinator
-//	dcrmd -join http://host:8080 -addr :8081   # worker (own /healthz + /metrics)
-//
 // Usage:
 //
-//	dcrmd [-addr :8080] [-join URL] [-workers 0] [-scale small] [-store-dir DIR] [-max-inflight N]
+//	dcrmd [-addr :8080] [-workers 0] [-scale small] [-store-dir DIR] [-max-inflight N]
 //
 // With -store-dir, results persist in a content-addressed disk store:
 // repeat campaigns over the same inputs are served from it, and restarts
@@ -61,7 +53,6 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
-	join := flag.String("join", "", "run as a fleet worker of the coordinator at this URL (e.g. http://host:8080) instead of serving the control plane")
 	workers := flag.Int("workers", 0, "experiment fan-out goroutines (0 = GOMAXPROCS); results are identical at any count")
 	scale := flag.String("scale", "small", "workload input scale: small, medium, large")
 	storeDir := flag.String("store-dir", "", "persist results in a content-addressed store at this directory (created if missing); empty = in-memory only")
@@ -92,12 +83,6 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *join != "" {
-		// Worker mode: execute campaign shards for the coordinator at -join.
-		// SIGTERM drains — the current shard finishes and reports first.
-		return runWorker(ctx, *join, *addr, cfg, reg)
-	}
-
 	// In-flight campaign jobs run under jobsCtx so shutdown can abort them:
 	// fan-outs stop claiming task units and campaigns stop claiming runs the
 	// moment it is cancelled, instead of holding the process until every
@@ -107,8 +92,7 @@ func run() error {
 	cfg.Context = jobsCtx
 
 	runner := newRunner(cfg, reg, *maxInflight)
-	coord := newCoordinator(reg)
-	srv := &http.Server{Addr: *addr, Handler: newMux(runner, coord, reg, *pprofFlag)}
+	srv := &http.Server{Addr: *addr, Handler: newMux(runner, reg, *pprofFlag)}
 
 	errc := make(chan error, 1)
 	go func() {

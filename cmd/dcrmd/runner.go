@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"strings"
@@ -11,6 +13,7 @@ import (
 
 	"github.com/datacentric-gpu/dcrm/internal/experiments"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
+	"github.com/datacentric-gpu/dcrm/internal/kernels"
 	"github.com/datacentric-gpu/dcrm/internal/store"
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 )
@@ -59,6 +62,59 @@ func (p jobParams) models() ([]fault.Model, error) {
 		return nil, nil
 	}
 	return fault.ParseModels(strings.Join(p.Models, ";"))
+}
+
+// maxRequestBytes caps a POST /v1/campaigns body; the handler answers a
+// larger one with 413.
+const maxRequestBytes = 1 << 20
+
+// campaignRequest is the body of POST /v1/campaigns.
+type campaignRequest struct {
+	Kind string `json:"kind"`
+	jobParams
+}
+
+// decodeCampaignRequest decodes and validates one campaign request body,
+// so a malformed request fails at submission, before any job exists,
+// instead of running with defaults or failing as a background job. The
+// body must hold exactly one JSON object with only declared fields; the
+// kind must be known; runs must not be negative (0 picks the experiment's
+// default); every app must name a known application; and models, which
+// only the breakdown kind accepts, must parse. Errors wrap the reader's,
+// so a body over http.MaxBytesReader's cap stays recognizable.
+func decodeCampaignRequest(body io.Reader) (campaignRequest, error) {
+	var req campaignRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return campaignRequest{}, fmt.Errorf("malformed request body: %w", err)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return campaignRequest{}, fmt.Errorf("malformed request body: data after the JSON object: %w", err)
+	}
+	if _, ok := jobKinds[req.Kind]; !ok {
+		return campaignRequest{}, fmt.Errorf("unknown campaign kind %q (want fig6, fig7, fig9, or breakdown)", req.Kind)
+	}
+	if req.Runs < 0 {
+		return campaignRequest{}, fmt.Errorf("runs must not be negative, got %d (0 picks the experiment's default)", req.Runs)
+	}
+	for _, app := range req.Apps {
+		if _, err := kernels.ByName(app); err != nil {
+			return campaignRequest{}, err
+		}
+	}
+	if len(req.Models) > 0 {
+		if req.Kind != "breakdown" {
+			return campaignRequest{}, fmt.Errorf("campaign kind %q does not accept models (only breakdown does)", req.Kind)
+		}
+		if _, err := req.models(); err != nil {
+			return campaignRequest{}, err
+		}
+	}
+	return req, nil
 }
 
 // jobState is the lifecycle of a submitted campaign.
@@ -175,26 +231,14 @@ func (r *runner) getSuite() (*experiments.Suite, error) {
 	return r.suite, r.suiteErr
 }
 
-// submit validates the request, registers a job, and starts it in the
-// background. Identical in-flight submissions coalesce onto the existing
-// job (the returned snapshot carries its ID); distinct submissions beyond
-// the in-flight bound are rejected with errOverloaded. It returns a
-// snapshot of the job serving the request.
-func (r *runner) submit(kind string, params jobParams) (job, error) {
-	runFn, ok := jobKinds[kind]
-	if !ok {
-		return job{}, fmt.Errorf("unknown campaign kind %q (want fig6, fig7, fig9, or breakdown)", kind)
-	}
-	if len(params.Models) > 0 {
-		if kind != "breakdown" {
-			return job{}, fmt.Errorf("campaign kind %q does not accept models (only breakdown does)", kind)
-		}
-		// Reject malformed specs at submission so the client sees the parse
-		// error as a 400, not a failed background job.
-		if _, err := params.models(); err != nil {
-			return job{}, err
-		}
-	}
+// submit registers a job for a request decodeCampaignRequest accepted and
+// starts it in the background. Identical in-flight submissions coalesce
+// onto the existing job (the returned snapshot carries its ID); distinct
+// submissions beyond the in-flight bound are rejected with errOverloaded.
+// It returns a snapshot of the job serving the request.
+func (r *runner) submit(req campaignRequest) (job, error) {
+	kind, params := req.Kind, req.jobParams
+	runFn := jobKinds[kind]
 	key := requestKey(kind, params)
 
 	r.mu.Lock()

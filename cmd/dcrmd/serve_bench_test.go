@@ -79,7 +79,7 @@ func fig6Body(seed int64) string {
 func BenchmarkDcrmdHotServe(b *testing.B) {
 	reg := telemetry.NewRegistry()
 	r := newRunner(experiments.SuiteConfig{NNTrainSamples: 60, Workers: 2}, reg, 1<<20)
-	srv := httptest.NewServer(newMux(r, newCoordinator(reg), reg, false))
+	srv := httptest.NewServer(newMux(r, reg, false))
 	b.Cleanup(func() {
 		srv.Close()
 		r.wait()

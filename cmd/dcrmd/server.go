@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 
-	"github.com/datacentric-gpu/dcrm/internal/fleet"
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 	"github.com/datacentric-gpu/dcrm/internal/version"
 )
@@ -34,7 +33,6 @@ type healthReport struct {
 //	GET  /v1/experiments     all submitted jobs (without results)
 //	POST /v1/campaigns       submit a campaign: {"kind":"fig6","runs":100,...}
 //	GET  /v1/campaigns/{id}  one job, result included once done
-//	/v1/fleet/*              the campaign fabric's control plane (coord.Register)
 //	/debug/pprof/*           Go runtime profiling, only when enablePprof
 //
 // The pprof surface is off by default (the -pprof flag): profiling
@@ -42,9 +40,8 @@ type healthReport struct {
 // CPU-consuming captures, so an operator must opt in before they exist on
 // a listening daemon. When disabled the paths 404 like any other unknown
 // route.
-func newMux(r *runner, coord *fleet.Coordinator, reg *telemetry.Registry, enablePprof bool) *http.ServeMux {
+func newMux(r *runner, reg *telemetry.Registry, enablePprof bool) *http.ServeMux {
 	mux := http.NewServeMux()
-	coord.Register(mux)
 	if enablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -54,7 +51,7 @@ func newMux(r *runner, coord *fleet.Coordinator, reg *telemetry.Registry, enable
 	}
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, http.StatusOK, health(r, coord))
+		writeJSON(w, http.StatusOK, health(r))
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, req *http.Request) {
@@ -70,17 +67,18 @@ func newMux(r *runner, coord *fleet.Coordinator, reg *telemetry.Registry, enable
 	})
 
 	mux.HandleFunc("POST /v1/campaigns", func(w http.ResponseWriter, req *http.Request) {
-		var body struct {
-			Kind string `json:"kind"`
-			jobParams
-		}
-		dec := json.NewDecoder(req.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("malformed request body: %v", err))
+		creq, err := decodeCampaignRequest(http.MaxBytesReader(w, req.Body, maxRequestBytes))
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
 			return
 		}
-		j, err := r.submit(body.Kind, body.jobParams)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		j, err := r.submit(creq)
 		if errors.Is(err, errOverloaded) {
 			w.Header().Set("Retry-After", "5")
 			writeError(w, http.StatusTooManyRequests, err.Error())
@@ -107,7 +105,7 @@ func newMux(r *runner, coord *fleet.Coordinator, reg *telemetry.Registry, enable
 
 // health assembles the component report. The suite component reflects lazy
 // construction: "initializing" until the first campaign forces the build.
-func health(r *runner, coord *fleet.Coordinator) healthReport {
+func health(r *runner) healthReport {
 	rep := healthReport{Status: "healthy", Version: version.String()}
 
 	suiteHealth := componentHealth{Name: "suite", Health: "initializing",
@@ -131,30 +129,6 @@ func health(r *runner, coord *fleet.Coordinator) healthReport {
 		Message: fmt.Sprintf("%d running, %d done, %d failed",
 			counts[stateRunning]+counts[statePending], counts[stateDone], counts[stateFailed])}
 	rep.Components = append(rep.Components, jobsHealth)
-
-	// The fleet component mirrors the worker registry: healthy while every
-	// registered worker heartbeats, degraded once some have gone silent
-	// (their shards are being stolen, not lost, so the daemon stays up).
-	workers := coord.Workers()
-	alive := 0
-	for _, w := range workers {
-		if w.Alive {
-			alive++
-		}
-	}
-	running := 0
-	for _, j := range coord.Jobs() {
-		if j.State == fleet.JobRunning {
-			running++
-		}
-	}
-	fleetHealth := componentHealth{Name: "fleet", Health: "healthy",
-		Message: fmt.Sprintf("%d/%d workers alive, %d campaigns running",
-			alive, len(workers), running)}
-	if alive < len(workers) {
-		fleetHealth.Health = "degraded"
-	}
-	rep.Components = append(rep.Components, fleetHealth)
 	return rep
 }
 

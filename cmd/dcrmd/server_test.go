@@ -20,7 +20,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *runner) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	r := newRunner(experiments.SuiteConfig{NNTrainSamples: 60, Workers: 2}, reg, 64)
-	srv := httptest.NewServer(newMux(r, newCoordinator(reg), reg, false))
+	srv := httptest.NewServer(newMux(r, reg, false))
 	t.Cleanup(func() {
 		srv.Close()
 		r.wait()
@@ -177,23 +177,37 @@ func TestDaemonRejectsUnknownKind(t *testing.T) {
 	}
 }
 
-// TestDaemonRejectsUnknownFields: a campaign request carrying a field the
-// API does not declare — the removed "batch" knob, or a typo such as "run"
-// — gets a 400 instead of silently running with defaults.
+// TestDaemonRejectsUnknownFields: a campaign request that could only run
+// with defaults, or fail later as a background job, fails closed at
+// submission and registers no job. A field the API does not declare (the
+// removed "batch" knob, or a typo such as "run"), data after the JSON
+// object, a negative run count or an unknown application is a 400, and a
+// body over maxRequestBytes is a 413.
 func TestDaemonRejectsUnknownFields(t *testing.T) {
-	srv, _ := newTestServer(t)
-	for _, body := range []string{
-		`{"kind":"fig6","batch":8}`,
-		`{"kind":"fig6","run":5}`,
+	srv, r := newTestServer(t)
+	for _, c := range []struct {
+		body string
+		want int
+	}{
+		{`{"kind":"fig6","batch":8}`, http.StatusBadRequest},
+		{`{"kind":"fig6","run":5}`, http.StatusBadRequest},
+		{`{"kind":"fig7","apps":["P-BICG"]} {"kind":"bogus"}`, http.StatusBadRequest},
+		{`{"kind":"fig7","apps":["P-BICG"]}garbage`, http.StatusBadRequest},
+		{`{"kind":"fig6","apps":["P-BICG"],"runs":-5}`, http.StatusBadRequest},
+		{`{"kind":"fig6","apps":["P-NOPE"],"runs":4}`, http.StatusBadRequest},
+		{`{"kind":"fig7","apps":["P-BICG"]}` + strings.Repeat(" ", maxRequestBytes), http.StatusRequestEntityTooLarge},
 	} {
-		resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s = %d, want 400", body, resp.StatusCode)
+		if resp.StatusCode != c.want {
+			t.Errorf("POST %.60q = %d, want %d", c.body, resp.StatusCode, c.want)
 		}
+	}
+	if n := len(r.list()); n != 0 {
+		t.Errorf("rejected requests registered %d jobs, want 0", n)
 	}
 }
 
@@ -292,7 +306,7 @@ func TestDaemonBreakdownKind(t *testing.T) {
 func TestPprofGatedByFlag(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	r := newRunner(experiments.SuiteConfig{NNTrainSamples: 60, Workers: 2}, reg, 64)
-	off := httptest.NewServer(newMux(r, newCoordinator(reg), reg, false))
+	off := httptest.NewServer(newMux(r, reg, false))
 	defer off.Close()
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/cmdline"} {
 		resp, err := http.Get(off.URL + path)
@@ -305,7 +319,7 @@ func TestPprofGatedByFlag(t *testing.T) {
 		}
 	}
 
-	on := httptest.NewServer(newMux(r, newCoordinator(reg), reg, true))
+	on := httptest.NewServer(newMux(r, reg, true))
 	defer on.Close()
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/heap", "/debug/pprof/goroutine"} {
 		resp, err := http.Get(on.URL + path)

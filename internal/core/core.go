@@ -62,9 +62,9 @@ func (s Scheme) String() string {
 	}
 }
 
-// ParseScheme parses a scheme name as accepted by the fleet protocol and
-// CLI flags: "none"/"baseline", "detection", or "correction" (the String
-// rendering "detection+correction" is accepted too).
+// ParseScheme parses a scheme name as accepted by the CLI flags:
+// "none"/"baseline", "detection", or "correction" (the String rendering
+// "detection+correction" is accepted too).
 func ParseScheme(s string) (Scheme, error) {
 	switch s {
 	case "none", "baseline", "":

@@ -10,11 +10,10 @@
 // no kernel addresses them); the timeline and the miss weights by
 // checkpoint configuration, because the plan's replica traffic changes
 // them. An artifact is built in one way only: on first use, by whichever
-// figure, campaign or fleet shard needs it, with the store's singleflight
-// making concurrent first users share one computation. Artifacts persist
-// through the store's checksummed disk tier: a second process, a restarted
-// fleet worker, or a peer sharing the store directory fetches instead of
-// recomputing. Corrupt disk entries are detected by the store and
+// figure or campaign needs it, with the store's singleflight making
+// concurrent first users share one computation. Artifacts persist through
+// the store's checksummed disk tier: a second process, or a peer sharing
+// the store directory, fetches instead of recomputing. Corrupt disk entries are detected by the store and
 // recomputed transparently.
 //
 // Byte-identity contract: both the freshly-computed and the decoded paths

@@ -15,12 +15,13 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 )
 
-// artifactCampaign runs a small campaign that touches three artifact
-// kinds: the golden (classification), the timeline (transient faults),
-// and the miss weights (the selector). Every one of its runs is
-// classified without a replay, so it never asks for the reference
-// capture; buildAllArtifacts forces that one.
-func artifactCampaign(t *testing.T, s *Suite) fault.Result {
+// artifactCampaign runs two small campaigns that together use every
+// artifact kind: the golden (classification), the timeline (transient
+// faults), the miss weights (the selector) and the reference capture. The
+// 2-flip transient campaign classifies every run without a replay. The
+// 3-bit stuck-at faults escape SECDED, so that campaign's runs replay
+// against the capture.
+func artifactCampaign(t *testing.T, s *Suite) [2]fault.Result {
 	t.Helper()
 	cp, err := s.Checkpoint("P-BICG", core.None, 0)
 	if err != nil {
@@ -30,12 +31,27 @@ func artifactCampaign(t *testing.T, s *Suite) fault.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cp.Campaign(fault.Campaign{Runs: 40, Seed: 9, Workers: 2},
-		fault.Transient{Flips: 2, Blocks: 1}, sel)
-	if err != nil {
-		t.Fatal(err)
+	var res [2]fault.Result
+	for i, model := range []fault.Model{fault.Transient{Flips: 2, Blocks: 1}, fault.StuckAt{BitsPerWord: 3, Blocks: 1}} {
+		if res[i], err = cp.Campaign(fault.Campaign{Runs: 40, Seed: 9, Workers: 2}, model, sel); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return res
+}
+
+// checkCaptureReplayed fails t unless the campaigns reg observed replayed
+// runs against a reference capture (applied golden stores) and none of
+// them executed in full for want of one.
+func checkCaptureReplayed(t *testing.T, reg *telemetry.Registry) {
+	t.Helper()
+	snap := reg.Snapshot()
+	if got := counterValue(snap, "dcrm_campaign_applied_warps_total"); got == 0 {
+		t.Error("no campaign run replayed against the reference capture (0 applied warps)")
+	}
+	if got := counterValue(snap, "dcrm_campaign_batch_fallback_runs_total"); got != 0 {
+		t.Errorf("%v campaign runs executed in full without a reference capture, want 0", got)
+	}
 }
 
 func gobBytes(t *testing.T, v any) []byte {
@@ -108,11 +124,12 @@ func TestArtifactParity(t *testing.T) {
 
 	// A second process over the same directory: artifactDo must serve every
 	// kind from disk; a compute call here is a parity failure in itself.
+	reg := telemetry.NewRegistry()
 	st2, err := store.Open(store.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := paritySuite(t, st2, nil)
+	s2 := paritySuite(t, st2, reg)
 	cp2, err := s2.Checkpoint("P-BICG", core.None, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -161,12 +178,13 @@ func TestArtifactParity(t *testing.T) {
 		t.Errorf("timeline artifact decoded from disk differs from a fresh capture")
 	}
 
-	// The warm process's campaign — classified against the reconstructed
+	// The warm process's campaigns — classified against the reconstructed
 	// golden, replayed against the decoded capture, faults drawn from the
-	// decoded weights and timeline — must match the cold result exactly.
+	// decoded weights and timeline — must match the cold results exactly.
 	if warm := artifactCampaign(t, s2); warm != baseline {
-		t.Errorf("warm-artifact campaign = %+v, want cold result %+v", warm, baseline)
+		t.Errorf("warm-artifact campaigns = %+v, want cold results %+v", warm, baseline)
 	}
+	checkCaptureReplayed(t, reg)
 }
 
 // TestArtifactCorruptionRecovery damages each artifact kind's disk file
@@ -218,8 +236,9 @@ func TestArtifactCorruptionRecovery(t *testing.T) {
 				// disk.
 				buildAllArtifacts(t, s)
 				if res := artifactCampaign(t, s); res != baseline {
-					t.Errorf("campaign after %s corruption = %+v, want %+v", kind, res, baseline)
+					t.Errorf("campaigns after %s corruption = %+v, want %+v", kind, res, baseline)
 				}
+				checkCaptureReplayed(t, reg)
 				snap := reg.Snapshot()
 				if c, ok := snap.Get("dcrm_artifact_computed_total", telemetry.Label{Name: "kind", Value: kind}); !ok || c.Value != 1 {
 					t.Errorf("corrupt %s artifact: computed counter = %v, want exactly 1", kind, c)
@@ -266,6 +285,7 @@ func TestSecondProcessServesArtifacts(t *testing.T) {
 	s2 := paritySuite(t, st2, reg)
 	buildAllArtifacts(t, s2)
 	artifactCampaign(t, s2)
+	checkCaptureReplayed(t, reg)
 
 	snap := reg.Snapshot()
 	for _, kind := range artifactKinds {

@@ -10,7 +10,6 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
-	"github.com/datacentric-gpu/dcrm/internal/fleet"
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 )
 
@@ -105,22 +104,22 @@ func oracleOutcomes(t testing.TB, cp *Checkpoint, c fault.Campaign, model fault.
 	return want
 }
 
-// forEachShard splits [0, runs) into shards of at most width runs the way
-// the fleet does (fleet.SplitShards) — a shard of up to mem.BatchLanes runs
-// is exactly one claim — and hands them to fn on workers concurrent
-// goroutines. Any error fails the test.
+// forEachShard splits [0, runs) into contiguous shards of at most width
+// runs — a shard of up to mem.BatchLanes runs is exactly one claim — and
+// hands them to fn on workers concurrent goroutines. Any error fails the
+// test.
 func forEachShard(t testing.TB, runs, width, workers int, fn func(start, end int) error) {
 	t.Helper()
-	shards := fleet.SplitShards("", fleet.CampaignSpec{Runs: runs}, width)
-	errs := make([]error, len(shards))
+	errs := make([]error, (runs+width-1)/width)
 	sem := make(chan struct{}, workers) // bounds the shards in flight
 	var wg sync.WaitGroup
-	for i, sh := range shards {
+	for i := range errs {
+		start, end := i*width, min((i+1)*width, runs)
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			errs[i] = fn(sh.Start, sh.End)
+			errs[i] = fn(start, end)
 			<-sem
 		}()
 	}

@@ -349,11 +349,12 @@ func (cp *Checkpoint) Campaign(c fault.Campaign, model fault.Model, sel fault.Se
 	return cp.CampaignRange(c, 0, c.Runs, model, sel)
 }
 
-// CampaignRange executes only the run indices in [start, end) of c — one
-// fleet shard — against the checkpoint, in claims like Campaign. Each run
-// derives its random stream from (c.Seed, index) exactly like Campaign, so
-// merging every shard of a partition with fault.Result.Add reproduces the
-// full campaign's result byte for byte, however the range is split.
+// CampaignRange executes only the run indices in [start, end) of c against
+// the checkpoint, in claims like Campaign. Each run derives its random
+// stream from (c.Seed, index) exactly like Campaign, so merging the results
+// of every range of a partition with fault.Result.Add reproduces the full
+// campaign's result byte for byte, however [0, c.Runs) is split. The parity
+// tests split campaigns this way to vary the claim width.
 func (cp *Checkpoint) CampaignRange(c fault.Campaign, start, end int, model fault.Model, sel fault.Selector) (fault.Result, error) {
 	return c.ExecuteRangeBatched(start, end, func(_ int, rngs []*rand.Rand) ([]fault.Outcome, error) {
 		return cp.RunBatch(rngs, model, sel)

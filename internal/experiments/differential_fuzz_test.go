@@ -19,9 +19,9 @@ var differentialApps = []string{"P-BICG", "P-GESUMMV", "P-MVT", "A-Sobel", "A-La
 // concurrent shards and protection level, the batched per-run verdict
 // vector must equal the clone-per-run oracle's (oracleRun: a deep
 // mem.Clone of the prepared image per run, fault.Inject, and ClassifyRun,
-// run serially with no store in between). The run range is split the way
-// the fleet splits it, so the target also fuzzes shard boundaries; a shard
-// of up to 64 runs is one claim. Every level of an application replays
+// run serially with no store in between). The run range is split into
+// contiguous shards of the fuzzed width, so the target also fuzzes shard
+// boundaries; a shard of up to 64 runs is one claim. Every level of an application replays
 // against the application's one capture, so the level is fuzzed too: 0
 // selects the hot set, other values walk the app's other protected levels.
 func FuzzCampaignDifferential(f *testing.F) {

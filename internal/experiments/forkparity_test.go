@@ -12,7 +12,7 @@ import (
 // TestCampaignForkParity is the fast-path equivalence contract: for every
 // application and scheme, a campaign over the fork + checkpoint path must
 // produce bit-identical Results to the clone-per-run oracle — split into
-// fleet shards one run wide (one-lane claims), eight wide, and at the full
+// run ranges one run wide (one-lane claims), eight wide, and at the full
 // bit-parallel width (64), run on one goroutine and on sixteen. This also
 // serves as the serial-vs-parallel campaign determinism gate (run under
 // -race in CI).

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -235,3 +237,21 @@ func TestRunTasksError(t *testing.T) {
 type probeError struct{ msg string }
 
 func (e *probeError) Error() string { return e.msg }
+
+// TestSuiteContextCancelsCampaigns: a cancelled suite context aborts
+// in-flight experiment work (the daemon's graceful-shutdown contract).
+func TestSuiteContextCancelsCampaigns(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	s, err := NewSuite(SuiteConfig{NNTrainSamples: 60, Context: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	_, err = Fig6HotVsRest(s, Fig6Config{Runs: 50, Apps: []string{"P-BICG"}})
+	if err == nil {
+		t.Fatal("cancelled suite ran a figure to completion")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error = %v, want context.Canceled", err)
+	}
+}

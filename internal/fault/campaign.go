@@ -136,11 +136,11 @@ func (r Result) Count(o Outcome) int {
 	return 0
 }
 
-// Add accumulates another result into r — the coordinator-side merge of
-// shard-local outcome counts. Because every run's outcome is a pure
-// function of (seed, run index), merging the results of any disjoint
-// run-index ranges covering [0, Runs) reproduces the single-process
-// campaign result exactly.
+// Add accumulates another result into r, such as the counts of one
+// run-index range of a split campaign. Because every run's outcome is a
+// pure function of (seed, run index), merging the results of any disjoint
+// run-index ranges covering [0, Runs) reproduces the whole campaign's
+// result exactly.
 func (r *Result) Add(o Result) {
 	r.Runs += o.Runs
 	r.MaskedRuns += o.MaskedRuns
@@ -169,29 +169,13 @@ func (r Result) ConfidenceHalfWidth() float64 {
 	return 1.96 * math.Sqrt(p*(1-p)/float64(r.Runs))
 }
 
-// Execute runs the campaign, fanning runs across workers. The first run
-// error aborts the campaign.
+// Execute runs the campaign, fanning runs across workers one run per
+// claim. The first run error aborts the campaign.
 func (c Campaign) Execute(run RunFunc) (Result, error) {
-	return c.ExecuteRange(0, c.Runs, run)
-}
-
-// runSeed derives run i's rng seed deterministically from (Seed, i).
-func (c Campaign) runSeed(i int) int64 {
-	const mix = int64(-0x61C8864680B583EB) // golden-ratio multiplier
-	return c.Seed ^ (int64(i)+1)*mix
-}
-
-// ExecuteRange runs only the run indices in [start, end) — one shard of
-// the campaign. Each run's random stream is derived from (Seed, run index)
-// exactly as a full Execute derives it, so executing any partition of
-// [0, Runs) shard by shard and merging the results with Result.Add is
-// byte-identical to the single-process campaign. The returned Result
-// counts only the shard's runs.
-func (c Campaign) ExecuteRange(start, end int, run RunFunc) (Result, error) {
 	if run == nil {
 		return Result{}, fmt.Errorf("fault: nil run function")
 	}
-	return c.executeRange(start, end, 1, func(lo int, rngs []*rand.Rand) ([]Outcome, error) {
+	return c.executeRange(0, c.Runs, 1, func(lo int, rngs []*rand.Rand) ([]Outcome, error) {
 		o, err := run(lo, rngs[0])
 		if err != nil {
 			return nil, err
@@ -200,12 +184,21 @@ func (c Campaign) ExecuteRange(start, end int, run RunFunc) (Result, error) {
 	})
 }
 
-// ExecuteRangeBatched is ExecuteRange for a batched executor: workers claim
-// contiguous chunks of up to mem.BatchLanes runs and hand each chunk to run
-// in one call. Chunk boundaries depend only on (start, end), never on
-// worker scheduling, and every run keeps its (Seed, index)-derived rng, so
-// results remain byte-identical across worker counts and shard splits —
-// and mergeable with differently executed shards via Result.Add.
+// runSeed derives run i's rng seed deterministically from (Seed, i).
+func (c Campaign) runSeed(i int) int64 {
+	const mix = int64(-0x61C8864680B583EB) // golden-ratio multiplier
+	return c.Seed ^ (int64(i)+1)*mix
+}
+
+// ExecuteRangeBatched runs only the run indices in [start, end) of the
+// campaign with a batched executor: workers claim contiguous chunks of up
+// to mem.BatchLanes runs and hand each chunk to run in one call. Chunk
+// boundaries depend only on (start, end), never on worker scheduling, and
+// every run's random stream is derived from (Seed, run index) exactly as
+// Execute derives it. So results stay byte-identical across worker counts,
+// and executing any partition of [0, Runs) range by range and merging the
+// results with Result.Add reproduces the whole campaign. The returned
+// Result counts only the range's runs.
 func (c Campaign) ExecuteRangeBatched(start, end int, run BatchRunFunc) (Result, error) {
 	if run == nil {
 		return Result{}, fmt.Errorf("fault: nil batch run function")
@@ -213,14 +206,14 @@ func (c Campaign) ExecuteRangeBatched(start, end int, run BatchRunFunc) (Result,
 	return c.executeRange(start, end, mem.BatchLanes, run)
 }
 
-// executeRange is the shared chunk-claiming executor behind ExecuteRange
+// executeRange is the shared chunk-claiming executor behind Execute
 // (batch 1) and ExecuteRangeBatched.
 func (c Campaign) executeRange(start, end, batch int, run BatchRunFunc) (Result, error) {
 	if c.Runs <= 0 {
 		return Result{}, fmt.Errorf("fault: campaign needs a positive run count, got %d", c.Runs)
 	}
 	if start < 0 || end > c.Runs || start >= end {
-		return Result{}, fmt.Errorf("fault: shard range [%d, %d) outside campaign of %d runs", start, end, c.Runs)
+		return Result{}, fmt.Errorf("fault: run range [%d, %d) outside campaign of %d runs", start, end, c.Runs)
 	}
 	n := end - start
 	workers := c.Workers

@@ -7,8 +7,8 @@ import (
 )
 
 // FuzzParseModel throws arbitrary spec strings at the registry parser —
-// the surface the CLIs' -model flag and the fleet's job payloads expose to
-// user input. Invariants: the parser never panics, never returns a nil
+// the surface the CLIs' -model flag and the daemon's "models" field expose
+// to user input. Invariants: the parser never panics, never returns a nil
 // model without an error, only returns validated models under registered
 // names, and a returned model's canonical rendering re-parses to the same
 // identity (the store-key round-trip campaigns rely on).

@@ -6,11 +6,10 @@
 # campaign fast-path benchmarks (BenchmarkCampaignFig6/9) into
 # BENCH_campaign.json (or $2), the daemon serving benchmarks
 # (BenchmarkDcrmdHotServe cold/warm/dup) into BENCH_serve.json (or $3),
-# and the campaign-fabric scaling benchmarks (BenchmarkFleetCampaign at 1
-# and 3 workers) into BENCH_fleet.json (or $4), and the checkpoint
-# artifact cold-start benchmarks (BenchmarkColdStart cold/secondprocess)
-# into BENCH_coldstart.json (or $5), and the C-NN network
-# construction benchmark (BenchmarkTrain) into BENCH_nn.json (or $6).
+# the checkpoint artifact cold-start benchmarks (BenchmarkColdStart
+# cold/secondprocess) into BENCH_coldstart.json (or $4), and the C-NN
+# network construction benchmark (BenchmarkTrain) into BENCH_nn.json (or
+# $5).
 # The campaign file also carries frozen historical measurements: the
 # pre-fork clone-path numbers under the *PreFork names and the pre-batch
 # one-run-per-replay fork-path numbers under the *PreBatch names, so
@@ -22,7 +21,7 @@
 # (warn-only).
 #
 #   scripts/bench.sh                  # refresh all baselines (1s rounds)
-#   BENCHTIME=100x scripts/bench.sh timing.json campaign.json serve.json fleet.json coldstart.json nn.json
+#   BENCHTIME=100x scripts/bench.sh timing.json campaign.json serve.json coldstart.json nn.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,9 +29,8 @@ BENCHTIME="${BENCHTIME:-1s}"
 OUT="${1:-BENCH_timing.json}"
 CAMPAIGN_OUT="${2:-BENCH_campaign.json}"
 SERVE_OUT="${3:-BENCH_serve.json}"
-FLEET_OUT="${4:-BENCH_fleet.json}"
-COLD_OUT="${5:-BENCH_coldstart.json}"
-NN_OUT="${6:-BENCH_nn.json}"
+COLD_OUT="${4:-BENCH_coldstart.json}"
+NN_OUT="${5:-BENCH_nn.json}"
 
 # Frozen historical baselines, marked "frozen": true — kept as data,
 # never re-run, because the code they measured is gone;
@@ -62,9 +60,9 @@ TIMING_FROZEN_ENTRIES='    {"name": "BenchmarkRunKernelPreShard", "frozen": true
 # the 2-core host at GOMAXPROCS 2.)
 NN_FROZEN_ENTRIES='    {"name": "BenchmarkTrainPreBlock", "frozen": true, "iterations": 0, "ns_per_op": 526096744, "bytes_per_op": 2999904, "allocs_per_op": 1213},'
 
-# Host metadata recorded in every baseline: parallel-scaling ratios (fleet
-# workers) only reproduce on a comparable host, so the compare script reads
-# the recorded core count before gating on them.
+# Host metadata recorded in every baseline: wall-clock numbers of parallel
+# benchmarks only reproduce on a comparable host, so the compare script
+# reads the recorded core count before warning on them.
 CORES=$(nproc 2>/dev/null || echo 1)
 MAXPROCS="${GOMAXPROCS:-$CORES}"
 GO_VERSION=$(go version | { read -r _ _ v _; echo "$v"; })
@@ -117,17 +115,6 @@ raw=$(go test ./cmd/dcrmd -run '^$' \
 echo "$raw" >&2
 render_json "$raw" "$BENCHTIME" > "$SERVE_OUT"
 echo "wrote $SERVE_OUT" >&2
-
-# Fleet scaling: each worker is pinned to one campaign goroutine, so the
-# workers=3/workers=1 wall-clock ratio reflects min(workers, cores) — it
-# approaches 3x on a multi-core host and 1x on a single-core one (the
-# compare script checks its own core count before warning on the ratio).
-raw=$(go test ./cmd/dcrmd -run '^$' \
-  -bench 'BenchmarkFleetCampaign' \
-  -benchmem -benchtime "$BENCHTIME")
-echo "$raw" >&2
-render_json "$raw" "$BENCHTIME" > "$FLEET_OUT"
-echo "wrote $FLEET_OUT" >&2
 
 # Checkpoint artifact cold start: one op warms a four-checkpoint campaign
 # session's full artifact set on one goroutine — built into an empty store

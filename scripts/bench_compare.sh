@@ -149,26 +149,6 @@ if [ -n "$cold" ] && [ -n "$warm" ]; then
   fi
 fi
 
-# Fleet scaling gate (warn-only): with workers pinned to one campaign
-# goroutine each, a 3-worker fleet should finish campaigns >=2x faster
-# than a 1-worker fleet — but only where the host actually has the cores;
-# on fewer than 3 cores the honest ratio is ~1x and warning would be noise.
-one=$(parse "$CUR" | awk '$1 == "BenchmarkFleetCampaign/workers=1" { print $2 }')
-three=$(parse "$CUR" | awk '$1 == "BenchmarkFleetCampaign/workers=3" { print $2 }')
-if [ -n "$one" ] && [ -n "$three" ]; then
-  ratio=$(awk -v o="$one" -v t="$three" 'BEGIN { printf "%.2f", o / t }')
-  cores=$(nproc 2>/dev/null || echo 1)
-  echo "fleet campaign: 1 worker ${one} ns/op, 3 workers ${three} ns/op (${ratio}x, ${cores} cores)"
-  if [ "$cores" -ge 3 ]; then
-    if awk -v r="$ratio" 'BEGIN { exit !(r < 2.0) }'; then
-      echo "WARNING: 3-worker fleet speedup ${ratio}x below the 2x floor"
-      status=warn
-    fi
-  else
-    echo "NOTE: fleet speedup not gated on ${cores}-core host (needs >=3 cores to show scaling)"
-  fi
-fi
-
 # Cold-start warm-start gate (warn-only): a second process fetching the
 # multi-checkpoint artifact set from the disk tier should beat building it
 # cold by >=3x. This is the cross-process win of the artifact store; both
