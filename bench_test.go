@@ -295,7 +295,7 @@ func BenchmarkTimingSimulator(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	traces, err := app.TraceRun(nil)
+	traces, err := app.TraceRun()
 	if err != nil {
 		b.Fatal(err)
 	}

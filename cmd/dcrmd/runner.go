@@ -141,6 +141,12 @@ type job struct {
 	Result    any       `json:"result,omitempty"`
 }
 
+// maxFinishedJobs bounds the finished jobs the runner keeps, results
+// included: past it the oldest finished job is evicted, and its ID answers
+// 404. Live jobs are never evicted, and the finished-jobs counter keeps its
+// lifetime count.
+const maxFinishedJobs = 256
+
 // errOverloaded rejects a submission once maxInflight campaigns are live;
 // the HTTP layer maps it to 429 with a Retry-After.
 var errOverloaded = errors.New("campaign queue full: maximum in-flight campaigns reached, retry later")
@@ -162,6 +168,8 @@ type runner struct {
 	mu     sync.Mutex
 	nextID int
 	jobs   map[string]*job
+	// finished holds the IDs of the retained finished jobs, oldest first.
+	finished []string
 	// inflight maps a request's content key to its live (pending or
 	// running) job, so identical concurrent submissions coalesce onto one
 	// run instead of queuing duplicates. Entries are removed on completion;
@@ -305,6 +313,11 @@ func (r *runner) execute(j *job, key string, runFn func(*experiments.Suite, jobP
 	}
 	delete(r.inflight, key)
 	r.live--
+	r.finished = append(r.finished, j.ID)
+	if len(r.finished) > maxFinishedJobs {
+		delete(r.jobs, r.finished[0])
+		r.finished = r.finished[1:]
+	}
 	r.jobsFinished.With(string(j.State)).Inc()
 	r.mu.Unlock()
 }
@@ -343,7 +356,7 @@ func numericIDLess(a, b string) bool {
 	return a < b
 }
 
-// counts tallies jobs by state for the health report.
+// counts tallies the retained jobs by state for the health report.
 func (r *runner) counts() map[jobState]int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

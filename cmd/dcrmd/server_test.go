@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -220,6 +221,61 @@ func TestDaemonUnknownCampaign(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown id = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestDaemonEvictsOldestFinishedJobs posts maxFinishedJobs+3 campaigns one
+// after another, each finished before the next is posted: the daemon keeps
+// only the newest maxFinishedJobs, the evicted IDs answer 404 and drop out
+// of the listing, and the finished-jobs counter keeps the lifetime count.
+func TestDaemonEvictsOldestFinishedJobs(t *testing.T) {
+	srv, r := newTestServer(t)
+	const total = maxFinishedJobs + 3
+	body := `{"kind":"fig7","apps":["P-BICG"]}` // served from the store after the first
+	for i := 0; i < total; i++ {
+		resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %d = %d", i+1, resp.StatusCode)
+		}
+		r.wait()
+	}
+
+	var listing struct {
+		Experiments []job `json:"experiments"`
+	}
+	getJSON(t, srv.URL+"/v1/experiments", &listing)
+	if len(listing.Experiments) != maxFinishedJobs {
+		t.Fatalf("listing has %d jobs, want %d", len(listing.Experiments), maxFinishedJobs)
+	}
+	if first := listing.Experiments[0].ID; first != "job-4" {
+		t.Errorf("oldest listed job = %s, want job-4", first)
+	}
+	for _, id := range []string{"job-1", "job-3"} {
+		if resp := getJSON(t, srv.URL+"/v1/campaigns/"+id, nil); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("evicted %s = %d, want 404", id, resp.StatusCode)
+		}
+	}
+	var last job
+	getJSON(t, srv.URL+"/v1/campaigns/"+fmt.Sprintf("job-%d", total), &last)
+	if last.State != stateDone || last.Result == nil {
+		t.Errorf("newest job = state %q result %v, want done with a result", last.State, last.Result)
+	}
+
+	mresp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(mresp.Body); err != nil {
+		t.Fatal(err)
+	}
+	mresp.Body.Close()
+	if want := fmt.Sprintf(`dcrm_daemon_jobs_finished_total{state="done"} %d`, total); !strings.Contains(buf.String(), want) {
+		t.Errorf("/metrics missing %q", want)
 	}
 }
 

@@ -351,30 +351,20 @@ func (w *Workload) Campaign(cfg CampaignConfig) (CampaignResult, error) {
 
 // selector builds the fault selector for the configured target space.
 func (w *Workload) selector(cp *experiments.Checkpoint, target Target) (fault.Selector, error) {
-	app := cp.App
 	switch target {
 	case TargetWeighted:
-		// Memoized on the checkpoint: the trace capture and timing run behind
-		// the miss histogram happen once per (app, scheme, level).
+		// Memoized on the checkpoint: the timing run behind the miss
+		// histogram happens once per (app, scheme, level), over the app's
+		// one recording.
 		return cp.MissSelector()
 	case TargetHot, TargetRest:
-		p, err := w.lib.suite.Profile(w.name)
+		space := "rest"
+		if target == TargetHot {
+			space = "hot"
+		}
+		blocks, err := w.lib.suite.SpaceBlocks(w.name, space)
 		if err != nil {
 			return nil, err
-		}
-		hotNames := make(map[string]bool, app.HotCount)
-		for _, o := range app.HotObjects() {
-			hotNames[o.Name] = true
-		}
-		var blocks []arch.BlockAddr
-		for _, b := range p.Blocks {
-			inHot := hotNames[b.Object]
-			if (target == TargetHot) == inHot {
-				blocks = append(blocks, b.Block)
-			}
-		}
-		if len(blocks) == 0 {
-			return nil, fmt.Errorf("dcrm: %s has no %v blocks", w.name, target)
 		}
 		return fault.NewSetSelector(blocks)
 	default:
@@ -408,51 +398,10 @@ func (w *Workload) AutoHotObjects() ([]string, error) {
 // PerformanceObjects is Performance for an explicit object set (e.g. the
 // result of AutoHotObjects).
 func (w *Workload) PerformanceObjects(scheme Scheme, objects []string) (PerfReport, error) {
-	suite := w.lib.suite
-	app, err := suite.App(w.name)
-	if err != nil {
-		return PerfReport{}, err
-	}
-	traces, err := app.TraceRun(nil)
-	if err != nil {
-		return PerfReport{}, err
-	}
-	run := func(plan timing.ProtectionPlan) (timing.AppStats, error) {
-		eng, err := timing.New(arch.Default(), plan)
-		if err != nil {
-			return timing.AppStats{}, err
-		}
-		return eng.RunApp(w.name, traces)
-	}
-	base, err := run(nil)
-	if err != nil {
-		return PerfReport{}, err
-	}
-	rep := PerfReport{
-		Cycles:           base.TotalCycles(),
-		L1MissedAccesses: base.TotalL1Misses(),
-		BaselineCycles:   base.TotalCycles(),
-		NormalizedTime:   1,
-	}
-	if scheme == Baseline || len(objects) == 0 {
-		return rep, nil
-	}
-	_, plan, err := suite.PlanForObjects(w.name, scheme.internal(), objects)
-	if err != nil {
-		return PerfReport{}, err
-	}
-	if plan == nil {
-		return rep, nil
-	}
-	st, err := run(plan)
-	if err != nil {
-		return PerfReport{}, err
-	}
-	rep.Cycles = st.TotalCycles()
-	rep.L1MissedAccesses = st.TotalL1Misses()
-	rep.NormalizedTime = float64(st.TotalCycles()) / float64(base.TotalCycles())
-	rep.ReplicaBytes = plan.Cost().ReplicaBytes
-	return rep, nil
+	return w.performance(scheme, func() (*core.Plan, error) {
+		_, plan, err := w.lib.suite.PlanForObjects(w.name, scheme.internal(), objects)
+		return plan, err
+	})
 }
 
 // PerfReport is one timing-simulator measurement.
@@ -472,12 +421,17 @@ type PerfReport struct {
 // Performance measures the scheme's overhead on the cycle-level timing
 // simulator, normalized against the unprotected baseline.
 func (w *Workload) Performance(scheme Scheme, level int) (PerfReport, error) {
-	suite := w.lib.suite
-	app, err := suite.App(w.name)
-	if err != nil {
-		return PerfReport{}, err
-	}
-	traces, err := app.TraceRun(nil)
+	return w.performance(scheme, func() (*core.Plan, error) {
+		_, plan, err := w.lib.suite.PlanFor(w.name, scheme.internal(), level)
+		return plan, err
+	})
+}
+
+// performance replays the workload's recorded traces unprotected and, for
+// a protecting scheme, under the plan buildPlan returns (nil when there is
+// nothing to protect).
+func (w *Workload) performance(scheme Scheme, buildPlan func() (*core.Plan, error)) (PerfReport, error) {
+	traces, err := w.lib.suite.Traces(w.name)
 	if err != nil {
 		return PerfReport{}, err
 	}
@@ -498,10 +452,10 @@ func (w *Workload) Performance(scheme Scheme, level int) (PerfReport, error) {
 		BaselineCycles:   base.TotalCycles(),
 		NormalizedTime:   1,
 	}
-	if scheme == Baseline || level <= 0 {
+	if scheme == Baseline {
 		return rep, nil
 	}
-	_, plan, err := suite.PlanFor(w.name, scheme.internal(), level)
+	plan, err := buildPlan()
 	if err != nil {
 		return PerfReport{}, err
 	}

@@ -74,14 +74,11 @@ func (a AblationResult) Ratio() float64 {
 	return float64(a.VariantCycles) / float64(a.BaselineCycles)
 }
 
-// runTiming replays the app's traces under the given plan and options.
+// runTiming replays the app's memoized traces under the given plan and
+// options.
 func runTiming(s *Suite, name string, plan timing.ProtectionPlan,
 	policy timing.SchedulerPolicy, compareBuf int) (int64, error) {
-	app, err := s.App(name)
-	if err != nil {
-		return 0, err
-	}
-	traces, err := app.TraceRun(nil)
+	traces, err := s.Traces(name)
 	if err != nil {
 		return 0, err
 	}

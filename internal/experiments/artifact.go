@@ -122,11 +122,6 @@ func artifactDo[T any](cp *Checkpoint, kind string, size func(T) int64, compute 
 		}
 		return compute()
 	}
-	if cp.suite == nil {
-		// Checkpoints built outside a suite (tests) fall back to plain
-		// computation; the sync.Once wrappers still memoize per checkpoint.
-		return counted()
-	}
 	return store.Do(cp.suite.st, cp.artifactKey(kind), store.Options[T]{Persist: true, Size: size}, counted)
 }
 
@@ -192,10 +187,7 @@ func (cp *Checkpoint) addLazyBytes(n int64) {
 	if n <= 0 {
 		return
 	}
-	total := cp.lazyBytes.Add(n) + int64(cp.App.Mem.Size())
-	if cp.suite != nil {
-		cp.suite.st.UpdateSize(cp.storeKey, total)
-	}
+	cp.suite.st.UpdateSize(cp.storeKey, cp.lazyBytes.Add(n)+int64(cp.App.Mem.Size()))
 }
 
 // footprint is the checkpoint's current accounted size: prepared image plus

@@ -112,7 +112,7 @@ func TestArtifactParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces, err := cp1.App.TraceRun(nil)
+	traces, err := cp1.App.TraceRun()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func campaignSelector(t testing.TB, s *Suite, cp *Checkpoint, app, kind string) 
 	t.Helper()
 	switch kind {
 	case "hot":
-		blocks, err := s.spaceBlocks(app, "hot")
+		blocks, err := s.SpaceBlocks(app, "hot")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,6 +260,69 @@ func TestBatchedRunOutcomeParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBatchedFallbackParity pins RunBatch's no-capture fallback, the path
+// an application takes when its recording exceeds maxCaptureBytes (C-NN
+// and A-SRAD at the medium scale): every lane executes in full, and its
+// per-run verdicts must equal the clone-per-run oracle's. Each
+// checkpoint's capture is made unavailable before its first claim by
+// consuming captureOnce, so no warp is replayed or reproduced from a
+// recording.
+func TestBatchedFallbackParity(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s, err := NewSuite(SuiteConfig{NNTrainSamples: 60, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("cases", func(t *testing.T) {
+		for _, app := range []string{"C-NN", "A-SRAD"} {
+			for _, scheme := range []core.Scheme{core.None, core.Detection, core.Correction} {
+				for _, spec := range []string{"stuck-at:bits=3,blocks=2", "transient:flips=3"} {
+					app, scheme, spec := app, scheme, spec
+					name := fmt.Sprintf("%s_%v_%s", app, scheme, strings.SplitN(spec, ":", 2)[0])
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						model, err := fault.ParseModel(spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						base, err := s.App(app)
+						if err != nil {
+							t.Fatal(err)
+						}
+						level := 0
+						if scheme != core.None {
+							level = base.HotCount
+						}
+						cp, err := s.Checkpoint(app, scheme, level)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cp.captureOnce.Do(func() {}) // the capture stays nil
+						sel := campaignSelector(t, s, cp, app, "hot")
+						c := fault.Campaign{Runs: 6, Seed: 20261018, Workers: 1}
+						want := oracleOutcomes(t, cp, c, model, sel)
+						got := perRunOutcomes(t, cp, c, 4, 2, model, sel)
+						for i := range want {
+							if got[i] != want[i] {
+								t.Errorf("%s L%d: run %d = %v, clone-per-run oracle says %v", spec, level, i, got[i], want[i])
+							}
+						}
+					})
+				}
+			}
+		}
+	})
+	snap := reg.Snapshot()
+	if got := counterValue(snap, "dcrm_campaign_batch_fallback_runs_total"); got == 0 {
+		t.Error("no run took the fallback path")
+	}
+	for _, name := range []string{"dcrm_campaign_replayed_warps_total", "dcrm_campaign_applied_warps_total"} {
+		if got := counterValue(snap, name); got != 0 {
+			t.Errorf("%s = %v without a capture, want 0", name, got)
+		}
 	}
 }
 

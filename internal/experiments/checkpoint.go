@@ -269,12 +269,8 @@ func (cp *Checkpoint) MissSelector() (fault.Selector, error) {
 // protected instance traces identically, because replicas are allocated
 // after every primary object and no kernel addresses them
 // (TestProtectedInstanceTracesMatchBase); the plan adds the replica
-// traffic during the replay. A checkpoint built outside a suite captures
-// its own instance.
+// traffic during the replay.
 func (cp *Checkpoint) traces() ([]*simt.KernelTrace, error) {
-	if cp.suite == nil {
-		return cp.App.TraceRun(nil)
-	}
 	return cp.suite.Traces(cp.App.Name)
 }
 

@@ -37,30 +37,19 @@ type Fig7Config struct {
 // fig7Overhead is Fig7Overhead's compute path (store miss): for every
 // application, sweep the cumulative number of protected data objects for
 // both schemes and measure execution time and L1-missed accesses on the
-// timing simulator, normalized to the unprotected baseline. Traces are
-// captured once per application (concurrently, on the suite's worker pool)
-// and then every (application, scheme, level) timing run — baseline
-// included — fans out as its own task unit; each task replays the shared
-// read-only traces through a private engine, exactly as the hardware
+// timing simulator, normalized to the unprotected baseline. Every
+// (application, scheme, level) timing run — baseline included — is its own
+// task unit on the suite's worker pool; each task replays the
+// application's memoized read-only traces (Suite.Traces, recorded by the
+// first task that asks) through a private engine, exactly as the hardware
 // proposal adds copy transactions at the LD/ST unit. Points are assembled
 // and normalized in the serial sweep order, so output is identical at any
 // worker count. The wrapper has already resolved defaults.
 func fig7Overhead(s *Suite, cfg Fig7Config) ([]Fig7Point, error) {
-	apps := cfg.Apps
-
-	// Phase 1: build every application and capture its baseline traces.
-	err := s.runTasks("fig7: traces", len(apps), func(i int) error {
-		_, err := s.Traces(apps[i])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: enumerate the timing runs in serial sweep order. Level 0
-	// under scheme None is the normalization baseline.
+	// Enumerate the timing runs in serial sweep order. Level 0 under scheme
+	// None is the normalization baseline.
 	var tasks []SimConfig
-	for _, name := range apps {
+	for _, name := range cfg.Apps {
 		app, err := s.App(name)
 		if err != nil {
 			return nil, err
@@ -74,7 +63,7 @@ func fig7Overhead(s *Suite, cfg Fig7Config) ([]Fig7Point, error) {
 	}
 
 	out := make([]Fig7Point, len(tasks))
-	err = s.runTasks("fig7: timing sweep", len(tasks), func(i int) error {
+	err := s.runTasks("fig7: timing sweep", len(tasks), func(i int) error {
 		t := tasks[i]
 		st, err := replay(s, t, nil)
 		if err != nil {
@@ -98,7 +87,7 @@ func fig7Overhead(s *Suite, cfg Fig7Config) ([]Fig7Point, error) {
 		return nil, err
 	}
 
-	// Phase 3: normalize every point to its application's baseline. The
+	// Normalize every point to its application's baseline. The
 	// task list is app-major with the baseline first, so a single pass
 	// suffices.
 	var baseCycles, baseMisses float64

@@ -83,7 +83,7 @@ func weightConfig() arch.Config {
 // It captures the instance's traces itself. The int parameter is ignored;
 // it is deprecated and will be removed.
 func MissWeightedSelector(app *kernels.App, plan *core.Plan, _ int) (fault.Selector, error) {
-	traces, err := app.TraceRun(nil)
+	traces, err := app.TraceRun()
 	if err != nil {
 		return nil, err
 	}
@@ -167,26 +167,8 @@ func (s *Suite) fig9Configs(apps []string, schemes []core.Scheme) ([]checkpointC
 // order, so output is identical at any worker count. The wrapper has
 // already resolved defaults.
 func fig9Resilience(s *Suite, cfg Fig9Config) ([]Fig9Cell, error) {
-	apps := cfg.Apps
-
-	// Phase 1: build every application's baseline checkpoint (the shared
-	// prerequisite of every configuration task: image, golden output, and
-	// golden post-run state). Checkpoint goldens are lazy, so force them
-	// here to keep the golden runs on the parallel prefetch phase.
-	err := s.runTasks("fig9: goldens", len(apps), func(i int) error {
-		cp, err := s.Checkpoint(apps[i], core.None, 0)
-		if err != nil {
-			return err
-		}
-		_, err = cp.Golden()
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: the configuration sweep, in serial order.
-	tasks, err := s.fig9Configs(apps, cfg.Schemes)
+	// The configuration sweep, in serial order.
+	tasks, err := s.fig9Configs(cfg.Apps, cfg.Schemes)
 	if err != nil {
 		return nil, err
 	}

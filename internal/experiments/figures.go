@@ -272,12 +272,13 @@ func fig6HotVsRest(s *Suite, cfg Fig6Config) ([]Fig6Cell, error) {
 	return out, nil
 }
 
-// spaceBlocks returns the named application's injection block space:
+// SpaceBlocks returns the named application's injection block space:
 // "hot" is the accessed blocks of the hot data objects, "rest" every
 // other accessed block (Fig. 5's division of the sorted profile). The
 // block order follows the profile, so selectors built from it are
-// deterministic.
-func (s *Suite) spaceBlocks(name, space string) ([]arch.BlockAddr, error) {
+// deterministic. Fig. 6 and the public API's hot and rest targets draw
+// from it.
+func (s *Suite) SpaceBlocks(name, space string) ([]arch.BlockAddr, error) {
 	app, err := s.App(name)
 	if err != nil {
 		return nil, err
@@ -309,11 +310,11 @@ func fig6App(s *Suite, cfg Fig6Config, name string) ([]Fig6Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	hotBlocks, err := s.spaceBlocks(name, "hot")
+	hotBlocks, err := s.SpaceBlocks(name, "hot")
 	if err != nil {
 		return nil, err
 	}
-	restBlocks, err := s.spaceBlocks(name, "rest")
+	restBlocks, err := s.SpaceBlocks(name, "rest")
 	if err != nil {
 		return nil, err
 	}

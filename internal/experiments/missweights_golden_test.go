@@ -149,7 +149,7 @@ func TestProtectedInstanceTracesMatchBase(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				traces, err := cp.App.TraceRun(nil)
+				traces, err := cp.App.TraceRun()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -281,10 +281,11 @@ func (s *Suite) App(name string) (*kernels.App, error) {
 		})
 }
 
-// Profile returns the cached access profile of the named application.
-// Concurrent callers (Fig. 3/4/6 and Table III racing over the same app)
-// share a single profiling pass, and with a disk-backed store the pass
-// survives the process.
+// Profile returns the cached access profile of the named application,
+// folded from its memoized traces (Traces), so profiling and the timing
+// sweeps share one recording. Concurrent callers (Fig. 3/4/6 and Table III
+// racing over the same app) share a single fold, and with a disk-backed
+// store the profile survives the process.
 func (s *Suite) Profile(name string) (*profile.Profile, error) {
 	return store.Do(s.st, s.key("profile").Field("name", name).Key(),
 		store.Options[*profile.Profile]{Persist: true},
@@ -293,7 +294,11 @@ func (s *Suite) Profile(name string) (*profile.Profile, error) {
 			if err != nil {
 				return nil, err
 			}
-			return profile.Collect(a)
+			traces, err := s.Traces(name)
+			if err != nil {
+				return nil, err
+			}
+			return profile.Collect(a, traces), nil
 		})
 }
 
@@ -309,7 +314,7 @@ func (s *Suite) Traces(name string) ([]*simt.KernelTrace, error) {
 			if err != nil {
 				return nil, err
 			}
-			return a.TraceRun(nil)
+			return a.TraceRun()
 		})
 }
 

@@ -92,11 +92,11 @@ func (a *App) GoldenRun() ([]float32, error) {
 }
 
 // TraceRun executes the app on a pristine copy-on-write fork with tracing
-// enabled, delivering every coalesced transaction to obs (which may be nil)
-// and returning the per-kernel traces for the timing simulator.
-func (a *App) TraceRun(obs simt.Observer) ([]*simt.KernelTrace, error) {
+// enabled and returns the per-kernel traces: the input of the timing
+// simulator and of the access profile.
+func (a *App) TraceRun() ([]*simt.KernelTrace, error) {
 	m := a.Mem.Fork()
-	d := &simt.Driver{Mem: m, Observer: obs, Tracing: true}
+	d := &simt.Driver{Mem: m, Tracing: true}
 	traces := make([]*simt.KernelTrace, 0, len(a.Kernels))
 	for _, k := range a.Kernels {
 		tr, err := d.Run(k)

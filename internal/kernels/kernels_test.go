@@ -486,7 +486,7 @@ func TestTraceRunProducesTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces, err := app.TraceRun(nil)
+	traces, err := app.TraceRun()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,7 @@ func TestIdentifyHotObjectsMatchesGroundTruth(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := Collect(app)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := collect(t, app)
 			got := p.IdentifyHotObjects(app.Objects, IdentifyConfig{})
 			want := app.HotObjects()
 			if !b.HotPattern {
@@ -77,10 +74,7 @@ func TestIdentifyRespectsSizeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Collect(app)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := collect(t, app)
 	// An absurdly small size bound excludes everything.
 	got := p.IdentifyHotObjects(app.Objects, IdentifyConfig{MaxSizeFraction: 1e-9})
 	if len(got) != 0 {
@@ -93,10 +87,7 @@ func TestIdentifyRespectsWarpShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Collect(app)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := collect(t, app)
 	// Requiring impossible sharing excludes everything.
 	got := p.IdentifyHotObjects(app.Objects, IdentifyConfig{MinWarpSharePercent: 101})
 	if len(got) != 0 {
@@ -109,10 +100,7 @@ func TestIdentifyPriorityOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Collect(app)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := collect(t, app)
 	got := p.IdentifyHotObjects(app.Objects, IdentifyConfig{})
 	if len(got) < 2 {
 		t.Fatalf("identified %d objects, want the SRAD index arrays", len(got))

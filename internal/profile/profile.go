@@ -1,12 +1,13 @@
 // Package profile implements the paper's offline access-pattern analysis
 // (Section III-B): per-block coalesced read counts (Fig. 3), warp-sharing
 // percentages (Fig. 4), data-object attribution and ranking (Table III),
-// and hot-block identification. Profiling is a single instrumented
-// functional run, exactly as the paper collects it once offline.
+// and hot-block identification. A profile is a fold over the per-warp
+// traces of one functional run (kernels.App.TraceRun), the same recording
+// the timing simulator replays, so an application executes once offline
+// for both, as the paper collects its profile once.
 package profile
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
@@ -63,7 +64,7 @@ type ObjectStat struct {
 	ReadOnly bool
 }
 
-// Profile is the result of one instrumented run.
+// Profile is an application's access profile, folded from one traced run.
 type Profile struct {
 	// App is the application name.
 	App string
@@ -83,81 +84,73 @@ type Profile struct {
 	Objects []ObjectStat
 }
 
-// kernelRange records one kernel's global warp-ID span.
-type kernelRange struct {
-	base, end int
-	active    int
+// blockAcc accumulates one block's reads while Collect folds the traces.
+type blockAcc struct {
+	reads uint64
+	// warps counts distinct reading warps across kernels; kernelWarps
+	// those of the kernel being folded, and lastWarp is the last reader
+	// (1-based global warp index, 0 for none).
+	warps       int
+	kernelWarps int
+	lastWarp    int
+	// share is the largest per-kernel warp-sharing percentage so far.
+	share float64
 }
 
-// collector implements simt.Observer.
-type collector struct {
-	warpBase int
-	reads    map[arch.BlockAddr]uint64
-	warps    map[arch.BlockAddr]map[int]struct{}
-	active   map[int]struct{}
-	total    uint64
-	ranges   []kernelRange
-}
-
-func newCollector() *collector {
-	return &collector{
-		reads:  make(map[arch.BlockAddr]uint64),
-		warps:  make(map[arch.BlockAddr]map[int]struct{}),
-		active: make(map[int]struct{}),
-	}
-}
-
-// Observe implements simt.Observer.
-func (c *collector) Observe(tx simt.Transaction) {
-	if tx.Write {
-		return // the analysis follows the paper: RD accesses dominate
-	}
-	gw := c.warpBase + tx.WarpID
-	c.reads[tx.Block]++
-	c.total++
-	ws, ok := c.warps[tx.Block]
-	if !ok {
-		ws = make(map[int]struct{}, 4)
-		c.warps[tx.Block] = ws
-	}
-	ws[gw] = struct{}{}
-	c.active[gw] = struct{}{}
-}
-
-// Collect profiles the application with one instrumented run on a
-// copy-on-write fork of its golden memory image.
-func Collect(app *kernels.App) (*Profile, error) {
-	c := newCollector()
-	m := app.Mem.Fork()
-	d := &simt.Driver{Mem: m, Observer: c}
-	totalWarps := 0
-	for _, k := range app.Kernels {
-		c.warpBase = totalWarps
-		if _, err := d.Run(k); err != nil {
-			return nil, fmt.Errorf("profile: %s: %w", app.Name, err)
-		}
-		totalWarps += k.TotalWarps()
-		c.ranges = append(c.ranges, kernelRange{base: c.warpBase, end: totalWarps})
-	}
-	for gw := range c.active {
-		for i := range c.ranges {
-			if gw >= c.ranges[i].base && gw < c.ranges[i].end {
-				c.ranges[i].active++
-				break
+// Collect folds the application's per-kernel traces, in launch order, into
+// its profile. Only loads count: the analysis follows the paper, where
+// read accesses dominate.
+func Collect(app *kernels.App, traces []*simt.KernelTrace) *Profile {
+	p := &Profile{App: app.Name, TotalMemBytes: app.Mem.Size()}
+	acc := make(map[arch.BlockAddr]*blockAcc)
+	var touched []*blockAcc // blocks read by the kernel being folded
+	for _, tr := range traces {
+		active := 0
+		for w, instrs := range tr.Warps {
+			gw := p.TotalWarps + w + 1
+			read := false
+			for _, in := range instrs {
+				if in.Kind != simt.InstrLoad {
+					continue
+				}
+				read = true
+				for _, b := range in.Blocks {
+					a := acc[b]
+					if a == nil {
+						a = &blockAcc{}
+						acc[b] = a
+					}
+					a.reads++
+					p.TotalReads++
+					if a.lastWarp != gw {
+						if a.kernelWarps == 0 {
+							touched = append(touched, a)
+						}
+						a.lastWarp = gw
+						a.warps++
+						a.kernelWarps++
+					}
+				}
+			}
+			if read {
+				active++
 			}
 		}
-	}
-
-	p := &Profile{
-		App:           app.Name,
-		TotalWarps:    totalWarps,
-		ActiveWarps:   len(c.active),
-		TotalReads:    c.total,
-		TotalMemBytes: app.Mem.Size(),
+		// Sharing is normalized per kernel: a data object is only live
+		// during the kernels that use it.
+		for _, a := range touched {
+			if s := 100 * float64(a.kernelWarps) / float64(active); s > a.share {
+				a.share = s
+			}
+			a.kernelWarps = 0
+		}
+		touched = touched[:0]
+		p.TotalWarps += len(tr.Warps)
+		p.ActiveWarps += active
 	}
 
 	// Object attribution: map block → owning input object.
-	owner := make(map[arch.BlockAddr]string, len(c.reads))
+	owner := make(map[arch.BlockAddr]string, len(acc))
 	objStats := make(map[string]*ObjectStat, len(app.Objects))
 	for _, o := range app.Objects {
 		objStats[o.Name] = &ObjectStat{
@@ -172,14 +165,15 @@ func Collect(app *kernels.App) (*Profile, error) {
 		}
 	}
 
-	p.Blocks = make([]BlockStat, 0, len(c.reads))
-	for b, n := range c.reads {
+	p.Blocks = make([]BlockStat, 0, len(acc))
+	for b, a := range acc {
 		name := owner[b]
+		n := a.reads
 		st := BlockStat{
 			Block:        b,
 			Reads:        n,
-			Warps:        len(c.warps[b]),
-			SharePercent: c.sharePercent(b),
+			Warps:        a.warps,
+			SharePercent: a.share,
 			Object:       name,
 		}
 		p.Blocks = append(p.Blocks, st)
@@ -213,7 +207,7 @@ func Collect(app *kernels.App) (*Profile, error) {
 		}
 		return p.Objects[i].Name < p.Objects[j].Name
 	})
-	return p, nil
+	return p
 }
 
 // MaxMinRatio returns the hottest block's read count over the coldest
@@ -256,21 +250,6 @@ func (p *Profile) HotBlocks() []arch.BlockAddr {
 	return out
 }
 
-// RestBlocks returns the accessed blocks that are not hot.
-func (p *Profile) RestBlocks() []arch.BlockAddr {
-	hot := make(map[arch.BlockAddr]bool)
-	for _, b := range p.HotBlocks() {
-		hot[b] = true
-	}
-	var out []arch.BlockAddr
-	for _, b := range p.Blocks {
-		if !hot[b.Block] {
-			out = append(out, b.Block)
-		}
-	}
-	return out
-}
-
 // HasHotPattern reports whether the profile shows the Fig. 3(a)–(f) knee:
 // a minority of blocks is hot. The discriminating signal is the knee
 // itself: the flat and staircase counter-examples produce no blocks above
@@ -279,18 +258,6 @@ func (p *Profile) RestBlocks() []arch.BlockAddr {
 func (p *Profile) HasHotPattern() bool {
 	hot := len(p.HotBlocks())
 	return hot > 0 && hot*2 <= len(p.Blocks)
-}
-
-// ObjectBlocks returns the blocks spanned by the named objects.
-func ObjectBlocks(objs []*mem.Buffer) []arch.BlockAddr {
-	var out []arch.BlockAddr
-	for _, o := range objs {
-		first := o.FirstBlock()
-		for b := 0; b < o.Blocks(); b++ {
-			out = append(out, first+arch.BlockAddr(b))
-		}
-	}
-	return out
 }
 
 // HotAccessPercent returns the percentage of all read transactions that
@@ -363,28 +330,4 @@ func (p *Profile) series(maxPoints int, f func(BlockStat) float64) []float64 {
 		out[i] = f(p.Blocks[idx])
 	}
 	return out
-}
-
-// sharePercent computes a block's per-kernel warp-sharing maximum.
-func (c *collector) sharePercent(b arch.BlockAddr) float64 {
-	ws := c.warps[b]
-	if len(ws) == 0 {
-		return 0
-	}
-	best := 0.0
-	for _, r := range c.ranges {
-		if r.active == 0 {
-			continue
-		}
-		n := 0
-		for gw := range ws {
-			if gw >= r.base && gw < r.end {
-				n++
-			}
-		}
-		if s := 100 * float64(n) / float64(r.active); s > best {
-			best = s
-		}
-	}
-	return best
 }

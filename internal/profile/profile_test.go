@@ -23,13 +23,14 @@ func smallNet(t *testing.T) *nn.Network {
 	return netVal
 }
 
+// collect profiles the application from one traced run.
 func collect(t *testing.T, app *kernels.App) *Profile {
 	t.Helper()
-	p, err := Collect(app)
+	traces, err := app.TraceRun()
 	if err != nil {
-		t.Fatalf("Collect(%s): %v", app.Name, err)
+		t.Fatalf("TraceRun(%s): %v", app.Name, err)
 	}
-	return p
+	return Collect(app, traces)
 }
 
 func TestBICGProfileShape(t *testing.T) {
@@ -285,40 +286,5 @@ func TestSeriesOnePoint(t *testing.T) {
 		if len(one) != 1 || one[0] != ten[0] {
 			t.Errorf("%s(1) = %v, want [%v]", name, one, ten[0])
 		}
-	}
-}
-
-func TestRestBlocksDisjointFromHot(t *testing.T) {
-	app, err := kernels.NewMVT(kernels.MVTConfig{N: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := collect(t, app)
-	hot := map[int64]bool{}
-	for _, b := range p.HotBlocks() {
-		hot[int64(b)] = true
-	}
-	for _, b := range p.RestBlocks() {
-		if hot[int64(b)] {
-			t.Fatalf("block %d in both hot and rest sets", b)
-		}
-	}
-	if len(p.HotBlocks())+len(p.RestBlocks()) != len(p.Blocks) {
-		t.Error("hot + rest ≠ all accessed blocks")
-	}
-}
-
-func TestObjectBlocks(t *testing.T) {
-	app, err := kernels.NewBICG(kernels.BICGConfig{NX: 64, NY: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blocks := ObjectBlocks(app.HotObjects())
-	want := 0
-	for _, o := range app.HotObjects() {
-		want += o.Blocks()
-	}
-	if len(blocks) != want {
-		t.Fatalf("ObjectBlocks = %d, want %d", len(blocks), want)
 	}
 }

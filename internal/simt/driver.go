@@ -8,16 +8,14 @@ import (
 )
 
 // Driver executes kernels warp-by-warp against one device memory image.
-// Configure Reader to interpose a protection scheme and Observer to profile
-// accesses; enable Tracing to capture per-warp instruction traces for the
-// timing simulator. The zero Reader reads memory directly.
+// Configure Reader to interpose a protection scheme; enable Tracing to
+// capture per-warp instruction traces, which feed both the timing
+// simulator and the access profile. The zero Reader reads memory directly.
 type Driver struct {
 	// Mem is the device memory the kernels run against.
 	Mem *mem.Memory
 	// Reader interposes on every lane read; nil reads Mem directly.
 	Reader WordReader
-	// Observer receives every coalesced transaction; nil disables.
-	Observer Observer
 	// Tracing captures per-warp instruction traces when true.
 	Tracing bool
 	// PermissiveOOB makes out-of-bounds lane loads read (wrapped) device
@@ -78,7 +76,6 @@ func (d *Driver) Run(k *Kernel) (*KernelTrace, error) {
 	}
 
 	ctx := &WarpCtx{blockDim: k.Block, drv: d, tracing: d.Tracing}
-	ctx.emitActive = d.Observer != nil || d.Tracing
 	for cz := 0; cz < max(1, k.Grid.Z); cz++ {
 		for cy := 0; cy < max(1, k.Grid.Y); cy++ {
 			for cx := 0; cx < max(1, k.Grid.X); cx++ {
@@ -167,7 +164,6 @@ func (d *Driver) RunWarp(k *Kernel, wc *WarpCapture, rp *LaneReplay) error {
 	ctx.trace = nil
 	ctx.err = nil
 	ctx.capture = nil
-	ctx.emitActive = d.Observer != nil
 	ctx.CTAIdx = wc.CTAIdx
 	ctx.WarpInCTA = wc.WarpInCTA
 	ctx.GlobalWarpID = wc.GlobalWarpID

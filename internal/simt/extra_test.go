@@ -14,23 +14,22 @@ func TestStoreTransactionsObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := &recordingObserver{}
 	idx := make([]int32, arch.WarpSize)
 	src := make([]float32, arch.WarpSize)
-	runOneWarp(t, m, obs, false, func(w *WarpCtx) {
+	txs := transactions(runOneWarp(t, m, func(w *WarpCtx) {
 		for lane := 0; lane < w.NumLanes; lane++ {
 			idx[lane] = int32(lane)
 		}
 		w.StoreF32(Site{PC: 9}, b, idx, src)
-	})
-	if len(obs.txs) != 1 {
-		t.Fatalf("store transactions = %d, want 1 coalesced", len(obs.txs))
+	}))
+	if len(txs) != 1 {
+		t.Fatalf("store transactions = %d, want 1 coalesced", len(txs))
 	}
-	if !obs.txs[0].Write {
+	if !txs[0].Write {
 		t.Error("store transaction not marked as write")
 	}
-	if obs.txs[0].PC != 9 {
-		t.Errorf("store PC = %d, want 9", obs.txs[0].PC)
+	if txs[0].PC != 9 {
+		t.Errorf("store PC = %d, want 9", txs[0].PC)
 	}
 }
 

@@ -4,7 +4,8 @@
 // transactions exactly as the LD/ST unit would issue them. A single
 // execution pass performs the real computation (reading device memory
 // through the fault overlay and, when enabled, the replication schemes) and
-// optionally captures a per-warp instruction trace for the timing simulator.
+// optionally captures a per-warp instruction trace, which the timing
+// simulator replays and the access profile folds.
 package simt
 
 import (
@@ -63,26 +64,6 @@ type Site struct {
 	PC uint16
 	// Name labels the access for reports, e.g. "k1.ld.A".
 	Name string
-}
-
-// Transaction is one coalesced block access, as observed by profilers.
-type Transaction struct {
-	// Block is the 128 B data memory block accessed.
-	Block arch.BlockAddr
-	// PC is the static site that issued the access.
-	PC uint16
-	// BufID is the data object accessed.
-	BufID int16
-	// WarpID is the global warp index within the kernel launch.
-	WarpID int
-	// Write distinguishes stores from loads.
-	Write bool
-}
-
-// Observer receives every coalesced transaction during an instrumented run.
-// Implementations must be fast; they are invoked on the hot path.
-type Observer interface {
-	Observe(tx Transaction)
 }
 
 // WordReader resolves one lane's 32-bit read. The zero configuration reads

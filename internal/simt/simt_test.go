@@ -9,11 +9,27 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/mem"
 )
 
-type recordingObserver struct {
-	txs []Transaction
+// transaction is one coalesced block access of a traced memory
+// instruction.
+type transaction struct {
+	Block arch.BlockAddr
+	PC    uint16
+	Write bool
 }
 
-func (o *recordingObserver) Observe(tx Transaction) { o.txs = append(o.txs, tx) }
+// transactions flattens a trace's memory instructions into their coalesced
+// block accesses, in issue order.
+func transactions(tr *KernelTrace) []transaction {
+	var out []transaction
+	for _, w := range tr.Warps {
+		for _, in := range w {
+			for _, b := range in.Blocks {
+				out = append(out, transaction{Block: b, PC: in.PC, Write: in.Kind == InstrStore})
+			}
+		}
+	}
+	return out
+}
 
 func newTestMem(t *testing.T, name string, floats int) (*mem.Memory, *mem.Buffer) {
 	t.Helper()
@@ -32,10 +48,11 @@ func newTestMem(t *testing.T, name string, floats int) (*mem.Memory, *mem.Buffer
 	return m, b
 }
 
-// runOneWarp executes a single full warp with the given program.
-func runOneWarp(t *testing.T, m *mem.Memory, obs Observer, tracing bool, run func(w *WarpCtx)) *KernelTrace {
+// runOneWarp executes a single full warp with the given program and
+// returns its trace.
+func runOneWarp(t *testing.T, m *mem.Memory, run func(w *WarpCtx)) *KernelTrace {
 	t.Helper()
-	d := &Driver{Mem: m, Observer: obs, Tracing: tracing}
+	d := &Driver{Mem: m, Tracing: true}
 	tr, err := d.Run(&Kernel{
 		KernelName: "test",
 		Grid:       arch.Dim3{X: 1},
@@ -50,19 +67,18 @@ func runOneWarp(t *testing.T, m *mem.Memory, obs Observer, tracing bool, run fun
 
 func TestCoalescingConsecutiveLanes(t *testing.T) {
 	m, b := newTestMem(t, "A", 256)
-	obs := &recordingObserver{}
 	idx := make([]int32, arch.WarpSize)
 	dst := make([]float32, arch.WarpSize)
 	ld := Site{PC: 1, Name: "ld.A"}
-	runOneWarp(t, m, obs, false, func(w *WarpCtx) {
+	txs := transactions(runOneWarp(t, m, func(w *WarpCtx) {
 		// Lanes read consecutive floats 0..31 → one aligned 128 B block.
 		for lane := 0; lane < w.NumLanes; lane++ {
 			idx[lane] = int32(lane)
 		}
 		w.LoadF32(ld, b, idx, dst)
-	})
-	if len(obs.txs) != 1 {
-		t.Fatalf("coalesced consecutive access produced %d transactions, want 1", len(obs.txs))
+	}))
+	if len(txs) != 1 {
+		t.Fatalf("coalesced consecutive access produced %d transactions, want 1", len(txs))
 	}
 	for lane := 0; lane < arch.WarpSize; lane++ {
 		if dst[lane] != float32(lane) {
@@ -73,69 +89,65 @@ func TestCoalescingConsecutiveLanes(t *testing.T) {
 
 func TestCoalescingStraddlingBlocks(t *testing.T) {
 	m, b := newTestMem(t, "A", 256)
-	obs := &recordingObserver{}
 	idx := make([]int32, arch.WarpSize)
 	dst := make([]float32, arch.WarpSize)
-	runOneWarp(t, m, obs, false, func(w *WarpCtx) {
+	txs := transactions(runOneWarp(t, m, func(w *WarpCtx) {
 		// Offset by 16 floats: lanes straddle two 128 B blocks.
 		for lane := 0; lane < w.NumLanes; lane++ {
 			idx[lane] = int32(lane + 16)
 		}
 		w.LoadF32(Site{PC: 1}, b, idx, dst)
-	})
-	if len(obs.txs) != 2 {
-		t.Fatalf("straddling access produced %d transactions, want 2", len(obs.txs))
+	}))
+	if len(txs) != 2 {
+		t.Fatalf("straddling access produced %d transactions, want 2", len(txs))
 	}
 }
 
 func TestCoalescingStridedUncoalesced(t *testing.T) {
 	m, b := newTestMem(t, "A", 32*64)
-	obs := &recordingObserver{}
 	idx := make([]int32, arch.WarpSize)
 	dst := make([]float32, arch.WarpSize)
-	runOneWarp(t, m, obs, false, func(w *WarpCtx) {
+	txs := transactions(runOneWarp(t, m, func(w *WarpCtx) {
 		// Row-major stride 64 floats: every lane hits a distinct block —
 		// the P-GESUMMV / P-BICG kernel2 pattern.
 		for lane := 0; lane < w.NumLanes; lane++ {
 			idx[lane] = int32(lane * 64)
 		}
 		w.LoadF32(Site{PC: 1}, b, idx, dst)
-	})
-	if len(obs.txs) != arch.WarpSize {
-		t.Fatalf("strided access produced %d transactions, want %d", len(obs.txs), arch.WarpSize)
+	}))
+	if len(txs) != arch.WarpSize {
+		t.Fatalf("strided access produced %d transactions, want %d", len(txs), arch.WarpSize)
 	}
 }
 
 func TestBroadcastSingleTransaction(t *testing.T) {
 	m, b := newTestMem(t, "r", 64)
-	obs := &recordingObserver{}
-	runOneWarp(t, m, obs, false, func(w *WarpCtx) {
+	txs := transactions(runOneWarp(t, m, func(w *WarpCtx) {
 		if got := w.LoadF32Broadcast(Site{PC: 2}, b, 7); got != 7 {
 			t.Errorf("broadcast = %v, want 7", got)
 		}
-	})
-	if len(obs.txs) != 1 {
-		t.Fatalf("broadcast produced %d transactions, want 1", len(obs.txs))
+	}))
+	if len(txs) != 1 {
+		t.Fatalf("broadcast produced %d transactions, want 1", len(txs))
 	}
-	if obs.txs[0].Block != b.ElemAddr(7).Block() {
+	if txs[0].Block != b.ElemAddr(7).Block() {
 		t.Error("broadcast transaction targets wrong block")
 	}
 }
 
 func TestInactiveLanesPredicatedOff(t *testing.T) {
 	m, b := newTestMem(t, "A", 64)
-	obs := &recordingObserver{}
 	idx := make([]int32, arch.WarpSize)
 	dst := make([]float32, arch.WarpSize)
-	runOneWarp(t, m, obs, false, func(w *WarpCtx) {
+	txs := transactions(runOneWarp(t, m, func(w *WarpCtx) {
 		for lane := 0; lane < w.NumLanes; lane++ {
 			idx[lane] = InactiveLane
 		}
 		idx[3] = 5
 		w.LoadF32(Site{PC: 1}, b, idx, dst)
-	})
-	if len(obs.txs) != 1 {
-		t.Fatalf("single active lane produced %d transactions, want 1", len(obs.txs))
+	}))
+	if len(txs) != 1 {
+		t.Fatalf("single active lane produced %d transactions, want 1", len(txs))
 	}
 	if dst[3] != 5 {
 		t.Errorf("dst[3] = %v, want 5", dst[3])
@@ -144,17 +156,16 @@ func TestInactiveLanesPredicatedOff(t *testing.T) {
 
 func TestAllLanesInactiveNoTransaction(t *testing.T) {
 	m, b := newTestMem(t, "A", 64)
-	obs := &recordingObserver{}
 	idx := make([]int32, arch.WarpSize)
 	dst := make([]float32, arch.WarpSize)
-	runOneWarp(t, m, obs, false, func(w *WarpCtx) {
+	txs := transactions(runOneWarp(t, m, func(w *WarpCtx) {
 		for lane := range idx {
 			idx[lane] = InactiveLane
 		}
 		w.LoadF32(Site{PC: 1}, b, idx, dst)
-	})
-	if len(obs.txs) != 0 {
-		t.Fatalf("fully predicated load produced %d transactions, want 0", len(obs.txs))
+	}))
+	if len(txs) != 0 {
+		t.Fatalf("fully predicated load produced %d transactions, want 0", len(txs))
 	}
 }
 
@@ -166,7 +177,7 @@ func TestStoreAndReadBack(t *testing.T) {
 	}
 	idx := make([]int32, arch.WarpSize)
 	src := make([]float32, arch.WarpSize)
-	runOneWarp(t, m, nil, false, func(w *WarpCtx) {
+	runOneWarp(t, m, func(w *WarpCtx) {
 		for lane := 0; lane < w.NumLanes; lane++ {
 			idx[lane] = int32(lane)
 			src[lane] = float32(lane) * 2
@@ -248,7 +259,7 @@ func TestTraceCapture(t *testing.T) {
 	m, b := newTestMem(t, "A", 256)
 	idx := make([]int32, arch.WarpSize)
 	dst := make([]float32, arch.WarpSize)
-	tr := runOneWarp(t, m, nil, true, func(w *WarpCtx) {
+	tr := runOneWarp(t, m, func(w *WarpCtx) {
 		for lane := 0; lane < w.NumLanes; lane++ {
 			idx[lane] = int32(lane)
 		}
@@ -385,7 +396,6 @@ func TestEmptyLaunchRejected(t *testing.T) {
 func TestCoalescePropertyCoversAllBlocks(t *testing.T) {
 	m, b := newTestMem(t, "A", 4096)
 	f := func(raw [arch.WarpSize]uint16) bool {
-		obs := &recordingObserver{}
 		idx := make([]int32, arch.WarpSize)
 		dst := make([]float32, arch.WarpSize)
 		want := map[arch.BlockAddr]bool{}
@@ -393,8 +403,8 @@ func TestCoalescePropertyCoversAllBlocks(t *testing.T) {
 			idx[lane] = int32(raw[lane]) % 4096
 			want[b.ElemAddr(int(idx[lane])).Block()] = true
 		}
-		d := &Driver{Mem: m, Observer: obs}
-		_, err := d.Run(&Kernel{
+		d := &Driver{Mem: m, Tracing: true}
+		tr, err := d.Run(&Kernel{
 			KernelName: "prop",
 			Grid:       arch.Dim3{X: 1},
 			Block:      arch.Dim3{X: 32},
@@ -405,11 +415,12 @@ func TestCoalescePropertyCoversAllBlocks(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(obs.txs) > arch.WarpSize || len(obs.txs) != len(want) {
+		txs := transactions(tr)
+		if len(txs) > arch.WarpSize || len(txs) != len(want) {
 			return false
 		}
 		got := map[arch.BlockAddr]bool{}
-		for _, tx := range obs.txs {
+		for _, tx := range txs {
 			if got[tx.Block] {
 				return false // duplicate transaction
 			}

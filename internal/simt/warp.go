@@ -30,16 +30,14 @@ type WarpCtx struct {
 	blockDim arch.Dim3
 	drv      *Driver
 	trace    []Instr
-	tracing  bool
-	err      error
+	// tracing gates the coalescer and trace emission: campaigns run
+	// untraced, where per-lane block bookkeeping is pure overhead.
+	tracing bool
+	err     error
 
 	// linearBase is the global linear thread ID of lane 0, precomputed by
 	// the driver per warp so LinearThreadID is one add per call.
 	linearBase int
-	// emitActive gates the coalescer and transaction emission: campaigns
-	// run unobserved and untraced, where per-lane block bookkeeping is
-	// pure overhead.
-	emitActive bool
 	// capture, when set, records the warp's loads and stores for replay.
 	capture *WarpCapture
 	// replay, when set, serves loads from a recorded reference execution
@@ -172,28 +170,15 @@ func (w *WarpCtx) coalesce(n int) []arch.BlockAddr {
 	return w.uniq
 }
 
-// emitMem records the coalesced transactions of one memory instruction to
-// the observer and (when tracing) the warp trace.
+// emitMem appends one memory instruction and its coalesced transactions to
+// the warp trace. Callers emit only when tracing.
 func (w *WarpCtx) emitMem(kind InstrKind, site Site, buf *mem.Buffer, blocks []arch.BlockAddr) {
-	if obs := w.drv.Observer; obs != nil {
-		for _, b := range blocks {
-			obs.Observe(Transaction{
-				Block:  b,
-				PC:     site.PC,
-				BufID:  int16(buf.ID),
-				WarpID: w.GlobalWarpID,
-				Write:  kind == InstrStore,
-			})
-		}
-	}
-	if w.tracing {
-		w.trace = append(w.trace, Instr{
-			Kind:   kind,
-			PC:     site.PC,
-			BufID:  int16(buf.ID),
-			Blocks: append([]arch.BlockAddr(nil), blocks...),
-		})
-	}
+	w.trace = append(w.trace, Instr{
+		Kind:   kind,
+		PC:     site.PC,
+		BufID:  int16(buf.ID),
+		Blocks: append([]arch.BlockAddr(nil), blocks...),
+	})
 }
 
 // oobWord resolves an out-of-bounds lane load in permissive mode: the
@@ -229,8 +214,8 @@ func (w *WarpCtx) recordLoad(site Site, buf *mem.Buffer, idx []int32, vals []uin
 
 // LoadF32 performs a per-lane gather from buf: dst[lane] = buf[idx[lane]]
 // for each active lane. idx and dst must have length ≥ NumLanes; lanes with
-// idx[lane] == InactiveLane are predicated off. The load is coalesced into
-// block transactions exactly once regardless of observers.
+// idx[lane] == InactiveLane are predicated off. When tracing, the load is
+// coalesced into block transactions exactly once.
 func (w *WarpCtx) LoadF32(site Site, buf *mem.Buffer, idx []int32, dst []float32) {
 	if w.err != nil {
 		return
@@ -243,7 +228,7 @@ func (w *WarpCtx) LoadF32(site Site, buf *mem.Buffer, idx []int32, dst []float32
 			return
 		}
 	}
-	track := w.emitActive || w.capture != nil
+	track := w.tracing || w.capture != nil
 	n := 0
 	for lane := 0; lane < w.NumLanes; lane++ {
 		i := idx[lane]
@@ -293,7 +278,7 @@ func (w *WarpCtx) LoadF32(site Site, buf *mem.Buffer, idx []int32, dst []float32
 		}
 		w.recordLoad(site, buf, idx, vals, n)
 	}
-	if n == 0 || !w.emitActive {
+	if n == 0 || !w.tracing {
 		return
 	}
 	w.emitMem(InstrLoad, site, buf, w.coalesce(n))
@@ -312,7 +297,7 @@ func (w *WarpCtx) LoadI32(site Site, buf *mem.Buffer, idx []int32, dst []int32) 
 			return
 		}
 	}
-	track := w.emitActive || w.capture != nil
+	track := w.tracing || w.capture != nil
 	n := 0
 	for lane := 0; lane < w.NumLanes; lane++ {
 		i := idx[lane]
@@ -362,7 +347,7 @@ func (w *WarpCtx) LoadI32(site Site, buf *mem.Buffer, idx []int32, dst []int32) 
 		}
 		w.recordLoad(site, buf, idx, vals, n)
 	}
-	if n == 0 || !w.emitActive {
+	if n == 0 || !w.tracing {
 		return
 	}
 	w.emitMem(InstrLoad, site, buf, w.coalesce(n))
@@ -381,7 +366,7 @@ func (w *WarpCtx) finishBroadcast(site Site, buf *mem.Buffer, bidx int32, word u
 			Blocks:    []arch.BlockAddr{blk},
 		})
 	}
-	if w.emitActive {
+	if w.tracing {
 		w.laneBlocks[0] = blk
 		w.emitMem(InstrLoad, site, buf, w.coalesce(1))
 	}
@@ -465,7 +450,7 @@ func (w *WarpCtx) StoreF32(site Site, buf *mem.Buffer, idx []int32, src []float3
 		// replay sequence in sync and marks the words it makes divergent.
 		rp.noteStore(site.PC, buf, idx, w.NumLanes, src)
 	}
-	track := w.emitActive || w.capture != nil
+	track := w.tracing || w.capture != nil
 	n := 0
 	for lane := 0; lane < w.NumLanes; lane++ {
 		i := idx[lane]
@@ -501,7 +486,7 @@ func (w *WarpCtx) StoreF32(site Site, buf *mem.Buffer, idx []int32, src []float3
 		}
 		w.capture.Stores = append(w.capture.Stores, rec)
 	}
-	if n == 0 || !w.emitActive {
+	if n == 0 || !w.tracing {
 		return
 	}
 	w.emitMem(InstrStore, site, buf, w.coalesce(n))

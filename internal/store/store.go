@@ -100,9 +100,6 @@ func Open(cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// HasDisk reports whether a disk tier is configured.
-func (s *Store) HasDisk() bool { return s != nil && s.disk != nil }
-
 // InFlight reports whether key is currently being computed by some caller.
 func (s *Store) InFlight(key Key) bool {
 	if s == nil {

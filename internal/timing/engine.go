@@ -99,10 +99,6 @@ type Engine struct {
 	// trace index.
 	warpSlab []warpState
 
-	// injectFns holds InjectAt callbacks; evInject events carry an index
-	// into it (one-shot: slots nil out after firing).
-	injectFns []func(now int64)
-
 	// Per-kernel bookkeeping.
 	trace        *simt.KernelTrace
 	ctaQueue     []int
@@ -194,27 +190,6 @@ func New(cfg arch.Config, plan ProtectionPlan) (*Engine, error) {
 	return e, nil
 }
 
-// InjectAt schedules fn to run exactly once when the replay reaches the
-// given cycle — the timing-engine injection hook the transient fault
-// model's semantics are defined against. The callback rides the ordinary
-// event scheduler, so it is totally ordered against every memory-system
-// event at that cycle (deterministically, by scheduling sequence). A cycle
-// already in the past is clamped to the current cycle. Call before or
-// during a replay; a callback scheduled past the kernel's natural end
-// extends the replay until it fires, so pick cycles within the span of
-// the work being replayed (instrumented replays only — never attach
-// injections to runs whose statistics feed the golden gates).
-func (e *Engine) InjectAt(cycle int64, fn func(now int64)) {
-	if fn == nil {
-		return
-	}
-	if cycle < e.now {
-		cycle = e.now
-	}
-	e.post(cycle, event{kind: evInject, sm: int32(len(e.injectFns))})
-	e.injectFns = append(e.injectFns, fn)
-}
-
 // RunKernel replays one kernel trace to completion and returns its stats.
 func (e *Engine) RunKernel(tr *simt.KernelTrace) (KernelStats, error) {
 	if tr == nil || len(tr.Warps) == 0 {
@@ -223,8 +198,7 @@ func (e *Engine) RunKernel(tr *simt.KernelTrace) (KernelStats, error) {
 	e.resetForKernel(tr)
 	start := e.now
 
-	// Initial CTA fill in SM index order. Callbacks registered with
-	// InjectAt since the last kernel are already scheduled, ahead of it.
+	// Initial CTA fill in SM index order.
 	for _, s := range e.sms {
 		e.fillSM(s)
 		e.scheduleStep(s, start)

@@ -53,15 +53,14 @@
 //
 // # Fault-injection hook
 //
-// Two observation points connect the engine to the fault models in
+// One observation point connects the engine to the fault models in
 // internal/fault. Engine.OnStore reports every store's L2-bank commit
-// (block, cycle) — one instrumented replay of an application yields the
-// store-commit timeline the transient-SEU model uses to decide whether a
-// later store overwrites an injected flip. Engine.InjectAt schedules a
-// one-shot callback at a chosen cycle through the ordinary event
-// scheduler (kind evInject), so a replay can corrupt state at an exact,
-// deterministic point in simulated time. Both default to off and cost
-// nothing when unused; attach them only to instrumented replays, never to
+// (block, cycle): one instrumented replay of an application yields the
+// store-commit timeline (fault.Timeline) from which the transient-SEU
+// model decides, at injection time, whether a later store overwrites an
+// injected flip. The flip itself is applied to the functional memory
+// image, never inside a replay. The hook defaults to off and costs
+// nothing when unused; attach it only to instrumented replays, never to
 // runs whose statistics feed the golden determinism gates.
 package timing
 
@@ -96,10 +95,6 @@ const (
 	// evDRAMPump re-runs a DRAM channel's scheduler if the event is still
 	// the channel's current pump marker (dramPumpAt[ch] == now).
 	evDRAMPump
-	// evInject runs a one-shot fault-injection callback registered with
-	// Engine.InjectAt when the replay reaches its cycle. The event reuses
-	// the sm payload field as the callback's index in Engine.injectFns.
-	evInject
 	// evCTADispatch is the CTA dispatcher's receipt of an SM's request for
 	// a replacement CTA (msgCTAReq): it pops queued CTAs, skipping ones
 	// with no live warps, and answers with a grant message.

@@ -72,53 +72,3 @@ func TestOnStoreIsObservationOnly(t *testing.T) {
 		t.Errorf("OnStore changed replay stats:\nbare:   %+v\nhooked: %+v", bare, hooked)
 	}
 }
-
-// TestInjectAtFiresOnceAtCycle: the injection callback rides the event
-// scheduler — it fires exactly once, at the requested cycle, and a spent
-// slot never refires on a later kernel.
-func TestInjectAtFiresOnceAtCycle(t *testing.T) {
-	e, err := New(arch.Default(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fired []int64
-	e.InjectAt(50, func(now int64) { fired = append(fired, now) })
-	if _, err := e.RunKernel(mkTrace(1, []simt.Instr{load(1, 0, 100), compute(1)})); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 1 || fired[0] != 50 {
-		t.Fatalf("callback fired at %v, want exactly once at cycle 50", fired)
-	}
-	// A second kernel on the same engine must not replay the spent callback.
-	if _, err := e.RunKernel(mkTrace(1, []simt.Instr{load(1, 0, 200), compute(1)})); err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 1 {
-		t.Fatalf("callback refired: %v", fired)
-	}
-	// nil callbacks are a no-op, not a queued crash.
-	e.InjectAt(10, nil)
-	if _, err := e.RunKernel(mkTrace(1, []simt.Instr{load(1, 0, 300), compute(1)})); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestInjectAtClampsPastCycles: a cycle already behind the engine clock
-// fires at the current cycle instead of corrupting the event order.
-func TestInjectAtClampsPastCycles(t *testing.T) {
-	e, err := New(arch.Default(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.RunKernel(mkTrace(1, []simt.Instr{load(1, 0, 100), compute(1)})); err != nil {
-		t.Fatal(err)
-	}
-	var at int64 = -1
-	e.InjectAt(0, func(now int64) { at = now }) // cycle 0 is long past by now
-	if _, err := e.RunKernel(mkTrace(1, []simt.Instr{load(1, 0, 101), compute(1)})); err != nil {
-		t.Fatal(err)
-	}
-	if at < 0 {
-		t.Fatal("clamped callback never fired")
-	}
-}

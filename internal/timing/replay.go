@@ -143,7 +143,9 @@ func (c *chanState) takeWaiters(blk arch.BlockAddr) []int32 {
 }
 
 // nocPort is a serializing NoC port: one packet per cycle plus a fixed
-// traversal latency (the same model as noc.Link, owned per component). The
+// traversal latency. Every SM owns an inject and an eject port and every
+// channel an ingress and an egress port, so a packet crosses two ports per
+// direction and the channel ports are where replica traffic contends. The
 // latency floor of one cycle is what guarantees every cross-component
 // message is due at least one lookahead window after it is sent.
 type nocPort struct {
@@ -287,11 +289,6 @@ func (e *Engine) dispatch(ev *event) {
 		s := e.sms[ev.sm]
 		e.liveWarps += e.installCTA(s, int(ev.cta), now)
 		e.wakeSM(s, now)
-	case evInject:
-		if fn := e.injectFns[ev.sm]; fn != nil {
-			e.injectFns[ev.sm] = nil
-			fn(now)
-		}
 	}
 }
 

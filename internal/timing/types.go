@@ -4,7 +4,6 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/cache"
 	"github.com/datacentric-gpu/dcrm/internal/dram"
-	"github.com/datacentric-gpu/dcrm/internal/noc"
 )
 
 // ProtectionPlan tells the LD/ST unit which loads are protected and where
@@ -73,12 +72,20 @@ type KernelStats struct {
 	// DRAM aggregates the per-channel controller statistics.
 	DRAM dram.Stats
 	// NoC aggregates crossbar traffic.
-	NoC noc.Stats
+	NoC NoCStats
 	// CopyTransactions counts extra transactions issued for replica copies.
 	CopyTransactions uint64
 	// MSHRStalls and CompareStalls count structural-hazard retries.
 	MSHRStalls    uint64
 	CompareStalls uint64
+}
+
+// NoCStats counts crossbar traversals: requests from the SMs' inject ports
+// to the channels' ingress ports, and responses from the channels' egress
+// ports back to the SMs.
+type NoCStats struct {
+	Requests  uint64
+	Responses uint64
 }
 
 // L1MissedAccesses returns the metric Fig. 7 plots: the number of read
