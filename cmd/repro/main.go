@@ -18,14 +18,14 @@
 // any worker count. The fault-injection run count is configurable; the
 // paper uses 1000 runs per configuration (95% CI ±3%). With -store-dir,
 // every figure result and the checkpoint artifacts the campaigns build
-// (goldens, captures, store timelines, miss weights) persist in a
-// content-addressed on-disk store keyed by the full configuration and
-// simulator version, so a repeat invocation answers from the store,
-// byte-identical to a fresh computation, and a campaign with another seed
-// or run count fetches its artifacts from disk. -metrics-out writes a
-// Prometheus snapshot of the process's telemetry at exit, including the
-// dcrm_artifact_{requests,computed}_total counters that prove a warm start
-// recomputed nothing. With -csv, the result data is also exported as CSV.
+// (golden runs with their recordings, store timelines, miss weights)
+// persist in a content-addressed on-disk store keyed by the full
+// configuration and simulator version, so a repeat invocation answers
+// from the store, byte-identical to a fresh computation, and a campaign
+// with another seed or run count fetches its artifacts from disk.
+// -metrics-out writes a Prometheus snapshot of the process's telemetry at
+// exit, including the dcrm_artifact_{requests,computed}_total counters
+// that prove a warm start recomputed nothing. With -csv, the result data is also exported as CSV.
 // Every output flag creates the directories its path needs.
 //
 // inject's -model takes semicolon-separated fault-model registry specs

@@ -302,7 +302,10 @@ func (w *Workload) Campaign(cfg CampaignConfig) (CampaignResult, error) {
 		cfg.Seed = 1
 	}
 	if cfg.Faults.Bits == 0 {
-		cfg.Faults = FaultModel{Bits: 2, Blocks: 1}
+		cfg.Faults.Bits = 2
+	}
+	if cfg.Faults.Blocks == 0 {
+		cfg.Faults.Blocks = 1
 	}
 	if cfg.Scheme == 0 {
 		cfg.Scheme = Baseline

@@ -132,6 +132,33 @@ func TestCampaignValidation(t *testing.T) {
 	}
 }
 
+// TestCampaignFaultModelDefaults: each zero field of the fault model takes
+// its documented default on its own, so a partly set model keeps the field
+// the caller did set.
+func TestCampaignFaultModelDefaults(t *testing.T) {
+	w, err := lib(t).Workload("P-BICG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(m FaultModel) CampaignResult {
+		t.Helper()
+		res, err := w.Campaign(CampaignConfig{Runs: 60, Seed: 3, Faults: m, Target: TargetHot})
+		if err != nil {
+			t.Fatalf("%+v: %v", m, err)
+		}
+		return res
+	}
+	if got, want := run(FaultModel{Blocks: 5}), run(FaultModel{Bits: 2, Blocks: 5}); got != want {
+		t.Errorf("FaultModel{Blocks: 5} = %+v, want the 2-bit/5-block campaign %+v", got, want)
+	}
+	if run(FaultModel{Bits: 2, Blocks: 5}) == run(FaultModel{Bits: 2, Blocks: 1}) {
+		t.Fatal("5-block and 1-block campaigns agree: the case cannot tell a dropped Blocks field")
+	}
+	if got, want := run(FaultModel{Bits: 3}), run(FaultModel{Bits: 3, Blocks: 1}); got != want {
+		t.Errorf("FaultModel{Bits: 3} = %+v, want the 3-bit/1-block campaign %+v", got, want)
+	}
+}
+
 func TestPerformance(t *testing.T) {
 	w, err := lib(t).Workload("P-BICG")
 	if err != nil {

@@ -1,27 +1,28 @@
 // Checkpoint artifact cache: the lazy pieces of a campaign Checkpoint —
-// golden output + post-run image, store-commit timeline, batched-replay
-// reference capture, and miss-selector weights — factored into individually
-// keyed, serializable artifacts served through the suite's content-addressed
-// store. Each artifact is keyed by the suite identity, its kind,
-// artifactFormatVersion (so encodings never alias across format changes),
-// and what it depends on: the golden and the capture by application alone,
-// because a protected instance runs and records exactly what its base
-// instance does (its replicas are allocated after every primary object and
-// no kernel addresses them); the timeline and the miss weights by
-// checkpoint configuration, because the plan's replica traffic changes
-// them. An artifact is built in one way only: on first use, by whichever
-// figure or campaign needs it, with the store's singleflight making
-// concurrent first users share one computation. Artifacts persist through
-// the store's checksummed disk tier: a second process, or a peer sharing
-// the store directory, fetches instead of recomputing. Corrupt disk entries are detected by the store and
+// the golden run (output, post-run image and the reference recording
+// batched replay uses), the store-commit timeline, and the miss-selector
+// weights — factored into individually keyed, serializable artifacts
+// served through the suite's content-addressed store. Each artifact is
+// keyed by the suite identity, its kind, artifactFormatVersion (so
+// encodings never alias across format changes), and what it depends on:
+// the golden by application alone, because a protected instance runs and
+// records exactly what its base instance does (its replicas are allocated
+// after every primary object and no kernel addresses them); the timeline
+// and the miss weights by checkpoint configuration, because the plan's
+// replica traffic changes them. An artifact is built in one way only: on
+// first use, by whichever figure or campaign needs it, with the store's
+// singleflight making concurrent first users share one computation.
+// Artifacts persist through the store's checksummed disk tier: a second
+// process, or a peer sharing the store directory, fetches instead of
+// recomputing. Corrupt disk entries are detected by the store and
 // recomputed transparently.
 //
 // Byte-identity contract: both the freshly-computed and the decoded paths
 // reconstruct the live checkpoint state from the same pure-data artifact
-// value (golden forks are replayed from the dirty-block delta, capture
-// kernels are reattached by index, selectors are rebuilt from the weights),
-// so a warm start is bit-identical to a cold one by construction — the
-// parity tests gate on exactly that.
+// value (golden forks are replayed from the dirty-block delta, recorded
+// kernels are reattached by index, selectors are rebuilt from the
+// weights), so a warm start is bit-identical to a cold one by
+// construction — the parity tests gate on exactly that.
 package experiments
 
 import (
@@ -36,16 +37,17 @@ import (
 // artifactFormatVersion is folded into every artifact key. Bump it whenever
 // any artifact encoding changes shape or meaning: old disk entries then
 // simply stop being addressed, rather than decoding into the wrong state.
-const artifactFormatVersion = 2
+const artifactFormatVersion = 3
 
-// Artifact kinds — the nodes of the checkpoint artifact DAG. All four hang
+// Artifact kinds — the nodes of the checkpoint artifact DAG. All three hang
 // off the checkpoint's prepared image (app + plan); none depends on another.
 const (
-	// ArtifactGolden is the fault-free golden run: the metric output plus
-	// the post-run image as a dirty-block delta against the prepared image.
+	// ArtifactGolden is the fault-free reference run, one per application:
+	// the metric output, the post-run image as a dirty-block delta against
+	// the prepared image, and the recording batched replay uses.
 	ArtifactGolden = "golden"
-	// ArtifactCapture is the recorded reference execution the batched
-	// group-replay path replays against, one per application.
+	// ArtifactCapture names the golden run's recording. No store entry has
+	// this kind: BuildArtifact accepts it as a synonym for ArtifactGolden.
 	ArtifactCapture = "capture"
 	// ArtifactTimeline is the store-commit timeline consulted by
 	// timeline-using fault models (fault.NeedsTimeline).
@@ -55,33 +57,27 @@ const (
 	ArtifactMissWeights = "missweights"
 )
 
-// goldenArtifact is the serialized golden run: the metric output and the
+// maxCaptureBytes bounds an application's reference recording. Beyond it
+// the golden artifact drops the recording and the batched path falls back
+// to block-granular batching rather than hold an oversized capture alive.
+const maxCaptureBytes = 64 << 20
+
+// goldenArtifact is the serialized golden run: the metric output, the
 // post-run memory image as a delta (mem.Memory.SnapshotBlocks) against the
 // checkpoint's prepared image, which every process reconstructs identically
-// from the application constructors.
+// from the application constructors, and the recorded warps of each kernel
+// launch. Warps is nil when the recording exceeded maxCaptureBytes, so a
+// warm process skips the oversized recording too and falls back exactly
+// like the process that first ran it. Bytes is the kept recording's
+// simt.CaptureLog.ApproxBytes: every checkpoint of the application shares
+// the recorded warps, so the artifact's store entry is charged for them
+// once, at this size.
 type goldenArtifact struct {
 	Output    []float32
 	DirtyIdx  []int32
 	DirtyData []byte
-}
-
-// captureArtifact is the serialized reference recording. Ok=false caches
-// "capture unavailable" (recording failed or exceeded maxCaptureBytes), so
-// a warm process skips the doomed recording attempt too and falls back to
-// block-granular batching exactly like the process that first tried. Bytes
-// is the recording's simt.CaptureLog.ApproxBytes: every checkpoint of the
-// application shares the recorded warps, so the artifact's store entry is
-// charged for them once, at this size.
-type captureArtifact struct {
-	Ok      bool
-	Bytes   int64
-	Kernels []captureKernelArtifact
-}
-
-// captureKernelArtifact is one kernel's recorded warps; the live Kernel
-// pointer is reattached by launch index on reconstruction.
-type captureKernelArtifact struct {
-	Warps []*simt.WarpCapture
+	Bytes     int64
+	Warps     [][]*simt.WarpCapture
 }
 
 // missArtifact is the serialized miss histogram in the selector's
@@ -93,11 +89,11 @@ type missArtifact struct {
 
 // artifactKey addresses one artifact of this checkpoint: suite identity
 // (version, GPU config, seed, scale) + format version + kind + the
-// application for the golden and the capture, the checkpoint configuration
-// key for the others.
+// application for the golden, the checkpoint configuration key for the
+// others.
 func (cp *Checkpoint) artifactKey(kind string) store.Key {
 	k := cp.suite.key("artifact").Field("v", artifactFormatVersion).Field("kind", kind)
-	if kind == ArtifactGolden || kind == ArtifactCapture {
+	if kind == ArtifactGolden {
 		return k.Field("app", cp.App.Name).Key()
 	}
 	return k.Field("cfg", cp.cfgKey).Key()
@@ -125,45 +121,62 @@ func artifactDo[T any](cp *Checkpoint, kind string, size func(T) int64, compute 
 	return store.Do(cp.suite.st, cp.artifactKey(kind), store.Options[T]{Persist: true, Size: size}, counted)
 }
 
-// computeGoldenArtifact runs the fault-free golden execution on a throwaway
-// fork and snapshots its effects. Replicas are fault-free here, so the
-// golden run skips the scheme overlay, and every instance of the
-// application yields the same artifact (TestProtectedInstanceCapturesMatchBase).
+// computeGoldenArtifact runs the fault-free golden execution once, on a
+// throwaway fork, recording every warp's loads and stores as it goes, and
+// snapshots its effects. Replicas are fault-free here, so the golden run
+// skips the scheme overlay, and every instance of the application yields
+// the same artifact (TestProtectedInstanceCapturesMatchBase): the one
+// recording serves every configuration of the application.
 func computeGoldenArtifact(cp *Checkpoint) (goldenArtifact, error) {
 	f := cp.App.Mem.Fork()
-	if err := cp.App.RunOn(f, nil); err != nil {
+	log, err := cp.App.CaptureRun(f, nil)
+	if err != nil {
 		return goldenArtifact{}, fmt.Errorf("experiments: %s golden run: %w", cp.App.Name, err)
 	}
 	idx, data := f.SnapshotBlocks()
-	return goldenArtifact{Output: cp.App.Output(f), DirtyIdx: idx, DirtyData: data}, nil
+	art := goldenArtifact{Output: cp.App.Output(f), DirtyIdx: idx, DirtyData: data}
+	if bytes := log.ApproxBytes(); bytes <= maxCaptureBytes {
+		art.Bytes = bytes
+		art.Warps = make([][]*simt.WarpCapture, len(log.Kernels))
+		for i, kc := range log.Kernels {
+			art.Warps[i] = kc.Warps
+		}
+	}
+	return art, nil
 }
 
-// reconstructCapture rebuilds the live capture state from its artifact:
+// reconstructCapture rebuilds the live recording from the golden artifact:
 // kernels reattach to the checkpoint's kernel list by launch index, the
 // recorded warps stay shared with the artifact. Returns nil when the
-// artifact records "capture unavailable" or does not match the application
-// shape (callers fall back to full per-lane execution).
-func (cp *Checkpoint) reconstructCapture(art captureArtifact) *simt.CaptureLog {
-	if !art.Ok || len(art.Kernels) != len(cp.App.Kernels) {
+// artifact dropped its recording or does not match the application shape
+// (callers fall back to full per-lane execution).
+func (cp *Checkpoint) reconstructCapture(art goldenArtifact) *simt.CaptureLog {
+	if len(art.Warps) != len(cp.App.Kernels) {
 		return nil
 	}
-	log := &simt.CaptureLog{Kernels: make([]*simt.KernelCapture, len(art.Kernels))}
-	for i := range art.Kernels {
-		log.Kernels[i] = &simt.KernelCapture{Kernel: cp.App.Kernels[i], Warps: art.Kernels[i].Warps}
+	log := &simt.CaptureLog{Kernels: make([]*simt.KernelCapture, len(art.Warps))}
+	for i, warps := range art.Warps {
+		log.Kernels[i] = &simt.KernelCapture{Kernel: cp.App.Kernels[i], Warps: warps}
 	}
 	return log
 }
 
 // Artifact footprint estimates for the checkpoint LRU re-accounting: the
 // memory tier admits a checkpoint at its image size, then grows the
-// accounted size as lazy artifacts materialize. The capture is not among
+// accounted size as lazy artifacts materialize. The recording is not among
 // them: its warps are shared by every checkpoint of the application and
-// charged once, to the artifact's own store entry.
+// charged once, to the golden artifact's own store entry (goldenSize).
 
 func goldenFootprint(art goldenArtifact) int64 {
 	// output slice + the restored golden-post fork's private blocks (the
 	// artifact value itself is accounted under its own store key)
 	return int64(len(art.Output))*4 + int64(len(art.DirtyIdx))*4 + int64(len(art.DirtyData))
+}
+
+// goldenSize is the golden artifact's own store-entry size: the value's
+// output and delta plus the recording it keeps.
+func goldenSize(art goldenArtifact) int64 {
+	return goldenFootprint(art) + art.Bytes
 }
 
 func timelineFootprint(tl *fault.Timeline) int64 {
@@ -198,15 +211,13 @@ func (cp *Checkpoint) footprint() int64 {
 
 // BuildArtifact forces one artifact kind to exist — computing it, or
 // fetching it from the store's memory or disk tier — through the same
-// first-use path a campaign takes. Capture unavailability is not an error
-// (the batched path falls back); every other kind surfaces its build error.
+// first-use path a campaign takes, and surfaces its build error. A dropped
+// recording is not an error (the batched path falls back). ArtifactCapture
+// builds the golden artifact, which carries the recording.
 func (cp *Checkpoint) BuildArtifact(kind string) error {
 	switch kind {
-	case ArtifactGolden:
+	case ArtifactGolden, ArtifactCapture:
 		return cp.ensureGolden()
-	case ArtifactCapture:
-		cp.ensureCapture()
-		return nil
 	case ArtifactTimeline:
 		_, err := cp.Timeline()
 		return err

@@ -16,11 +16,11 @@ import (
 )
 
 // artifactCampaign runs two small campaigns that together use every
-// artifact kind: the golden (classification), the timeline (transient
-// faults), the miss weights (the selector) and the reference capture. The
-// 2-flip transient campaign classifies every run without a replay. The
-// 3-bit stuck-at faults escape SECDED, so that campaign's runs replay
-// against the capture.
+// artifact kind: the golden (classification, and the recording runs replay
+// against), the timeline (transient faults) and the miss weights (the
+// selector). The 2-flip transient campaign classifies every run without a
+// replay. The 3-bit stuck-at faults escape SECDED, so that campaign's runs
+// replay against the golden run's recording.
 func artifactCampaign(t *testing.T, s *Suite) [2]fault.Result {
 	t.Helper()
 	cp, err := s.Checkpoint("P-BICG", core.None, 0)
@@ -64,7 +64,7 @@ func gobBytes(t *testing.T, v any) []byte {
 }
 
 // artifactKinds lists every checkpoint artifact kind.
-var artifactKinds = []string{ArtifactGolden, ArtifactCapture, ArtifactTimeline, ArtifactMissWeights}
+var artifactKinds = []string{ArtifactGolden, ArtifactTimeline, ArtifactMissWeights}
 
 // buildAllArtifacts forces every artifact kind on the app's baseline
 // checkpoint and returns it.
@@ -107,7 +107,6 @@ func TestArtifactParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshCapture := computeCaptureArtifact(cp1)
 	freshTimeline, err := captureTimeline(cp1)
 	if err != nil {
 		t.Fatal(err)
@@ -143,12 +142,6 @@ func TestArtifactParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodedCapture, err := artifactDo(cp2, ArtifactCapture, nil, func() (captureArtifact, error) {
-		return captureArtifact{}, recomputed(ArtifactCapture)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	decodedTimeline, err := artifactDo(cp2, ArtifactTimeline, nil, func() (*fault.Timeline, error) {
 		return nil, recomputed(ArtifactTimeline)
 	})
@@ -167,7 +160,6 @@ func TestArtifactParity(t *testing.T) {
 		fresh, decoded any
 	}{
 		{ArtifactGolden, freshGolden, decodedGolden},
-		{ArtifactCapture, freshCapture, decodedCapture},
 		{ArtifactMissWeights, freshMiss, decodedMiss},
 	} {
 		if !bytes.Equal(gobBytes(t, p.fresh), gobBytes(t, p.decoded)) {
@@ -179,7 +171,7 @@ func TestArtifactParity(t *testing.T) {
 	}
 
 	// The warm process's campaigns — classified against the reconstructed
-	// golden, replayed against the decoded capture, faults drawn from the
+	// golden, replayed against its decoded recording, faults drawn from the
 	// decoded weights and timeline — must match the cold results exactly.
 	if warm := artifactCampaign(t, s2); warm != baseline {
 		t.Errorf("warm-artifact campaigns = %+v, want cold results %+v", warm, baseline)
@@ -302,10 +294,11 @@ func TestSecondProcessServesArtifacts(t *testing.T) {
 }
 
 // TestOneGoldenAndCapturePerApp is the sharing gate: a Fig. 6 + Fig. 9
-// build runs the golden execution and records the reference capture once
-// per application, however many (scheme, level) configurations share
-// them, while the miss weights — which the plan's replica traffic changes
-// — are computed once per Fig. 9 configuration.
+// build runs each application's fault-free reference execution once,
+// recording it as it goes, however many (scheme, level) configurations
+// share it, while the miss weights — which the plan's replica traffic
+// changes — are computed once per Fig. 9 configuration. No artifact of the
+// capture kind exists: the golden carries the recording.
 func TestOneGoldenAndCapturePerApp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweeps in -short mode")
@@ -318,22 +311,27 @@ func TestOneGoldenAndCapturePerApp(t *testing.T) {
 	if _, err := Fig9Resilience(s, Fig9Config{Runs: 2}); err != nil {
 		t.Fatal(err)
 	}
-	cfgs, err := s.fig9Configs(s.EvaluatedNames(), Fig9Config{}.withDefaults().Schemes)
+	cfgs, err := s.configs(s.EvaluatedNames(), Fig9Config{}.withDefaults().Schemes, protectedLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
 	apps := len(s.EvaluatedNames())
 	snap := reg.Snapshot()
-	for kind, want := range map[string]int{ArtifactGolden: apps, ArtifactCapture: apps, ArtifactMissWeights: len(cfgs)} {
+	for kind, want := range map[string]int{ArtifactGolden: apps, ArtifactMissWeights: len(cfgs)} {
 		if got := counterValue(snap, "dcrm_artifact_computed_total", telemetry.Label{Name: "kind", Value: kind}); got != float64(want) {
 			t.Errorf("%s artifacts computed %v times, want %d", kind, got, want)
 		}
 	}
+	if got := counterValue(snap, "dcrm_artifact_requests_total", telemetry.Label{Name: "kind", Value: ArtifactCapture}); got != 0 {
+		t.Errorf("%v capture artifact requests, want none", got)
+	}
 }
 
-// TestSharedCaptureChargedOnce: the capture every protected checkpoint of
-// an application shares is charged to the store's memory tier once, by its
-// own entry, and not again to each checkpoint that replays against it.
+// TestSharedCaptureChargedOnce: the recording every checkpoint of an
+// application shares is charged to the store's memory tier once, by the
+// golden artifact's own entry, and not again to each checkpoint that
+// replays against it; each checkpoint is charged only for its restored
+// golden output and post-run blocks.
 func TestSharedCaptureChargedOnce(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := paritySuite(t, nil, reg)
@@ -344,7 +342,7 @@ func TestSharedCaptureChargedOnce(t *testing.T) {
 	}
 	var cps []*Checkpoint
 	for _, scheme := range []core.Scheme{core.Detection, core.Correction} {
-		for _, level := range sortedLevels(base)[1:] {
+		for _, level := range protectedLevels(base) {
 			cp, err := s.Checkpoint(app, scheme, level)
 			if err != nil {
 				t.Fatal(err)
@@ -355,15 +353,23 @@ func TestSharedCaptureChargedOnce(t *testing.T) {
 	memBytes := func() float64 { return counterValue(reg.Snapshot(), "dcrm_store_mem_bytes") }
 	before := memBytes()
 	for _, cp := range cps {
-		if cp.ensureCapture() == nil {
+		if err := cp.ensureGolden(); err != nil {
+			t.Fatal(err)
+		}
+		if cp.capture == nil {
 			t.Fatalf("%s: no capture", app)
 		}
 	}
-	capture := computeCaptureArtifact(cps[0])
-	if len(cps) < 2 || capture.Bytes <= 0 {
-		t.Fatalf("%d checkpoints, capture of %d B: want several sharing a non-empty capture", len(cps), capture.Bytes)
+	golden, err := computeGoldenArtifact(cps[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := memBytes() - before; got != float64(capture.Bytes) {
-		t.Errorf("%d checkpoints' captures raised the accounted bytes by %v, want one capture's %d", len(cps), got, capture.Bytes)
+	if len(cps) < 2 || golden.Bytes <= 0 {
+		t.Fatalf("%d checkpoints, recording of %d B: want several sharing a non-empty recording", len(cps), golden.Bytes)
+	}
+	want := goldenSize(golden) + int64(len(cps))*goldenFootprint(golden)
+	if got := memBytes() - before; got != float64(want) {
+		t.Errorf("%d checkpoints' goldens raised the accounted bytes by %v, want one recording's %d B plus %d B per checkpoint (%d)",
+			len(cps), got, golden.Bytes, goldenFootprint(golden), want)
 	}
 }

@@ -6,8 +6,8 @@
 // path exploits that: a claim of up to 64 pending runs is injected up
 // front, runs that never need execution are peeled off (injection-time
 // pre-classification, and provably inert faults, which are Masked), and
-// the survivors become lanes of a group replay against one recorded
-// reference execution (Checkpoint.ensureCapture):
+// the survivors become lanes of a group replay against the recording the
+// golden run made (Checkpoint.ensureGolden):
 //
 //   - Each lane tracks its divergence from the golden run per 32-bit word
 //     and by value (simt.DirtySet): it starts at the run's fault words and
@@ -26,17 +26,15 @@
 //     sharing one golden-image divergence scan
 //     (fault.Classifier.ClassifyBatch over mem.BatchDiverges).
 //
-// When no capture is available — the recording exceeded the memory cap or
-// the reference run failed to record — the batch degrades to block-granular
-// amortization: each lane executes in full, exactly as a serial run would,
-// but fork setup, checkpoint fetch, and the classification sweep remain
-// shared across the group.
+// When no capture is available — the recording exceeded maxCaptureBytes —
+// the batch degrades to block-granular amortization: each lane executes
+// in full, exactly as a serial run would, but fork setup, checkpoint
+// fetch, and the classification sweep remain shared across the group.
 package experiments
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
@@ -44,61 +42,13 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/simt"
 )
 
-// maxCaptureBytes bounds an application's reference recording. Beyond it
-// the batched path falls back to block-granular batching rather than hold
-// an oversized capture alive.
-const maxCaptureBytes = 64 << 20
-
-// ensureCapture materializes the capture artifact once per checkpoint —
-// recording the reference execution, or fetching the application's
-// recorded warps from the store — and returns nil when the batched replay
-// cannot be used (recording failed or exceeded maxCaptureBytes; the
-// artifact caches that verdict too) — callers then fall back to full
-// per-lane execution.
-func (cp *Checkpoint) ensureCapture() *simt.CaptureLog {
-	cp.captureOnce.Do(func() {
-		art, err := artifactDo(cp, ArtifactCapture, func(a captureArtifact) int64 { return a.Bytes },
-			func() (captureArtifact, error) { return computeCaptureArtifact(cp), nil })
-		if err != nil {
-			return // capture is an optimization; fall back rather than fail
-		}
-		cp.capture = cp.reconstructCapture(art)
-	})
-	return cp.capture
-}
-
-// computeCaptureArtifact records the reference execution on a throwaway
-// fork, with no scheme reader: a protected instance records exactly what
-// its base instance does, so the one recording serves every configuration
-// of the application. A failed or oversized recording yields Ok=false — a
-// persisted "don't bother" verdict.
-func computeCaptureArtifact(cp *Checkpoint) captureArtifact {
-	log, err := cp.App.CaptureRun(cp.App.Mem.Fork(), nil)
-	if err != nil {
-		return captureArtifact{}
-	}
-	bytes := log.ApproxBytes()
-	if bytes > maxCaptureBytes {
-		return captureArtifact{}
-	}
-	kernels := make([]captureKernelArtifact, len(log.Kernels))
-	for i, kc := range log.Kernels {
-		kernels[i] = captureKernelArtifact{Warps: kc.Warps}
-	}
-	return captureArtifact{Ok: true, Bytes: bytes, Kernels: kernels}
-}
-
 // batchLane is one surviving run of a batched claim: its fork, its
 // divergent-word set, and its per-lane execution state.
 type batchLane struct {
 	idx int // claim-relative run index
 	laneKit
 	drv *simt.Driver
-	// first is the lane's smallest initially-divergent block — the
-	// planner's intra-bucket sort key, grouping lanes whose faults land in
-	// the same block neighbourhood.
-	first arch.BlockAddr
-	err   error
+	err error
 	// taint marks a lane whose executed instruction sequence desynced from
 	// the recording: its writes can no longer be bounded, so every
 	// remaining warp executes in full.
@@ -184,17 +134,12 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 		// word — a replica's through primary, as the word or block of the
 		// protected object the scheme reads it with (see primary below).
 		ln := &batchLane{idx: i, laneKit: kit}
-		ln.first = arch.BlockAddr(^uint64(0))
 		scratch = f.DirtyBlockList(scratch[:0])
 		for _, b := range scratch {
-			b = primary(b.Base()).Block()
-			ln.dirty.AddBlock(b)
-			ln.first = min(ln.first, b)
+			ln.dirty.AddBlock(primary(b.Base()).Block())
 		}
 		for w := 0; w < f.FaultCount(); w++ {
-			a := primary(f.FaultWord(w))
-			ln.dirty.AddWord(a)
-			ln.first = min(ln.first, a.Block())
+			ln.dirty.AddWord(primary(f.FaultWord(w)))
 		}
 		ln.drv = &simt.Driver{Mem: f, PermissiveOOB: true}
 		if cp.Plan != nil {
@@ -211,23 +156,12 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 		return outs, nil
 	}
 
-	// Intra-bucket planning: order lanes by their first divergent block so
-	// lanes corrupting the same block neighbourhood replay adjacently
-	// (claim order breaks ties to keep the plan deterministic). Outcomes
-	// are scattered back through idx, so the sort never affects results.
-	sort.Slice(lanes, func(a, b int) bool {
-		if lanes[a].first != lanes[b].first {
-			return lanes[a].first < lanes[b].first
-		}
-		return lanes[a].idx < lanes[b].idx
-	})
-
 	copiedBefore := make([]uint64, len(lanes))
 	for li, ln := range lanes {
 		copiedBefore[li] = ln.fork.CopiedBlocks()
 	}
-	if log := cp.ensureCapture(); log != nil {
-		cp.replayGroup(log, lanes)
+	if cp.capture != nil {
+		cp.replayGroup(cp.capture, lanes)
 	} else {
 		// Fallback: block-granular batching only — every lane executes in
 		// full, sharing fork setup and the classification sweep below.

@@ -267,9 +267,8 @@ func TestBatchedRunOutcomeParity(t *testing.T) {
 // an application takes when its recording exceeds maxCaptureBytes (C-NN
 // and A-SRAD at the medium scale): every lane executes in full, and its
 // per-run verdicts must equal the clone-per-run oracle's. Each
-// checkpoint's capture is made unavailable before its first claim by
-// consuming captureOnce, so no warp is replayed or reproduced from a
-// recording.
+// checkpoint's recording is cleared after its golden run and before its
+// first claim, so no warp is replayed or reproduced from a recording.
 func TestBatchedFallbackParity(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s, err := NewSuite(SuiteConfig{NNTrainSamples: 60, Telemetry: reg})
@@ -279,8 +278,24 @@ func TestBatchedFallbackParity(t *testing.T) {
 	t.Run("cases", func(t *testing.T) {
 		for _, app := range []string{"C-NN", "A-SRAD"} {
 			for _, scheme := range []core.Scheme{core.None, core.Detection, core.Correction} {
+				base, err := s.App(app)
+				if err != nil {
+					t.Fatal(err)
+				}
+				level := 0
+				if scheme != core.None {
+					level = base.HotCount
+				}
+				cp, err := s.Checkpoint(app, scheme, level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cp.ensureGolden(); err != nil {
+					t.Fatal(err)
+				}
+				cp.capture = nil // before the parallel subtests start
 				for _, spec := range []string{"stuck-at:bits=3,blocks=2", "transient:flips=3"} {
-					app, scheme, spec := app, scheme, spec
+					app, spec := app, spec
 					name := fmt.Sprintf("%s_%v_%s", app, scheme, strings.SplitN(spec, ":", 2)[0])
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
@@ -288,19 +303,6 @@ func TestBatchedFallbackParity(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						base, err := s.App(app)
-						if err != nil {
-							t.Fatal(err)
-						}
-						level := 0
-						if scheme != core.None {
-							level = base.HotCount
-						}
-						cp, err := s.Checkpoint(app, scheme, level)
-						if err != nil {
-							t.Fatal(err)
-						}
-						cp.captureOnce.Do(func() {}) // the capture stays nil
 						sel := campaignSelector(t, s, cp, app, "hot")
 						c := fault.Campaign{Runs: 6, Seed: 20261018, Workers: 1}
 						want := oracleOutcomes(t, cp, c, model, sel)

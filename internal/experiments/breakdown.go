@@ -1,11 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
+	"github.com/datacentric-gpu/dcrm/internal/kernels"
 )
 
 // BreakdownConfig sizes the fault-model × scheme outcome-breakdown
@@ -61,20 +60,6 @@ func DefaultBreakdownModels() []fault.Model {
 	}
 }
 
-// BreakdownCell is one (application, scheme, model) bar of the breakdown
-// figure: the full outcome distribution of one campaign.
-type BreakdownCell struct {
-	App    string
-	Scheme core.Scheme
-	// Level is the protected-object count (0 = unprotected baseline; the
-	// protected configurations use the application's hot-object count).
-	Level int
-	// Model identifies the fault configuration (serializable: cells
-	// persist through the gob-encoded result store).
-	Model  fault.ModelInfo
-	Result fault.Result
-}
-
 // FaultModelBreakdown runs the fault-model × scheme outcome-breakdown
 // experiment, served through the result store: for every application,
 // inject each configured fault model uniformly across the whole data
@@ -84,7 +69,7 @@ type BreakdownCell struct {
 // distribution — including DUE — per cell. Model identities fold into the
 // store key via fault.ModelsKey, so results computed under different
 // model sets never alias.
-func FaultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]BreakdownCell, error) {
+func FaultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]Fig9Cell, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Apps) == 0 {
 		cfg.Apps = s.AllNames()
@@ -96,73 +81,30 @@ func FaultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]BreakdownCell, error)
 			Field("models", fault.ModelsKey(cfg.Models)).
 			Field("apps", cfg.Apps).
 			Field("schemes", cfg.Schemes),
-		func() ([]BreakdownCell, error) { return faultModelBreakdown(s, cfg) })
+		func() ([]Fig9Cell, error) { return faultModelBreakdown(s, cfg) })
 }
 
 // faultModelBreakdown is FaultModelBreakdown's compute path (store miss):
-// each (application, scheme, level) configuration is one task on the
-// suite's worker pool and sweeps every model serially, so cells are
-// assembled in the serial order and output is identical at any worker
-// count. The wrapper has already resolved defaults.
-func faultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]BreakdownCell, error) {
-	type task struct {
-		app    string
-		scheme core.Scheme
-		level  int
-	}
-	var tasks []task
-	for _, name := range cfg.Apps {
-		base, err := s.App(name)
-		if err != nil {
-			return nil, err
-		}
-		tasks = append(tasks, task{name, core.None, 0})
-		for _, scheme := range cfg.Schemes {
-			tasks = append(tasks, task{name, scheme, base.HotCount})
-		}
-	}
-
-	perTask := make([][]BreakdownCell, len(tasks))
-	err := s.runTasks("breakdown: campaigns", len(tasks), func(i int) error {
-		t := tasks[i]
-		cp, err := s.Checkpoint(t.app, t.scheme, t.level)
-		if err != nil {
-			return err
-		}
-		// Uniform whole-space selection: every block of the prepared image,
-		// replicas included. Unlike Fig. 9's miss-weighted selector this
-		// needs no timing replay per configuration and is well defined for
-		// the counter-example applications too.
-		blocks := make([]arch.BlockAddr, cp.App.Mem.TotalBlocks())
-		for b := range blocks {
-			blocks[b] = arch.BlockAddr(b)
-		}
-		sel, err := fault.NewSetSelector(blocks)
-		if err != nil {
-			return err
-		}
-		cells := make([]BreakdownCell, 0, len(cfg.Models))
-		for _, model := range cfg.Models {
-			res, err := cp.Campaign(s.campaign(cfg.Runs, cfg.Seed), model, sel)
-			if err != nil {
-				return fmt.Errorf("experiments: breakdown %s %v L%d %v: %w",
-					t.app, t.scheme, t.level, model, err)
-			}
-			cells = append(cells, BreakdownCell{
-				App: t.app, Scheme: t.scheme, Level: t.level,
-				Model: fault.Info(model), Result: res,
-			})
-		}
-		perTask[i] = cells
-		return nil
-	})
+// Fig. 9's sweep at each application's hot level, with every block of the
+// prepared image, replicas included, equally likely. Unlike Fig. 9's
+// miss-weighted selector this needs no timing replay per configuration and
+// is well defined for the counter-example applications too. The wrapper
+// has already resolved defaults.
+func faultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]Fig9Cell, error) {
+	hot := func(app *kernels.App) []int { return []int{app.HotCount} }
+	cfgs, err := s.configs(cfg.Apps, cfg.Schemes, hot)
 	if err != nil {
 		return nil, err
 	}
+	return sweep(s, "breakdown", cfgs, uniformSelector, cfg.Models, cfg.Runs, cfg.Seed)
+}
 
-	var out []BreakdownCell
-	for _, cells := range perTask {
-		out = append(out, cells...)
+// uniformSelector draws from every block of the checkpoint's prepared
+// image with equal probability.
+func uniformSelector(cp *Checkpoint) (fault.Selector, error) {
+	blocks := make([]arch.BlockAddr, cp.App.Mem.TotalBlocks())
+	for b := range blocks {
+		blocks[b] = arch.BlockAddr(b)
 	}
-	return out, nil
+	return fault.NewSetSelector(blocks)
 }

@@ -45,7 +45,7 @@ func TestExportCSVGoldenBytes(t *testing.T) {
 		"P-X,detection,2,stuck-at,\"bits=3,blocks=1\",15,5,4,3,2,1\n"
 	assertFileBytes(t, filepath.Join(dir, "fig9_resilience.csv"), wantFig9)
 
-	if err := ExportBreakdownCSV(dir, []BreakdownCell{
+	if err := ExportBreakdownCSV(dir, []Fig9Cell{
 		{App: "P-X", Scheme: core.Correction, Level: 2,
 			Model: fault.Info(fault.Transient{Flips: 2, Blocks: 1}), Result: goldenResult},
 	}); err != nil {

@@ -20,7 +20,7 @@ import (
 // Checkpoint is the reusable golden state of one (application, scheme,
 // protection-level) campaign configuration: the post-input-load memory
 // image with replicas allocated, the replication plan, the fault-free
-// golden output and post-run image, and free-lists of reusable
+// golden output, post-run image and recording, and free-lists of reusable
 // copy-on-write forks. Checkpoints are built once per configuration
 // through the suite memo and shared by every campaign run — across fault
 // models, across the Fig. 6/7/9 experiments, and across the public
@@ -36,10 +36,15 @@ type Checkpoint struct {
 
 	// The golden run is lazy: consumers that only need the prepared image
 	// and plan (Fig. 7's overhead tasks, for example) never pay for it.
+	// capture is its recording, which batched replay runs against (nil =
+	// fall back to full per-lane execution); the warps are the
+	// application's one recording, shared with every other checkpoint of
+	// the application.
 	goldenOnce sync.Once
 	golden     []float32
 	goldenErr  error
 	classifier fault.Classifier
+	capture    *simt.CaptureLog
 
 	// kits and scratches recycle the batched path's per-lane state (a fork
 	// and its divergent-word set) and per-claim injection scratch. Unlike
@@ -59,13 +64,6 @@ type Checkpoint struct {
 	timelineOnce sync.Once
 	timeline     *fault.Timeline
 	timelineErr  error
-
-	// The reference recording for batched replay is lazy too: only batched
-	// campaigns pay for it (nil capture after the once = fall back to full
-	// per-lane execution). Its warps are the application's one recording,
-	// shared with every other checkpoint of the application.
-	captureOnce sync.Once
-	capture     *simt.CaptureLog
 
 	// Artifact-cache plumbing (see artifact.go): the owning suite (store +
 	// identity), this configuration's key, the checkpoint's own memory-tier
@@ -193,15 +191,16 @@ func (s *Suite) newCheckpoint(app *kernels.App, plan *core.Plan, cfgKey string, 
 	return cp
 }
 
-// ensureGolden materializes the golden artifact once — running the
-// fault-free execution, or fetching its recorded effects from the store —
-// and reconstructs the output and post-run state the classifier compares
-// against. Both paths rebuild the golden-post fork by replaying the
-// artifact's dirty-block delta onto a fresh fork of the prepared image, so
-// a warm start is bit-identical to a cold one.
+// ensureGolden materializes the golden artifact once — running and
+// recording the fault-free execution, or fetching its effects from the
+// store — and reconstructs the output and post-run state the classifier
+// compares against, and the recording batched replay runs against. Both
+// paths rebuild the golden-post fork by replaying the artifact's
+// dirty-block delta onto a fresh fork of the prepared image, so a warm
+// start is bit-identical to a cold one.
 func (cp *Checkpoint) ensureGolden() error {
 	cp.goldenOnce.Do(func() {
-		art, err := artifactDo(cp, ArtifactGolden, nil, func() (goldenArtifact, error) {
+		art, err := artifactDo(cp, ArtifactGolden, goldenSize, func() (goldenArtifact, error) {
 			return computeGoldenArtifact(cp)
 		})
 		if err != nil {
@@ -220,6 +219,7 @@ func (cp *Checkpoint) ensureGolden() error {
 			Metric:     cp.App.Metric,
 			DetectErr:  core.ErrFaultDetected,
 		}
+		cp.capture = cp.reconstructCapture(art)
 		cp.addLazyBytes(goldenFootprint(art))
 	})
 	return cp.goldenErr

@@ -10,7 +10,7 @@ import (
 
 // Cold-start benchmark shape: one op is bringing a multi-checkpoint
 // campaign session to fully-warm artifacts — two applications, baseline
-// plus a protected configuration each, all four artifact kinds (16 units),
+// plus a protected configuration each, all three artifact kinds (12 units),
 // built one after another on one goroutine. "cold" builds them into an
 // empty store; "secondprocess" warm-starts a fresh process from the disk
 // tier the same build filled (and fails the run if anything recomputes).

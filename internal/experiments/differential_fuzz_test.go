@@ -55,7 +55,7 @@ func FuzzCampaignDifferential(f *testing.F) {
 		if sch != core.None {
 			level = base.HotCount
 			var others []int
-			for _, l := range sortedLevels(base)[1:] {
+			for _, l := range protectedLevels(base) {
 				if l != base.HotCount {
 					others = append(others, l)
 				}

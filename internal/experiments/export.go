@@ -138,22 +138,17 @@ func ExportFig7CSV(dir string, points []Fig7Point) error {
 // ExportFig9CSV writes the resilience campaign results. Outcome columns
 // follow the canonical fault.Outcomes() order.
 func ExportFig9CSV(dir string, cells []Fig9Cell) error {
-	var rows [][]string
-	for _, c := range cells {
-		scheme := c.Scheme.String()
-		if c.Scheme == core.None {
-			scheme = "baseline"
-		}
-		row := []string{c.App, scheme, fmtI(c.Level), c.Model.Name, c.Model.Params, fmtI(c.Result.Runs)}
-		rows = append(rows, append(row, outcomeColumns(c.Result)...))
-	}
-	header := append([]string{"app", "scheme", "objects", "model", "params", "runs"}, outcomeHeader()...)
-	return writeCSV(dir, "fig9_resilience.csv", header, rows)
+	return exportCampaignGrid(dir, "fig9_resilience.csv", cells)
 }
 
 // ExportBreakdownCSV writes the fault-model × scheme outcome breakdown.
 // Outcome columns follow the canonical fault.Outcomes() order.
-func ExportBreakdownCSV(dir string, cells []BreakdownCell) error {
+func ExportBreakdownCSV(dir string, cells []Fig9Cell) error {
+	return exportCampaignGrid(dir, "fault_model_breakdown.csv", cells)
+}
+
+// exportCampaignGrid writes one sweep's cells, one row per campaign.
+func exportCampaignGrid(dir, name string, cells []Fig9Cell) error {
 	var rows [][]string
 	for _, c := range cells {
 		scheme := c.Scheme.String()
@@ -164,5 +159,5 @@ func ExportBreakdownCSV(dir string, cells []BreakdownCell) error {
 		rows = append(rows, append(row, outcomeColumns(c.Result)...))
 	}
 	header := append([]string{"app", "scheme", "objects", "model", "params", "runs"}, outcomeHeader()...)
-	return writeCSV(dir, "fault_model_breakdown.csv", header, rows)
+	return writeCSV(dir, name, header, rows)
 }

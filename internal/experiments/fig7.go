@@ -42,46 +42,33 @@ type Fig7Config struct {
 // task unit on the suite's worker pool; each task replays the
 // application's memoized read-only traces (Suite.Traces, recorded by the
 // first task that asks) through a private engine, exactly as the hardware
-// proposal adds copy transactions at the LD/ST unit. Points are assembled
-// and normalized in the serial sweep order, so output is identical at any
+// proposal adds copy transactions at the LD/ST unit. Points come back and
+// are normalized in the serial sweep order, so output is identical at any
 // worker count. The wrapper has already resolved defaults.
 func fig7Overhead(s *Suite, cfg Fig7Config) ([]Fig7Point, error) {
-	// Enumerate the timing runs in serial sweep order. Level 0 under scheme
-	// None is the normalization baseline.
-	var tasks []SimConfig
-	for _, name := range cfg.Apps {
-		app, err := s.App(name)
-		if err != nil {
-			return nil, err
-		}
-		tasks = append(tasks, SimConfig{App: name, Scheme: core.None, Policy: cfg.Policy})
-		for _, scheme := range []core.Scheme{core.Detection, core.Correction} {
-			for _, level := range sortedLevels(app)[1:] {
-				tasks = append(tasks, SimConfig{App: name, Scheme: scheme, Level: level, Policy: cfg.Policy})
-			}
-		}
+	// Level 0 under scheme None is the normalization baseline.
+	cfgs, err := s.configs(cfg.Apps, []core.Scheme{core.Detection, core.Correction}, protectedLevels)
+	if err != nil {
+		return nil, err
 	}
-
-	out := make([]Fig7Point, len(tasks))
-	err := s.runTasks("fig7: timing sweep", len(tasks), func(i int) error {
-		t := tasks[i]
-		st, err := replay(s, t, nil)
+	out, err := fanOut(s, "fig7: timing sweep", len(cfgs), func(i int) (Fig7Point, error) {
+		c := cfgs[i]
+		st, err := replay(s, SimConfig{App: c.app, Scheme: c.scheme, Level: c.level, Policy: cfg.Policy}, nil)
 		if err != nil {
-			return err
+			return Fig7Point{}, err
 		}
 		var stalls uint64
 		for _, k := range st.Kernels {
 			stalls += k.CompareStalls
 		}
-		out[i] = Fig7Point{
-			App:           t.App,
-			Scheme:        t.Scheme,
-			Level:         t.Level,
+		return Fig7Point{
+			App:           c.app,
+			Scheme:        c.scheme,
+			Level:         c.level,
 			Cycles:        st.TotalCycles(),
 			L1Misses:      st.TotalL1Misses(),
 			CompareStalls: stalls,
-		}
-		return nil
+		}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
@@ -48,12 +49,15 @@ func (c Fig9Config) withDefaults() Fig9Config {
 	return c
 }
 
-// Fig9Cell is one bar of Fig. 9.
+// Fig9Cell is one bar of Fig. 9, or of the outcome breakdown: the full
+// outcome distribution of one (application, scheme, level, model)
+// campaign.
 type Fig9Cell struct {
 	App    string
 	Scheme core.Scheme
 	// Level is the cumulative number of protected objects (0 = baseline;
-	// plotted once under scheme None).
+	// plotted once under scheme None; the breakdown protects the
+	// application's hot objects).
 	Level int
 	// Model identifies the fault configuration (serializable: cells
 	// persist through the gob-encoded result store).
@@ -62,13 +66,13 @@ type Fig9Cell struct {
 }
 
 // weightConfig is the GPU configuration used to collect the Fig. 8 miss
-// histogram: Table I with the cache capacities scaled down in proportion to
-// the scaled workload inputs. At the paper's full problem sizes the 16 KB
-// L1 thrashes under the streaming matrix/image traffic and the hot blocks
-// miss on most of their re-references, which is what exposes them to the
-// L2/DRAM fault domain; the scaled inputs would otherwise fit comfortably
-// and hide that behaviour. The performance experiments (Fig. 7) keep the
-// unscaled Table I hierarchy.
+// histogram: Table I with the L1 cut to 2 KB and the L2 to 32 KB per
+// channel, the same at every workload scale. At the paper's full problem
+// sizes the 16 KB L1 thrashes under the streaming matrix/image traffic and
+// the hot blocks miss on most of their re-references, which is what
+// exposes them to the L2/DRAM fault domain; the scaled inputs would
+// otherwise fit comfortably and hide that behaviour. The performance
+// experiments (Fig. 7) keep the unscaled Table I hierarchy.
 func weightConfig() arch.Config {
 	cfg := arch.Default()
 	cfg.L1.SizeBytes = 2 * 1024
@@ -129,81 +133,50 @@ func missWeights(app string, plan *core.Plan, traces []*simt.KernelTrace) ([]arc
 	return blocks, weights, nil
 }
 
-// checkpointConfig names one (application, scheme, level) campaign
-// configuration.
-type checkpointConfig struct {
-	app    string
-	scheme core.Scheme
-	level  int
-}
-
-// fig9Configs enumerates Fig. 9's configurations in serial sweep order:
-// each application's unprotected baseline, then every cumulative
-// protection level under each scheme.
-func (s *Suite) fig9Configs(apps []string, schemes []core.Scheme) ([]checkpointConfig, error) {
-	var cfgs []checkpointConfig
-	for _, name := range apps {
-		baseApp, err := s.App(name)
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, checkpointConfig{name, core.None, 0})
-		for _, scheme := range schemes {
-			for _, level := range sortedLevels(baseApp)[1:] {
-				cfgs = append(cfgs, checkpointConfig{name, scheme, level})
-			}
-		}
-	}
-	return cfgs, nil
-}
-
 // fig9Resilience is Fig9Resilience's compute path (store miss): inject
 // faults across the whole application address space (block choice weighted
 // by L1-missed accesses, replicas included) and count SDC outcomes as
-// protection cumulatively covers more data objects under each scheme. Each
-// (application, scheme, level) configuration — plan construction,
-// miss-weighted selector timing run, and its fault campaigns — is one task
-// unit on the suite's worker pool; cells are assembled in the serial sweep
-// order, so output is identical at any worker count. The wrapper has
-// already resolved defaults.
+// protection cumulatively covers more data objects under each scheme. The
+// wrapper has already resolved defaults.
 func fig9Resilience(s *Suite, cfg Fig9Config) ([]Fig9Cell, error) {
-	// The configuration sweep, in serial order.
-	tasks, err := s.fig9Configs(cfg.Apps, cfg.Schemes)
+	cfgs, err := s.configs(cfg.Apps, cfg.Schemes, protectedLevels)
 	if err != nil {
 		return nil, err
 	}
+	return sweep(s, "fig9", cfgs, (*Checkpoint).MissSelector, cfg.Models, cfg.Runs, cfg.Seed)
+}
 
-	perTask := make([][]Fig9Cell, len(tasks))
-	err = s.runTasks("fig9: campaigns", len(tasks), func(i int) error {
-		t := tasks[i]
-		cp, err := s.Checkpoint(t.app, t.scheme, t.level)
+// sweep runs one campaign grid. Each configuration — checkpoint lookup,
+// its selector (for Fig. 9 a miss-weighted timing run), and one campaign
+// per model — is one task unit on the suite's worker pool, under the
+// progress phase "<name>: campaigns". Cells come back in the serial sweep
+// order, configuration-major, so output is identical at any worker count.
+func sweep(s *Suite, name string, cfgs []checkpointConfig, selector func(*Checkpoint) (fault.Selector, error),
+	models []fault.Model, runs int, seed int64) ([]Fig9Cell, error) {
+	perTask, err := fanOut(s, name+": campaigns", len(cfgs), func(i int) ([]Fig9Cell, error) {
+		c := cfgs[i]
+		cp, err := s.Checkpoint(c.app, c.scheme, c.level)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		sel, err := cp.MissSelector()
+		sel, err := selector(cp)
 		if err != nil {
-			return fmt.Errorf("experiments: fig9 %s %v L%d: %w", t.app, t.scheme, t.level, err)
+			return nil, fmt.Errorf("experiments: %s %s %v L%d: %w", name, c.app, c.scheme, c.level, err)
 		}
-		cells := make([]Fig9Cell, 0, len(cfg.Models))
-		for _, model := range cfg.Models {
-			res, err := cp.Campaign(s.campaign(cfg.Runs, cfg.Seed), model, sel)
+		cells := make([]Fig9Cell, 0, len(models))
+		for _, model := range models {
+			res, err := cp.Campaign(s.campaign(runs, seed), model, sel)
 			if err != nil {
-				return fmt.Errorf("experiments: fig9 %s %v L%d %v: %w", t.app, t.scheme, t.level, model, err)
+				return nil, fmt.Errorf("experiments: %s %s %v L%d %v: %w", name, c.app, c.scheme, c.level, model, err)
 			}
-			cells = append(cells, Fig9Cell{App: t.app, Scheme: t.scheme, Level: t.level, Model: fault.Info(model), Result: res})
+			cells = append(cells, Fig9Cell{App: c.app, Scheme: c.scheme, Level: c.level, Model: fault.Info(model), Result: res})
 		}
-		perTask[i] = cells
-		return nil
+		return cells, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	var out []Fig9Cell
-	for _, cells := range perTask {
-		out = append(out, cells...)
-	}
-	return out, nil
+	return slices.Concat(perTask...), nil
 }
 
 // SDCDropPercent computes the paper's headline reliability number: the

@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
@@ -56,24 +57,18 @@ func fig3AccessProfiles(s *Suite, points int) ([]Fig3Result, error) {
 		points = 100
 	}
 	names := s.AllNames()
-	out := make([]Fig3Result, len(names))
-	err := s.runTasks("fig3: profiles", len(names), func(i int) error {
+	return fanOut(s, "fig3: profiles", len(names), func(i int) (Fig3Result, error) {
 		p, err := s.Profile(names[i])
 		if err != nil {
-			return err
+			return Fig3Result{}, err
 		}
-		out[i] = Fig3Result{
+		return Fig3Result{
 			App:         names[i],
 			Series:      p.NormalizedReadSeries(points),
 			MaxMinRatio: p.MaxMinRatio(),
 			HotPattern:  p.HasHotPattern(),
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Fig4Apps are the applications the paper plots in Fig. 4.
@@ -92,19 +87,13 @@ func fig4WarpSharing(s *Suite, points int) ([]Fig4Result, error) {
 	if points <= 0 {
 		points = 100
 	}
-	out := make([]Fig4Result, len(Fig4Apps))
-	err := s.runTasks("fig4: warp sharing", len(Fig4Apps), func(i int) error {
+	return fanOut(s, "fig4: warp sharing", len(Fig4Apps), func(i int) (Fig4Result, error) {
 		p, err := s.Profile(Fig4Apps[i])
 		if err != nil {
-			return err
+			return Fig4Result{}, err
 		}
-		out[i] = Fig4Result{App: Fig4Apps[i], Series: p.WarpSharePercentSeries(points)}
-		return nil
+		return Fig4Result{App: Fig4Apps[i], Series: p.WarpSharePercentSeries(points)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Table3Object is one data-object row fragment.
@@ -128,16 +117,15 @@ type Table3Row struct {
 // table3DataObjects is Table3DataObjects' compute path (store miss).
 func table3DataObjects(s *Suite) ([]Table3Row, error) {
 	names := s.EvaluatedNames()
-	out := make([]Table3Row, len(names))
-	err := s.runTasks("table3: data objects", len(names), func(i int) error {
+	return fanOut(s, "table3: data objects", len(names), func(i int) (Table3Row, error) {
 		name := names[i]
 		app, err := s.App(name)
 		if err != nil {
-			return err
+			return Table3Row{}, err
 		}
 		p, err := s.Profile(name)
 		if err != nil {
-			return err
+			return Table3Row{}, err
 		}
 		hot := make(map[string]bool, app.HotCount)
 		for _, o := range app.HotObjects() {
@@ -151,13 +139,8 @@ func table3DataObjects(s *Suite) ([]Table3Row, error) {
 		for _, o := range p.Objects {
 			row.Objects = append(row.Objects, Table3Object{Name: o.Name, Hot: hot[o.Name], Reads: o.Reads})
 		}
-		out[i] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // DefaultFaultModels are the paper's six injection configurations:
@@ -252,24 +235,13 @@ type Fig6Cell struct {
 // its space × model grid in the serial order, so the returned cells match
 // a serial run exactly. The wrapper has already resolved defaults.
 func fig6HotVsRest(s *Suite, cfg Fig6Config) ([]Fig6Cell, error) {
-	apps := cfg.Apps
-	perApp := make([][]Fig6Cell, len(apps))
-	err := s.runTasks("fig6: campaigns", len(apps), func(i int) error {
-		cells, err := fig6App(s, cfg, apps[i])
-		if err != nil {
-			return err
-		}
-		perApp[i] = cells
-		return nil
+	perApp, err := fanOut(s, "fig6: campaigns", len(cfg.Apps), func(i int) ([]Fig6Cell, error) {
+		return fig6App(s, cfg, cfg.Apps[i])
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []Fig6Cell
-	for _, cells := range perApp {
-		out = append(out, cells...)
-	}
-	return out, nil
+	return slices.Concat(perApp...), nil
 }
 
 // SpaceBlocks returns the named application's injection block space:

@@ -144,7 +144,7 @@ func TestProtectedInstanceTracesMatchBase(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, scheme := range []core.Scheme{core.Detection, core.Correction} {
-			for _, level := range sortedLevels(app)[1:] {
+			for _, level := range protectedLevels(app) {
 				cp, err := s.Checkpoint(name, scheme, level)
 				if err != nil {
 					t.Fatal(err)
@@ -167,20 +167,19 @@ func TestProtectedInstanceTracesMatchBase(t *testing.T) {
 }
 
 // TestProtectedInstanceCapturesMatchBase pins what lets every checkpoint of
-// an application share one golden artifact and one reference capture: for
-// each of Fig. 9's configurations, the golden artifact and the capture
-// recorded on the configuration's instance (no scheme reader, as
-// computeCaptureArtifact records it) deep-equal the application's
-// baseline ones, because replicas are allocated after every primary object
-// and no kernel addresses them. Protected configurations run as parallel
-// subtests.
+// an application share one golden artifact, recording included: for each
+// of Fig. 9's configurations, the golden artifact recorded on the
+// configuration's instance (no scheme reader, as computeGoldenArtifact
+// runs it) equals the application's baseline one, because replicas are
+// allocated after every primary object and no kernel addresses them.
+// Protected configurations run as parallel subtests.
 func TestProtectedInstanceCapturesMatchBase(t *testing.T) {
 	s := testSuite(t)
-	cfgs, err := s.fig9Configs(s.EvaluatedNames(), Fig9Config{}.withDefaults().Schemes)
+	cfgs, err := s.configs(s.EvaluatedNames(), Fig9Config{}.withDefaults().Schemes, protectedLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	record := func(t *testing.T, c checkpointConfig) (goldenArtifact, captureArtifact) {
+	record := func(t *testing.T, c checkpointConfig) goldenArtifact {
 		t.Helper()
 		cp, err := s.Checkpoint(c.app, c.scheme, c.level)
 		if err != nil {
@@ -190,35 +189,29 @@ func TestProtectedInstanceCapturesMatchBase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		capture := computeCaptureArtifact(cp)
-		if !capture.Ok {
-			t.Fatalf("%s %v L%d: no capture", c.app, c.scheme, c.level)
+		if golden.Warps == nil {
+			t.Fatalf("%s %v L%d: no recording", c.app, c.scheme, c.level)
 		}
-		return golden, capture
+		return golden
 	}
 	var baseApp string
 	var baseGolden goldenArtifact
-	var baseCapture captureArtifact
 	protected := 0
 	for _, c := range cfgs {
 		if c.level == 0 {
 			baseApp = c.app
-			baseGolden, baseCapture = record(t, c)
+			baseGolden = record(t, c)
 			continue
 		}
 		if c.app != baseApp {
 			t.Fatalf("%s %v L%d precedes the app's baseline", c.app, c.scheme, c.level)
 		}
 		protected++
-		wantGolden, wantCapture := baseGolden, baseCapture
+		want := baseGolden
 		t.Run(fmt.Sprintf("%s/%v/L%d", c.app, c.scheme, c.level), func(t *testing.T) {
 			t.Parallel()
-			golden, capture := record(t, c)
-			if !reflect.DeepEqual(golden, wantGolden) {
+			if !sameGolden(record(t, c), want) {
 				t.Error("golden artifact differs from the baseline's")
-			}
-			if !sameCapture(capture, wantCapture) {
-				t.Error("capture differs from the baseline's")
 			}
 		})
 	}
@@ -227,16 +220,18 @@ func TestProtectedInstanceCapturesMatchBase(t *testing.T) {
 	}
 }
 
-// sameCapture is reflect.DeepEqual over two capture artifacts, applied
-// warp by warp: DeepEqual remembers every slice it compares, so one call
-// over a whole multi-megabyte recording spends most of its time growing
-// that map.
-func sameCapture(a, b captureArtifact) bool {
-	if a.Ok != b.Ok || a.Bytes != b.Bytes || len(a.Kernels) != len(b.Kernels) {
+// sameGolden is reflect.DeepEqual over two golden artifacts, applying it
+// to the recording warp by warp: DeepEqual remembers every slice it
+// compares, so one call over a whole multi-megabyte recording spends most
+// of its time growing that map.
+func sameGolden(a, b goldenArtifact) bool {
+	aw, bw := a.Warps, b.Warps
+	a.Warps, b.Warps = nil, nil
+	if !reflect.DeepEqual(a, b) || len(aw) != len(bw) {
 		return false
 	}
-	for k := range a.Kernels {
-		if !slices.EqualFunc(a.Kernels[k].Warps, b.Kernels[k].Warps, func(x, y *simt.WarpCapture) bool {
+	for k := range aw {
+		if !slices.EqualFunc(aw[k], bw[k], func(x, y *simt.WarpCapture) bool {
 			return reflect.DeepEqual(x, y)
 		}) {
 			return false

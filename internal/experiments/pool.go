@@ -148,3 +148,18 @@ func (s *Suite) runTasks(phase string, n int, task func(i int) error) error {
 	wg.Wait()
 	return firstEr
 }
+
+// fanOut runs task for every index in [0, n) through runTasks and returns
+// the results in index order, so output assembled from them is identical
+// at any worker count.
+func fanOut[T any](s *Suite, phase string, n int, task func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	err := s.runTasks(phase, n, func(i int) (err error) {
+		out[i], err = task(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}

@@ -1,10 +1,9 @@
 // Package experiments orchestrates the paper's evaluation: one entry point
-// per table and figure, returning structured rows that cmd/repro renders
-// and bench_test.go regenerates. Each experiment composes the substrate
-// packages the way the paper's methodology describes — a profiling run for
-// the access-pattern analysis, functional fault-injection campaigns for the
-// reliability results, and timing-simulator sweeps for the performance
-// results.
+// per table and figure, returning structured rows that cmd/repro renders.
+// Each experiment composes the substrate packages the way the paper's
+// methodology describes — a profiling run for the access-pattern analysis,
+// functional fault-injection campaigns for the reliability results, and
+// timing-simulator sweeps for the performance results.
 //
 // Every experiment fans its independent work units (per application, and
 // per scheme × protection level for the timing and resilience sweeps) over
@@ -25,7 +24,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
@@ -157,7 +155,7 @@ func (s Scale) spec() scaleSpec {
 
 // Suite builds and caches the paper's applications, their profiles, their
 // baseline traces, and their campaign checkpoints with the checkpoints'
-// artifacts (one golden run and one reference capture per application),
+// artifacts (one golden run per application, recorded as it runs),
 // all through the content-addressed result store. Building C-NN's network
 // is expensive, so one network is shared across every C-NN instance the
 // experiments create. All methods are safe for concurrent use; the cached
@@ -398,18 +396,42 @@ func (s *Suite) PlanForObjects(name string, scheme core.Scheme, objectNames []st
 	return app, plan, nil
 }
 
-// sortedLevels returns the protection levels to sweep for an app:
-// 0 (baseline) through len(Objects), capped so correction stays within its
-// address-table budget.
-func sortedLevels(app *kernels.App) []int {
-	max := len(app.Objects)
-	if max > core.MaxObjectsCorrection {
-		max = core.MaxObjectsCorrection
+// protectedLevels returns the cumulative protection levels a sweep covers
+// for an app: 1 through its object count, capped so correction stays
+// within its address-table budget.
+func protectedLevels(app *kernels.App) []int {
+	n := min(len(app.Objects), core.MaxObjectsCorrection)
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i + 1
 	}
-	out := make([]int, 0, max+1)
-	for l := 0; l <= max; l++ {
-		out = append(out, l)
-	}
-	sort.Ints(out)
 	return out
+}
+
+// checkpointConfig names one (application, scheme, level) campaign
+// configuration.
+type checkpointConfig struct {
+	app    string
+	scheme core.Scheme
+	level  int
+}
+
+// configs lists a sweep's configurations in its serial order: each
+// application's unprotected baseline, then every scheme at each of the
+// application's levels.
+func (s *Suite) configs(apps []string, schemes []core.Scheme, levels func(*kernels.App) []int) ([]checkpointConfig, error) {
+	var cfgs []checkpointConfig
+	for _, name := range apps {
+		app, err := s.App(name)
+		if err != nil {
+			return nil, err
+		}
+		cfgs = append(cfgs, checkpointConfig{name, core.None, 0})
+		for _, scheme := range schemes {
+			for _, level := range levels(app) {
+				cfgs = append(cfgs, checkpointConfig{name, scheme, level})
+			}
+		}
+	}
+	return cfgs, nil
 }

@@ -110,7 +110,7 @@ func wordGateCheckpoint(t *testing.T, app string, scheme core.Scheme) *Checkpoin
 	if err := cp.ensureGolden(); err != nil {
 		t.Fatal(err)
 	}
-	if cp.ensureCapture() == nil {
+	if cp.capture == nil {
 		t.Fatalf("%s: no capture", app)
 	}
 	return cp
@@ -144,7 +144,7 @@ func readersOf(cp *Checkpoint, addrs ...arch.Addr) wordReaders {
 	}
 	bufs := cp.App.Mem.Buffers()
 	r := wordReaders{first: -1, firstBlock: -1}
-	for _, kc := range cp.ensureCapture().Kernels {
+	for _, kc := range cp.capture.Kernels {
 		for _, wc := range kc.Warps {
 			reads := warpReadsWord(bufs, wc, words)
 			if slices.ContainsFunc(words, func(a arch.Addr) bool { return slices.Contains(wc.LoadBlocks, a.Block()) }) {

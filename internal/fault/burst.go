@@ -9,17 +9,16 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/mem"
 )
 
-func init() {
-	Register("burst", func(params map[string]int) (Model, error) {
-		if err := paramKeys("burst", params, "width", "words", "blocks"); err != nil {
-			return nil, err
-		}
-		return Burst{
-			Width:  param(params, "width", 2),
-			Words:  param(params, "words", 2),
-			Blocks: param(params, "blocks", 1),
-		}, nil
-	})
+// newBurst builds a burst model from parsed parameters (ParseModel).
+func newBurst(params map[string]int) (Model, error) {
+	if err := paramKeys("burst", params, "width", "words", "blocks"); err != nil {
+		return nil, err
+	}
+	return Burst{
+		Width:  param(params, "width", 2),
+		Words:  param(params, "words", 2),
+		Blocks: param(params, "blocks", 1),
+	}, nil
 }
 
 // Burst is the multi-bit spatial fault model: a physically clustered

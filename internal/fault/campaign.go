@@ -95,12 +95,6 @@ type Campaign struct {
 	// Observation only: attaching a registry does not change campaign
 	// results.
 	Metrics *telemetry.Registry
-	// Progress, when non-nil, is called as runs complete with the
-	// cumulative completed count and the executed range's total. It fires
-	// once per run — a batched claim of K runs reports K increments, not
-	// one — so ETA math stays accurate on the batched path. Calls are
-	// serialized under the campaign's lock.
-	Progress func(done, total int)
 	// Context, when non-nil, cancels the campaign between runs: once it is
 	// done no further runs start (in-flight runs finish) and Execute returns
 	// the context's error. Nil means the campaign always runs to completion.
@@ -229,7 +223,6 @@ func (c Campaign) executeRange(start, end, batch int, run BatchRunFunc) (Result,
 		res     = Result{Runs: n}
 		firstEr error
 		next    = start
-		done    int
 		wg      sync.WaitGroup
 	)
 	claim := func() (int, int, bool) {
@@ -260,8 +253,8 @@ func (c Campaign) executeRange(start, end, batch int, run BatchRunFunc) (Result,
 			"Campaign runs completed — counted per run on both the batched and unbatched paths.")
 	}
 	// record tallies one completed run (or the error that aborted a claim).
-	// Progress and the run counters advance run-by-run even when the claim
-	// executed as one batch.
+	// The run counters advance run-by-run even when the claim executed as
+	// one batch.
 	record := func(o Outcome, err error) {
 		if err == nil && o >= Masked && o <= DUE {
 			if outcomes != nil {
@@ -295,10 +288,6 @@ func (c Campaign) executeRange(start, end, batch int, run BatchRunFunc) (Result,
 				firstEr = fmt.Errorf("fault: run returned invalid outcome %d", int(o))
 			}
 			return
-		}
-		done++
-		if c.Progress != nil {
-			c.Progress(done, n)
 		}
 	}
 

@@ -7,56 +7,16 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/mem"
 )
 
-// TestProgressCountsRunsNotBatches: the Progress callback must advance
-// run by run even when the executor claims whole batches (150 runs are
-// claims of 64, 64 and 22), so ETA math built on it stays accurate on the
-// batched path.
-func TestProgressCountsRunsNotBatches(t *testing.T) {
-	const runs = 150
-	var calls []int
-	c := Campaign{
-		Runs:    runs,
-		Seed:    7,
-		Workers: 1,
-		Progress: func(done, total int) {
-			if total != runs {
-				t.Errorf("Progress total = %d, want %d", total, runs)
-			}
-			calls = append(calls, done)
-		},
-	}
-	res, err := c.ExecuteRangeBatched(0, runs, func(start int, rngs []*rand.Rand) ([]Outcome, error) {
-		outs := make([]Outcome, len(rngs))
-		for i := range outs {
-			outs[i] = Masked
-		}
-		return outs, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaskedRuns != runs {
-		t.Fatalf("masked = %d, want %d", res.MaskedRuns, runs)
-	}
-	if len(calls) != runs {
-		t.Fatalf("Progress fired %d times, want once per run (%d)", len(calls), runs)
-	}
-	for i, done := range calls {
-		if done != i+1 {
-			t.Fatalf("Progress call %d reported done=%d, want %d", i, done, i+1)
-		}
-	}
-}
-
 // TestBatchedChunkBoundaries: claims are contiguous [lo, hi) chunks of at
 // most mem.BatchLanes runs whose boundaries depend only on the range, never
-// on scheduling — the property that keeps batched shards mergeable.
+// on scheduling — the property that keeps batched shards mergeable — and
+// every run of every claim is tallied once.
 func TestBatchedChunkBoundaries(t *testing.T) {
 	const runs = 150
 	seen := make(map[int]int) // run index -> claims covering it
 	var starts []int
 	c := Campaign{Runs: runs, Seed: 1, Workers: 1}
-	if _, err := c.ExecuteRangeBatched(0, runs, func(start int, rngs []*rand.Rand) ([]Outcome, error) {
+	res, err := c.ExecuteRangeBatched(0, runs, func(start int, rngs []*rand.Rand) ([]Outcome, error) {
 		if len(rngs) > mem.BatchLanes {
 			t.Errorf("claim [%d, %d) exceeds one %d-lane sweep", start, start+len(rngs), mem.BatchLanes)
 		}
@@ -67,8 +27,12 @@ func TestBatchedChunkBoundaries(t *testing.T) {
 			outs[i] = Masked
 		}
 		return outs, nil
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.MaskedRuns != runs {
+		t.Fatalf("masked = %d, want %d", res.MaskedRuns, runs)
 	}
 	for i := 0; i < runs; i++ {
 		if seen[i] != 1 {

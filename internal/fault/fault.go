@@ -1,10 +1,10 @@
 // Package fault implements the paper's fault-injection methodology
-// (Section II-C), generalized into a registry of pluggable fault models.
+// (Section II-C), generalized into a table of named fault models.
 //
-// A Model is one named, parameterized corruption pattern; the registry
+// A Model is one named, parameterized corruption pattern; ParseModel
 // maps spec strings ("stuck-at:bits=3,blocks=1", "transient:flips=2",
-// "burst:width=2,words=2") to validated Model values via ParseModel, so
-// CLIs and the daemon accept models by name. Three models are built in:
+// "burst:width=2,words=2") to validated Model values, so CLIs and the
+// daemon accept models by name. Three models are built in:
 //
 //   - StuckAt — the paper's permanent stuck-at faults: 2–4 bits stuck in
 //     one random word of each selected 128 B block, living in the memory

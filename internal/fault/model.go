@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/mem"
@@ -97,12 +96,8 @@ func Inject(m *mem.Memory, rng *rand.Rand, model Model, sel Selector, env *Env) 
 
 // NeedsTimeline reports whether the model consults Env.Timeline, letting
 // callers skip the timing replay that captures it for models that never
-// look. Models outside this package opt in by implementing
-// interface{ UsesTimeline() bool }.
+// look: only the transient model does.
 func NeedsTimeline(m Model) bool {
-	if u, ok := m.(interface{ UsesTimeline() bool }); ok {
-		return u.UsesTimeline()
-	}
 	switch m.(type) {
 	case Transient, *Transient:
 		return true
@@ -148,38 +143,19 @@ func ModelsKey(models []Model) string {
 	return strings.Join(keys, ";")
 }
 
-// Factory builds a model from its parsed parameter map. Missing keys take
-// the model's documented defaults; unknown keys must be rejected.
-type Factory func(params map[string]int) (Model, error)
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Factory{}
-)
-
-// Register adds a model factory under name, making it reachable from
-// ParseModel (and therefore from the CLIs' -model flags and the daemon's
-// job parameters). The built-in models register themselves; external
-// packages may add more. Registering an empty or duplicate name panics —
-// both are programmer errors.
-func Register(name string, f Factory) {
-	if name == "" || f == nil {
-		panic("fault: Register with empty name or nil factory")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic("fault: duplicate model registration: " + name)
-	}
-	registry[name] = f
+// models maps each model name ParseModel accepts to its constructor, which
+// builds the model from the parsed parameter map: missing keys take the
+// model's documented defaults, unknown keys are rejected.
+var models = map[string]func(params map[string]int) (Model, error){
+	"stuck-at":  newStuckAt,
+	"transient": newTransient,
+	"burst":     newBurst,
 }
 
-// ModelNames lists the registered model names, sorted.
+// ModelNames lists the model names ParseModel accepts, sorted.
 func ModelNames() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
+	names := make([]string, 0, len(models))
+	for n := range models {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -197,9 +173,7 @@ func ParseModel(spec string) (Model, error) {
 		name, paramStr = spec[:i], spec[i+1:]
 	}
 	name = strings.TrimSpace(name)
-	registryMu.RLock()
-	f, ok := registry[name]
-	registryMu.RUnlock()
+	f, ok := models[name]
 	if !ok {
 		return nil, fmt.Errorf("fault: unknown model %q (registered: %s)",
 			name, strings.Join(ModelNames(), ", "))

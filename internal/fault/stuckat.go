@@ -8,16 +8,15 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/mem"
 )
 
-func init() {
-	Register("stuck-at", func(params map[string]int) (Model, error) {
-		if err := paramKeys("stuck-at", params, "bits", "blocks"); err != nil {
-			return nil, err
-		}
-		return StuckAt{
-			BitsPerWord: param(params, "bits", 3),
-			Blocks:      param(params, "blocks", 1),
-		}, nil
-	})
+// newStuckAt builds a stuck-at model from parsed parameters (ParseModel).
+func newStuckAt(params map[string]int) (Model, error) {
+	if err := paramKeys("stuck-at", params, "bits", "blocks"); err != nil {
+		return nil, err
+	}
+	return StuckAt{
+		BitsPerWord: param(params, "bits", 3),
+		Blocks:      param(params, "blocks", 1),
+	}, nil
 }
 
 // StuckAt is the paper's permanent stuck-at fault model (Section II-C):

@@ -8,16 +8,15 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/mem"
 )
 
-func init() {
-	Register("transient", func(params map[string]int) (Model, error) {
-		if err := paramKeys("transient", params, "flips", "blocks"); err != nil {
-			return nil, err
-		}
-		return Transient{
-			Flips:  param(params, "flips", 2),
-			Blocks: param(params, "blocks", 1),
-		}, nil
-	})
+// newTransient builds a transient model from parsed parameters (ParseModel).
+func newTransient(params map[string]int) (Model, error) {
+	if err := paramKeys("transient", params, "flips", "blocks"); err != nil {
+		return nil, err
+	}
+	return Transient{
+		Flips:  param(params, "flips", 2),
+		Blocks: param(params, "blocks", 1),
+	}, nil
 }
 
 // Transient is the single-event-upset (SEU/MBU) model: a one-off bit flip
@@ -79,10 +78,6 @@ func (t Transient) Validate() error {
 func (t Transient) String() string {
 	return fmt.Sprintf("%d-flip-seu/%d-block", t.Flips, t.Blocks)
 }
-
-// UsesTimeline reports that Inject consults Env.Timeline (see
-// NeedsTimeline).
-func (t Transient) UsesTimeline() bool { return true }
 
 // Inject implements Model. The rng consumption order is fixed per block —
 // word draw, bit permutation, injection-instant draw — so campaigns are
