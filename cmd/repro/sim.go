@@ -59,12 +59,12 @@ func (c *simCmd) run(s *experiments.Suite, w io.Writer) error {
 	if cfg.Level < 0 {
 		cfg.Level = app.HotCount
 	}
-	_, plan, err := s.PlanFor(cfg.App, cfg.Scheme, cfg.Level)
+	cp, err := s.Checkpoint(cfg.App, cfg.Scheme, cfg.Level)
 	if err != nil {
 		return err
 	}
-	if plan != nil {
-		fmt.Fprintln(w, "Protection:", plan.Describe())
+	if cp.Plan != nil {
+		fmt.Fprintln(w, "Protection:", cp.Plan.Describe())
 	} else {
 		fmt.Fprintln(w, "Protection: baseline (no protection)")
 	}
@@ -108,8 +108,8 @@ func (c *simCmd) run(s *experiments.Suite, w io.Writer) error {
 	fmt.Fprintf(w, "\nTotal: %d cycles, %d L1-missed accesses, IPC %.2f\n",
 		st.TotalCycles(), st.TotalL1Misses(),
 		float64(st.TotalInstructions())/float64(st.TotalCycles()))
-	if plan != nil {
-		cost := plan.Cost()
+	if cp.Plan != nil {
+		cost := cp.Plan.Cost()
 		fmt.Fprintf(w, "Hardware cost: %d B tables, %d-bit comparator, %d B replica DRAM\n",
 			cost.AddrTableBytes+cost.LoadTableBytes+cost.CompareBufferBytes, cost.ComparatorBits, cost.ReplicaBytes)
 	}

@@ -401,10 +401,11 @@ func (w *Workload) AutoHotObjects() ([]string, error) {
 // PerformanceObjects is Performance for an explicit object set (e.g. the
 // result of AutoHotObjects).
 func (w *Workload) PerformanceObjects(scheme Scheme, objects []string) (PerfReport, error) {
-	return w.performance(scheme, func() (*core.Plan, error) {
-		_, plan, err := w.lib.suite.PlanForObjects(w.name, scheme.internal(), objects)
-		return plan, err
-	})
+	cp, err := w.lib.suite.CheckpointForObjects(w.name, scheme.internal(), objects)
+	if err != nil {
+		return PerfReport{}, err
+	}
+	return w.performance(cp)
 }
 
 // PerfReport is one timing-simulator measurement.
@@ -424,16 +425,16 @@ type PerfReport struct {
 // Performance measures the scheme's overhead on the cycle-level timing
 // simulator, normalized against the unprotected baseline.
 func (w *Workload) Performance(scheme Scheme, level int) (PerfReport, error) {
-	return w.performance(scheme, func() (*core.Plan, error) {
-		_, plan, err := w.lib.suite.PlanFor(w.name, scheme.internal(), level)
-		return plan, err
-	})
+	cp, err := w.lib.suite.Checkpoint(w.name, scheme.internal(), level)
+	if err != nil {
+		return PerfReport{}, err
+	}
+	return w.performance(cp)
 }
 
-// performance replays the workload's recorded traces unprotected and, for
-// a protecting scheme, under the plan buildPlan returns (nil when there is
-// nothing to protect).
-func (w *Workload) performance(scheme Scheme, buildPlan func() (*core.Plan, error)) (PerfReport, error) {
+// performance replays the workload's recorded traces unprotected and under
+// the plan of the memoized checkpoint, unless it protects nothing.
+func (w *Workload) performance(cp *experiments.Checkpoint) (PerfReport, error) {
 	traces, err := w.lib.suite.Traces(w.name)
 	if err != nil {
 		return PerfReport{}, err
@@ -455,23 +456,16 @@ func (w *Workload) performance(scheme Scheme, buildPlan func() (*core.Plan, erro
 		BaselineCycles:   base.TotalCycles(),
 		NormalizedTime:   1,
 	}
-	if scheme == Baseline {
+	if cp.Plan == nil {
 		return rep, nil
 	}
-	plan, err := buildPlan()
-	if err != nil {
-		return PerfReport{}, err
-	}
-	if plan == nil {
-		return rep, nil
-	}
-	st, err := run(plan)
+	st, err := run(cp.Plan)
 	if err != nil {
 		return PerfReport{}, err
 	}
 	rep.Cycles = st.TotalCycles()
 	rep.L1MissedAccesses = st.TotalL1Misses()
 	rep.NormalizedTime = float64(st.TotalCycles()) / float64(base.TotalCycles())
-	rep.ReplicaBytes = plan.Cost().ReplicaBytes
+	rep.ReplicaBytes = cp.Plan.Cost().ReplicaBytes
 	return rep, nil
 }

@@ -148,19 +148,6 @@ type Plan struct {
 	objects []*object
 	// protectedPCs is the load-instruction table content (for reporting).
 	protectedPCs []uint16
-
-	// Stats accumulate on the functional read path.
-	Stats Stats
-}
-
-// Stats counts functional protection events.
-type Stats struct {
-	// ProtectedReads counts lane reads that went through the scheme.
-	ProtectedReads uint64
-	// Mismatches counts detection comparisons that failed (terminate).
-	Mismatches uint64
-	// CorrectedReads counts majority votes that repaired a faulty copy.
-	CorrectedReads uint64
 }
 
 // NewPlan replicates the configured objects inside m and returns the plan.
@@ -272,9 +259,8 @@ func (p *Plan) Replicas(b *mem.Buffer) []*mem.Buffer {
 
 // ForMemory rebinds the plan to a cloned or copy-on-write forked memory
 // image. Buffer metadata (IDs, addresses) is shared between a memory and
-// its clones and forks, so the same object table applies; statistics are
-// fresh. Use this to run fault injection campaigns against per-run forks
-// of a prepared image.
+// its clones and forks, so the same object table applies. Use this to run
+// fault injection campaigns against per-run forks of a prepared image.
 func (p *Plan) ForMemory(clone *mem.Memory) *Plan {
 	return &Plan{scheme: p.scheme, m: clone, objects: p.objects, protectedPCs: p.protectedPCs}
 }
@@ -286,14 +272,12 @@ func (p *Plan) ReadLaneWord(buf *mem.Buffer, addr arch.Addr) (uint32, error) {
 	if obj == nil || p.scheme == None {
 		return p.m.ReadWord(addr), nil
 	}
-	p.Stats.ProtectedReads++
 	off := addr - buf.Base
 	primary := p.m.ReadWord(addr)
 	switch p.scheme {
 	case Detection:
 		replica := p.m.ReadWord(obj.replicas[0].Base + off)
 		if primary != replica {
-			p.Stats.Mismatches++
 			return 0, fmt.Errorf("core: object %q offset %d: copies differ (%#x vs %#x): %w",
 				buf.Name, off, primary, replica, ErrFaultDetected)
 		}
@@ -301,11 +285,7 @@ func (p *Plan) ReadLaneWord(buf *mem.Buffer, addr arch.Addr) (uint32, error) {
 	case Correction:
 		c1 := p.m.ReadWord(obj.replicas[0].Base + off)
 		c2 := p.m.ReadWord(obj.replicas[1].Base + off)
-		voted := (primary & c1) | (primary & c2) | (c1 & c2)
-		if voted != primary || voted != c1 || voted != c2 {
-			p.Stats.CorrectedReads++
-		}
-		return voted, nil
+		return (primary & c1) | (primary & c2) | (c1 & c2), nil
 	default:
 		return primary, nil
 	}

@@ -155,12 +155,6 @@ func (c *Controller) Enqueue(r Request, now int64) {
 // QueueLen returns the number of waiting requests.
 func (c *Controller) QueueLen() int { return len(c.queue) }
 
-// Busy reports whether the controller still has queued work or in-flight
-// bus activity past the given cycle.
-func (c *Controller) Busy(now int64) bool {
-	return len(c.queue) > 0 || c.busFree > now
-}
-
 // Advance serves requests whose service can start at or before `now`,
 // returning their completions (possibly completing after now; the caller
 // delivers them when due). FR-FCFS: row-hit first, oldest otherwise.

@@ -10,8 +10,8 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/mem"
 )
 
-// The tests in this file hold the simulator's ECC layer — mem.ReadWord
-// under mem.ECCSECDED for stuck-at overlays, and the transient model's
+// The tests in this file hold the simulator's ECC layer — mem.ReadWord's
+// SECDED rule for stuck-at overlays, and the transient model's
 // injection-time pre-classification — against this codec, pattern by
 // pattern over a word's 32 data bits.
 
@@ -47,12 +47,11 @@ func patterns(n int) []uint32 {
 	return out
 }
 
-// modelMemory returns a one-block SECDED image whose words hold modelWord,
-// the address of its first word, and a selector pinned to its block.
+// modelMemory returns a one-block image whose words hold modelWord, the
+// address of its first word, and a selector pinned to its block.
 func modelMemory(t *testing.T) (*mem.Memory, arch.Addr, fault.Selector) {
 	t.Helper()
 	m := mem.New()
-	m.SetECC(mem.ECCSECDED)
 	b, err := m.Alloc("word", arch.BlockBytes, false)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,10 @@
 // Package ecc implements the SECDED (single-error-correct, double-error-
 // detect) Hamming code that GPUs apply to cache and DRAM words. The paper
 // assumes SECDED protection is present and focuses on the multi-bit faults
-// that escape it. The simulator does not run this codec: the memory model
-// (mem.ECCSECDED) and the fault models decide a fault's ECC fate from its
-// bit count. This package is the reference those rules are tested against,
+// that escape it. The simulator does not run this codec: every memory is
+// SECDED-protected, package mem's one ECC model, and the memory and fault
+// models decide a fault's ECC fate from its bit count. This package is the
+// reference those rules are tested against,
 // pattern by pattern over a word's data bits (model_test.go), so the
 // places where the models depart from a real (39,32) code are measured
 // rather than merely asserted.

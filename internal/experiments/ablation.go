@@ -99,23 +99,42 @@ func runTiming(s *Suite, name string, plan timing.ProtectionPlan,
 	return st.TotalCycles(), nil
 }
 
+// ablationCheckpoint returns the memoized checkpoint an ablation times:
+// the application under the scheme, protecting its hot objects or, with
+// all set, every object. A configuration that protects nothing has no
+// design point to ablate, so it is an error.
+func ablationCheckpoint(s *Suite, name string, scheme core.Scheme, all bool) (*Checkpoint, error) {
+	app, err := s.App(name)
+	if err != nil {
+		return nil, err
+	}
+	level := app.HotCount
+	if all {
+		level = len(app.Objects)
+	}
+	cp, err := s.Checkpoint(name, scheme, level)
+	if err != nil {
+		return nil, err
+	}
+	if cp.Plan == nil {
+		return nil, fmt.Errorf("experiments: %s has nothing to protect", name)
+	}
+	return cp, nil
+}
+
 // AblationLazyCompare measures detection with lazy versus eager comparison.
 // All objects are protected so the comparison happens on the miss-dominated
 // path where laziness matters (hot objects alone are largely L1-resident).
 func AblationLazyCompare(s *Suite, name string) (AblationResult, error) {
-	app, err := s.App(name)
+	cp, err := ablationCheckpoint(s, name, core.Detection, true)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	_, plan, err := s.PlanFor(name, core.Detection, len(app.Objects))
+	lazy, err := runTiming(s, name, cp.Plan, 0, 0)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	lazy, err := runTiming(s, name, plan, 0, 0)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	eager, err := runTiming(s, name, EagerPlan{plan}, 0, 0)
+	eager, err := runTiming(s, name, EagerPlan{cp.Plan}, 0, 0)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -124,23 +143,15 @@ func AblationLazyCompare(s *Suite, name string) (AblationResult, error) {
 
 // AblationScheduler measures GTO versus LRR under hot-object correction.
 func AblationScheduler(s *Suite, name string) (AblationResult, error) {
-	app, err := s.App(name)
+	cp, err := ablationCheckpoint(s, name, core.Correction, false)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	_, plan, err := s.PlanFor(name, core.Correction, app.HotCount)
+	gto, err := runTiming(s, name, cp.Plan, timing.GTO, 0)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	var tplan timing.ProtectionPlan
-	if plan != nil {
-		tplan = plan
-	}
-	gto, err := runTiming(s, name, tplan, timing.GTO, 0)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	lrr, err := runTiming(s, name, tplan, timing.LRR, 0)
+	lrr, err := runTiming(s, name, cp.Plan, timing.LRR, 0)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -150,22 +161,15 @@ func AblationScheduler(s *Suite, name string) (AblationResult, error) {
 // AblationPlacement measures distinct-channel versus same-channel replica
 // placement under hot-object correction.
 func AblationPlacement(s *Suite, name string) (AblationResult, error) {
-	app, err := s.App(name)
+	cp, err := ablationCheckpoint(s, name, core.Correction, false)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	planApp, plan, err := s.PlanFor(name, core.Correction, app.HotCount)
+	natural, err := runTiming(s, name, cp.Plan, 0, 0)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	if plan == nil {
-		return AblationResult{}, fmt.Errorf("experiments: %s has nothing to protect", name)
-	}
-	natural, err := runTiming(s, name, plan, 0, 0)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	same, err := NewSameChannelPlan(plan, planApp.Mem.TotalBlocks(), arch.Default().NumMemChannels)
+	same, err := NewSameChannelPlan(cp.Plan, cp.App.Mem.TotalBlocks(), arch.Default().NumMemChannels)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -179,17 +183,13 @@ func AblationPlacement(s *Suite, name string) (AblationResult, error) {
 // AblationCompareBuffer sweeps the pending-compare buffer size under
 // hot-object detection.
 func AblationCompareBuffer(s *Suite, name string, sizes []int) (map[int]int64, error) {
-	app, err := s.App(name)
-	if err != nil {
-		return nil, err
-	}
-	_, plan, err := s.PlanFor(name, core.Detection, app.HotCount)
+	cp, err := ablationCheckpoint(s, name, core.Detection, false)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[int]int64, len(sizes))
 	for _, size := range sizes {
-		cycles, err := runTiming(s, name, plan, 0, size)
+		cycles, err := runTiming(s, name, cp.Plan, 0, size)
 		if err != nil {
 			return nil, err
 		}

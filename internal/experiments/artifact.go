@@ -30,6 +30,7 @@ import (
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
+	"github.com/datacentric-gpu/dcrm/internal/kernels"
 	"github.com/datacentric-gpu/dcrm/internal/simt"
 	"github.com/datacentric-gpu/dcrm/internal/store"
 )
@@ -71,13 +72,16 @@ const maxCaptureBytes = 64 << 20
 // like the process that first ran it. Bytes is the kept recording's
 // simt.CaptureLog.ApproxBytes: every checkpoint of the application shares
 // the recorded warps, so the artifact's store entry is charged for them
-// once, at this size.
+// once, at this size. computed marks an artifact this process ran; gob
+// skips unexported fields, so one served from disk reads false and its
+// recording is checked before replay (checkRecording).
 type goldenArtifact struct {
 	Output    []float32
 	DirtyIdx  []int32
 	DirtyData []byte
 	Bytes     int64
 	Warps     [][]*simt.WarpCapture
+	computed  bool
 }
 
 // missArtifact is the serialized miss histogram in the selector's
@@ -134,7 +138,7 @@ func computeGoldenArtifact(cp *Checkpoint) (goldenArtifact, error) {
 		return goldenArtifact{}, fmt.Errorf("experiments: %s golden run: %w", cp.App.Name, err)
 	}
 	idx, data := f.SnapshotBlocks()
-	art := goldenArtifact{Output: cp.App.Output(f), DirtyIdx: idx, DirtyData: data}
+	art := goldenArtifact{Output: cp.App.Output(f), DirtyIdx: idx, DirtyData: data, computed: true}
 	if bytes := log.ApproxBytes(); bytes <= maxCaptureBytes {
 		art.Bytes = bytes
 		art.Warps = make([][]*simt.WarpCapture, len(log.Kernels))
@@ -148,10 +152,10 @@ func computeGoldenArtifact(cp *Checkpoint) (goldenArtifact, error) {
 // reconstructCapture rebuilds the live recording from the golden artifact:
 // kernels reattach to the checkpoint's kernel list by launch index, the
 // recorded warps stay shared with the artifact. Returns nil when the
-// artifact dropped its recording or does not match the application shape
-// (callers fall back to full per-lane execution).
+// artifact dropped its recording (callers fall back to full per-lane
+// execution). A recording served from disk has passed checkRecording.
 func (cp *Checkpoint) reconstructCapture(art goldenArtifact) *simt.CaptureLog {
-	if len(art.Warps) != len(cp.App.Kernels) {
+	if art.Warps == nil {
 		return nil
 	}
 	log := &simt.CaptureLog{Kernels: make([]*simt.KernelCapture, len(art.Warps))}
@@ -159,6 +163,69 @@ func (cp *Checkpoint) reconstructCapture(art goldenArtifact) *simt.CaptureLog {
 		log.Kernels[i] = &simt.KernelCapture{Kernel: cp.App.Kernels[i], Warps: warps}
 	}
 	return log
+}
+
+// checkRecording verifies a golden artifact's recording against the
+// application it claims to record, before batched replay indexes buffers,
+// blocks and lanes with its fields: the launch count and each launch's
+// warps, every warp's identity and lane count against the launch geometry,
+// every load's and store's data object and blocks, the index and value
+// lengths (NumLanes, or one value for a broadcast load), and every store
+// index inside its buffer. The store's checksum only proves the payload is
+// the one written; this proves it fits the application. A nil recording
+// (dropped for size) passes.
+func checkRecording(app *kernels.App, warps [][]*simt.WarpCapture) error {
+	if warps != nil && len(warps) != len(app.Kernels) {
+		return fmt.Errorf("%d launches recorded, the application has %d", len(warps), len(app.Kernels))
+	}
+	bufs, nblocks := app.Mem.Buffers(), arch.BlockAddr(app.Mem.TotalBlocks())
+	// fits reports whether a record's data object and blocks exist.
+	fits := func(id int16, blocks []arch.BlockAddr) bool {
+		for _, b := range blocks {
+			if b >= nblocks {
+				return false
+			}
+		}
+		return id >= 0 && int(id) < len(bufs)
+	}
+	for ki, kc := range warps {
+		k := app.Kernels[ki]
+		if len(kc) != k.TotalWarps() {
+			return fmt.Errorf("launch %d: %d warps recorded, the launch has %d", ki, len(kc), k.TotalWarps())
+		}
+		perCTA, gx, gy := k.WarpsPerCTA(), max(1, k.Grid.X), max(1, k.Grid.Y)
+		for g, wc := range kc {
+			// Driver.Run's launch order: x-major CTAs, warps within each.
+			cta, wi := g/perCTA, g%perCTA
+			if wc == nil || wc.CTAIdx != (arch.Dim3{X: cta % gx, Y: cta / gx % gy, Z: cta / (gx * gy)}) ||
+				wc.WarpInCTA != wi || wc.GlobalWarpID != g || !fits(0, wc.LoadBlocks) ||
+				wc.NumLanes != min(arch.WarpSize, k.Block.Count()-wi*arch.WarpSize) {
+				return fmt.Errorf("launch %d warp %d does not fit the launch", ki, g)
+			}
+			for i := range wc.Loads {
+				ld := &wc.Loads[i]
+				lanes := wc.NumLanes
+				if ld.Broadcast {
+					lanes = 1
+				}
+				if !fits(ld.BufID, ld.Blocks) || len(ld.Vals) != lanes || !ld.Broadcast && len(ld.Idx) != lanes {
+					return fmt.Errorf("launch %d warp %d load %d does not fit the application", ki, g, i)
+				}
+			}
+			for i := range wc.Stores {
+				st := &wc.Stores[i]
+				if !fits(st.BufID, st.Blocks) || len(st.Idx) != wc.NumLanes || len(st.Vals) != wc.NumLanes {
+					return fmt.Errorf("launch %d warp %d store %d does not fit the application", ki, g, i)
+				}
+				for _, idx := range st.Idx {
+					if idx != simt.InactiveLane && (idx < 0 || int(idx) >= bufs[st.BufID].Len4()) {
+						return fmt.Errorf("launch %d warp %d store %d: index %d outside %q", ki, g, i, idx, bufs[st.BufID].Name)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Artifact footprint estimates for the checkpoint LRU re-accounting: the

@@ -297,8 +297,10 @@ func TestSecondProcessServesArtifacts(t *testing.T) {
 // build runs each application's fault-free reference execution once,
 // recording it as it goes, however many (scheme, level) configurations
 // share it, while the miss weights — which the plan's replica traffic
-// changes — are computed once per Fig. 9 configuration. No artifact of the
-// capture kind exists: the golden carries the recording.
+// changes — are computed once per distinct checkpoint among Fig. 9's
+// configurations (A-SRAD's level 5 adds only its writable Image, so it
+// shares level 4's). No artifact of the capture kind exists: the golden
+// carries the recording.
 func TestOneGoldenAndCapturePerApp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure sweeps in -short mode")
@@ -311,13 +313,24 @@ func TestOneGoldenAndCapturePerApp(t *testing.T) {
 	if _, err := Fig9Resilience(s, Fig9Config{Runs: 2}); err != nil {
 		t.Fatal(err)
 	}
-	cfgs, err := s.configs(s.EvaluatedNames(), Fig9Config{}.withDefaults().Schemes, protectedLevels)
+	cfgs, err := s.configs(s.EvaluatedNames(), protectingSchemes, protectedLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
+	distinct := map[*Checkpoint]bool{}
+	for _, c := range cfgs {
+		cp, err := s.Checkpoint(c.app, c.scheme, c.level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct[cp] = true
+	}
+	if len(cfgs) != 68 || len(distinct) != 66 {
+		t.Errorf("Fig. 9 has %d configurations over %d checkpoints, want 68 over 66", len(cfgs), len(distinct))
+	}
 	apps := len(s.EvaluatedNames())
 	snap := reg.Snapshot()
-	for kind, want := range map[string]int{ArtifactGolden: apps, ArtifactMissWeights: len(cfgs)} {
+	for kind, want := range map[string]int{ArtifactGolden: apps, ArtifactMissWeights: len(distinct)} {
 		if got := counterValue(snap, "dcrm_artifact_computed_total", telemetry.Label{Name: "kind", Value: kind}); got != float64(want) {
 			t.Errorf("%s artifacts computed %v times, want %d", kind, got, want)
 		}

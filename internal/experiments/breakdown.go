@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"github.com/datacentric-gpu/dcrm/internal/arch"
-	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
 	"github.com/datacentric-gpu/dcrm/internal/kernels"
 )
@@ -23,10 +22,6 @@ type BreakdownConfig struct {
 	// Apps restricts the application set. Default: all ten applications,
 	// counter-examples included.
 	Apps []string
-	// Schemes overrides the protection schemes swept at each application's
-	// hot level. Default: detection and detection+correction (the
-	// unprotected baseline is always included).
-	Schemes []core.Scheme
 }
 
 func (c BreakdownConfig) withDefaults() BreakdownConfig {
@@ -38,9 +33,6 @@ func (c BreakdownConfig) withDefaults() BreakdownConfig {
 	}
 	if len(c.Models) == 0 {
 		c.Models = DefaultBreakdownModels()
-	}
-	if len(c.Schemes) == 0 {
-		c.Schemes = []core.Scheme{core.Detection, core.Correction}
 	}
 	return c
 }
@@ -65,10 +57,10 @@ func DefaultBreakdownModels() []fault.Model {
 // inject each configured fault model uniformly across the whole data
 // space (replicas included, so protected configurations expose the
 // detection/correction paths) under the unprotected baseline and each
-// scheme at the application's hot level, and report the full outcome
-// distribution — including DUE — per cell. Model identities fold into the
-// store key via fault.ModelsKey, so results computed under different
-// model sets never alias.
+// scheme (protectingSchemes) at the application's hot level, and report
+// the full outcome distribution — including DUE — per cell. Model
+// identities fold into the store key via fault.ModelsKey, so results
+// computed under different model sets never alias.
 func FaultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]Fig9Cell, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Apps) == 0 {
@@ -79,8 +71,7 @@ func FaultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]Fig9Cell, error) {
 			Field("runs", cfg.Runs).
 			Field("seed", cfg.Seed).
 			Field("models", fault.ModelsKey(cfg.Models)).
-			Field("apps", cfg.Apps).
-			Field("schemes", cfg.Schemes),
+			Field("apps", cfg.Apps),
 		func() ([]Fig9Cell, error) { return faultModelBreakdown(s, cfg) })
 }
 
@@ -92,7 +83,7 @@ func FaultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]Fig9Cell, error) {
 // has already resolved defaults.
 func faultModelBreakdown(s *Suite, cfg BreakdownConfig) ([]Fig9Cell, error) {
 	hot := func(app *kernels.App) []int { return []int{app.HotCount} }
-	cfgs, err := s.configs(cfg.Apps, cfg.Schemes, hot)
+	cfgs, err := s.configs(cfg.Apps, protectingSchemes, hot)
 	if err != nil {
 		return nil, err
 	}

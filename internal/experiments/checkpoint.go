@@ -18,7 +18,7 @@ import (
 )
 
 // Checkpoint is the reusable golden state of one (application, scheme,
-// protection-level) campaign configuration: the post-input-load memory
+// protected objects) campaign configuration: the post-input-load memory
 // image with replicas allocated, the replication plan, the fault-free
 // golden output, post-run image and recording, and free-lists of reusable
 // copy-on-write forks. Checkpoints are built once per configuration
@@ -103,25 +103,29 @@ type checkpointTelemetry struct {
 }
 
 // Checkpoint returns the memoized campaign checkpoint for the named
-// application protected at the given scheme and cumulative level (level 0
-// or scheme None is the unprotected baseline).
+// application protected at the given scheme and cumulative level: the
+// checkpoint of the objects the level protects (levelObjects). Level 0,
+// scheme None, or a level that reaches only writable objects is the
+// unprotected baseline.
 func (s *Suite) Checkpoint(name string, scheme core.Scheme, level int) (*Checkpoint, error) {
-	key := fmt.Sprintf("%s|%v|L%d", name, scheme, level)
-	return s.checkpoint(key, func() (*kernels.App, *core.Plan, error) {
-		return s.PlanFor(name, scheme, level)
-	})
+	app, err := s.App(name)
+	if err != nil {
+		return nil, err
+	}
+	return s.CheckpointForObjects(name, scheme, levelObjects(app, level))
 }
 
-// CheckpointForObjects is Checkpoint keyed by an explicit protected-object
-// list (the public API's AutoHotObjects flow).
+// CheckpointForObjects returns the memoized campaign checkpoint protecting
+// the named data objects, in the given priority order, under the scheme
+// (the public API's AutoHotObjects flow, and every Checkpoint). It is
+// keyed by the scheme and the object list, so one protection configuration
+// has one checkpoint however it is named; scheme None or an empty list is
+// the unprotected baseline.
 func (s *Suite) CheckpointForObjects(name string, scheme core.Scheme, objectNames []string) (*Checkpoint, error) {
-	key := fmt.Sprintf("%s|%v|objs|%s", name, scheme, strings.Join(objectNames, ","))
-	return s.checkpoint(key, func() (*kernels.App, *core.Plan, error) {
-		return s.PlanForObjects(name, scheme, objectNames)
-	})
-}
-
-func (s *Suite) checkpoint(key string, build func() (*kernels.App, *core.Plan, error)) (*Checkpoint, error) {
+	if scheme == core.None || len(objectNames) == 0 {
+		scheme, objectNames = core.None, nil
+	}
+	key := fmt.Sprintf("%s|%v|%s", name, scheme, strings.Join(objectNames, ","))
 	if reg := s.cfg.Telemetry; reg != nil {
 		reg.Counter("dcrm_checkpoint_requests_total",
 			"Campaign checkpoint lookups (hits = requests - builds).").Inc()
@@ -140,7 +144,7 @@ func (s *Suite) checkpoint(key string, build func() (*kernels.App, *core.Plan, e
 				reg.Counter("dcrm_checkpoint_builds_total",
 					"Campaign checkpoints built (app + plan; golden run deferred to first use).").Inc()
 			}
-			app, plan, err := build()
+			app, plan, err := s.buildPlan(name, scheme, objectNames)
 			if err != nil {
 				return nil, err
 			}
@@ -197,12 +201,25 @@ func (s *Suite) newCheckpoint(app *kernels.App, plan *core.Plan, cfgKey string, 
 // compares against, and the recording batched replay runs against. Both
 // paths rebuild the golden-post fork by replaying the artifact's
 // dirty-block delta onto a fresh fork of the prepared image, so a warm
-// start is bit-identical to a cold one.
+// start is bit-identical to a cold one. A served recording that does not
+// fit the application (checkRecording) is never replayed: the checkpoint
+// computes the artifact afresh instead.
 func (cp *Checkpoint) ensureGolden() error {
 	cp.goldenOnce.Do(func() {
 		art, err := artifactDo(cp, ArtifactGolden, goldenSize, func() (goldenArtifact, error) {
 			return computeGoldenArtifact(cp)
 		})
+		if err == nil && !art.computed {
+			// The recording holds no replica: check it against the
+			// application's base instance.
+			var base *kernels.App
+			if base, err = cp.suite.App(cp.App.Name); err == nil && checkRecording(base, art.Warps) != nil {
+				if cp.tele.artComputed != nil {
+					cp.tele.artComputed.With(ArtifactGolden).Inc()
+				}
+				art, err = computeGoldenArtifact(cp)
+			}
+		}
 		if err != nil {
 			cp.goldenErr = err
 			return

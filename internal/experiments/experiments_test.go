@@ -327,6 +327,72 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestAblationsNeedProtection: every ablation compares two designs of a
+// protection scheme, so on P-GRAMSCHM, whose one object is writable and
+// cannot be replicated, each returns the same error instead of timing (or
+// dereferencing) a plan that does not exist.
+func TestAblationsNeedProtection(t *testing.T) {
+	s := testSuite(t)
+	const want = "experiments: P-GRAMSCHM has nothing to protect"
+	ablations := map[string]func() error{
+		"lazy":      func() error { _, err := AblationLazyCompare(s, "P-GRAMSCHM"); return err },
+		"scheduler": func() error { _, err := AblationScheduler(s, "P-GRAMSCHM"); return err },
+		"placement": func() error { _, err := AblationPlacement(s, "P-GRAMSCHM"); return err },
+		"buffer":    func() error { _, err := AblationCompareBuffer(s, "P-GRAMSCHM", []int{1, 32}); return err },
+	}
+	for name, run := range ablations {
+		if err := run(); err == nil || err.Error() != want {
+			t.Errorf("%s ablation: err = %v, want %q", name, err, want)
+		}
+	}
+}
+
+// TestOneCheckpointPerConfiguration: a protection configuration has one
+// checkpoint however it is named — by a level, by the level's object list,
+// or by a level that adds only writable objects — and a configuration that
+// protects nothing is the baseline's.
+func TestOneCheckpointPerConfiguration(t *testing.T) {
+	s := testSuite(t)
+	checkpoint := func(name string, scheme core.Scheme, level int) *Checkpoint {
+		t.Helper()
+		cp, err := s.Checkpoint(name, scheme, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	for _, scheme := range protectingSchemes {
+		if l4, l5 := checkpoint("A-SRAD", scheme, 4), checkpoint("A-SRAD", scheme, 5); l4 != l5 {
+			t.Errorf("A-SRAD %v: level 5 (adds the writable Image) has its own checkpoint", scheme)
+		}
+	}
+	app, err := s.App("P-BICG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hot []string
+	for _, o := range app.HotObjects() {
+		hot = append(hot, o.Name)
+	}
+	byObjects, err := s.CheckpointForObjects("P-BICG", core.Detection, hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byObjects != checkpoint("P-BICG", core.Detection, app.HotCount) {
+		t.Errorf("P-BICG detection over %v and at level %d are different checkpoints", hot, app.HotCount)
+	}
+	baseline := checkpoint("P-BICG", core.None, 0)
+	if checkpoint("P-BICG", core.Detection, 0) != baseline {
+		t.Error("detection at level 0 is not the baseline checkpoint")
+	}
+	if checkpoint("P-GRAMSCHM", core.Correction, 1) != checkpoint("P-GRAMSCHM", core.None, 0) {
+		t.Error("P-GRAMSCHM correction over its writable matrix is not the baseline checkpoint")
+	}
+	if baseline.Plan != nil {
+		t.Error("the baseline checkpoint has a plan")
+	}
+}
+
 func TestTables(t *testing.T) {
 	s := testSuite(t)
 	t1 := Table1Config(arch.Default())
@@ -489,59 +555,6 @@ func TestSparkline(t *testing.T) {
 	// All-zero series must not divide by zero.
 	if z := Sparkline([]float64{0, 0}); len([]rune(z)) != 2 {
 		t.Error("zero series broken")
-	}
-}
-
-func TestRecoveryCost(t *testing.T) {
-	res := fault.Result{Runs: 100, DetectedRuns: 20}
-	rc, err := NewRecoveryCost(1.01, 1.03, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !close(rc.TerminateProbability, 0.2) {
-		t.Errorf("p = %v", rc.TerminateProbability)
-	}
-	// 1.01/0.8 = 1.2625 > 1.03 → correction wins at this fault rate.
-	if !close(rc.DetectionExpectedTime, 1.01/0.8) {
-		t.Errorf("expected time = %v", rc.DetectionExpectedTime)
-	}
-	if !rc.CorrectionWins {
-		t.Error("correction should win at a 20% terminate rate")
-	}
-	// At a negligible fault rate detection wins.
-	rc, err = NewRecoveryCost(1.01, 1.03, fault.Result{Runs: 1000, DetectedRuns: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.CorrectionWins {
-		t.Error("detection should win at a 0.1% terminate rate")
-	}
-	// Everything terminates: detection never completes.
-	rc, err = NewRecoveryCost(1.01, 1.03, fault.Result{Runs: 10, DetectedRuns: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rc.CorrectionWins || rc.DetectionExpectedTime != 0 {
-		t.Errorf("all-terminate case mishandled: %+v", rc)
-	}
-	if _, err := NewRecoveryCost(0, 1, res); err == nil {
-		t.Error("zero perf accepted")
-	}
-	if _, err := NewRecoveryCost(1, 1, fault.Result{}); err == nil {
-		t.Error("empty campaign accepted")
-	}
-}
-
-func TestBreakEvenTerminateProbability(t *testing.T) {
-	// detPerf 1.012, corPerf 1.034 → p* = 1 − 1.012/1.034 ≈ 2.1%: the
-	// paper's average overheads imply correction pays off once ~2% of runs
-	// would otherwise terminate.
-	p := BreakEvenTerminateProbability(1.012, 1.034)
-	if p < 0.02 || p > 0.025 {
-		t.Errorf("break-even p = %v, want ≈0.021", p)
-	}
-	if BreakEvenTerminateProbability(1.05, 1.01) != 0 {
-		t.Error("detection-dominates case should return 0")
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"github.com/datacentric-gpu/dcrm/internal/core"
-	"github.com/datacentric-gpu/dcrm/internal/timing"
 )
 
 // Fig7Point is one bar of Fig. 7: the timing-simulator result for one
@@ -24,14 +23,13 @@ type Fig7Point struct {
 	CompareStalls uint64
 }
 
-// Fig7Config sizes the performance sweep.
+// Fig7Config sizes the performance sweep. Every point runs under the
+// paper's greedy-then-oldest warp scheduler (timing.GTO, the engine's
+// default).
 type Fig7Config struct {
 	// Apps restricts the application set. Default: the evaluated eight of
 	// Table II.
 	Apps []string
-	// Policy selects the warp scheduler. Default: timing.GTO, the paper's
-	// greedy-then-oldest baseline scheduler.
-	Policy timing.SchedulerPolicy
 }
 
 // fig7Overhead is Fig7Overhead's compute path (store miss): for every
@@ -47,13 +45,13 @@ type Fig7Config struct {
 // worker count. The wrapper has already resolved defaults.
 func fig7Overhead(s *Suite, cfg Fig7Config) ([]Fig7Point, error) {
 	// Level 0 under scheme None is the normalization baseline.
-	cfgs, err := s.configs(cfg.Apps, []core.Scheme{core.Detection, core.Correction}, protectedLevels)
+	cfgs, err := s.configs(cfg.Apps, protectingSchemes, protectedLevels)
 	if err != nil {
 		return nil, err
 	}
 	out, err := fanOut(s, "fig7: timing sweep", len(cfgs), func(i int) (Fig7Point, error) {
 		c := cfgs[i]
-		st, err := replay(s, SimConfig{App: c.app, Scheme: c.scheme, Level: c.level, Policy: cfg.Policy}, nil)
+		st, err := replay(s, SimConfig{App: c.app, Scheme: c.scheme, Level: c.level}, nil)
 		if err != nil {
 			return Fig7Point{}, err
 		}

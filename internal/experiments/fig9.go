@@ -28,10 +28,11 @@ type Fig9Config struct {
 	// Apps restricts the application set. Default: the evaluated eight of
 	// Table II.
 	Apps []string
-	// Schemes overrides the schemes swept. Default: detection and
-	// detection+correction (the unprotected baseline is always included).
-	Schemes []core.Scheme
 }
+
+// protectingSchemes are the schemes every sweep covers — detection and
+// detection+correction — next to each application's unprotected baseline.
+var protectingSchemes = []core.Scheme{core.Detection, core.Correction}
 
 func (c Fig9Config) withDefaults() Fig9Config {
 	if c.Runs == 0 {
@@ -42,9 +43,6 @@ func (c Fig9Config) withDefaults() Fig9Config {
 	}
 	if len(c.Models) == 0 {
 		c.Models = DefaultFaultModels()
-	}
-	if len(c.Schemes) == 0 {
-		c.Schemes = []core.Scheme{core.Detection, core.Correction}
 	}
 	return c
 }
@@ -103,11 +101,7 @@ func MissWeightedSelector(app *kernels.App, plan *core.Plan, _ int) (fault.Selec
 // deterministic block order and the per-block miss counts — in the
 // serializable form the miss-weights checkpoint artifact persists.
 func missWeights(app string, plan *core.Plan, traces []*simt.KernelTrace) ([]arch.BlockAddr, []float64, error) {
-	var tplan timing.ProtectionPlan
-	if plan != nil {
-		tplan = plan
-	}
-	eng, err := timing.New(weightConfig(), tplan)
+	eng, err := timing.New(weightConfig(), enginePlan(plan))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,10 +130,10 @@ func missWeights(app string, plan *core.Plan, traces []*simt.KernelTrace) ([]arc
 // fig9Resilience is Fig9Resilience's compute path (store miss): inject
 // faults across the whole application address space (block choice weighted
 // by L1-missed accesses, replicas included) and count SDC outcomes as
-// protection cumulatively covers more data objects under each scheme. The
-// wrapper has already resolved defaults.
+// protection cumulatively covers more data objects under each scheme
+// (protectingSchemes). The wrapper has already resolved defaults.
 func fig9Resilience(s *Suite, cfg Fig9Config) ([]Fig9Cell, error) {
-	cfgs, err := s.configs(cfg.Apps, cfg.Schemes, protectedLevels)
+	cfgs, err := s.configs(cfg.Apps, protectingSchemes, protectedLevels)
 	if err != nil {
 		return nil, err
 	}

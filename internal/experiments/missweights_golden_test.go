@@ -175,7 +175,7 @@ func TestProtectedInstanceTracesMatchBase(t *testing.T) {
 // Protected configurations run as parallel subtests.
 func TestProtectedInstanceCapturesMatchBase(t *testing.T) {
 	s := testSuite(t)
-	cfgs, err := s.configs(s.EvaluatedNames(), Fig9Config{}.withDefaults().Schemes, protectedLevels)
+	cfgs, err := s.configs(s.EvaluatedNames(), protectingSchemes, protectedLevels)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,13 +89,8 @@ func Fig7Overhead(s *Suite, cfg Fig7Config) ([]Fig7Point, error) {
 	if len(cfg.Apps) == 0 {
 		cfg.Apps = s.EvaluatedNames()
 	}
-	if cfg.Policy == 0 {
-		cfg.Policy = timing.GTO
-	}
 	return figureResult(s, "fig7",
-		s.key("fig7").
-			Field("apps", cfg.Apps).
-			Field("policy", cfg.Policy),
+		s.key("fig7").Field("apps", cfg.Apps),
 		func() ([]Fig7Point, error) { return fig7Overhead(s, cfg) })
 }
 
@@ -111,8 +106,7 @@ func Fig9Resilience(s *Suite, cfg Fig9Config) ([]Fig9Cell, error) {
 			Field("runs", cfg.Runs).
 			Field("seed", cfg.Seed).
 			Field("models", fault.ModelsKey(cfg.Models)).
-			Field("apps", cfg.Apps).
-			Field("schemes", cfg.Schemes),
+			Field("apps", cfg.Apps),
 		func() ([]Fig9Cell, error) { return fig9Resilience(s, cfg) })
 }
 
@@ -171,17 +165,11 @@ func replay(s *Suite, cfg SimConfig, tr *telemetry.Trace) (timing.AppStats, erro
 	if err != nil {
 		return timing.AppStats{}, err
 	}
-	var tplan timing.ProtectionPlan
-	if cfg.Scheme != core.None && cfg.Level > 0 {
-		cp, err := s.Checkpoint(cfg.App, cfg.Scheme, cfg.Level)
-		if err != nil {
-			return timing.AppStats{}, err
-		}
-		if cp.Plan != nil {
-			tplan = cp.Plan
-		}
+	cp, err := s.Checkpoint(cfg.App, cfg.Scheme, cfg.Level)
+	if err != nil {
+		return timing.AppStats{}, err
 	}
-	eng, err := timing.New(arch.Default(), tplan)
+	eng, err := timing.New(arch.Default(), enginePlan(cp.Plan))
 	if err != nil {
 		return timing.AppStats{}, fmt.Errorf("experiments: replay %s %v L%d: %w", cfg.App, cfg.Scheme, cfg.Level, err)
 	}
@@ -195,4 +183,14 @@ func replay(s *Suite, cfg SimConfig, tr *telemetry.Trace) (timing.AppStats, erro
 		return timing.AppStats{}, fmt.Errorf("experiments: replay %s %v L%d: %w", cfg.App, cfg.Scheme, cfg.Level, err)
 	}
 	return st, nil
+}
+
+// enginePlan converts a plan for the timing engine. A configuration that
+// protects nothing has a nil *core.Plan, which must reach the engine as a
+// nil interface: wrapped, the engine would call through the nil pointer.
+func enginePlan(p *core.Plan) timing.ProtectionPlan {
+	if p == nil {
+		return nil
+	}
+	return p
 }

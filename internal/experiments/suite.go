@@ -329,47 +329,37 @@ func traceFootprint(traces []*simt.KernelTrace) int64 {
 	return n
 }
 
+// levelObjects resolves a cumulative protection level to the names of the
+// objects it protects: the read-only ones among the application's first
+// `level` in Table III priority order. Writable objects (P-GRAMSCHM's A,
+// A-SRAD's Image) cannot be replicated, so adding one protects nothing new.
+func levelObjects(app *kernels.App, level int) []string {
+	var names []string
+	for _, o := range app.Objects[:max(0, min(level, len(app.Objects)))] {
+		if o.ReadOnly {
+			names = append(names, o.Name)
+		}
+	}
+	return names
+}
+
 // PlanFor builds a protection plan on a fresh instance of the application,
-// protecting the first `level` objects in Table III priority order. Level 0
-// returns the unprotected instance with a nil plan.
+// protecting the objects of the given cumulative level (levelObjects). A
+// configuration that protects nothing returns the unprotected instance
+// with a nil plan.
 func (s *Suite) PlanFor(name string, scheme core.Scheme, level int) (*kernels.App, *core.Plan, error) {
-	app, err := s.Fresh(name)
+	app, err := s.App(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	if level <= 0 || scheme == core.None {
-		return app, nil, nil
-	}
-	if level > len(app.Objects) {
-		level = len(app.Objects)
-	}
-	objs := app.Objects[:level]
-	// Only read-only objects are replicable; writable ones (e.g. the
-	// P-GRAMSCHM matrix) are skipped, as the paper's schemes require.
-	filtered := objs[:0:0]
-	for _, o := range objs {
-		if o.ReadOnly {
-			filtered = append(filtered, o)
-		}
-	}
-	if len(filtered) == 0 {
-		return app, nil, nil
-	}
-	plan, err := core.NewPlan(app.Mem, core.PlanConfig{
-		Scheme:  scheme,
-		Objects: filtered,
-		Sites:   app.Sites,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: %s %v level %d: %w", name, scheme, level, err)
-	}
-	return app, plan, nil
+	return s.buildPlan(name, scheme, levelObjects(app, level))
 }
 
-// PlanForObjects builds a protection plan on a fresh instance covering the
-// named data objects (in the given priority order). Unknown names are an
-// error; writable objects are rejected by the plan itself.
-func (s *Suite) PlanForObjects(name string, scheme core.Scheme, objectNames []string) (*kernels.App, *core.Plan, error) {
+// buildPlan builds a protection plan on a fresh instance covering the
+// named data objects, in the given priority order. Scheme None or an empty
+// list is the unprotected baseline: the instance with a nil plan. Unknown
+// names are an error; writable objects are rejected by the plan itself.
+func (s *Suite) buildPlan(name string, scheme core.Scheme, objectNames []string) (*kernels.App, *core.Plan, error) {
 	app, err := s.Fresh(name)
 	if err != nil {
 		return nil, nil, err

@@ -37,11 +37,7 @@ func captureTimeline(cp *Checkpoint) (*fault.Timeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s timeline trace: %w", cp.App.Name, err)
 	}
-	var tplan timing.ProtectionPlan
-	if cp.Plan != nil {
-		tplan = cp.Plan
-	}
-	eng, err := timing.New(weightConfig(), tplan)
+	eng, err := timing.New(weightConfig(), enginePlan(cp.Plan))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s timeline engine: %w", cp.App.Name, err)
 	}

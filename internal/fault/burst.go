@@ -31,13 +31,13 @@ func newBurst(params map[string]int) (Model, error) {
 // object actually covers.
 //
 // Like StuckAt the burst is a read-path overlay (permanent), but its
-// ECC interaction is pre-classified per word at injection time against
-// the block's current contents: a word whose effective corruption —
-// stuck pattern XOR raw bits — is exactly two bits is detected but
-// uncorrectable under SECDED, so the run aborts as a DUE; zero or one
-// effective bits are corrected (and may leave the whole run Masked);
-// three or more escape silently and the run executes to classification,
-// exactly as StuckAt's wide faults do.
+// interaction with the memory's SECDED code (package mem's one ECC model)
+// is pre-classified per word at injection time against the block's
+// current contents: a word whose effective corruption — stuck pattern XOR
+// raw bits — is exactly two bits is detected but uncorrectable, so the run
+// aborts as a DUE; zero or one effective bits are corrected (and may leave
+// the whole run Masked); three or more escape silently and the run
+// executes to classification, exactly as StuckAt's wide faults do.
 //
 // Registry name "burst", parameters "width" (adjacent bits, default 2),
 // "words" (adjacent words, default 2), and "blocks" (default 1).
@@ -102,7 +102,7 @@ func (b Burst) Inject(m *mem.Memory, rng *rand.Rand, sel Selector, env *Env) (In
 			} else {
 				faulty = raw &^ mask
 			}
-			if m.ECC() == mem.ECCSECDED && bits.OnesCount32(faulty^raw) == 2 {
+			if bits.OnesCount32(faulty^raw) == 2 {
 				due = true
 			}
 			if err := m.InjectStuckAt(addr, mask, stuckOne); err != nil {

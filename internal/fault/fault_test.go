@@ -115,7 +115,6 @@ func TestWeightedSelectorValidation(t *testing.T) {
 
 func TestInjectPlacesExactBitCount(t *testing.T) {
 	m := mem.New()
-	m.SetECC(mem.ECCNone)
 	b, err := m.Alloc("data", 10*arch.BlockBytes, false)
 	if err != nil {
 		t.Fatal(err)
@@ -138,29 +137,25 @@ func TestInjectPlacesExactBitCount(t *testing.T) {
 	if len(blocks) != 1 || blocks[0] != b.FirstBlock()+2 {
 		t.Fatalf("faulted blocks = %v", blocks)
 	}
-	// Exactly one word in the block differs, by at most 4 bits.
-	diffWords, diffBits := 0, 0
-	base := blocks[0].Base()
-	for w := 0; w < arch.WordsPerBlock; w++ {
-		got := m.ReadWord(base + arch.Addr(w*4))
-		if got != 0x55555555 {
-			diffWords++
-			diffBits = bits.OnesCount32(got ^ 0x55555555)
-		}
+	// Exactly one word of the block carries exactly 4 stuck bits.
+	faults := m.Faults()
+	if len(faults) != 1 || faults[0].WordAddr.Block() != blocks[0] {
+		t.Fatalf("faults = %+v, want one word in block %d", faults, blocks[0])
 	}
-	if diffWords != 1 {
-		t.Fatalf("faulty words = %d, want 1", diffWords)
+	if n := bits.OnesCount32(faults[0].StuckHigh | faults[0].StuckLow); n != 4 {
+		t.Errorf("stuck bits = %d, want 4", n)
 	}
 	// Half the stuck values coincide with the stored pattern on average, so
-	// observed flips are ≤4 (and ≥1 with this seed).
-	if diffBits < 1 || diffBits > 4 {
-		t.Errorf("flipped bits = %d, want 1..4", diffBits)
+	// a read sees at most 4 flips, and none when SECDED corrects the one
+	// effective flip.
+	got := m.ReadWord(faults[0].WordAddr)
+	if d := bits.OnesCount32(got ^ 0x55555555); d == 1 || d > 4 {
+		t.Errorf("read flips %d bits, want 0 or 2..4", d)
 	}
 }
 
 func TestInjectFiveBlocks(t *testing.T) {
 	m := mem.New()
-	m.SetECC(mem.ECCNone)
 	b, err := m.Alloc("data", 64*arch.BlockBytes, false)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +198,6 @@ func TestInjectDeterministicPerSeed(t *testing.T) {
 	f := func(seed int64) bool {
 		mk := func() uint32 {
 			m := mem.New()
-			m.SetECC(mem.ECCNone)
 			b, err := m.Alloc("d", 8*arch.BlockBytes, false)
 			if err != nil {
 				return 0

@@ -34,12 +34,12 @@ func newTransient(params map[string]int) (Model, error) {
 //     with fresh data (and fresh ECC check bits) before the end of the
 //     run, so the run is pre-classified Masked. With no timeline the flip
 //     conservatively persists.
-//  2. ECC. Under the SECDED memory model a transient flip corrupts data
-//     and leaves the stored check bits consistent with the original word,
-//     so the syndrome sees exactly Flips flipped bits: one flip is
-//     corrected (Masked), two flips are detected but uncorrectable — the
-//     run aborts as a DUE — and three or more alias past SECDED and are
-//     applied silently. With ECC disabled every flip is applied.
+//  2. ECC. Memory is SECDED-protected (package mem's one model). A
+//     transient flip corrupts data and leaves the stored check bits
+//     consistent with the original word, so the syndrome sees exactly
+//     Flips flipped bits: one flip is corrected (Masked), two flips are
+//     detected but uncorrectable — the run aborts as a DUE — and three or
+//     more alias past SECDED and are applied silently.
 //
 // Flips that survive both layers are applied as a raw XOR write
 // (mem.FlipBits) and the run executes functionally; a flip in data the
@@ -109,14 +109,12 @@ func (t Transient) Inject(m *mem.Memory, rng *rand.Rand, sel Selector, env *Env)
 			}
 		}
 		// Layer 2: SECDED pre-classification.
-		if m.ECC() == mem.ECCSECDED {
-			switch {
-			case t.Flips == 1:
-				continue // corrected on first read or scrub
-			case t.Flips == 2:
-				due = true
-				continue // detected uncorrectable: the run aborts
-			}
+		switch t.Flips {
+		case 1:
+			continue // corrected on first read or scrub
+		case 2:
+			due = true
+			continue // detected uncorrectable: the run aborts
 		}
 		if err := m.FlipBits(addr, mask); err != nil {
 			return Injection{}, fmt.Errorf("fault: block %d: %w", b, err)

@@ -13,10 +13,9 @@ const transientFill = 0xDEADBEEF
 
 // transientFixture builds a 4-block image filled with a known pattern and a
 // selector pinned to its second block.
-func transientFixture(t *testing.T, ecc mem.ECCMode) (*mem.Memory, *mem.Buffer, arch.BlockAddr, Selector) {
+func transientFixture(t *testing.T) (*mem.Memory, *mem.Buffer, arch.BlockAddr, Selector) {
 	t.Helper()
 	m := mem.New()
-	m.SetECC(ecc)
 	b, err := m.Alloc("data", 4*arch.BlockBytes, false)
 	if err != nil {
 		t.Fatal(err)
@@ -46,9 +45,9 @@ func diffWords(m *mem.Memory, b *mem.Buffer) (words, flipped int) {
 
 // TestTransientStoreMasking: a store committing at or after the injection
 // instant overwrites the flip — the run is pre-classified Masked and the
-// image stays clean, with or without ECC in the way.
+// image stays clean, before SECDED is consulted.
 func TestTransientStoreMasking(t *testing.T) {
-	m, buf, blk, sel := transientFixture(t, mem.ECCNone)
+	m, buf, blk, sel := transientFixture(t)
 	env := &Env{Timeline: &Timeline{
 		TotalCycles: 1000,
 		// Last store at the final cycle: at ∈ [0,1000) always precedes it.
@@ -69,7 +68,7 @@ func TestTransientStoreMasking(t *testing.T) {
 // TestTransientNoStoreNoMasking: a block the replay never stores to keeps
 // no LastStore entry, so the flip persists.
 func TestTransientNoStoreNoMasking(t *testing.T) {
-	m, buf, _, sel := transientFixture(t, mem.ECCNone)
+	m, buf, _, sel := transientFixture(t)
 	env := &Env{Timeline: &Timeline{TotalCycles: 1000, LastStore: map[arch.BlockAddr]int64{}}}
 	inj, err := Inject(m, rand.New(rand.NewSource(3)), Transient{Flips: 3, Blocks: 1}, sel, env)
 	if err != nil {
@@ -84,18 +83,19 @@ func TestTransientNoStoreNoMasking(t *testing.T) {
 }
 
 // TestTransientWithoutTimelineApplies: no timeline → the flip
-// conservatively persists to the end of the run.
+// conservatively persists to the end of the run (three flips, which alias
+// past SECDED).
 func TestTransientWithoutTimelineApplies(t *testing.T) {
-	m, buf, _, sel := transientFixture(t, mem.ECCNone)
-	inj, err := Inject(m, rand.New(rand.NewSource(5)), Transient{Flips: 2, Blocks: 1}, sel, nil)
+	m, buf, _, sel := transientFixture(t)
+	inj, err := Inject(m, rand.New(rand.NewSource(5)), Transient{Flips: 3, Blocks: 1}, sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if inj.Pre != 0 {
 		t.Errorf("Pre = %v, want none", inj.Pre)
 	}
-	if w, f := diffWords(m, buf); w != 1 || f != 2 {
-		t.Errorf("flip landed on %d words / %d bits, want 1 word / 2 bits", w, f)
+	if w, f := diffWords(m, buf); w != 1 || f != 3 {
+		t.Errorf("flip landed on %d words / %d bits, want 1 word / 3 bits", w, f)
 	}
 }
 
@@ -113,7 +113,7 @@ func TestTransientSECDED(t *testing.T) {
 		{3, 0, 3},
 	}
 	for _, tt := range tests {
-		m, buf, _, sel := transientFixture(t, mem.ECCSECDED)
+		m, buf, _, sel := transientFixture(t)
 		inj, err := Inject(m, rand.New(rand.NewSource(7)), Transient{Flips: tt.flips, Blocks: 1}, sel, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -130,7 +130,7 @@ func TestTransientSECDED(t *testing.T) {
 // TestTransientStoreMaskingBeatsDUE: masking precedes ECC — a 2-flip upset
 // in a block that is later overwritten is Masked, not DUE.
 func TestTransientStoreMaskingBeatsDUE(t *testing.T) {
-	m, _, blk, sel := transientFixture(t, mem.ECCSECDED)
+	m, _, blk, sel := transientFixture(t)
 	env := &Env{Timeline: &Timeline{
 		TotalCycles: 1000,
 		LastStore:   map[arch.BlockAddr]int64{blk: 999},
@@ -148,7 +148,7 @@ func TestTransientStoreMaskingBeatsDUE(t *testing.T) {
 // pre-classification and identical applied corruption.
 func TestTransientDeterministicPerSeed(t *testing.T) {
 	run := func() (Outcome, int, int) {
-		m, buf, _, sel := transientFixture(t, mem.ECCNone)
+		m, buf, _, sel := transientFixture(t)
 		inj, err := Inject(m, rand.New(rand.NewSource(21)), Transient{Flips: 4, Blocks: 1}, sel,
 			&Env{Timeline: &Timeline{TotalCycles: 500, LastStore: map[arch.BlockAddr]int64{}}})
 		if err != nil {
@@ -171,7 +171,7 @@ func TestTransientDeterministicPerSeed(t *testing.T) {
 // draws the same polarity in both fixtures, so exactly one must be DUE.
 func TestBurstDUEPreclassification(t *testing.T) {
 	inject := func(fill uint32) Outcome {
-		m := mem.New() // SECDED by default
+		m := mem.New()
 		b, err := m.Alloc("data", 2*arch.BlockBytes, false)
 		if err != nil {
 			t.Fatal(err)
@@ -196,10 +196,11 @@ func TestBurstDUEPreclassification(t *testing.T) {
 }
 
 // TestBurstAppliesOverlay: the burst is a permanent read-path overlay, so
-// it registers in FaultCount and corrupts reads across its word span.
+// it registers in FaultCount and corrupts reads across its word span. Four
+// adjacent bits of the alternating fill hold two zeros and two ones, so
+// either polarity flips two bits of each word, which escape SECDED.
 func TestBurstAppliesOverlay(t *testing.T) {
 	m := mem.New()
-	m.SetECC(mem.ECCNone)
 	b, err := m.Alloc("data", 2*arch.BlockBytes, false)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +212,7 @@ func TestBurstAppliesOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := Inject(m, rand.New(rand.NewSource(2)), Burst{Width: 3, Words: 2, Blocks: 1}, sel, nil)
+	inj, err := Inject(m, rand.New(rand.NewSource(2)), Burst{Width: 4, Words: 2, Blocks: 1}, sel, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +222,8 @@ func TestBurstAppliesOverlay(t *testing.T) {
 	if m.FaultCount() == 0 {
 		t.Error("burst recorded no overlay faults")
 	}
-	// Every corrupted word shows the same contiguous stuck pattern: at most
-	// Width bits differ per word, all adjacent.
+	// Every corrupted word shows the same contiguous stuck pattern: two
+	// bits differ per word, within Width adjacent positions.
 	words := 0
 	for i := 0; i < b.Len4(); i++ {
 		got := m.ReadWord(b.ElemAddr(i))
@@ -231,12 +232,12 @@ func TestBurstAppliesOverlay(t *testing.T) {
 		}
 		words++
 		d := got ^ 0x55555555
-		if n := bits.OnesCount32(d); n > 3 {
-			t.Errorf("word %d: %d bits differ, want ≤3", i, n)
+		if n := bits.OnesCount32(d); n != 2 {
+			t.Errorf("word %d: %d bits differ, want 2", i, n)
 		}
 		span := bits.Len32(d) - bits.TrailingZeros32(d) - 1
-		if span >= 3 {
-			t.Errorf("word %d: differing bits span %d positions, want <3 (adjacent)", i, span+1)
+		if span >= 4 {
+			t.Errorf("word %d: differing bits span %d positions, want <4 (adjacent)", i, span+1)
 		}
 	}
 	if words == 0 || words > 2 {

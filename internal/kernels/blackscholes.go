@@ -15,19 +15,11 @@ import (
 type BlackScholesConfig struct {
 	// Options is the number of option contracts priced.
 	Options int
-	// RiskFree and Volatility are the model constants (defaults 0.02/0.30).
-	RiskFree, Volatility float64
 }
 
 func (c BlackScholesConfig) withDefaults() BlackScholesConfig {
 	if c.Options == 0 {
 		c.Options = 4096
-	}
-	if c.RiskFree == 0 {
-		c.RiskFree = 0.02
-	}
-	if c.Volatility == 0 {
-		c.Volatility = 0.30
 	}
 	return c
 }
@@ -95,7 +87,9 @@ func NewBlackScholes(cfg BlackScholesConfig) (*App, error) {
 	ldT := ss.site("k1.ld.T", bufT)
 	stC := ss.site("k1.st.call", nil)
 	stP := ss.site("k1.st.put", nil)
-	r, v := cfg.RiskFree, cfg.Volatility
+	// The risk-free rate and volatility, as float64 variables: Go would
+	// evaluate a constant expression such as r+0.5*v*v exactly.
+	r, v := 0.02, 0.30
 
 	k := &simt.Kernel{
 		KernelName: "blackscholes_kernel1",

@@ -12,19 +12,11 @@ import (
 // GESUMMVConfig sizes P-GESUMMV (paper: N = 4096).
 type GESUMMVConfig struct {
 	N int
-	// Alpha and Beta are the scalar coefficients (defaults 1.5 / 2.5).
-	Alpha, Beta float32
 }
 
 func (c GESUMMVConfig) withDefaults() GESUMMVConfig {
 	if c.N == 0 {
 		c.N = 192
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 1.5
-	}
-	if c.Beta == 0 {
-		c.Beta = 2.5
 	}
 	return c
 }
@@ -68,7 +60,7 @@ func NewGESUMMV(cfg GESUMMVConfig) (*App, error) {
 	ldB := ss.site("k1.ld.B", bufB)
 	ldX := ss.site("k1.ld.x", bufX)
 	stY := ss.site("k1.st.y", nil)
-	alpha, beta := cfg.Alpha, cfg.Beta
+	alpha, beta := float32(1.5), float32(2.5) // the scalar coefficients α and β
 
 	k := &simt.Kernel{
 		KernelName: "gesummv_kernel1",

@@ -20,10 +20,6 @@ type SRADConfig struct {
 	// neighbour-index arrays compound across the image while faults in
 	// individual pixels diffuse away.
 	Iterations int
-	// Lambda is the diffusion update rate (default 0.5).
-	Lambda float32
-	// Q0 is the speckle scale (default 0.5).
-	Q0 float32
 }
 
 func (c SRADConfig) withDefaults() SRADConfig {
@@ -35,12 +31,6 @@ func (c SRADConfig) withDefaults() SRADConfig {
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 6
-	}
-	if c.Lambda == 0 {
-		c.Lambda = 0.5
-	}
-	if c.Q0 == 0 {
-		c.Q0 = 0.5
 	}
 	return c
 }
@@ -147,7 +137,9 @@ func NewSRAD(cfg SRADConfig) (*App, error) {
 
 	total := w * h
 	grid := arch.Dim3{X: (total + polyThreadsPerCTA - 1) / polyThreadsPerCTA}
-	lambda, q0 := cfg.Lambda, cfg.Q0
+	// The diffusion update rate and speckle scale, as float32 variables:
+	// q0*q0 below must round like the kernel arithmetic.
+	lambda, q0 := float32(0.5), float32(0.5)
 	q0sq := q0 * q0
 
 	// dirSites maps direction → (site, index buffer) for kernel 1.

@@ -31,7 +31,6 @@ func (m *Memory) Fork() *Memory {
 	}
 	f := &Memory{
 		buffers:  m.buffers,
-		ecc:      m.ecc,
 		shared:   m.data,
 		blockOff: make([]int32, m.TotalBlocks()),
 	}
@@ -192,8 +191,8 @@ func (m *Memory) DivergesFrom(golden *Memory) bool {
 //     buffers (only fault-corrupted *loads* wrap permissively), so the
 //     word's raw bits keep their golden value for the whole run.
 //   - At those golden bits, the overlay resolves to the raw value: either
-//     no stuck bit disagrees with the stored bit, or — under the SECDED
-//     model — exactly one does and ECC corrects it.
+//     no stuck bit disagrees with the stored bit, or exactly one does and
+//     SECDED corrects it.
 //
 // Every read of the word (in-bounds or wrapped out-of-bounds) then returns
 // the golden value, so execution, output, and any detection/correction
@@ -208,13 +207,9 @@ func (m *Memory) FaultsInert() bool {
 		}
 		raw := m.rawWord(f.wordAddr)
 		faulty := (raw | f.setMask) &^ f.clrMask
-		if faulty == raw {
-			continue
+		if bits.OnesCount32(faulty^raw) > 1 {
+			return false
 		}
-		if m.ecc == ECCSECDED && bits.OnesCount32(faulty^raw) <= 1 {
-			continue
-		}
-		return false
 	}
 	return true
 }

@@ -1,9 +1,13 @@
 // Package mem models GPU device (global) memory: named buffer allocation
 // (the paper's "data objects"), a byte-addressable memory image, and a
 // permanent stuck-at fault overlay applied on every read — the fault model
-// of Section II-C. Replica copies created by the replication schemes live in
-// this same address space at distinct addresses, so block-addressed fault
-// injection can hit primaries, replicas, or unrelated data alike.
+// of Section II-C. Every memory is SECDED-protected, the paper's
+// assumption and the package's one ECC model: a read corrects a word whose
+// stuck bits differ from the stored value in one bit, and returns the
+// corrupted word when they differ in more. Replica copies created by the
+// replication schemes live in this same address space at distinct
+// addresses, so block-addressed fault injection can hit primaries,
+// replicas, or unrelated data alike.
 package mem
 
 import (
@@ -15,30 +19,6 @@ import (
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 )
-
-// ECCMode selects how the modelled SECDED layer treats stuck-at faults.
-type ECCMode int
-
-const (
-	// ECCNone disables ECC: every stuck-at bit reaches the application.
-	ECCNone ECCMode = iota + 1
-	// ECCSECDED models the paper's assumption: single-bit faults are
-	// corrected transparently by SECDED; multi-bit faults escape silently
-	// (miscorrection/aliasing, or faults in logic outside ECC coverage).
-	ECCSECDED
-)
-
-// String renders the mode for logs.
-func (m ECCMode) String() string {
-	switch m {
-	case ECCNone:
-		return "none"
-	case ECCSECDED:
-		return "secded"
-	default:
-		return fmt.Sprintf("eccmode(%d)", int(m))
-	}
-}
 
 // Buffer describes one named allocation — a "data object" in the paper's
 // terminology (e.g. Layer1_Weights, A, r). Buffers are immutable metadata;
@@ -97,7 +77,6 @@ type Memory struct {
 	// faults is a small sorted-by-address slice: campaigns inject at most a
 	// handful of faulty words, and a linear scan beats a map at that size.
 	faults []wordFault
-	ecc    ECCMode
 
 	// Copy-on-write fork state (nil/zero on root images, see fork.go). A
 	// fork shares `shared` — the root's data — read-only and materializes a
@@ -113,17 +92,8 @@ type Memory struct {
 	copied   uint64
 }
 
-// New returns an empty device memory with the paper's SECDED assumption
-// enabled.
-func New() *Memory {
-	return &Memory{ecc: ECCSECDED}
-}
-
-// SetECC selects the ECC model.
-func (m *Memory) SetECC(mode ECCMode) { m.ecc = mode }
-
-// ECC reports the current ECC model.
-func (m *Memory) ECC() ECCMode { return m.ecc }
+// New returns an empty device memory.
+func New() *Memory { return &Memory{} }
 
 // Alloc reserves a 128 B aligned buffer of the given byte size. Forks
 // cannot allocate: buffer layout (including replica allocations made by
@@ -197,7 +167,6 @@ func (m *Memory) Clone() *Memory {
 		data:    m.resolvedBytes(),
 		buffers: append([]*Buffer(nil), m.buffers...),
 		faults:  append([]wordFault(nil), m.faults...),
-		ecc:     m.ecc,
 	}
 	return out
 }
@@ -291,7 +260,9 @@ func (m *Memory) rawWord(wordAddr arch.Addr) uint32 {
 	return binary.LittleEndian.Uint32(m.shared[wordAddr:])
 }
 
-// ReadWord reads a 32-bit word through the fault overlay and ECC model.
+// ReadWord reads a 32-bit word through the fault overlay and SECDED: a
+// stuck-at pattern that differs from the stored word in one bit is
+// corrected, and one that differs in two or more bits escapes.
 func (m *Memory) ReadWord(wordAddr arch.Addr) uint32 {
 	raw := m.rawWord(wordAddr)
 	if len(m.faults) == 0 {
@@ -303,11 +274,8 @@ func (m *Memory) ReadWord(wordAddr arch.Addr) uint32 {
 			continue
 		}
 		faulty := (raw | f.setMask) &^ f.clrMask
-		if m.ecc == ECCSECDED {
-			// SECDED corrects a single flipped bit; multi-bit escapes.
-			if flips := bits.OnesCount32(faulty ^ raw); flips <= 1 {
-				return raw
-			}
+		if bits.OnesCount32(faulty^raw) <= 1 {
+			return raw
 		}
 		return faulty
 	}

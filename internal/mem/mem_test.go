@@ -92,7 +92,6 @@ func TestReadWriteRoundTrip(t *testing.T) {
 
 func TestStuckAtFaultIsPermanent(t *testing.T) {
 	m := New()
-	m.SetECC(ECCNone)
 	b := mustAlloc(t, m, "v", 128, false)
 	addr := b.ElemAddr(3)
 	m.WriteWord(addr, 0)
@@ -111,7 +110,6 @@ func TestStuckAtFaultIsPermanent(t *testing.T) {
 
 func TestStuckAtZero(t *testing.T) {
 	m := New()
-	m.SetECC(ECCNone)
 	b := mustAlloc(t, m, "v", 128, false)
 	addr := b.ElemAddr(0)
 	m.WriteWord(addr, 0xFFFFFFFF)
@@ -125,7 +123,6 @@ func TestStuckAtZero(t *testing.T) {
 
 func TestSECDEDCorrectsSingleBitFault(t *testing.T) {
 	m := New()
-	m.SetECC(ECCSECDED)
 	b := mustAlloc(t, m, "v", 128, false)
 	addr := b.ElemAddr(1)
 	m.WriteWord(addr, 0x12345678)
@@ -136,16 +133,17 @@ func TestSECDEDCorrectsSingleBitFault(t *testing.T) {
 	if got := m.ReadWord(addr); got != 0x12345678 {
 		t.Fatalf("SECDED read = %#x, want corrected %#x", got, 0x12345678)
 	}
-	// The same fault without ECC escapes.
-	m.SetECC(ECCNone)
-	if got := m.ReadWord(addr); got != 0x92345678 {
-		t.Fatalf("no-ECC read = %#x, want faulty %#x", got, uint32(0x92345678))
+	// A second stuck bit makes two effective flips, which escape.
+	if err := m.InjectStuckAt(addr, 1<<30, true); err != nil {
+		t.Fatalf("InjectStuckAt: %v", err)
+	}
+	if got := m.ReadWord(addr); got != 0xD2345678 {
+		t.Fatalf("two-flip read = %#x, want faulty %#x", got, uint32(0xD2345678))
 	}
 }
 
 func TestSECDEDMultiBitEscapes(t *testing.T) {
 	m := New()
-	m.SetECC(ECCSECDED)
 	b := mustAlloc(t, m, "v", 128, false)
 	addr := b.ElemAddr(2)
 	m.WriteWord(addr, 0)
@@ -159,7 +157,6 @@ func TestSECDEDMultiBitEscapes(t *testing.T) {
 
 func TestStuckAtMatchingStoredValueIsInvisible(t *testing.T) {
 	m := New()
-	m.SetECC(ECCSECDED)
 	b := mustAlloc(t, m, "v", 128, false)
 	addr := b.ElemAddr(0)
 	m.WriteWord(addr, 0xFF)
@@ -185,7 +182,6 @@ func TestInjectValidation(t *testing.T) {
 
 func TestFaultAccumulationSameWord(t *testing.T) {
 	m := New()
-	m.SetECC(ECCNone)
 	b := mustAlloc(t, m, "v", 128, false)
 	addr := b.ElemAddr(5)
 	m.WriteWord(addr, 0)
@@ -221,7 +217,6 @@ func TestFaultsSortedByAddress(t *testing.T) {
 
 func TestCloneIsIndependent(t *testing.T) {
 	m := New()
-	m.SetECC(ECCNone)
 	b := mustAlloc(t, m, "v", 128, false)
 	m.WriteF32(b.ElemAddr(0), 1.5)
 	c := m.Clone()

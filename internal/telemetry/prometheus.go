@@ -38,8 +38,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			f.samples = Snapshot{e.hist.sample(name, nil)}
 		case e.cvec != nil:
 			f.samples = e.cvec.appendSamples(nil, name)
-		case e.gvec != nil:
-			f.samples = e.gvec.appendSamples(nil, name)
 		case e.hvec != nil:
 			f.samples = e.hvec.appendSamples(nil, name)
 		}

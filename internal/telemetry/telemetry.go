@@ -1,7 +1,7 @@
 // Package telemetry is the simulator's zero-dependency observability
 // substrate: a metrics registry (counters, gauges, histograms, and labeled
-// families thereof) with lock-free hot-path updates, deterministic
-// snapshot/delta semantics, a Prometheus text-format exporter, and a Chrome
+// families thereof) with lock-free hot-path updates, deterministic sorted
+// snapshots, a Prometheus text-format exporter, and a Chrome
 // trace_event JSON exporter for timeline visualisation.
 //
 // Design constraints, in order:
@@ -101,7 +101,6 @@ type metricEntry struct {
 	gauge   *Gauge
 	hist    *Histogram
 	cvec    *CounterVec
-	gvec    *GaugeVec
 	hvec    *HistogramVec
 }
 
@@ -185,8 +184,6 @@ func (r *Registry) seriesLocked() int {
 		switch {
 		case e.cvec != nil:
 			n += e.cvec.v.len()
-		case e.gvec != nil:
-			n += e.gvec.v.len()
 		case e.hvec != nil:
 			n += e.hvec.v.len()
 		default:
@@ -212,8 +209,6 @@ func (r *Registry) snapshotLocked() Snapshot {
 			out = append(out, e.hist.sample(name, nil))
 		case e.cvec != nil:
 			out = e.cvec.appendSamples(out, name)
-		case e.gvec != nil:
-			out = e.gvec.appendSamples(out, name)
 		case e.hvec != nil:
 			out = e.hvec.appendSamples(out, name)
 		}
@@ -281,7 +276,7 @@ type Sample struct {
 }
 
 // key renders the sample's identity (name plus label values) for sorting
-// and delta matching.
+// and lookup.
 func (s Sample) key() string {
 	k := s.Name
 	for _, l := range s.Labels {
@@ -305,39 +300,4 @@ func (s Snapshot) Get(name string, labels ...Label) (Sample, bool) {
 		}
 	}
 	return Sample{}, false
-}
-
-// Delta returns s minus prev: counter values and histogram counts subtract
-// (children absent from prev pass through whole), gauges keep their current
-// value. Use it to report per-interval rates from cumulative counters.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	prevByKey := make(map[string]Sample, len(prev))
-	for _, p := range prev {
-		prevByKey[p.key()] = p
-	}
-	out := make(Snapshot, 0, len(s))
-	for _, cur := range s {
-		p, ok := prevByKey[cur.key()]
-		if !ok || cur.Kind == KindGauge {
-			out = append(out, cur)
-			continue
-		}
-		d := cur
-		switch cur.Kind {
-		case KindCounter:
-			d.Value = cur.Value - p.Value
-		case KindHistogram:
-			d.Value = cur.Value - p.Value
-			d.Count = cur.Count - p.Count
-			d.Buckets = make([]Bucket, len(cur.Buckets))
-			copy(d.Buckets, cur.Buckets)
-			for i := range d.Buckets {
-				if i < len(p.Buckets) {
-					d.Buckets[i].Count -= p.Buckets[i].Count
-				}
-			}
-		}
-		out = append(out, d)
-	}
-	return out
 }

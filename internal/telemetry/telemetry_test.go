@@ -75,7 +75,7 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestSnapshotSortedAndDelta(t *testing.T) {
+func TestSnapshotSorted(t *testing.T) {
 	r := NewRegistry()
 	v := r.CounterVec("b_total", "", "ch")
 	v.With("1").Add(10)
@@ -89,17 +89,18 @@ func TestSnapshotSortedAndDelta(t *testing.T) {
 		}
 	}
 
+	// A snapshot is detached: later updates show only in the next one.
 	v.With("0").Add(5)
 	r.Gauge("a_gauge", "").Set(9)
-	d := r.Snapshot().Delta(s1)
-	if sm, _ := d.Get("b_total", Label{"ch", "0"}); sm.Value != 5 {
-		t.Errorf("counter delta = %g, want 5", sm.Value)
+	s2 := r.Snapshot()
+	if sm, _ := s1.Get("b_total", Label{"ch", "0"}); sm.Value != 7 {
+		t.Errorf("earlier snapshot's counter = %g, want 7", sm.Value)
 	}
-	if sm, _ := d.Get("b_total", Label{"ch", "1"}); sm.Value != 0 {
-		t.Errorf("unchanged counter delta = %g, want 0", sm.Value)
+	if sm, _ := s2.Get("b_total", Label{"ch", "0"}); sm.Value != 12 {
+		t.Errorf("counter = %g, want 12", sm.Value)
 	}
-	if sm, _ := d.Get("a_gauge"); sm.Value != 9 {
-		t.Errorf("gauge in delta = %g, want current value 9", sm.Value)
+	if sm, _ := s2.Get("a_gauge"); sm.Value != 9 {
+		t.Errorf("gauge = %g, want 9", sm.Value)
 	}
 }
 

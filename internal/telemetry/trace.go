@@ -13,8 +13,7 @@ import (
 type TraceEvent struct {
 	// Name labels the event in the timeline.
 	Name string `json:"name"`
-	// Phase is the event type: "X" complete, "i" instant, "C" counter,
-	// "M" metadata.
+	// Phase is the event type: "X" complete, "C" counter, "M" metadata.
 	Phase string `json:"ph"`
 	// Ts is the event timestamp. The viewer interprets it as microseconds;
 	// the simulator emits core-clock cycles, so one timeline microsecond
@@ -64,11 +63,6 @@ func (t *Trace) NameThread(pid, tid int, name string) {
 // ts for dur time units. args may be nil.
 func (t *Trace) Span(pid, tid int, name string, ts, dur int64, args map[string]any) {
 	t.emit(TraceEvent{Name: name, Phase: "X", Ts: ts, Dur: dur, Pid: pid, Tid: tid, Args: args})
-}
-
-// Instant records an instant ("i") event at ts on lane (pid, tid).
-func (t *Trace) Instant(pid, tid int, name string, ts int64) {
-	t.emit(TraceEvent{Name: name, Phase: "i", Ts: ts, Pid: pid, Tid: tid, Args: map[string]any{"s": "t"}})
 }
 
 // CounterEvent records a counter ("C") event: the named series values at

@@ -12,7 +12,9 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite the trace golden file")
 
 // goldenTrace builds the fixed trace the golden file captures: two SM
-// lanes, an L2 bank lane, a DRAM counter track, and an instant marker.
+// lanes, an L2 bank lane, a DRAM counter track, and an instant marker. No
+// simulator layer records instants; the marker is emitted raw because the
+// writer must serialize any phase.
 func goldenTrace() *Trace {
 	tr := NewTrace()
 	tr.NameProcess(1, "SMs")
@@ -24,7 +26,7 @@ func goldenTrace() *Trace {
 	tr.Span(1, 1, "kernel_a", 0, 118, nil)
 	tr.Span(2, 0, "kernel_a", 5, 110, map[string]any{"reads": 40, "read_misses": 8})
 	tr.CounterEvent(3, "dram_ch0", 120, map[string]float64{"served": 12, "row_hits": 9})
-	tr.Instant(1, 0, "stall", 60)
+	tr.emit(TraceEvent{Name: "stall", Phase: "i", Ts: 60, Pid: 1, Tid: 0, Args: map[string]any{"s": "t"}})
 	return tr
 }
 

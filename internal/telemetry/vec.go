@@ -97,33 +97,6 @@ func (c *CounterVec) appendSamples(out Snapshot, name string) Snapshot {
 	return out
 }
 
-// GaugeVec is a family of gauges distinguished by label values.
-type GaugeVec struct {
-	name string
-	v    *vec[Gauge]
-}
-
-// GaugeVec returns the named gauge family, creating it on first use.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	e := r.lookup(name, help, KindGauge, labels, func(e *metricEntry) {
-		e.gvec = &GaugeVec{name: name, v: newVec(e.labels, func() *Gauge { return &Gauge{} })}
-	})
-	if e.gvec == nil {
-		panic(fmt.Sprintf("telemetry: %q is a plain gauge, not a labeled family", name))
-	}
-	return e.gvec
-}
-
-// With returns the child gauge for the label values.
-func (g *GaugeVec) With(values ...string) *Gauge { return g.v.with(g.name, values) }
-
-func (g *GaugeVec) appendSamples(out Snapshot, name string) Snapshot {
-	g.v.each(func(labels []Label, k *Gauge) {
-		out = append(out, Sample{Name: name, Labels: labels, Kind: KindGauge, Value: k.Value()})
-	})
-	return out
-}
-
 // HistogramVec is a family of histograms distinguished by label values.
 type HistogramVec struct {
 	name string

@@ -186,17 +186,14 @@ func runBenchmark(b *testing.B, instrument bool) {
 	if instrument {
 		// Scraping the registry the run just filled must stay cheap: the
 		// snapshot slice is pre-sized from the series count and sort keys
-		// are rendered once per sample, so a Snapshot+Delta pair is bounded
-		// by a few allocations per series (labels, sort keys, and bucket
-		// copies), not by repeated slice growth or comparator-time garbage.
+		// are rendered once per sample, so a Snapshot is bounded by a few
+		// allocations per series (labels, sort keys, and bucket copies),
+		// not by repeated slice growth or comparator-time garbage.
 		b.StopTimer()
-		prev := e.Metrics.Snapshot()
-		series := len(prev)
-		allocs := testing.AllocsPerRun(10, func() {
-			e.Metrics.Snapshot().Delta(prev)
-		})
-		if max := float64(6*series + 16); allocs > max {
-			b.Errorf("Snapshot+Delta over %d series = %.0f allocs, want <= %.0f", series, allocs, max)
+		series := len(e.Metrics.Snapshot())
+		allocs := testing.AllocsPerRun(10, func() { e.Metrics.Snapshot() })
+		if max := float64(3*series + 8); allocs > max {
+			b.Errorf("Snapshot over %d series = %.0f allocs, want <= %.0f", series, allocs, max)
 		}
 	}
 }
