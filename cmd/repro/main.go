@@ -18,7 +18,8 @@
 // any worker count. The fault-injection run count is configurable; the
 // paper uses 1000 runs per configuration (95% CI ±3%). With -store-dir,
 // every figure result and the checkpoint artifacts the campaigns build
-// (golden runs with their recordings, store timelines, miss weights)
+// (golden runs with their recordings, and exposure replays, whose miss
+// weights and store timelines serve both Fig. 9 and the transient models)
 // persist in a content-addressed on-disk store keyed by the full
 // configuration and simulator version, so a repeat invocation answers
 // from the store, byte-identical to a fresh computation, and a campaign

@@ -32,7 +32,6 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/experiments"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
-	"github.com/datacentric-gpu/dcrm/internal/profile"
 	"github.com/datacentric-gpu/dcrm/internal/timing"
 )
 
@@ -392,7 +391,7 @@ func (w *Workload) AutoHotObjects() ([]string, error) {
 		return nil, err
 	}
 	var names []string
-	for _, o := range p.IdentifyHotObjects(app.Objects, profile.IdentifyConfig{}) {
+	for _, o := range p.IdentifyHotObjects(app.Objects) {
 		names = append(names, o.Name)
 	}
 	return names, nil

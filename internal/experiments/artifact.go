@@ -1,32 +1,35 @@
 // Checkpoint artifact cache: the lazy pieces of a campaign Checkpoint —
 // the golden run (output, post-run image and the reference recording
-// batched replay uses), the store-commit timeline, and the miss-selector
-// weights — factored into individually keyed, serializable artifacts
-// served through the suite's content-addressed store. Each artifact is
-// keyed by the suite identity, its kind, artifactFormatVersion (so
-// encodings never alias across format changes), and what it depends on:
-// the golden by application alone, because a protected instance runs and
-// records exactly what its base instance does (its replicas are allocated
-// after every primary object and no kernel addresses them); the timeline
-// and the miss weights by checkpoint configuration, because the plan's
-// replica traffic changes them. An artifact is built in one way only: on
-// first use, by whichever figure or campaign needs it, with the store's
-// singleflight making concurrent first users share one computation.
-// Artifacts persist through the store's checksummed disk tier: a second
-// process, or a peer sharing the store directory, fetches instead of
-// recomputing. Corrupt disk entries are detected by the store and
-// recomputed transparently.
+// batched replay uses) and the exposure replay (the miss-selector weights
+// and the store-commit timeline) — factored into individually keyed,
+// serializable artifacts served through the suite's content-addressed
+// store. Each artifact is keyed by the suite identity, its kind,
+// artifactFormatVersion (so encodings never alias across format changes),
+// and what it depends on: the golden by application alone, because a
+// protected instance runs and records exactly what its base instance does
+// (its replicas are allocated after every primary object and no kernel
+// addresses them); the exposure replay by checkpoint configuration,
+// because the plan's replica traffic changes it. An artifact is built in
+// one way only: on first use, by whichever figure or campaign needs it,
+// with the store's singleflight making concurrent first users share one
+// computation. Artifacts persist through the store's checksummed disk
+// tier: a second process, or a peer sharing the store directory, fetches
+// instead of recomputing. Corrupt disk entries, and decoded entries that
+// do not fit the checkpoint (checkGolden, checkExposure), are recomputed
+// transparently and overwritten.
 //
 // Byte-identity contract: both the freshly-computed and the decoded paths
 // reconstruct the live checkpoint state from the same pure-data artifact
 // value (golden forks are replayed from the dirty-block delta, recorded
-// kernels are reattached by index, selectors are rebuilt from the
-// weights), so a warm start is bit-identical to a cold one by
-// construction — the parity tests gate on exactly that.
+// kernels are reattached by index, selectors and timelines are rebuilt
+// from the exposure replay's sorted slices), so a warm start is
+// bit-identical to a cold one by construction — the parity tests gate on
+// exactly that.
 package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
@@ -38,10 +41,11 @@ import (
 // artifactFormatVersion is folded into every artifact key. Bump it whenever
 // any artifact encoding changes shape or meaning: old disk entries then
 // simply stop being addressed, rather than decoding into the wrong state.
-const artifactFormatVersion = 3
+const artifactFormatVersion = 4
 
-// Artifact kinds — the nodes of the checkpoint artifact DAG. All three hang
-// off the checkpoint's prepared image (app + plan); none depends on another.
+// Artifact kinds — the nodes of the checkpoint artifact DAG. Both hang off
+// the checkpoint's prepared image (app + plan); neither depends on the
+// other.
 const (
 	// ArtifactGolden is the fault-free reference run, one per application:
 	// the metric output, the post-run image as a dirty-block delta against
@@ -50,11 +54,10 @@ const (
 	// ArtifactCapture names the golden run's recording. No store entry has
 	// this kind: BuildArtifact accepts it as a synonym for ArtifactGolden.
 	ArtifactCapture = "capture"
-	// ArtifactTimeline is the store-commit timeline consulted by
-	// timeline-using fault models (fault.NeedsTimeline).
-	ArtifactTimeline = "timeline"
-	// ArtifactMissWeights is the Fig. 8 miss histogram behind the
-	// miss-weighted block selector.
+	// ArtifactMissWeights is the exposure replay of one configuration: the
+	// Fig. 8 miss histogram behind the miss-weighted block selector and
+	// the store-commit timeline that timeline-consulting fault models read
+	// (fault.NeedsTimeline).
 	ArtifactMissWeights = "missweights"
 )
 
@@ -72,23 +75,33 @@ const maxCaptureBytes = 64 << 20
 // like the process that first ran it. Bytes is the kept recording's
 // simt.CaptureLog.ApproxBytes: every checkpoint of the application shares
 // the recorded warps, so the artifact's store entry is charged for them
-// once, at this size. computed marks an artifact this process ran; gob
-// skips unexported fields, so one served from disk reads false and its
-// recording is checked before replay (checkRecording).
+// once, at this size.
 type goldenArtifact struct {
 	Output    []float32
 	DirtyIdx  []int32
 	DirtyData []byte
 	Bytes     int64
 	Warps     [][]*simt.WarpCapture
-	computed  bool
 }
 
-// missArtifact is the serialized miss histogram in the selector's
-// deterministic block order.
-type missArtifact struct {
-	Blocks  []arch.BlockAddr
-	Weights []float64
+// exposureArtifact is the serialized exposure replay (replayExposure): the
+// missed blocks with their miss counts as weights, the replay's span, and
+// the stored-to blocks with their last store-commit cycles. Sorted
+// parallel slices, not maps, keep the encoding deterministic.
+type exposureArtifact struct {
+	Blocks      []arch.BlockAddr
+	Weights     []float64
+	TotalCycles int64
+	StoreBlocks []arch.BlockAddr
+	StoreCycles []int64
+}
+
+// selector builds the miss-weighted block selector.
+func (art exposureArtifact) selector(app string) (fault.Selector, error) {
+	if len(art.Blocks) == 0 {
+		return nil, fmt.Errorf("experiments: %s produced no L1 misses", app)
+	}
+	return fault.NewWeightedSelector(art.Blocks, art.Weights)
 }
 
 // artifactKey addresses one artifact of this checkpoint: suite identity
@@ -109,10 +122,10 @@ func (cp *Checkpoint) artifactKey(kind string) store.Key {
 // dcrm_artifact_requests_total counts first-use requests per kind,
 // dcrm_artifact_computed_total counts the requests that actually ran the
 // computation — a fully warm process shows requests with zero computes.
-// size, when non-nil, is the store entry's accounted size (the store's
-// default otherwise). (A free function because Go methods cannot be
-// generic.)
-func artifactDo[T any](cp *Checkpoint, kind string, size func(T) int64, compute func() (T, error)) (T, error) {
+// opt sets the store entry's accounted size and the check a disk-served
+// value must pass; the entry always persists. (A free function because Go
+// methods cannot be generic.)
+func artifactDo[T any](cp *Checkpoint, kind string, opt store.Options[T], compute func() (T, error)) (T, error) {
 	if cp.tele.artRequests != nil {
 		cp.tele.artRequests.With(kind).Inc()
 	}
@@ -122,7 +135,8 @@ func artifactDo[T any](cp *Checkpoint, kind string, size func(T) int64, compute 
 		}
 		return compute()
 	}
-	return store.Do(cp.suite.st, cp.artifactKey(kind), store.Options[T]{Persist: true, Size: size}, counted)
+	opt.Persist = true
+	return store.Do(cp.suite.st, cp.artifactKey(kind), opt, counted)
 }
 
 // computeGoldenArtifact runs the fault-free golden execution once, on a
@@ -138,7 +152,7 @@ func computeGoldenArtifact(cp *Checkpoint) (goldenArtifact, error) {
 		return goldenArtifact{}, fmt.Errorf("experiments: %s golden run: %w", cp.App.Name, err)
 	}
 	idx, data := f.SnapshotBlocks()
-	art := goldenArtifact{Output: cp.App.Output(f), DirtyIdx: idx, DirtyData: data, computed: true}
+	art := goldenArtifact{Output: cp.App.Output(f), DirtyIdx: idx, DirtyData: data}
 	if bytes := log.ApproxBytes(); bytes <= maxCaptureBytes {
 		art.Bytes = bytes
 		art.Warps = make([][]*simt.WarpCapture, len(log.Kernels))
@@ -153,7 +167,7 @@ func computeGoldenArtifact(cp *Checkpoint) (goldenArtifact, error) {
 // kernels reattach to the checkpoint's kernel list by launch index, the
 // recorded warps stay shared with the artifact. Returns nil when the
 // artifact dropped its recording (callers fall back to full per-lane
-// execution). A recording served from disk has passed checkRecording.
+// execution). A recording served from disk has passed checkGolden.
 func (cp *Checkpoint) reconstructCapture(art goldenArtifact) *simt.CaptureLog {
 	if art.Warps == nil {
 		return nil
@@ -165,15 +179,32 @@ func (cp *Checkpoint) reconstructCapture(art goldenArtifact) *simt.CaptureLog {
 	return log
 }
 
+// checkGolden verifies a golden artifact against the application it claims
+// to describe, before the checkpoint restores its delta, classifies
+// against its output and replays its recording: every delta index inside
+// the image and unique, 128 bytes of delta data per index, the output as
+// long as the application's, and the recording (checkRecording). The
+// store's checksum only proves the payload is the one written; this proves
+// it fits the application.
+func checkGolden(app *kernels.App, art goldenArtifact) error {
+	// Restoring the delta onto a throwaway fork checks its indices and
+	// length exactly as the checkpoint's restore will.
+	if err := app.Mem.Fork().RestoreBlocks(art.DirtyIdx, art.DirtyData); err != nil {
+		return err
+	}
+	if n := len(app.Output(app.Mem)); len(art.Output) != n {
+		return fmt.Errorf("output of %d values, the application's has %d", len(art.Output), n)
+	}
+	return checkRecording(app, art.Warps)
+}
+
 // checkRecording verifies a golden artifact's recording against the
 // application it claims to record, before batched replay indexes buffers,
 // blocks and lanes with its fields: the launch count and each launch's
 // warps, every warp's identity and lane count against the launch geometry,
 // every load's and store's data object and blocks, the index and value
 // lengths (NumLanes, or one value for a broadcast load), and every store
-// index inside its buffer. The store's checksum only proves the payload is
-// the one written; this proves it fits the application. A nil recording
-// (dropped for size) passes.
+// index inside its buffer. A nil recording (dropped for size) passes.
 func checkRecording(app *kernels.App, warps [][]*simt.WarpCapture) error {
 	if warps != nil && len(warps) != len(app.Kernels) {
 		return fmt.Errorf("%d launches recorded, the application has %d", len(warps), len(app.Kernels))
@@ -228,6 +259,37 @@ func checkRecording(app *kernels.App, warps [][]*simt.WarpCapture) error {
 	return nil
 }
 
+// checkExposure verifies an exposure artifact against the checkpoint image
+// of nblocks blocks, before the selector draws from its weights and the
+// transient model reads its cycles: each block list strictly ascending
+// inside the image with one value per block, every weight positive and
+// finite, every cycle inside the replay's span of at least one cycle.
+func checkExposure(art exposureArtifact, nblocks int) error {
+	ascending := func(blocks []arch.BlockAddr) bool {
+		for i, b := range blocks {
+			if int(b) >= nblocks || i > 0 && b <= blocks[i-1] {
+				return false
+			}
+		}
+		return true
+	}
+	if art.TotalCycles < 1 || !ascending(art.Blocks) || !ascending(art.StoreBlocks) ||
+		len(art.Weights) != len(art.Blocks) || len(art.StoreCycles) != len(art.StoreBlocks) {
+		return fmt.Errorf("exposure replay does not fit the %d-block image", nblocks)
+	}
+	for _, w := range art.Weights {
+		if !(w > 0) || math.IsInf(w, 1) {
+			return fmt.Errorf("miss weight %v", w)
+		}
+	}
+	for _, c := range art.StoreCycles {
+		if c < 0 || c > art.TotalCycles {
+			return fmt.Errorf("store commit at cycle %d, outside the %d-cycle replay", c, art.TotalCycles)
+		}
+	}
+	return nil
+}
+
 // Artifact footprint estimates for the checkpoint LRU re-accounting: the
 // memory tier admits a checkpoint at its image size, then grows the
 // accounted size as lazy artifacts materialize. The recording is not among
@@ -246,17 +308,11 @@ func goldenSize(art goldenArtifact) int64 {
 	return goldenFootprint(art) + art.Bytes
 }
 
-func timelineFootprint(tl *fault.Timeline) int64 {
-	if tl == nil {
-		return 0
-	}
-	// map overhead ≈ key + value + bucket bookkeeping per entry
-	return 16 + int64(len(tl.LastStore))*48
-}
-
-func missFootprint(art missArtifact) int64 {
-	// artifact blocks/weights plus the rebuilt selector's blocks/cumsum
-	return 2 * (int64(len(art.Blocks))*4 + int64(len(art.Weights))*8)
+func exposureFootprint(art exposureArtifact) int64 {
+	// the rebuilt selector's blocks and cumulative weights, plus the
+	// timeline map (≈ key + value + bucket bookkeeping per entry); the
+	// artifact value itself is accounted under its own store key
+	return int64(len(art.Blocks))*(4+8) + 16 + int64(len(art.StoreBlocks))*48
 }
 
 // addLazyBytes grows the checkpoint's accounted footprint after an artifact
@@ -285,12 +341,8 @@ func (cp *Checkpoint) BuildArtifact(kind string) error {
 	switch kind {
 	case ArtifactGolden, ArtifactCapture:
 		return cp.ensureGolden()
-	case ArtifactTimeline:
-		_, err := cp.Timeline()
-		return err
 	case ArtifactMissWeights:
-		_, err := cp.MissSelector()
-		return err
+		return cp.ensureExposure()
 	default:
 		return fmt.Errorf("experiments: unknown artifact kind %q", kind)
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/core"
@@ -17,10 +16,10 @@ import (
 
 // artifactCampaign runs two small campaigns that together use every
 // artifact kind: the golden (classification, and the recording runs replay
-// against), the timeline (transient faults) and the miss weights (the
-// selector). The 2-flip transient campaign classifies every run without a
-// replay. The 3-bit stuck-at faults escape SECDED, so that campaign's runs
-// replay against the golden run's recording.
+// against) and the exposure replay (the miss selector, and the timeline
+// transient faults read). The 2-flip transient campaign classifies every
+// run without a replay. The 3-bit stuck-at faults escape SECDED, so that
+// campaign's runs replay against the golden run's recording.
 func artifactCampaign(t *testing.T, s *Suite) [2]fault.Result {
 	t.Helper()
 	cp, err := s.Checkpoint("P-BICG", core.None, 0)
@@ -54,7 +53,7 @@ func checkCaptureReplayed(t *testing.T, reg *telemetry.Registry) {
 	}
 }
 
-func gobBytes(t *testing.T, v any) []byte {
+func gobBytes(t testing.TB, v any) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -64,7 +63,7 @@ func gobBytes(t *testing.T, v any) []byte {
 }
 
 // artifactKinds lists every checkpoint artifact kind.
-var artifactKinds = []string{ArtifactGolden, ArtifactTimeline, ArtifactMissWeights}
+var artifactKinds = []string{ArtifactGolden, ArtifactMissWeights}
 
 // buildAllArtifacts forces every artifact kind on the app's baseline
 // checkpoint and returns it.
@@ -83,12 +82,10 @@ func buildAllArtifacts(t *testing.T, s *Suite) *Checkpoint {
 }
 
 // TestArtifactParity is the artifact-cache byte-identity gate: every
-// artifact decoded from the disk tier by a second process must equal a
-// fresh computation of the same artifact — gob-byte-identical for the
-// slice-shaped kinds, structurally identical for the timeline (gob does
-// not order map keys) — and a campaign run entirely from decoded
-// artifacts must reproduce the cold campaign bit for bit. It runs under
-// -race in CI.
+// artifact decoded from the disk tier by a second process must be
+// gob-byte-identical to a fresh computation of the same artifact, and a
+// campaign run entirely from decoded artifacts must reproduce the cold
+// campaign bit for bit. It runs under -race in CI.
 func TestArtifactParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaigns in -short mode")
@@ -107,19 +104,14 @@ func TestArtifactParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshTimeline, err := captureTimeline(cp1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	traces, err := cp1.App.TraceRun()
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks, weights, err := missWeights(cp1.App.Name, cp1.Plan, traces)
+	freshExposure, err := replayExposure(cp1.App.Name, cp1.Plan, traces)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshMiss := missArtifact{Blocks: blocks, Weights: weights}
 
 	// A second process over the same directory: artifactDo must serve every
 	// kind from disk; a compute call here is a parity failure in itself.
@@ -136,20 +128,14 @@ func TestArtifactParity(t *testing.T) {
 	recomputed := func(kind string) error {
 		return fmt.Errorf("%s artifact recomputed on a warm store", kind)
 	}
-	decodedGolden, err := artifactDo(cp2, ArtifactGolden, nil, func() (goldenArtifact, error) {
+	decodedGolden, err := artifactDo(cp2, ArtifactGolden, store.Options[goldenArtifact]{}, func() (goldenArtifact, error) {
 		return goldenArtifact{}, recomputed(ArtifactGolden)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodedTimeline, err := artifactDo(cp2, ArtifactTimeline, nil, func() (*fault.Timeline, error) {
-		return nil, recomputed(ArtifactTimeline)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	decodedMiss, err := artifactDo(cp2, ArtifactMissWeights, nil, func() (missArtifact, error) {
-		return missArtifact{}, recomputed(ArtifactMissWeights)
+	decodedExposure, err := artifactDo(cp2, ArtifactMissWeights, store.Options[exposureArtifact]{}, func() (exposureArtifact, error) {
+		return exposureArtifact{}, recomputed(ArtifactMissWeights)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,14 +146,11 @@ func TestArtifactParity(t *testing.T) {
 		fresh, decoded any
 	}{
 		{ArtifactGolden, freshGolden, decodedGolden},
-		{ArtifactMissWeights, freshMiss, decodedMiss},
+		{ArtifactMissWeights, freshExposure, decodedExposure},
 	} {
 		if !bytes.Equal(gobBytes(t, p.fresh), gobBytes(t, p.decoded)) {
 			t.Errorf("%s artifact decoded from disk is not byte-identical to a fresh computation", p.kind)
 		}
-	}
-	if !reflect.DeepEqual(freshTimeline, decodedTimeline) {
-		t.Errorf("timeline artifact decoded from disk differs from a fresh capture")
 	}
 
 	// The warm process's campaigns — classified against the reconstructed
@@ -337,6 +320,46 @@ func TestOneGoldenAndCapturePerApp(t *testing.T) {
 	}
 	if got := counterValue(snap, "dcrm_artifact_requests_total", telemetry.Label{Name: "kind", Value: ArtifactCapture}); got != 0 {
 		t.Errorf("%v capture artifact requests, want none", got)
+	}
+}
+
+// TestOneExposureReplayPerCheckpoint: one timing replay per checkpoint
+// yields both the miss selector and the store-commit timeline. Once
+// MissSelector and the golden have been built, a transient campaign on the
+// same checkpoint — which reads the timeline — computes no further
+// artifact, and no timeline artifact kind is ever requested.
+func TestOneExposureReplayPerCheckpoint(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := suiteIn(t, testSuite(t), "", reg)
+	cp, err := s.Checkpoint("P-BICG", core.Detection, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err := cp.MissSelector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.BuildArtifact(ArtifactGolden); err != nil {
+		t.Fatal(err)
+	}
+	computed := func() float64 {
+		n := 0.0
+		for _, kind := range []string{ArtifactGolden, ArtifactMissWeights, "timeline"} {
+			n += counterValue(reg.Snapshot(), "dcrm_artifact_computed_total", telemetry.Label{Name: "kind", Value: kind})
+		}
+		return n
+	}
+	before := computed()
+	if _, err := cp.Campaign(fault.Campaign{Runs: 40, Seed: 9, Workers: 2}, fault.Transient{Flips: 3, Blocks: 1}, sel); err != nil {
+		t.Fatal(err)
+	}
+	if after := computed(); after != before || before != 2 {
+		t.Errorf("artifacts computed: %v before the transient campaign, %v after; want 2 and 2", before, after)
+	}
+	for _, name := range []string{"dcrm_artifact_requests_total", "dcrm_artifact_computed_total"} {
+		if _, ok := reg.Snapshot().Get(name, telemetry.Label{Name: "kind", Value: "timeline"}); ok {
+			t.Errorf("%s has a timeline series", name)
+		}
 	}
 }
 

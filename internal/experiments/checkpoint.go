@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
 	"github.com/datacentric-gpu/dcrm/internal/kernels"
@@ -54,16 +55,14 @@ type Checkpoint struct {
 	kits      freeList[laneKit]
 	scratches freeList[*fault.Scratch]
 
-	missOnce sync.Once
-	missSel  fault.Selector
-	missErr  error
-
-	// The store-commit timeline (one instrumented timing replay) is lazy
-	// like the golden run: only campaigns under timeline-consulting fault
-	// models (fault.NeedsTimeline) ever pay for it.
-	timelineOnce sync.Once
+	// The exposure replay is lazy like the golden run: only miss-weighted
+	// campaigns and timeline-consulting fault models (fault.NeedsTimeline)
+	// pay for it. It yields both the miss selector and the timeline.
+	exposureOnce sync.Once
+	exposureErr  error
+	missSel      fault.Selector
+	missErr      error
 	timeline     *fault.Timeline
-	timelineErr  error
 
 	// Artifact-cache plumbing (see artifact.go): the owning suite (store +
 	// identity), this configuration's key, the checkpoint's own memory-tier
@@ -201,25 +200,21 @@ func (s *Suite) newCheckpoint(app *kernels.App, plan *core.Plan, cfgKey string, 
 // compares against, and the recording batched replay runs against. Both
 // paths rebuild the golden-post fork by replaying the artifact's
 // dirty-block delta onto a fresh fork of the prepared image, so a warm
-// start is bit-identical to a cold one. A served recording that does not
-// fit the application (checkRecording) is never replayed: the checkpoint
-// computes the artifact afresh instead.
+// start is bit-identical to a cold one. The store serves a disk entry only
+// if it fits the application (checkGolden, against the base instance: the
+// golden holds no replica); one that does not is recomputed once and
+// overwritten.
 func (cp *Checkpoint) ensureGolden() error {
 	cp.goldenOnce.Do(func() {
-		art, err := artifactDo(cp, ArtifactGolden, goldenSize, func() (goldenArtifact, error) {
-			return computeGoldenArtifact(cp)
-		})
-		if err == nil && !art.computed {
-			// The recording holds no replica: check it against the
-			// application's base instance.
-			var base *kernels.App
-			if base, err = cp.suite.App(cp.App.Name); err == nil && checkRecording(base, art.Warps) != nil {
-				if cp.tele.artComputed != nil {
-					cp.tele.artComputed.With(ArtifactGolden).Inc()
-				}
-				art, err = computeGoldenArtifact(cp)
+		check := func(art goldenArtifact) error {
+			base, err := cp.suite.App(cp.App.Name)
+			if err != nil {
+				return err
 			}
+			return checkGolden(base, art)
 		}
+		art, err := artifactDo(cp, ArtifactGolden, store.Options[goldenArtifact]{Size: goldenSize, Check: check},
+			func() (goldenArtifact, error) { return computeGoldenArtifact(cp) })
 		if err != nil {
 			cp.goldenErr = err
 			return
@@ -251,34 +246,55 @@ func (cp *Checkpoint) Golden() ([]float32, error) {
 	return cp.golden, nil
 }
 
-// MissSelector returns the memoized Fig. 8 miss-weighted block selector
-// for the checkpoint's protected instance: one timing run per checkpoint —
-// or an artifact fetch when an earlier process already paid for the
-// replay — shared across fault models and campaigns. The selector is
-// rebuilt from the persisted histogram on both paths.
-func (cp *Checkpoint) MissSelector() (fault.Selector, error) {
-	cp.missOnce.Do(func() {
-		art, err := artifactDo(cp, ArtifactMissWeights, nil, func() (missArtifact, error) {
-			traces, err := cp.traces()
-			if err != nil {
-				return missArtifact{}, err
-			}
-			blocks, weights, err := missWeights(cp.App.Name, cp.Plan, traces)
-			if err != nil {
-				return missArtifact{}, err
-			}
-			return missArtifact{Blocks: blocks, Weights: weights}, nil
-		})
+// ensureExposure materializes the exposure artifact once — one timing
+// replay of the configuration (replayExposure), or a store fetch of one
+// that fits the image (checkExposure) — and rebuilds from it the
+// miss-weighted selector and the store-commit timeline, shared across
+// fault models and campaigns.
+func (cp *Checkpoint) ensureExposure() error {
+	cp.exposureOnce.Do(func() {
+		nblocks := cp.App.Mem.TotalBlocks()
+		check := func(art exposureArtifact) error { return checkExposure(art, nblocks) }
+		art, err := artifactDo(cp, ArtifactMissWeights, store.Options[exposureArtifact]{Check: check},
+			func() (exposureArtifact, error) {
+				traces, err := cp.traces()
+				if err != nil {
+					return exposureArtifact{}, err
+				}
+				return replayExposure(cp.App.Name, cp.Plan, traces)
+			})
 		if err != nil {
-			cp.missErr = err
+			cp.exposureErr = err
 			return
 		}
-		cp.missSel, cp.missErr = fault.NewWeightedSelector(art.Blocks, art.Weights)
-		if cp.missErr == nil {
-			cp.addLazyBytes(missFootprint(art))
+		cp.missSel, cp.missErr = art.selector(cp.App.Name)
+		last := make(map[arch.BlockAddr]int64, len(art.StoreBlocks))
+		for i, b := range art.StoreBlocks {
+			last[b] = art.StoreCycles[i]
 		}
+		cp.timeline = &fault.Timeline{TotalCycles: art.TotalCycles, LastStore: last}
+		cp.addLazyBytes(exposureFootprint(art))
 	})
+	return cp.exposureErr
+}
+
+// MissSelector returns the checkpoint's Fig. 8 miss-weighted block
+// selector.
+func (cp *Checkpoint) MissSelector() (fault.Selector, error) {
+	if err := cp.ensureExposure(); err != nil {
+		return nil, err
+	}
 	return cp.missSel, cp.missErr
+}
+
+// Timeline returns the checkpoint's store-commit timeline, which the
+// transient fault model consults on every run to decide whether a later
+// store overwrites (masks) the injected flip.
+func (cp *Checkpoint) Timeline() (*fault.Timeline, error) {
+	if err := cp.ensureExposure(); err != nil {
+		return nil, err
+	}
+	return cp.timeline, nil
 }
 
 // traces returns the kernel traces the checkpoint's timing replays consume:

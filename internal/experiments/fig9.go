@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
@@ -89,42 +88,50 @@ func MissWeightedSelector(app *kernels.App, plan *core.Plan, _ int) (fault.Selec
 	if err != nil {
 		return nil, err
 	}
-	blocks, weights, err := missWeights(app.Name, plan, traces)
+	art, err := replayExposure(app.Name, plan, traces)
 	if err != nil {
 		return nil, err
 	}
-	return fault.NewWeightedSelector(blocks, weights)
+	return art.selector(app.Name)
 }
 
-// missWeights is MissWeightedSelector's replay of the application's traces
-// under the plan: it returns the selector's raw material — the
-// deterministic block order and the per-block miss counts — in the
-// serializable form the miss-weights checkpoint artifact persists.
-func missWeights(app string, plan *core.Plan, traces []*simt.KernelTrace) ([]arch.BlockAddr, []float64, error) {
+// replayExposure replays the application's traces under the plan on the
+// Fig. 8 hierarchy (weightConfig) with a timing.BlockLog attached: the one
+// replay per protection configuration whose L1 misses weight Fig. 9's
+// block selection and whose store commits decide the transient model's
+// overwrite masking — both questions about the L2/DRAM fault domain the
+// scaled hierarchy exposes data to. Blocks come out in ascending order:
+// map order would make seeded campaigns irreproducible.
+func replayExposure(app string, plan *core.Plan, traces []*simt.KernelTrace) (exposureArtifact, error) {
 	eng, err := timing.New(weightConfig(), enginePlan(plan))
 	if err != nil {
-		return nil, nil, err
+		return exposureArtifact{}, err
 	}
-	eng.TrackBlockMisses = true
-	if _, err := eng.RunApp(app, traces); err != nil {
-		return nil, nil, err
+	log := timing.NewBlockLog()
+	eng.Blocks = log
+	stats, err := eng.RunApp(app, traces)
+	if err != nil {
+		return exposureArtifact{}, err
 	}
-	hist := eng.BlockMisses()
-	if len(hist) == 0 {
-		return nil, nil, fmt.Errorf("experiments: %s produced no L1 misses", app)
+	art := exposureArtifact{Blocks: sortedBlocks(log.Misses), TotalCycles: max(stats.TotalCycles(), 1),
+		StoreBlocks: sortedBlocks(log.LastStore)}
+	for _, b := range art.Blocks {
+		art.Weights = append(art.Weights, float64(log.Misses[b]))
 	}
-	// Deterministic block order: map iteration order would otherwise make
-	// seeded campaigns irreproducible.
-	blocks := make([]arch.BlockAddr, 0, len(hist))
-	for b := range hist {
+	for _, b := range art.StoreBlocks {
+		art.StoreCycles = append(art.StoreCycles, log.LastStore[b])
+	}
+	return art, nil
+}
+
+// sortedBlocks returns a block map's keys in ascending order.
+func sortedBlocks[V any](m map[arch.BlockAddr]V) []arch.BlockAddr {
+	blocks := make([]arch.BlockAddr, 0, len(m))
+	for b := range m {
 		blocks = append(blocks, b)
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	weights := make([]float64, 0, len(blocks))
-	for _, b := range blocks {
-		weights = append(weights, float64(hist[b]))
-	}
-	return blocks, weights, nil
+	slices.Sort(blocks)
+	return blocks
 }
 
 // fig9Resilience is Fig9Resilience's compute path (store miss): inject

@@ -78,10 +78,11 @@ func TestMissWeightsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blocks, weights, err := missWeights(cp.App.Name, cp.Plan, traces)
+			art, err := replayExposure(cp.App.Name, cp.Plan, traces)
 			if err != nil {
 				t.Fatalf("%s %v L%d: %v", name, scheme, level, err)
 			}
+			blocks, weights := art.Blocks, art.Weights
 			var misses uint64
 			for _, w := range weights {
 				misses += uint64(w)
@@ -126,11 +127,10 @@ func TestMissWeightsGolden(t *testing.T) {
 }
 
 // TestProtectedInstanceTracesMatchBase pins what lets every checkpoint's
-// timing replays (the Fig. 8 miss histogram, the store-commit timeline)
-// reuse the suite's memoized base traces: a protected instance's capture
-// deep-equals its application's base capture, at every level of both
-// schemes, because replicas are allocated after every primary object and
-// no kernel addresses them.
+// exposure replay reuse the suite's memoized base traces: a protected
+// instance's capture deep-equals its application's base capture, at every
+// level of both schemes, because replicas are allocated after every
+// primary object and no kernel addresses them.
 func TestProtectedInstanceTracesMatchBase(t *testing.T) {
 	s := testSuite(t)
 	configs := 0

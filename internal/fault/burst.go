@@ -81,7 +81,7 @@ func (b Burst) String() string {
 // anchor word, anchor bit, polarity — so campaigns are reproducible from
 // (seed, run index) at any worker count.
 func (b Burst) Inject(m *mem.Memory, rng *rand.Rand, sel Selector, env *Env) (Injection, error) {
-	blocks := selectBlocks(rng, sel, b.Blocks, env)
+	blocks := sel.Select(rng, b.Blocks, env.Scratch)
 	due := false
 	for _, blk := range blocks {
 		words := targetWords(m, blk)

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 )
@@ -45,8 +46,9 @@ import (
 // Selector chooses the target blocks for one run.
 type Selector interface {
 	// Select returns n target blocks (repeats allowed only if the
-	// underlying population is smaller than n).
-	Select(rng *rand.Rand, n int) []arch.BlockAddr
+	// underlying population is smaller than n), drawing its buffers from
+	// sc. The slice is read-only and valid until the next draw into sc.
+	Select(rng *rand.Rand, n int, sc *Scratch) []arch.BlockAddr
 }
 
 // SetSelector selects uniformly from a fixed block population — the hot
@@ -63,31 +65,11 @@ func NewSetSelector(blocks []arch.BlockAddr) (*SetSelector, error) {
 	return &SetSelector{blocks: append([]arch.BlockAddr(nil), blocks...)}, nil
 }
 
-// Size returns the population size.
-func (s *SetSelector) Size() int { return len(s.blocks) }
-
-// Select implements Selector: n distinct blocks when possible.
-func (s *SetSelector) Select(rng *rand.Rand, n int) []arch.BlockAddr {
+// Select implements Selector: n distinct blocks when possible, the first n
+// of a permutation drawn like rand.Perm. A population of at most n blocks
+// is returned whole, with no rng draws.
+func (s *SetSelector) Select(rng *rand.Rand, n int, sc *Scratch) []arch.BlockAddr {
 	if n >= len(s.blocks) {
-		return append([]arch.BlockAddr(nil), s.blocks...)
-	}
-	idx := rng.Perm(len(s.blocks))[:n]
-	out := make([]arch.BlockAddr, n)
-	for i, j := range idx {
-		out[i] = s.blocks[j]
-	}
-	return out
-}
-
-// SelectInto is Select drawing into reusable scratch: identical rng
-// consumption and identical chosen blocks, but the permutation and output
-// buffers come from sc. The returned slice (which may alias the selector's
-// own population when n covers it — callers must not mutate it) is valid
-// only until the next SelectInto with the same scratch.
-func (s *SetSelector) SelectInto(rng *rand.Rand, n int, sc *Scratch) []arch.BlockAddr {
-	if n >= len(s.blocks) {
-		// Full population: Select copies here purely for ownership; the
-		// scratch contract makes the copy unnecessary. No rng draws either way.
 		return s.blocks
 	}
 	idx := permInto(rng, len(s.blocks), &sc.perm)[:n]
@@ -107,8 +89,8 @@ type WeightedSelector struct {
 	cum    []float64 // cumulative weights
 }
 
-// NewWeightedSelector builds a selector; weights must be non-negative with
-// a positive sum, one per block.
+// NewWeightedSelector builds a selector; weights must be positive with a
+// finite sum, one per block (a zero weight could never be drawn).
 func NewWeightedSelector(blocks []arch.BlockAddr, weights []float64) (*WeightedSelector, error) {
 	if len(blocks) == 0 || len(blocks) != len(weights) {
 		return nil, fmt.Errorf("fault: need matching non-empty blocks (%d) and weights (%d)",
@@ -117,46 +99,21 @@ func NewWeightedSelector(blocks []arch.BlockAddr, weights []float64) (*WeightedS
 	cum := make([]float64, len(weights))
 	total := 0.0
 	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("fault: weight %d is %v; must be non-negative", i, w)
+		if !(w > 0) {
+			return nil, fmt.Errorf("fault: weight %d is %v; must be positive", i, w)
 		}
 		total += w
 		cum[i] = total
 	}
-	if total <= 0 {
-		return nil, fmt.Errorf("fault: weights sum to %v; must be positive", total)
+	if math.IsInf(total, 1) {
+		return nil, fmt.Errorf("fault: weights sum to %v; must be finite", total)
 	}
 	return &WeightedSelector{blocks: append([]arch.BlockAddr(nil), blocks...), cum: cum}, nil
 }
 
-// Select implements Selector: n draws without replacement (by rejection).
-func (s *WeightedSelector) Select(rng *rand.Rand, n int) []arch.BlockAddr {
-	if n > len(s.blocks) {
-		n = len(s.blocks)
-	}
-	total := s.cum[len(s.cum)-1]
-	seen := make(map[arch.BlockAddr]bool, n)
-	out := make([]arch.BlockAddr, 0, n)
-	for len(out) < n {
-		x := rng.Float64() * total
-		i := searchCum(s.cum, x)
-		b := s.blocks[i]
-		if seen[b] {
-			continue
-		}
-		seen[b] = true
-		out = append(out, b)
-	}
-	return out
-}
-
-// SelectInto is Select drawing into reusable scratch: identical rng
-// consumption (the rejection loop's duplicate verdicts match the map-based
-// path exactly) and identical chosen blocks, with the output buffer reused
-// and the duplicate check done by linear scan — n is a handful of blocks.
-// The returned slice is valid only until the next SelectInto with the same
-// scratch.
-func (s *WeightedSelector) SelectInto(rng *rand.Rand, n int, sc *Scratch) []arch.BlockAddr {
+// Select implements Selector: n draws without replacement, by rejection
+// (a linear duplicate scan: n is a handful of blocks).
+func (s *WeightedSelector) Select(rng *rand.Rand, n int, sc *Scratch) []arch.BlockAddr {
 	if n > len(s.blocks) {
 		n = len(s.blocks)
 	}
@@ -166,14 +123,7 @@ func (s *WeightedSelector) SelectInto(rng *rand.Rand, n int, sc *Scratch) []arch
 		x := rng.Float64() * total
 		i := searchCum(s.cum, x)
 		b := s.blocks[i]
-		dup := false
-		for _, p := range out {
-			if p == b {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		if slices.Contains(out, b) {
 			continue
 		}
 		out = append(out, b)

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"math"
 	"math/bits"
 	"math/rand"
 	"sync/atomic"
@@ -41,7 +42,7 @@ func TestSetSelectorDistinct(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	got := s.Select(rng, 5)
+	got := s.Select(rng, 5, &Scratch{})
 	if len(got) != 5 {
 		t.Fatalf("selected %d, want 5", len(got))
 	}
@@ -53,7 +54,7 @@ func TestSetSelectorDistinct(t *testing.T) {
 		seen[b] = true
 	}
 	// Requesting more than the population returns the whole population.
-	if got := s.Select(rng, 100); len(got) != 8 {
+	if got := s.Select(rng, 100, &Scratch{}); len(got) != 8 {
 		t.Errorf("oversized select = %d blocks, want 8", len(got))
 	}
 	if _, err := NewSetSelector(nil); err == nil {
@@ -71,7 +72,7 @@ func TestWeightedSelectorBias(t *testing.T) {
 	hits := map[arch.BlockAddr]int{}
 	const trials = 5000
 	for i := 0; i < trials; i++ {
-		for _, b := range s.Select(rng, 1) {
+		for _, b := range s.Select(rng, 1, &Scratch{}) {
 			hits[b]++
 		}
 	}
@@ -88,7 +89,7 @@ func TestWeightedSelectorWithoutReplacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	got := s.Select(rng, 3)
+	got := s.Select(rng, 3, &Scratch{})
 	seen := map[arch.BlockAddr]bool{}
 	for _, b := range got {
 		if seen[b] {
@@ -110,6 +111,21 @@ func TestWeightedSelectorValidation(t *testing.T) {
 	}
 	if _, err := NewWeightedSelector([]arch.BlockAddr{1, 2}, []float64{0, 0}); err == nil {
 		t.Error("zero total weight accepted")
+	}
+}
+
+// TestWeightedSelectorRejectsUndrawableWeights: every weight must be
+// positive and finite, and so must their sum. A zero weight leaves its
+// block undrawable, so a draw of as many blocks as the selector holds
+// never returns; miss weights are served from disk, so the constructor is
+// where that input fails closed.
+func TestWeightedSelectorRejectsUndrawableWeights(t *testing.T) {
+	for _, w := range [][]float64{
+		{1, 0}, {0, 1}, {1, math.NaN()}, {1, math.Inf(1)}, {math.MaxFloat64, math.MaxFloat64},
+	} {
+		if _, err := NewWeightedSelector([]arch.BlockAddr{0, 1}, w); err == nil {
+			t.Errorf("weights %v accepted", w)
+		}
 	}
 }
 

@@ -28,28 +28,26 @@ type Model interface {
 	// Validate reports whether the configuration is usable.
 	Validate() error
 	// Inject arms one run's faults on the forked memory image. sel chooses
-	// the target blocks; env carries optional checkpoint context (a nil env
-	// or empty Env is valid — models degrade as documented). Prefer the
-	// package-level Inject wrapper, which validates first.
+	// the target blocks; env carries the run's scratch, which every draw
+	// uses, and optional checkpoint context. Call the package-level Inject
+	// wrapper, which validates first and supplies missing scratch.
 	Inject(m *mem.Memory, rng *rand.Rand, sel Selector, env *Env) (Injection, error)
 	// String renders the model for tables and logs (e.g. "3-bit/1-block").
 	String() string
 }
 
-// Env carries per-checkpoint context some models consult at injection
-// time. A nil *Env behaves like a zero Env.
+// Env carries one run's injection context: the worker's scratch and the
+// per-checkpoint context some models consult.
 type Env struct {
 	// Timeline is the store-commit horizon of one timing replay of the
-	// target application (captured via timing.Engine.OnStore). The
-	// transient model uses it to decide whether a store committed after
-	// the injection instant overwrites — and therefore masks — the flip.
-	// When absent, the transient model conservatively treats every flip as
-	// persisting to the end of the run.
+	// target application (a timing.BlockLog's, from the replay that also
+	// counts the Fig. 8 misses). The transient model uses it to decide
+	// whether a store committed after the injection instant overwrites —
+	// and therefore masks — the flip. When absent, the transient model
+	// conservatively treats every flip as persisting to the end of the run.
 	Timeline *Timeline
-	// Scratch, when non-nil, lets injection paths reuse per-worker buffers
-	// (selector permutations, block lists, bit permutations) instead of
-	// allocating per run. Purely an optimization: results are bit-identical
-	// with or without it.
+	// Scratch holds the per-worker buffers every draw uses. Reusing it
+	// across runs saves their allocation and cannot change results.
 	Scratch *Scratch
 }
 
@@ -79,8 +77,9 @@ type Injection struct {
 }
 
 // Inject validates the model and selector, then arms one run's faults on
-// the memory image. env may be nil. This is the single entry point the
-// campaign layer uses for every model.
+// the memory image. env may be nil, or lack scratch: the run then draws
+// into fresh scratch. This is the single entry point the campaign layer
+// uses for every model.
 func Inject(m *mem.Memory, rng *rand.Rand, model Model, sel Selector, env *Env) (Injection, error) {
 	if model == nil {
 		return Injection{}, fmt.Errorf("fault: nil model")
@@ -90,6 +89,12 @@ func Inject(m *mem.Memory, rng *rand.Rand, model Model, sel Selector, env *Env) 
 	}
 	if sel == nil {
 		return Injection{}, fmt.Errorf("fault: nil selector")
+	}
+	if env == nil {
+		env = &Env{}
+	}
+	if env.Scratch == nil {
+		env = &Env{Timeline: env.Timeline, Scratch: &Scratch{}}
 	}
 	return model.Inject(m, rng, sel, env)
 }

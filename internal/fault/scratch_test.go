@@ -1,13 +1,11 @@
-// Parity tests for the injection-scratch paths: every pooled variant must
-// consume the rng identically to its allocating counterpart, or campaign
-// results would silently change between pooled and unpooled call sites.
+// Parity tests for the injection scratch: permInto must consume the rng
+// exactly like rand.Perm, or campaign results would silently change with
+// the draw buffers.
 package fault
 
 import (
 	"math/rand"
 	"testing"
-
-	"github.com/datacentric-gpu/dcrm/internal/arch"
 )
 
 func TestRNGReuseParity(t *testing.T) {
@@ -32,49 +30,6 @@ func TestPermIntoParity(t *testing.T) {
 			if pa[i] != pb[i] {
 				t.Fatalf("n=%d i=%d: %d != %d", n, i, pa[i], pb[i])
 			}
-		}
-	}
-}
-
-func TestSelectIntoParity(t *testing.T) {
-	blocks := make([]arch.BlockAddr, 100)
-	for i := range blocks {
-		blocks[i] = arch.BlockAddr(i * 3)
-	}
-	ss, _ := NewSetSelector(blocks)
-	ws, _ := NewWeightedSelector(blocks, func() []float64 {
-		w := make([]float64, 100)
-		for i := range w {
-			w[i] = float64(i%7) + 0.5
-		}
-		return w
-	}())
-	var sc Scratch
-	for n := 1; n < 120; n += 7 {
-		a := rand.New(rand.NewSource(int64(n)))
-		b := rand.New(rand.NewSource(int64(n)))
-		pa := ss.Select(a, n)
-		pb := ss.SelectInto(b, n, &sc)
-		if len(pa) != len(pb) {
-			t.Fatalf("set n=%d len %d != %d", n, len(pa), len(pb))
-		}
-		for i := range pa {
-			if pa[i] != pb[i] {
-				t.Fatalf("set n=%d i=%d", n, i)
-			}
-		}
-		if a.Int63() != b.Int63() {
-			t.Fatalf("set n=%d rng divergence", n)
-		}
-		pa = ws.Select(a, n)
-		pb = ws.SelectInto(b, n, &sc)
-		for i := range pa {
-			if pa[i] != pb[i] {
-				t.Fatalf("weighted n=%d i=%d", n, i)
-			}
-		}
-		if a.Int63() != b.Int63() {
-			t.Fatalf("weighted n=%d rng divergence", n)
 		}
 	}
 }

@@ -71,16 +71,16 @@ func (s StuckAt) String() string {
 // rng draws in the same order, same set-then-clear overlay writes — so a
 // stuck-at campaign's outcomes are byte-identical to the pre-refactor
 // path (gated by TestCampaignForkParity and TestStuckAtGoldenOutcomes).
-// With env scratch the draws route through the pooled equivalents
-// (selectBlocks, perm32), which consume the rng identically.
+// The bit order is drawn into env.Scratch by permInto, which consumes the
+// rng like rand.Perm(32).
 func (s StuckAt) Inject(m *mem.Memory, rng *rand.Rand, sel Selector, env *Env) (Injection, error) {
-	blocks := selectBlocks(rng, sel, s.Blocks, env)
+	blocks := sel.Select(rng, s.Blocks, env.Scratch)
 	for _, b := range blocks {
 		words := targetWords(m, b)
 		word := rng.Intn(words)
 		addr := b.Base() + arch.Addr(word*arch.WordBytes)
 		var setMask, clrMask uint32
-		for _, bit := range perm32(rng, env)[:s.BitsPerWord] {
+		for _, bit := range permInto(rng, 32, &env.Scratch.bitPerm)[:s.BitsPerWord] {
 			if rng.Intn(2) == 0 {
 				setMask |= 1 << uint(bit)
 			} else {

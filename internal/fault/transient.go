@@ -83,11 +83,8 @@ func (t Transient) String() string {
 // word draw, bit permutation, injection-instant draw — so campaigns are
 // reproducible from (seed, run index) at any worker count.
 func (t Transient) Inject(m *mem.Memory, rng *rand.Rand, sel Selector, env *Env) (Injection, error) {
-	var tl *Timeline
-	if env != nil {
-		tl = env.Timeline
-	}
-	blocks := selectBlocks(rng, sel, t.Blocks, env)
+	tl := env.Timeline
+	blocks := sel.Select(rng, t.Blocks, env.Scratch)
 	applied := false
 	due := false
 	for _, b := range blocks {
@@ -95,7 +92,7 @@ func (t Transient) Inject(m *mem.Memory, rng *rand.Rand, sel Selector, env *Env)
 		word := rng.Intn(words)
 		addr := b.Base() + arch.Addr(word*arch.WordBytes)
 		var mask uint32
-		for _, bit := range perm32(rng, env)[:t.Flips] {
+		for _, bit := range permInto(rng, 32, &env.Scratch.bitPerm)[:t.Flips] {
 			mask |= 1 << uint(bit)
 		}
 		var at int64

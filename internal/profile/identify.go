@@ -4,36 +4,21 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/mem"
 )
 
-// IdentifyConfig tunes automatic hot-object identification.
-type IdentifyConfig struct {
-	// MinConcentration is the minimum ratio between an object's peak block
-	// read count and the profile's median block read count for the object
-	// to qualify as hot (default: the Fig. 3 knee threshold).
-	MinConcentration float64
-	// MaxSizeFraction rejects objects larger than this fraction of the
+// Hot-object identification thresholds (IdentifyHotObjects). The minimum
+// concentration — peak block reads over the median block's — is the Fig. 3
+// knee threshold, hotMedianRatio.
+const (
+	// maxSizeFraction rejects objects larger than this fraction of the
 	// application's memory: hot objects are small by definition (Table III
-	// tops out at 2.15%; default 0.10 leaves scaling headroom).
-	MaxSizeFraction float64
-	// MinWarpSharePercent requires the object's hottest block to be read by
+	// tops out at 2.15%; 0.10 leaves scaling headroom).
+	maxSizeFraction = 0.10
+	// minWarpSharePercent requires the object's hottest block to be read by
 	// at least this percentage of a kernel's active warps. The paper asks
 	// only that hot blocks be "shared across multiple warps" — C-NN's hot
 	// weights are read by a few percent of warps per kernel (Fig. 4(c)) —
-	// so the default is a permissive 3.
-	MinWarpSharePercent float64
-}
-
-func (c IdentifyConfig) withDefaults() IdentifyConfig {
-	if c.MinConcentration == 0 {
-		c.MinConcentration = hotMedianRatio
-	}
-	if c.MaxSizeFraction == 0 {
-		c.MaxSizeFraction = 0.10
-	}
-	if c.MinWarpSharePercent == 0 {
-		c.MinWarpSharePercent = 3
-	}
-	return c
-}
+	// so the bound is a permissive 3.
+	minWarpSharePercent = 3
+)
 
 // IdentifyHotObjects performs the paper's hot-data-object identification
 // automatically from the profile, the way a binary-instrumentation flow
@@ -42,8 +27,8 @@ func (c IdentifyConfig) withDefaults() IdentifyConfig {
 //  1. only read-only input objects are candidates (replication requires
 //     immutability),
 //  2. the object's peak per-block read count must sit above the Fig. 3
-//     knee (MinConcentration × median block reads),
-//  3. the object must be small (MaxSizeFraction of app memory), and
+//     knee (hotMedianRatio × median block reads),
+//  3. the object must be small (maxSizeFraction of app memory), and
 //  4. its hottest block must be shared across warps (Observation II).
 //
 // Results are returned in protection-priority order (peak block reads
@@ -60,8 +45,7 @@ func (c IdentifyConfig) withDefaults() IdentifyConfig {
 // once hundreds of images are batched, as the paper's full-scale inputs
 // do. Supersets are safe: they replicate a few extra small read-only
 // objects.
-func (p *Profile) IdentifyHotObjects(objects []*mem.Buffer, cfg IdentifyConfig) []*mem.Buffer {
-	cfg = cfg.withDefaults()
+func (p *Profile) IdentifyHotObjects(objects []*mem.Buffer) []*mem.Buffer {
 	med := float64(p.medianReads())
 	if med <= 0 {
 		med = 1
@@ -87,14 +71,14 @@ func (p *Profile) IdentifyHotObjects(objects []*mem.Buffer, cfg IdentifyConfig) 
 		if !ok || !os.ReadOnly {
 			continue
 		}
-		if float64(os.PeakBlockReads) < cfg.MinConcentration*med {
+		if float64(os.PeakBlockReads) < hotMedianRatio*med {
 			continue
 		}
 		if p.TotalMemBytes > 0 &&
-			float64(os.SizeBytes) > cfg.MaxSizeFraction*float64(p.TotalMemBytes) {
+			float64(os.SizeBytes) > maxSizeFraction*float64(p.TotalMemBytes) {
 			continue
 		}
-		if shareByName[os.Name] < cfg.MinWarpSharePercent {
+		if shareByName[os.Name] < minWarpSharePercent {
 			continue
 		}
 		hot = append(hot, buf)

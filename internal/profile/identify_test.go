@@ -1,6 +1,8 @@
 package profile
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/kernels"
@@ -26,7 +28,7 @@ func TestIdentifyHotObjectsMatchesGroundTruth(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := collect(t, app)
-			got := p.IdentifyHotObjects(app.Objects, IdentifyConfig{})
+			got := p.IdentifyHotObjects(app.Objects)
 			want := app.HotObjects()
 			if !b.HotPattern {
 				if len(got) != 0 {
@@ -69,28 +71,41 @@ func TestIdentifyHotObjectsMatchesGroundTruth(t *testing.T) {
 	}
 }
 
-func TestIdentifyRespectsSizeBound(t *testing.T) {
+// bicgProfile profiles a P-BICG instance whose hot objects the
+// identification finds, so a test that moves one input past a threshold
+// shows the threshold excluding them.
+func bicgProfile(t *testing.T) (*Profile, *kernels.App) {
+	t.Helper()
 	app, err := kernels.NewBICG(kernels.BICGConfig{NX: 192, NY: 192})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := collect(t, app)
-	// An absurdly small size bound excludes everything.
-	got := p.IdentifyHotObjects(app.Objects, IdentifyConfig{MaxSizeFraction: 1e-9})
-	if len(got) != 0 {
+	if len(p.IdentifyHotObjects(app.Objects)) == 0 {
+		t.Fatal("P-BICG: no hot objects identified")
+	}
+	return p, app
+}
+
+func TestIdentifyRespectsSizeBound(t *testing.T) {
+	p, app := bicgProfile(t)
+	// A one-byte application makes every object too large to be hot.
+	q := *p
+	q.TotalMemBytes = 1
+	if got := q.IdentifyHotObjects(app.Objects); len(got) != 0 {
 		t.Errorf("size bound ignored: %d objects identified", len(got))
 	}
 }
 
 func TestIdentifyRespectsWarpShare(t *testing.T) {
-	app, err := kernels.NewBICG(kernels.BICGConfig{NX: 192, NY: 192})
-	if err != nil {
-		t.Fatal(err)
+	p, app := bicgProfile(t)
+	// Every block shared by just under the required share of warps.
+	q := *p
+	q.Blocks = slices.Clone(p.Blocks)
+	for i := range q.Blocks {
+		q.Blocks[i].SharePercent = math.Nextafter(minWarpSharePercent, 0)
 	}
-	p := collect(t, app)
-	// Requiring impossible sharing excludes everything.
-	got := p.IdentifyHotObjects(app.Objects, IdentifyConfig{MinWarpSharePercent: 101})
-	if len(got) != 0 {
+	if got := q.IdentifyHotObjects(app.Objects); len(got) != 0 {
 		t.Errorf("warp-share bound ignored: %d objects identified", len(got))
 	}
 }
@@ -101,7 +116,7 @@ func TestIdentifyPriorityOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := collect(t, app)
-	got := p.IdentifyHotObjects(app.Objects, IdentifyConfig{})
+	got := p.IdentifyHotObjects(app.Objects)
 	if len(got) < 2 {
 		t.Fatalf("identified %d objects, want the SRAD index arrays", len(got))
 	}

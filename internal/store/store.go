@@ -186,6 +186,11 @@ type Options[T any] struct {
 	// When nil, the encoded size is used for persisted entries and a small
 	// default otherwise.
 	Size func(T) int64
+	// Check, when non-nil, vets a value decoded from the disk tier before
+	// it is served. A rejected value is handled like a corrupt entry:
+	// counted in dcrm_store_disk_corrupt_total, recomputed once under the
+	// singleflight, and overwritten on disk by the fresh value.
+	Check func(T) error
 }
 
 // Do returns the stored value for key, computing it (at most once among
@@ -226,7 +231,7 @@ func Do[T any](s *Store, key Key, opt Options[T], compute func() (T, error)) (T,
 			return v, nil
 		}
 		if s.disk != nil && opt.Persist {
-			if tv, size, ok := diskLoad[T](s, key); ok {
+			if tv, size, ok := diskLoad(s, key, opt.Check); ok {
 				admit(tv, size)
 				return tv, nil
 			}
@@ -265,8 +270,9 @@ func typeMismatch[T any](key Key, got any) error {
 }
 
 // diskLoad reads and decodes a persisted entry; any corruption (including
-// a payload that no longer decodes as T) counts as a miss.
-func diskLoad[T any](s *Store, key Key) (tv T, size int64, ok bool) {
+// a payload that no longer decodes as T, or a value check rejects) counts
+// as a miss.
+func diskLoad[T any](s *Store, key Key, check func(T) error) (tv T, size int64, ok bool) {
 	payload, found, corrupt := s.disk.read(key.Hash())
 	if corrupt {
 		inc(s.diskCorrupt)
@@ -275,10 +281,11 @@ func diskLoad[T any](s *Store, key Key) (tv T, size int64, ok bool) {
 		inc(s.diskMisses)
 		return tv, 0, false
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&tv); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&tv); err != nil || check != nil && check(tv) != nil {
+		var zero T
 		inc(s.diskCorrupt)
 		inc(s.diskMisses)
-		return tv, 0, false
+		return zero, 0, false
 	}
 	inc(s.diskHits)
 	return tv, int64(len(payload)), true

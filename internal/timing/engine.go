@@ -44,9 +44,6 @@ type Engine struct {
 	// CompareBufferSize overrides the pending-comparison buffer entries
 	// (default CompareBufferEntries); used by the sizing ablation.
 	CompareBufferSize int
-	// TrackBlockMisses enables the per-block L1-miss histogram used to
-	// weight Fig. 9's fault injection.
-	TrackBlockMisses bool
 	// Metrics, when non-nil, receives per-SM, per-L2-bank, and per-DRAM-
 	// channel counters after every kernel. The hot event loop is untouched
 	// — counters are published from the per-component Stats at kernel
@@ -57,17 +54,13 @@ type Engine struct {
 	// per SM, per L2 bank, and per DRAM channel, with one span per kernel
 	// and per-channel counter tracks.
 	Trace *telemetry.Trace
-	// OnStore, when non-nil, observes every store's commit at its L2 bank:
-	// the block written and the port-serialized commit cycle. One
-	// instrumented replay per application is how the fault layer captures
-	// the store-commit timeline (fault.Timeline) that decides whether a
-	// later store masks a transient flip. Observation only — attaching it
-	// does not perturb replay timing — but like Trace it belongs on
-	// dedicated instrumented replays, not on golden-stat runs.
-	OnStore func(blk arch.BlockAddr, at int64)
+	// Blocks, when non-nil, records per 128 B block what the replay
+	// exposes to the L2/DRAM fault domain (see BlockLog). Observation
+	// only — it does not perturb replay timing — but like Trace it belongs
+	// on dedicated instrumented replays, not on golden-stat runs.
+	Blocks *BlockLog
 
-	blockMisses map[arch.BlockAddr]uint64
-	traceMeta   bool // lane-metadata events emitted (once per engine)
+	traceMeta bool // lane-metadata events emitted (once per engine)
 
 	plan  ProtectionPlan
 	sms   []*smState
@@ -133,7 +126,6 @@ func New(cfg arch.Config, plan ProtectionPlan) (*Engine, error) {
 		plan:              plan,
 		lookahead:         half,
 		dispKey:           int32(cfg.NumSMs + cfg.NumMemChannels),
-		blockMisses:       make(map[arch.BlockAddr]uint64),
 		pending:           make([]message, 0, 64),
 	}
 	e.sched.presize()
@@ -301,10 +293,21 @@ func (e *Engine) collectStats(kernel string, cycles int64) KernelStats {
 	return ks
 }
 
-// BlockMisses returns the per-block L1-miss histogram accumulated across
-// every kernel run with TrackBlockMisses enabled. The returned map is live;
-// callers must not mutate it.
-func (e *Engine) BlockMisses() map[arch.BlockAddr]uint64 { return e.blockMisses }
+// BlockLog records, per block and across every kernel the engine runs,
+// the replay's two exposures to the L2/DRAM fault domain that fault
+// injection reads.
+type BlockLog struct {
+	// Misses counts each block's L1 misses, replica copies included.
+	Misses map[arch.BlockAddr]uint64
+	// LastStore holds each stored-to block's last port-serialized L2-bank
+	// commit cycle. A commit at cycle 0 leaves no entry.
+	LastStore map[arch.BlockAddr]int64
+}
+
+// NewBlockLog returns an empty log.
+func NewBlockLog() *BlockLog {
+	return &BlockLog{Misses: make(map[arch.BlockAddr]uint64), LastStore: make(map[arch.BlockAddr]int64)}
+}
 
 // ctaLiveCount returns how many of a CTA's warps carry a non-empty trace —
 // what installCTA would install as live.

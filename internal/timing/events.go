@@ -54,14 +54,16 @@
 // # Fault-injection hook
 //
 // One observation point connects the engine to the fault models in
-// internal/fault. Engine.OnStore reports every store's L2-bank commit
-// (block, cycle): one instrumented replay of an application yields the
-// store-commit timeline (fault.Timeline) from which the transient-SEU
-// model decides, at injection time, whether a later store overwrites an
-// injected flip. The flip itself is applied to the functional memory
-// image, never inside a replay. The hook defaults to off and costs
-// nothing when unused; attach it only to instrumented replays, never to
-// runs whose statistics feed the golden determinism gates.
+// internal/fault. Engine.Blocks, a BlockLog, records per block the L1
+// misses (replica copies included) and the last store's L2-bank commit
+// cycle. One instrumented replay of a protection configuration yields
+// both: the miss histogram weights Fig. 9's block selection, and the
+// store-commit timeline (fault.Timeline) lets the transient-SEU model
+// decide, at injection time, whether a later store overwrites an injected
+// flip. The flip itself is applied to the functional memory image, never
+// inside a replay. The log defaults to nil, which records nothing; attach
+// it only to instrumented replays, never to runs whose statistics feed the
+// golden determinism gates.
 package timing
 
 import (

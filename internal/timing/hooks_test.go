@@ -7,10 +7,11 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/simt"
 )
 
-// TestOnStoreObservesStoreCommits: the OnStore hook sees every store
-// transaction at its L2-port-serialized commit cycle — the fault-domain
-// timestamps the transient model's overwrite masking is built on.
-func TestOnStoreObservesStoreCommits(t *testing.T) {
+// TestBlockLogObservesStoreCommits: an attached BlockLog holds the last
+// L2-port-serialized commit cycle of every stored-to block — the
+// fault-domain timestamps the transient model's overwrite masking is
+// built on.
+func TestBlockLogObservesStoreCommits(t *testing.T) {
 	tr := mkTrace(1, []simt.Instr{
 		load(1, 0, 100),
 		compute(2),
@@ -20,27 +21,20 @@ func TestOnStoreObservesStoreCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := map[arch.BlockAddr]int64{}
-	e.OnStore = func(blk arch.BlockAddr, at int64) {
-		if at <= 0 {
-			t.Errorf("store to block %d committed at cycle %d", blk, at)
-		}
-		if at > last[blk] {
-			last[blk] = at
-		}
-	}
+	e.Blocks = NewBlockLog()
 	ks, err := e.RunKernel(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	last := e.Blocks.LastStore
 	for _, blk := range []arch.BlockAddr{100, 101} {
 		at, ok := last[blk]
 		if !ok {
 			t.Errorf("store to block %d never observed", blk)
 			continue
 		}
-		if at > ks.Cycles {
-			t.Errorf("block %d store commit at %d, beyond the %d-cycle replay", blk, at, ks.Cycles)
+		if at <= 0 || at > ks.Cycles {
+			t.Errorf("block %d store commit at %d, outside the %d-cycle replay", blk, at, ks.Cycles)
 		}
 	}
 	if len(last) != 2 {
@@ -48,9 +42,9 @@ func TestOnStoreObservesStoreCommits(t *testing.T) {
 	}
 }
 
-// TestOnStoreIsObservationOnly: attaching the hook must not perturb the
+// TestBlockLogIsObservationOnly: attaching a log must not perturb the
 // replay — identical stats with and without it.
-func TestOnStoreIsObservationOnly(t *testing.T) {
+func TestBlockLogIsObservationOnly(t *testing.T) {
 	mk := func() *simt.KernelTrace {
 		return mkTrace(1,
 			[]simt.Instr{load(1, 0, 100, 101), compute(3), store(2, 0, 100)},
@@ -63,12 +57,16 @@ func TestOnStoreIsObservationOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.OnStore = func(arch.BlockAddr, int64) {}
-	hooked, err := e.RunKernel(mk())
+	e.Blocks = NewBlockLog()
+	logged, err := e.RunKernel(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bare != hooked {
-		t.Errorf("OnStore changed replay stats:\nbare:   %+v\nhooked: %+v", bare, hooked)
+	if bare != logged {
+		t.Errorf("BlockLog changed replay stats:\nbare:   %+v\nlogged: %+v", bare, logged)
+	}
+	if len(e.Blocks.Misses) == 0 || len(e.Blocks.LastStore) == 0 {
+		t.Errorf("log recorded %d missed and %d stored blocks, want both non-zero",
+			len(e.Blocks.Misses), len(e.Blocks.LastStore))
 	}
 }

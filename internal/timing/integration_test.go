@@ -79,9 +79,10 @@ func TestChannelDistribution(t *testing.T) {
 	}
 }
 
-// TestBlockMissTracking: the histogram must cover exactly the missed blocks
-// including replicas, and be absent when disabled.
-func TestBlockMissTracking(t *testing.T) {
+// TestBlockLogCountsMisses: the log's miss histogram must cover exactly
+// the missed blocks including replicas, and an engine without a log must
+// record nothing.
+func TestBlockLogCountsMisses(t *testing.T) {
 	// Two loads of the same block: both issue before the fill returns, so
 	// both count as misses (the second merges in the MSHR but still
 	// represents an L2/DRAM-exposed access).
@@ -92,13 +93,16 @@ func TestBlockMissTracking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.TrackBlockMisses = true
+	e.Blocks = NewBlockLog()
 	if _, err := e.RunKernel(tr); err != nil {
 		t.Fatal(err)
 	}
-	hist := e.BlockMisses()
-	if hist[100] != 2 || hist[1100] != 2 {
+	hist := e.Blocks.Misses
+	if len(hist) != 2 || hist[100] != 2 || hist[1100] != 2 {
 		t.Errorf("histogram = %v, want two misses each for 100 and its replica 1100", hist)
+	}
+	if len(e.Blocks.LastStore) != 0 {
+		t.Errorf("store timeline = %v for a trace without stores", e.Blocks.LastStore)
 	}
 
 	off, err := New(arch.Default(), plan)
@@ -108,8 +112,8 @@ func TestBlockMissTracking(t *testing.T) {
 	if _, err := off.RunKernel(tr); err != nil {
 		t.Fatal(err)
 	}
-	if len(off.BlockMisses()) != 0 {
-		t.Error("histogram populated with tracking disabled")
+	if off.Blocks != nil {
+		t.Error("an engine without a log attached one")
 	}
 }
 

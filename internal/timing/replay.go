@@ -484,8 +484,8 @@ func (e *Engine) issueLoad(s *smState, w *warpState, in *simt.Instr, t int64) {
 				e.post(txAt+int64(e.cfg.L1HitLatency), event{kind: evGroupArrive, g: g, gen: g.gen, sm: int32(s.id)})
 				continue
 			}
-			if e.TrackBlockMisses {
-				e.blockMisses[cb]++
+			if e.Blocks != nil {
+				e.Blocks.Misses[cb]++
 			}
 			switch s.mshr.Allocate(cb, groupRef{g: g, gen: g.gen}) {
 			case cache.MSHRNew:
@@ -544,8 +544,8 @@ func (e *Engine) l2Access(smID int32, c *chanState, blk arch.BlockAddr, now int6
 	hitLat := int64(e.cfg.L2HitLatency)
 
 	if write {
-		if e.OnStore != nil {
-			e.OnStore(blk, st)
+		if e.Blocks != nil && st > e.Blocks.LastStore[blk] {
+			e.Blocks.LastStore[blk] = st
 		}
 		if !c.l2.Write(blk) {
 			// No-write-allocate: miss goes to DRAM.
