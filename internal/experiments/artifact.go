@@ -310,9 +310,10 @@ func goldenSize(art goldenArtifact) int64 {
 
 func exposureFootprint(art exposureArtifact) int64 {
 	// the rebuilt selector's blocks and cumulative weights, plus the
-	// timeline map (≈ key + value + bucket bookkeeping per entry); the
-	// artifact value itself is accounted under its own store key
-	return int64(len(art.Blocks))*(4+8) + 16 + int64(len(art.StoreBlocks))*48
+	// store-commit slices the timeline keeps reachable (a block and a
+	// cycle per entry); the artifact value itself is accounted under its
+	// own store key
+	return int64(len(art.Blocks))*(4+8) + 16 + int64(len(art.StoreBlocks))*(4+8)
 }
 
 // addLazyBytes grows the checkpoint's accounted footprint after an artifact

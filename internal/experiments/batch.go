@@ -11,14 +11,15 @@
 //
 //   - Each lane tracks its divergence from the golden run per 32-bit word
 //     and by value (simt.DirtySet): it starts at the run's fault words and
-//     grows only by the words an executed warp commits with a value other
-//     than the recorded one. A fault word in a replica of a protected
-//     object seeds the same word of its primary instead, so the one
-//     recording of the application serves every protection configuration.
+//     grows only by the words an executed warp makes divergent. A fault
+//     word in a replica of a protected object seeds the same word of its
+//     primary instead, so the one recording of the application serves
+//     every protection configuration.
 //   - A lane only *executes* the warps one of whose recorded loads reads a
-//     dirty word; every other warp is reproduced by applying the recorded
-//     golden stores to the lane's fork (see internal/simt/replay.go for the
-//     soundness argument). A per-block bitset filters first.
+//     dirty word; every other warp is reproduced from its recorded stores
+//     (see internal/simt/replay.go for the soundness argument, and for how
+//     a warp that leaves the recorded sequence resyncs the lane). A
+//     per-block bitset filters first.
 //   - Executed warps still serve each clean lane of a load from the
 //     recording, reading from the fork only the words where the lane's
 //     corruption can show through.
@@ -26,10 +27,32 @@
 //     sharing one golden-image divergence scan
 //     (fault.Classifier.ClassifyBatch over mem.BatchDiverges).
 //
+// The golden run's progress is held once per claim, not once per lane: a
+// shared image, loaded from the checkpoint image, takes each recorded
+// warp's stores once, after every live lane has stepped through that warp,
+// and every lane is a copy-on-write fork rebased onto it. A block a lane
+// does not hold privately therefore reads as the golden run's value at the
+// current warp, and three rules keep each lane bit-exact:
+//
+//   - A reproduced warp writes its recorded stores only into the blocks
+//     the lane already holds privately; the shared image supplies the rest.
+//   - After a lane executes a warp, every block the warp's recording
+//     stores to is made private before the shared image takes those
+//     stores, so the lane keeps what it wrote, or left unwritten, there.
+//   - The lanes are classified against the claim's final image, which
+//     equals the golden post-run image.
+//
+// A lane therefore copies only the blocks its executed warps write, not
+// every block the golden run writes. The shared images come from a
+// suite-wide free-list of at most GOMAXPROCS, and no lane kit keeps a
+// reference to one after its claim.
+//
 // When no capture is available — the recording exceeded maxCaptureBytes —
 // the batch degrades to block-granular amortization: each lane executes
-// in full, exactly as a serial run would, but fork setup, checkpoint
-// fetch, and the classification sweep remain shared across the group.
+// in full on a fork of the checkpoint image, exactly as a serial run
+// would, and is classified against the golden post-run fork, but fork
+// setup, checkpoint fetch, and the classification sweep remain shared
+// across the group.
 package experiments
 
 import (
@@ -49,10 +72,6 @@ type batchLane struct {
 	laneKit
 	drv *simt.Driver
 	err error
-	// taint marks a lane whose executed instruction sequence desynced from
-	// the recording: its writes can no longer be bounded, so every
-	// remaining warp executes in full.
-	taint bool
 	// rp is the lane's reusable replay state, rebound per executed warp.
 	rp simt.LaneReplay
 }
@@ -85,9 +104,17 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 
 	outs := make([]fault.Outcome, len(rngs))
 	lanes := make([]*batchLane, 0, len(rngs))
+	var img *mem.Memory
 	defer func() {
+		// Lanes drop the shared image before it can serve another claim.
 		for _, ln := range lanes {
+			if img != nil {
+				ln.fork.Rebase(cp.App.Mem)
+			}
 			cp.kits.put(ln.laneKit)
+		}
+		if img != nil {
+			cp.suite.images.put(img)
 		}
 	}()
 
@@ -160,8 +187,14 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 	for li, ln := range lanes {
 		copiedBefore[li] = ln.fork.CopiedBlocks()
 	}
+	classifier := cp.classifier
 	if cp.capture != nil {
-		cp.replayGroup(cp.capture, lanes)
+		img = cp.suite.claimImage(cp.App.Mem)
+		for _, ln := range lanes {
+			ln.fork.Rebase(img)
+		}
+		cp.replayGroup(cp.capture, lanes, img)
+		classifier.GoldenPost = img
 	} else {
 		// Fallback: block-granular batching only — every lane executes in
 		// full, sharing fork setup and the classification sweep below.
@@ -193,7 +226,7 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 		errs[j] = ln.err
 		forks[j] = ln.fork
 	}
-	verdicts, err := cp.classifier.ClassifyBatch(errs, forks, cp.App.Output)
+	verdicts, err := classifier.ClassifyBatch(errs, forks, cp.App.Output)
 	if err != nil {
 		return nil, err
 	}
@@ -203,14 +236,14 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 	return outs, nil
 }
 
-// replayGroup runs every lane of the group through the recorded execution:
-// per recorded warp (in launch order, the serial execution order), each
-// live lane either executes the warp for real — because one of the warp's
-// recorded loads reads a divergent word, or because the lane is tainted —
-// or reproduces it by applying the recorded stores. An executed warp that
-// stays in sync adds to the lane's dirty set, as it commits them, exactly
-// the words whose value differs from the recorded store.
-func (cp *Checkpoint) replayGroup(log *simt.CaptureLog, lanes []*batchLane) {
+// replayGroup runs every lane of the group through the recorded execution
+// while img takes the golden run's progress: per recorded warp (in launch
+// order, the serial execution order), each live lane either executes the
+// warp for real, because one of the warp's recorded loads reads a
+// divergent word, or reproduces it, and then img takes the warp's recorded
+// stores. The lanes are forks of img, kept bit-exact by the three rules in
+// the file comment.
+func (cp *Checkpoint) replayGroup(log *simt.CaptureLog, lanes []*batchLane, img *mem.Memory) {
 	bufs := cp.App.Mem.Buffers()
 	for _, ln := range lanes {
 		ln.rp = simt.LaneReplay{Dirty: ln.dirty, Bufs: bufs}
@@ -224,25 +257,23 @@ func (cp *Checkpoint) replayGroup(log *simt.CaptureLog, lanes []*batchLane) {
 					// remaining warps exactly as Driver.Run would.
 					continue
 				}
-				if !ln.taint && !ln.rp.ReadsDirty(wc) {
-					applyWarpStores(ln.fork, bufs, wc)
+				if !ln.rp.ReadsDirty(wc) {
+					storePrivate(ln.fork, bufs, wc)
 					applied++
 					continue
 				}
-				var rp *simt.LaneReplay
-				if !ln.taint {
-					rp = &ln.rp
-					rp.Reset(wc)
-				}
-				if err := ln.drv.RunWarp(kc.Kernel, wc, rp); err != nil {
+				if err := ln.drv.RunWarp(kc.Kernel, wc, &ln.rp); err != nil {
 					ln.err = fmt.Errorf("kernels: %s: %w", cp.App.Name, err)
 					continue
 				}
 				replayed++
-				if rp != nil && rp.Desync {
-					ln.taint = true
+				for i := range wc.Stores {
+					for _, b := range wc.Stores[i].Blocks {
+						ln.fork.MakePrivate(b)
+					}
 				}
 			}
+			storeAll(img, bufs, wc)
 		}
 	}
 	if cp.tele.replayedWarps != nil {
@@ -251,19 +282,49 @@ func (cp *Checkpoint) replayGroup(log *simt.CaptureLog, lanes []*batchLane) {
 	}
 }
 
-// applyWarpStores reproduces an untouched warp on a lane's fork by
-// committing its recorded stores in program order — word-exact, because an
-// untouched warp reads no divergent word, so its real execution would
-// compute exactly the recorded values and addresses.
-func applyWarpStores(f *mem.Memory, bufs []*mem.Buffer, wc *simt.WarpCapture) {
+// storeAll commits a recorded warp's stores to the shared image in program
+// order, as the golden run did.
+func storeAll(img *mem.Memory, bufs []*mem.Buffer, wc *simt.WarpCapture) {
 	for i := range wc.Stores {
 		rec := &wc.Stores[i]
+		buf := bufs[rec.BufID]
+		for lane, idx := range rec.Idx {
+			if idx != simt.InactiveLane {
+				img.WriteWord(buf.ElemAddr(int(idx)), rec.Vals[lane])
+			}
+		}
+	}
+}
+
+// storePrivate reproduces a warp on a lane that does not execute it: the
+// lane would compute exactly the recorded stores, because the warp reads
+// no divergent word, so they are committed in program order to the blocks
+// the lane holds privately; the shared image takes them for every other
+// block.
+func storePrivate(f *mem.Memory, bufs []*mem.Buffer, wc *simt.WarpCapture) {
+	for i := range wc.Stores {
+		rec := &wc.Stores[i]
+		if !anyPrivate(f, rec.Blocks) {
+			continue
+		}
 		buf := bufs[rec.BufID]
 		for lane, idx := range rec.Idx {
 			if idx == simt.InactiveLane {
 				continue
 			}
-			f.WriteWord(buf.ElemAddr(int(idx)), rec.Vals[lane])
+			if a := buf.ElemAddr(int(idx)); f.Private(a.Block()) {
+				f.WriteWord(a, rec.Vals[lane])
+			}
 		}
 	}
+}
+
+// anyPrivate reports whether the fork holds any of the blocks privately.
+func anyPrivate(f *mem.Memory, blocks []arch.BlockAddr) bool {
+	for _, b := range blocks {
+		if f.Private(b) {
+			return true
+		}
+	}
+	return false
 }

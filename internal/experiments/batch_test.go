@@ -10,6 +10,9 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
+	"github.com/datacentric-gpu/dcrm/internal/kernels"
+	"github.com/datacentric-gpu/dcrm/internal/mem"
+	"github.com/datacentric-gpu/dcrm/internal/simt"
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 )
 
@@ -397,5 +400,136 @@ func TestBatchTelemetryReconciliation(t *testing.T) {
 	}
 	if byOutcome != totalRuns {
 		t.Errorf("sum of dcrm_fault_runs_total = %v, dcrm_campaign_runs_total = %v", byOutcome, totalRuns)
+	}
+}
+
+// replayRulesApp is a three-kernel application whose stores depend on
+// loaded data, which none of the suite's applications does: "scatter"
+// stores out[ix[i]] for i < 64, "guarded" stores out[64..95] only when
+// flag is non-zero, and "bump" rewrites out[0..95] in place from their
+// values. A flipped index sends a store into another warp's block, and a
+// cleared flag makes an executed warp commit fewer stores than recorded.
+func replayRulesApp(t *testing.T) *kernels.App {
+	t.Helper()
+	m := mem.New()
+	ix, err := m.Alloc("ix", 64*4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flag, err := m.Alloc("flag", 4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := m.Alloc("out", 128*4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ix.Len4(); i++ {
+		m.WriteI32(ix.ElemAddr(i), int32(i))
+	}
+	m.WriteI32(flag.ElemAddr(0), 1)
+	ldIx, stScatter := simt.Site{PC: 1, Name: "ld.ix"}, simt.Site{PC: 2, Name: "st.scatter"}
+	ldFlag, stGuarded := simt.Site{PC: 3, Name: "ld.flag"}, simt.Site{PC: 4, Name: "st.guarded"}
+	ldOut, stBump := simt.Site{PC: 5, Name: "ld.out"}, simt.Site{PC: 6, Name: "st.bump"}
+	lanes := func(w *simt.WarpCtx, base int) []int32 {
+		idx := w.ScratchI32(0)
+		for lane := 0; lane < w.NumLanes; lane++ {
+			idx[lane] = int32(base + w.LinearThreadID(lane))
+		}
+		return idx
+	}
+	return &kernels.App{Name: "replay-rules", Mem: m, Kernels: []*simt.Kernel{
+		{KernelName: "scatter", Grid: arch.Dim3{X: 1}, Block: arch.Dim3{X: 64}, Run: func(w *simt.WarpCtx) {
+			dst, v := w.ScratchI32(1), w.ScratchF32(0)
+			w.LoadI32(ldIx, ix, lanes(w, 0), dst)
+			for lane := 0; lane < w.NumLanes; lane++ {
+				v[lane] = float32(w.LinearThreadID(lane) + 1)
+			}
+			w.StoreF32(stScatter, out, dst, v)
+		}},
+		{KernelName: "guarded", Grid: arch.Dim3{X: 1}, Block: arch.Dim3{X: 32}, Run: func(w *simt.WarpCtx) {
+			if w.LoadI32Broadcast(ldFlag, flag, 0) == 0 {
+				return
+			}
+			v := w.ScratchF32(0)
+			for lane := 0; lane < w.NumLanes; lane++ {
+				v[lane] = 7
+			}
+			w.StoreF32(stGuarded, out, lanes(w, 64), v)
+		}},
+		{KernelName: "bump", Grid: arch.Dim3{X: 1}, Block: arch.Dim3{X: 96}, Run: func(w *simt.WarpCtx) {
+			idx, v := lanes(w, 0), w.ScratchF32(0)
+			w.LoadF32(ldOut, out, idx, v)
+			for lane := 0; lane < w.NumLanes; lane++ {
+				v[lane] = 2*v[lane] + 1
+			}
+			w.StoreF32(stBump, out, idx, v)
+		}},
+	}}
+}
+
+// TestReplayGroupLanesMatchFullExecution pins the shared golden-progress
+// image's three rules on replayRulesApp, with every lane in one claim: a
+// flipped scatter index whose stray store lands in a block a later,
+// reproduced warp writes (that warp's stores must reach the lane's private
+// copy), a cleared flag that skips a recorded store (the block must be made
+// private before the shared image takes the golden store, and the skipped
+// words marked dirty so "bump" executes on them), and both at once. After
+// the replay every word each lane resolves must equal a full execution of
+// the same corrupted image.
+func TestReplayGroupLanesMatchFullExecution(t *testing.T) {
+	app := replayRulesApp(t)
+	ix, _ := app.Mem.BufferByName("ix")
+	flag, _ := app.Mem.BufferByName("flag")
+	log, err := app.CaptureRun(app.Mem.Fork(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type flip struct {
+		addr arch.Addr
+		mask uint32
+	}
+	stray := flip{ix.ElemAddr(3), 3 ^ 40} // lane 3 stores out[40], warp 1's block
+	skip := flip{flag.ElemAddr(0), 1}     // "guarded" stores nothing
+	back := flip{ix.ElemAddr(35), 35 ^ 3} // warp 1 stores out[3], warp 0's block
+	runs := [][]flip{{stray}, {skip}, {stray, skip}, {back}, {back, skip}}
+
+	cp := &Checkpoint{App: app}
+	img := mem.New()
+	img.CopyFrom(app.Mem)
+	var lns []*batchLane
+	for _, flips := range runs {
+		f := app.Mem.Fork()
+		dirty := simt.NewDirtySet(f.TotalBlocks())
+		for _, fl := range flips {
+			if err := f.FlipBits(fl.addr, fl.mask); err != nil {
+				t.Fatal(err)
+			}
+			dirty.AddBlock(fl.addr.Block())
+		}
+		f.Rebase(img)
+		lns = append(lns, &batchLane{laneKit: laneKit{fork: f, dirty: dirty},
+			drv: &simt.Driver{Mem: f, PermissiveOOB: true}})
+	}
+	cp.replayGroup(log, lns, img)
+
+	for i, flips := range runs {
+		want := app.Mem.Clone()
+		for _, fl := range flips {
+			if err := want.FlipBits(fl.addr, fl.mask); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := app.RunOn(want, nil); err != nil {
+			t.Fatal(err)
+		}
+		if lns[i].err != nil {
+			t.Fatalf("run %d: replay failed: %v", i, lns[i].err)
+		}
+		for a := arch.Addr(0); int(a) < want.Size(); a += arch.WordBytes {
+			if got, w := lns[i].fork.ReadWord(a), want.ReadWord(a); got != w {
+				t.Errorf("run %d %v: word %#x = %#x after the replay, full execution leaves %#x", i, flips, a, got, w)
+			}
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
 	"github.com/datacentric-gpu/dcrm/internal/kernels"
@@ -268,11 +267,8 @@ func (cp *Checkpoint) ensureExposure() error {
 			return
 		}
 		cp.missSel, cp.missErr = art.selector(cp.App.Name)
-		last := make(map[arch.BlockAddr]int64, len(art.StoreBlocks))
-		for i, b := range art.StoreBlocks {
-			last[b] = art.StoreCycles[i]
-		}
-		cp.timeline = &fault.Timeline{TotalCycles: art.TotalCycles, LastStore: last}
+		cp.timeline = &fault.Timeline{TotalCycles: art.TotalCycles,
+			StoreBlocks: art.StoreBlocks, StoreCycles: art.StoreCycles}
 		cp.addLazyBytes(exposureFootprint(art))
 	})
 	return cp.exposureErr

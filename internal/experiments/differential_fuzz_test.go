@@ -10,8 +10,10 @@ import (
 
 // differentialApps are the applications the differential fuzzer draws
 // from: the ones whose runs take milliseconds, plus C-NN, whose hot-set
-// campaigns dominate the batched path's work.
-var differentialApps = []string{"P-BICG", "P-GESUMMV", "P-MVT", "A-Sobel", "A-Laplacian", "A-Meanfilter", "C-NN"}
+// campaigns dominate the batched path's work, and A-SRAD, whose faulty
+// neighbour indices make executed warps leave the recorded sequence and
+// resync.
+var differentialApps = []string{"P-BICG", "P-GESUMMV", "P-MVT", "A-Sobel", "A-Laplacian", "A-Meanfilter", "C-NN", "A-SRAD"}
 
 // FuzzCampaignDifferential checks the batched campaign path against the
 // one slow, obviously correct reference: for a fuzz-chosen application,

@@ -24,6 +24,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
@@ -173,6 +174,9 @@ type Suite struct {
 	// Telemetry are deliberately excluded — they are performance or
 	// observation controls and never change results.
 	base string
+	// images recycles the shared golden-progress images of batched claims
+	// (claimImage), across every checkpoint of the suite.
+	images freeList[*mem.Memory]
 }
 
 // NewSuite constructs the suite (training the shared C-NN network once).
@@ -195,7 +199,21 @@ func NewSuite(cfg SuiteConfig) (*Suite, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Suite{cfg: cfg, net: net, st: st, ctx: ctx, base: base}, nil
+	return &Suite{cfg: cfg, net: net, st: st, ctx: ctx, base: base,
+		images: freeList[*mem.Memory]{max: runtime.GOMAXPROCS(0)}}, nil
+}
+
+// claimImage returns a root image holding a copy of the checkpoint image
+// src, for one batched claim to advance through the golden run; return it
+// with s.images.put. At most GOMAXPROCS images are kept between claims, and
+// each is reloaded whole, so no claim sees another's progress.
+func (s *Suite) claimImage(src *mem.Memory) *mem.Memory {
+	img, ok := s.images.get()
+	if !ok {
+		img = mem.New()
+	}
+	img.CopyFrom(src)
+	return img
 }
 
 // key starts a store key in the given namespace with the suite identity

@@ -129,6 +129,9 @@ type wordReaders struct {
 	// serial index of the first (-1 if none), and blocksBefore counts
 	// those before first.
 	blocks, firstBlock, blocksBefore int
+	// stored counts the distinct blocks the recorded stores of the warps
+	// reading the words write.
+	stored int
 	// warps counts every recorded warp.
 	warps int
 }
@@ -144,6 +147,7 @@ func readersOf(cp *Checkpoint, addrs ...arch.Addr) wordReaders {
 	}
 	bufs := cp.App.Mem.Buffers()
 	r := wordReaders{first: -1, firstBlock: -1}
+	stored := map[arch.BlockAddr]bool{}
 	for _, kc := range cp.capture.Kernels {
 		for _, wc := range kc.Warps {
 			reads := warpReadsWord(bufs, wc, words)
@@ -161,10 +165,16 @@ func readersOf(cp *Checkpoint, addrs ...arch.Addr) wordReaders {
 					r.first = r.warps
 				}
 				r.words++
+				for i := range wc.Stores {
+					for _, b := range wc.Stores[i].Blocks {
+						stored[b] = true
+					}
+				}
 			}
 			r.warps++
 		}
 	}
+	r.stored = len(stored)
 	return r
 }
 
@@ -187,9 +197,11 @@ func warpReadsWord(bufs []*mem.Buffer, wc *simt.WarpCapture, words []arch.Addr) 
 }
 
 // runWordGate classifies one run under model through the batched path and
-// returns its verdict and the warps the replay executed and reproduced.
-// The verdict must match the clone-per-run oracle's.
-func runWordGate(t *testing.T, cp *Checkpoint, model fault.Model) (out fault.Outcome, replayed, applied float64) {
+// returns its verdict, the warps the replay executed and reproduced, and
+// the blocks the lane's fork copied during the replay (injection-time
+// copies, such as a transient flip's block, precede the count). The
+// verdict must match the clone-per-run oracle's.
+func runWordGate(t *testing.T, cp *Checkpoint, model fault.Model) (out fault.Outcome, replayed, applied, copies float64) {
 	t.Helper()
 	sel := wholeImageSelector(t, cp)
 	want, err := oracleRun(cp, cp.golden, nil, rand.New(rand.NewSource(1)), model, sel)
@@ -206,7 +218,8 @@ func runWordGate(t *testing.T, cp *Checkpoint, model fault.Model) (out fault.Out
 		t.Errorf("batched verdict %v, clone-per-run oracle says %v", outs[0], want)
 	}
 	delta := func(name string) float64 { return counterValue(after, name) - counterValue(before, name) }
-	return outs[0], delta("dcrm_campaign_replayed_warps_total"), delta("dcrm_campaign_applied_warps_total")
+	return outs[0], delta("dcrm_campaign_replayed_warps_total"), delta("dcrm_campaign_applied_warps_total"),
+		delta("dcrm_campaign_fork_block_copies_total")
 }
 
 // TestBatchedWordGateCleanWords: stuck pixels in the middle of every other
@@ -235,13 +248,87 @@ func TestBatchedWordGateCleanWords(t *testing.T) {
 	if r.words == 0 || r.blocks <= r.words {
 		t.Fatalf("readers %+v: want warps reading faulty blocks only at clean words", r)
 	}
-	out, replayed, applied := runWordGate(t, cp, model)
+	out, replayed, applied, _ := runWordGate(t, cp, model)
 	if out != fault.SDC {
 		t.Errorf("verdict %v, want %v", out, fault.SDC)
 	}
 	if replayed != float64(r.words) || applied != float64(r.warps-r.words) {
 		t.Errorf("replayed %v, applied %v warps; want the %d readers of the words executed and the other %d warps (%d more reading their blocks) reproduced",
 			replayed, applied, r.words, r.warps-r.words, r.blocks-r.words)
+	}
+}
+
+// TestBatchedWordGateCopiesOnlyWrittenBlocks: a lane's fork copies only
+// the blocks the warps it executes write; every other block the golden run
+// writes it reads from the claim's shared image. A stuck pixel makes the
+// few warps whose stencil reads it execute, and a flip of the same word
+// also the other readers of its block (the flipped block itself is copied
+// at injection).
+func TestBatchedWordGateCopiesOnlyWrittenBlocks(t *testing.T) {
+	cp := wordGateCheckpoint(t, "A-Meanfilter", core.None)
+	img, ok := cp.App.Mem.BufferByName("Image")
+	if !ok {
+		t.Fatal("A-Meanfilter has no Image object")
+	}
+	addr := img.ElemAddr(img.Len4()/2 + 7)
+	var blockWords []arch.Addr
+	for w := 0; w < arch.WordsPerBlock; w++ {
+		blockWords = append(blockWords, addr.Block().Base()+arch.Addr(w*arch.WordBytes))
+	}
+	golden := cp.classifier.GoldenPost.DirtyBlocks()
+	for _, tc := range []struct {
+		name  string
+		model fault.Model
+		r     wordReaders
+	}{
+		{"stuck", fixedStuck{{addr: addr, mask: zeroBits(cp.App.Mem.ReadWord(addr), 3), high: true}}, readersOf(cp, addr)},
+		{"flip", fixedFlips{{addr: addr, mask: 0b111}}, readersOf(cp, blockWords...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.r.words == 0 || tc.r.stored >= golden {
+				t.Fatalf("readers %+v: want a few warps storing fewer than the golden run's %d blocks", tc.r, golden)
+			}
+			_, replayed, _, copies := runWordGate(t, cp, tc.model)
+			if replayed != float64(tc.r.words) {
+				t.Fatalf("replayed %v warps, want the %d readers", replayed, tc.r.words)
+			}
+			if copies != float64(tc.r.stored) {
+				t.Errorf("fork copied %v blocks, want the %d its %d executed warps write (the golden run writes %d)",
+					copies, tc.r.stored, tc.r.words, golden)
+			}
+		})
+	}
+}
+
+// TestBatchedWordGateDesyncResyncs: two bits stuck at 0 in one word of
+// A-SRAD's hot neighbour-index object i_N turn a row index into another
+// row, so the first warp reading it loads the image at other indices than
+// the recording and desyncs mid-warp. Marking every word that warp and its
+// recording store dirty resyncs the lane: it executes only the warps its
+// divergence reaches and reproduces the rest, and its verdict is still the
+// clone-per-run oracle's.
+func TestBatchedWordGateDesyncResyncs(t *testing.T) {
+	cp := wordGateCheckpoint(t, "A-SRAD", core.None)
+	iN, ok := cp.App.Mem.BufferByName("i_N")
+	if !ok {
+		t.Fatal("A-SRAD has no i_N object")
+	}
+	addr := iN.ElemAddr(iN.Len4() / 2)
+	const mask = 0b11
+	if row := cp.App.Mem.ReadWord(addr); row&mask != mask {
+		t.Fatalf("i_N word holds row %d: clearing bits %b leaves it unchanged", row, mask)
+	}
+	r := readersOf(cp, addr)
+	if r.words == 0 {
+		t.Fatal("no warp reads the chosen i_N word")
+	}
+	_, replayed, applied, _ := runWordGate(t, cp, fixedStuck{{addr: addr, mask: mask, high: false}})
+	if replayed+applied != float64(r.warps) {
+		t.Fatalf("replayed %v + applied %v warps, want all %d (the run must not abort)", replayed, applied, r.warps)
+	}
+	if replayed <= float64(r.words) || applied <= float64(r.first) {
+		t.Errorf("replayed %v, applied %v warps: want more than the %d readers executed, and warps after the first reader (warp %d) reproduced",
+			replayed, applied, r.words, r.first)
 	}
 }
 
@@ -263,7 +350,7 @@ func TestBatchedWordGateConvergedStores(t *testing.T) {
 	}
 	golden := cp.classifier.GoldenPost.ReadWord(addr)
 	model := fixedStuck{{addr: addr, mask: zeroBits(golden, 3), high: false}}
-	out, replayed, applied := runWordGate(t, cp, model)
+	out, replayed, applied, _ := runWordGate(t, cp, model)
 	if out != fault.Masked {
 		t.Errorf("verdict %v, want %v", out, fault.Masked)
 	}
@@ -286,7 +373,7 @@ func TestBatchedWordGateReplicaDetects(t *testing.T) {
 		t.Fatalf("readers %+v: want earlier warps reading only other words of the replica block", r)
 	}
 	model := fixedStuck{{addr: addr, mask: zeroBits(cp.App.Mem.ReadWord(addr), 3), high: true}}
-	out, replayed, applied := runWordGate(t, cp, model)
+	out, replayed, applied, _ := runWordGate(t, cp, model)
 	if out != fault.Detected {
 		t.Errorf("verdict %v, want %v", out, fault.Detected)
 	}
@@ -324,7 +411,7 @@ func TestBatchedWordGateReplicaFlipDetects(t *testing.T) {
 	if r.words == 0 || r.blocksBefore == 0 {
 		t.Fatalf("readers %+v: want earlier warps reading only other words of the block", r)
 	}
-	out, replayed, applied := runWordGate(t, cp, fixedFlips{{addr: addr, mask: 0b111}})
+	out, replayed, applied, _ := runWordGate(t, cp, fixedFlips{{addr: addr, mask: 0b111}})
 	if out != fault.Detected {
 		t.Errorf("verdict %v, want %v", out, fault.Detected)
 	}

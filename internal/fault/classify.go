@@ -29,8 +29,9 @@ var ErrUncorrectable = errors.New("fault: detected uncorrectable error")
 type Classifier struct {
 	// Golden is the fault-free output under the metric.
 	Golden []float32
-	// GoldenPost is the golden post-run memory image, as a fork of the same
-	// root the campaign forks run on.
+	// GoldenPost is the golden post-run memory image: a fork of the root
+	// the campaign forks run on, or that root itself when it holds the
+	// golden post-run state (a batched claim's shared image).
 	GoldenPost *mem.Memory
 	// Metric judges divergent outputs (Table II).
 	Metric metrics.Metric

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,17 +53,28 @@ type Env struct {
 }
 
 // Timeline is the per-block store-commit horizon of one timing replay:
-// LastStore[b] holds the cycle of the last store transaction committed to
-// block b at the L2/DRAM side, and TotalCycles spans the whole replay. The
-// transient model draws its injection instant uniformly from
+// the cycle of the last store transaction committed to each stored-to
+// block at the L2/DRAM side, and TotalCycles spanning the whole replay.
+// The transient model draws its injection instant uniformly from
 // [0, TotalCycles) and consults LastStore for overwrite masking.
 type Timeline struct {
 	// TotalCycles is the replay's total cycle count across all kernels.
 	TotalCycles int64
-	// LastStore maps each stored-to block to its final store-commit cycle.
-	// Blocks never stored keep no entry. Lookup-only: iteration order never
-	// influences results.
-	LastStore map[arch.BlockAddr]int64
+	// StoreBlocks lists every stored-to block in strictly ascending order,
+	// and StoreCycles[i] is StoreBlocks[i]'s final store-commit cycle.
+	// Blocks never stored have no entry.
+	StoreBlocks []arch.BlockAddr
+	StoreCycles []int64
+}
+
+// LastStore returns block b's final store-commit cycle, and false when no
+// store committed to b. It binary-searches StoreBlocks.
+func (tl *Timeline) LastStore(b arch.BlockAddr) (int64, bool) {
+	i, ok := slices.BinarySearch(tl.StoreBlocks, b)
+	if !ok {
+		return 0, false
+	}
+	return tl.StoreCycles[i], true
 }
 
 // Injection reports what one run's injection did.

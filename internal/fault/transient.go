@@ -101,7 +101,7 @@ func (t Transient) Inject(m *mem.Memory, rng *rand.Rand, sel Selector, env *Env)
 		}
 		// Layer 1: store masking (see the type comment for precedence).
 		if tl != nil {
-			if last, ok := tl.LastStore[b]; ok && last >= at {
+			if last, ok := tl.LastStore(b); ok && last >= at {
 				continue
 			}
 		}

@@ -51,7 +51,7 @@ func TestTransientStoreMasking(t *testing.T) {
 	env := &Env{Timeline: &Timeline{
 		TotalCycles: 1000,
 		// Last store at the final cycle: at ∈ [0,1000) always precedes it.
-		LastStore: map[arch.BlockAddr]int64{blk: 999},
+		StoreBlocks: []arch.BlockAddr{blk}, StoreCycles: []int64{999},
 	}}
 	inj, err := Inject(m, rand.New(rand.NewSource(3)), Transient{Flips: 3, Blocks: 1}, sel, env)
 	if err != nil {
@@ -65,11 +65,11 @@ func TestTransientStoreMasking(t *testing.T) {
 	}
 }
 
-// TestTransientNoStoreNoMasking: a block the replay never stores to keeps
-// no LastStore entry, so the flip persists.
+// TestTransientNoStoreNoMasking: a block the replay never stores to has no
+// store-commit entry, so the flip persists.
 func TestTransientNoStoreNoMasking(t *testing.T) {
 	m, buf, _, sel := transientFixture(t)
-	env := &Env{Timeline: &Timeline{TotalCycles: 1000, LastStore: map[arch.BlockAddr]int64{}}}
+	env := &Env{Timeline: &Timeline{TotalCycles: 1000}}
 	inj, err := Inject(m, rand.New(rand.NewSource(3)), Transient{Flips: 3, Blocks: 1}, sel, env)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestTransientStoreMaskingBeatsDUE(t *testing.T) {
 	m, _, blk, sel := transientFixture(t)
 	env := &Env{Timeline: &Timeline{
 		TotalCycles: 1000,
-		LastStore:   map[arch.BlockAddr]int64{blk: 999},
+		StoreBlocks: []arch.BlockAddr{blk}, StoreCycles: []int64{999},
 	}}
 	inj, err := Inject(m, rand.New(rand.NewSource(11)), Transient{Flips: 2, Blocks: 1}, sel, env)
 	if err != nil {
@@ -150,7 +150,7 @@ func TestTransientDeterministicPerSeed(t *testing.T) {
 	run := func() (Outcome, int, int) {
 		m, buf, _, sel := transientFixture(t)
 		inj, err := Inject(m, rand.New(rand.NewSource(21)), Transient{Flips: 4, Blocks: 1}, sel,
-			&Env{Timeline: &Timeline{TotalCycles: 500, LastStore: map[arch.BlockAddr]int64{}}})
+			&Env{Timeline: &Timeline{TotalCycles: 500}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,5 +242,23 @@ func TestBurstAppliesOverlay(t *testing.T) {
 	}
 	if words == 0 || words > 2 {
 		t.Errorf("%d corrupted words, want 1..2", words)
+	}
+}
+
+// TestTimelineLastStore: the timeline finds each stored-to block's final
+// commit cycle by binary search over its ascending blocks — a cycle-0
+// commit included — and reports blocks before, between and after them,
+// and every block of an empty timeline, as never stored.
+func TestTimelineLastStore(t *testing.T) {
+	tl := &Timeline{TotalCycles: 100, StoreBlocks: []arch.BlockAddr{2, 5, 9}, StoreCycles: []int64{10, 0, 99}}
+	want := map[arch.BlockAddr]int64{2: 10, 5: 0, 9: 99}
+	for b := arch.BlockAddr(0); b < 12; b++ {
+		c, ok := tl.LastStore(b)
+		if wc, stored := want[b]; ok != stored || c != wc {
+			t.Errorf("LastStore(%d) = %d, %v; want %d, %v", b, c, ok, wc, stored)
+		}
+	}
+	if _, ok := (&Timeline{TotalCycles: 1}).LastStore(0); ok {
+		t.Error("an empty timeline reports a store")
 	}
 }

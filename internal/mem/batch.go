@@ -35,7 +35,8 @@ func (m *Memory) FaultWord(i int) arch.Addr { return m.faults[i].wordAddr }
 // BatchDiverges reports, as a bitmask over lanes, which of the forks
 // diverge from the golden fork — lane i diverges iff
 // lanes[i].DivergesFrom(golden) would return true. All memories must be
-// forks of the same root image; nil lanes are skipped (their bit stays 0);
+// forks of the same root image, or golden that root itself (it then has no
+// golden-only blocks); nil lanes are skipped (their bit stays 0);
 // at most BatchLanes lanes fit one sweep. Each lane's comparison early-exits
 // on its first divergent word, and the golden-only dirty blocks are
 // compared against the shared root once for the whole batch.

@@ -15,7 +15,10 @@ import (
 // only the golden fork has dirty), private writes that do or do not land
 // on the golden value, and stuck-at overlays that are invisible, corrected
 // by SECDED, or escape it. The golden fork itself sometimes writes a
-// block's root value back, and sometimes carries an overlay fault.
+// block's root value back, and sometimes carries an overlay fault. In every
+// fourth trial the golden image is a root holding the golden writes (a
+// batched claim's shared image) and the lanes are rebased onto it; both
+// verdicts must then also match a word-by-word comparison.
 func TestBatchDivergesMatchesDivergesFrom(t *testing.T) {
 	m, in, out := forkFixture(t)
 	words := make([]arch.Addr, 0, in.Len4()+out.Len4())
@@ -95,10 +98,27 @@ func TestBatchDivergesMatchesDivergesFrom(t *testing.T) {
 			lanes[i] = f
 		}
 
+		if trial%4 == 3 {
+			root := New()
+			root.CopyFrom(m)
+			for _, w := range gw {
+				root.WriteWord(w.addr, w.val)
+			}
+			for _, f := range lanes {
+				if f != nil {
+					f.Rebase(root)
+				}
+			}
+			golden = root
+		}
+
 		var want uint64
 		for i, f := range lanes {
 			if f == nil {
 				continue
+			}
+			if !golden.IsFork() && wordsDiffer(f, golden) != f.DivergesFrom(golden) {
+				t.Fatalf("trial %d lane %d: DivergesFrom a root golden disagrees with a word-by-word comparison", trial, i)
 			}
 			if f.DivergesFrom(golden) {
 				want |= uint64(1) << uint(i)
@@ -117,4 +137,14 @@ func TestBatchDivergesMatchesDivergesFrom(t *testing.T) {
 	if diverged == 0 || matched == 0 || nilLanes == 0 {
 		t.Fatalf("generator coverage: %d divergent, %d matching, %d nil lanes", diverged, matched, nilLanes)
 	}
+}
+
+// wordsDiffer reports whether any word of a and b resolves differently.
+func wordsDiffer(a, b *Memory) bool {
+	for w := 0; w < a.Size(); w += arch.WordBytes {
+		if a.ReadWord(arch.Addr(w)) != b.ReadWord(arch.Addr(w)) {
+			return true
+		}
+	}
+	return false
 }

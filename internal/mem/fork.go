@@ -21,9 +21,13 @@ import (
 // Fork returns a copy-on-write view of the root image: reads resolve to
 // the shared golden bytes until a block is first written, at which point
 // that 128 B block — and only it — is copied into the fork's private
-// arena. The root must not be written while forks of it are alive; each
-// fork is single-goroutine, but any number of forks of one root may run
-// concurrently. Injected faults on the root are copied into the fork;
+// arena. Each fork is single-goroutine, but any number of forks of one
+// root may run concurrently while the root is not written. The one
+// exception is a root that only one goroutine's forks read: that goroutine
+// may write the root between its forks' steps, and every block a fork
+// does not hold privately (Private) then reads the new bytes — batched
+// campaigns advance one golden-progress image per claim this way (Rebase,
+// MakePrivate). Injected faults on the root are copied into the fork;
 // faults injected on the fork never reach the root.
 func (m *Memory) Fork() *Memory {
 	if m.shared != nil {
@@ -45,6 +49,33 @@ func (m *Memory) Fork() *Memory {
 
 // IsFork reports whether m is a copy-on-write fork of a root image.
 func (m *Memory) IsFork() bool { return m.shared != nil }
+
+// Rebase points the fork at another root image of the same geometry: every
+// block the fork does not hold privately now reads root's bytes, while its
+// private blocks and injected faults are kept. Rebasing between two roots
+// with identical contents changes no word the fork resolves.
+func (m *Memory) Rebase(root *Memory) {
+	if m.shared == nil || root.shared != nil {
+		panic("mem: Rebase needs a fork and a root image")
+	}
+	if len(root.data) != len(m.shared) {
+		panic("mem: Rebase onto a root of another size")
+	}
+	m.shared = root.data
+}
+
+// Private reports whether the fork holds block b in its private arena, so
+// that writes to the root no longer reach it.
+func (m *Memory) Private(b arch.BlockAddr) bool { return m.blockOff[b] >= 0 }
+
+// MakePrivate copies block b from the root into the fork's private arena,
+// unless the fork holds it already: from then on the block keeps the
+// contents it has now, whatever is later written to the root.
+func (m *Memory) MakePrivate(b arch.BlockAddr) {
+	if m.blockOff[b] < 0 {
+		m.materialize(int(b))
+	}
+}
 
 // Reset returns a fork to its just-forked state — no private blocks, no
 // injected faults — while keeping the arena's capacity, so a pooled fork

@@ -148,6 +148,110 @@ func TestForkCloneResolves(t *testing.T) {
 	}
 }
 
+// TestForkRebase: a fork rebased onto a copy of its root resolves every
+// word as before and keeps its private blocks and faults; writes to the new
+// root then reach exactly the blocks the fork does not hold privately, and
+// MakePrivate freezes a block at its current contents.
+func TestForkRebase(t *testing.T) {
+	m, in, out := forkFixture(t)
+	f := m.Fork()
+	own, shared := out.ElemAddr(0), out.ElemAddr(32) // blocks 0 and 1 of out
+	f.WriteF32(own, 7)
+	if err := f.InjectStuckAt(in.ElemAddr(1), 0x3, true); err != nil {
+		t.Fatal(err)
+	}
+	before := f.Clone()
+
+	img := New()
+	img.CopyFrom(m)
+	f.Rebase(img)
+	for a := 0; a < m.Size(); a += arch.WordBytes {
+		if got, want := f.ReadWord(arch.Addr(a)), before.ReadWord(arch.Addr(a)); got != want {
+			t.Fatalf("word %#x reads %#x after rebasing onto an equal root, %#x before", a, got, want)
+		}
+	}
+	if f.FaultCount() != 1 || !f.Private(own.Block()) || f.Private(shared.Block()) {
+		t.Fatalf("rebase changed the fork: %d faults, private %v/%v",
+			f.FaultCount(), f.Private(own.Block()), f.Private(shared.Block()))
+	}
+
+	img.WriteF32(own, 5)
+	img.WriteF32(shared, 3)
+	if got := f.ReadF32(own); got != 7 {
+		t.Errorf("private word reads %v after a root write, want the fork's 7", got)
+	}
+	if got := f.ReadF32(shared); got != 3 {
+		t.Errorf("shared word reads %v, want the root's new 3", got)
+	}
+
+	copied := f.CopiedBlocks()
+	f.MakePrivate(shared.Block())
+	f.MakePrivate(shared.Block())
+	f.MakePrivate(own.Block())
+	if !f.Private(shared.Block()) || f.CopiedBlocks() != copied+1 {
+		t.Fatalf("MakePrivate copied %d blocks, want 1 (once, and not the block already held)", f.CopiedBlocks()-copied)
+	}
+	img.WriteF32(shared, 4)
+	if got := f.ReadF32(shared); got != 3 {
+		t.Errorf("block made private reads %v after a root write, want the 3 it held", got)
+	}
+	if got := m.ReadF32(shared); got != 0 {
+		t.Errorf("the original root was written: %v", got)
+	}
+
+	// Rebasing back onto the original root restores its reads outside the
+	// private blocks.
+	f.Rebase(m)
+	if got := f.ReadF32(out.ElemAddr(64)); got != 0 {
+		t.Errorf("rebased-back fork reads %v from a shared block, want the original root's 0", got)
+	}
+
+	for name, bad := range map[string]func(){
+		"root":       func() { m.Rebase(img) },
+		"onto fork":  func() { f.Rebase(m.Fork()) },
+		"other size": func() { f.Rebase(New()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Rebase %s did not panic", name)
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
+// TestCopyFrom: a reloaded root image is an independent, fault-free copy
+// of its source, and reloading a pooled image allocates nothing.
+func TestCopyFrom(t *testing.T) {
+	m, in, out := forkFixture(t)
+	img := New()
+	img.CopyFrom(m)
+	if img.IsFork() || img.Size() != m.Size() || len(img.Buffers()) != len(m.Buffers()) {
+		t.Fatalf("copy geometry %d B, %d buffers; want %d B, %d", img.Size(), len(img.Buffers()), m.Size(), len(m.Buffers()))
+	}
+	img.WriteF32(out.ElemAddr(3), 9)
+	if err := img.InjectStuckAt(in.ElemAddr(0), 0xff, true); err != nil {
+		t.Fatal(err)
+	}
+	if m.ReadF32(out.ElemAddr(3)) != 0 || m.FaultCount() != 0 {
+		t.Fatal("writing the copy changed its source")
+	}
+	img.CopyFrom(m)
+	if img.ReadF32(out.ElemAddr(3)) != 0 || img.FaultCount() != 0 {
+		t.Fatal("a reload kept the previous contents or faults")
+	}
+	for a := 0; a < m.Size(); a += arch.WordBytes {
+		if img.ReadWord(arch.Addr(a)) != m.ReadWord(arch.Addr(a)) {
+			t.Fatalf("reloaded word %#x differs from the source", a)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { img.CopyFrom(m) }); allocs != 0 {
+		t.Errorf("reloading a pooled image allocates %v times, want 0", allocs)
+	}
+}
+
 func TestForkAllocRejected(t *testing.T) {
 	m, _, _ := forkFixture(t)
 	f := m.Fork()

@@ -68,9 +68,9 @@ type wordFault struct {
 
 // Memory is one device memory image. It is not safe for concurrent use;
 // fault-injection campaigns run against per-run copy-on-write forks
-// (Fork), which share the golden image read-only. Many forks of one root
-// may be used concurrently as long as each individual fork stays on one
-// goroutine and the root is no longer written.
+// (Fork), which share a root image. Many forks of one root may be used
+// concurrently as long as each individual fork stays on one goroutine and
+// the root is no longer written (see Fork for the one exception).
 type Memory struct {
 	data    []byte
 	buffers []*Buffer
@@ -169,6 +169,18 @@ func (m *Memory) Clone() *Memory {
 		faults:  append([]wordFault(nil), m.faults...),
 	}
 	return out
+}
+
+// CopyFrom makes the root image m an independent copy of the root image
+// src — its buffers and bytes, without faults — reusing m's storage, so a
+// pooled image reaches a zero-allocation steady state across reloads.
+func (m *Memory) CopyFrom(src *Memory) {
+	if m.shared != nil || src.shared != nil {
+		panic("mem: CopyFrom needs two root images")
+	}
+	m.data = append(m.data[:0], src.data...)
+	m.buffers = append(m.buffers[:0], src.buffers...)
+	m.faults = m.faults[:0]
 }
 
 // resolvedBytes returns a fresh copy of the image with any fork-private

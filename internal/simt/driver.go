@@ -141,12 +141,14 @@ func loadFootprint(loads []LoadRec, seen *BlockSet) []arch.BlockAddr {
 	return union
 }
 
-// RunWarp executes one recorded warp of k against the driver's memory. rp,
-// when non-nil, serves loads from the recording wherever the lane's
-// divergent words stay clear of them (the batched-campaign fast path); nil
-// executes the warp plainly. Errors carry the same wrapping Run would give the same
-// warp. The driver's warp context is reused across calls, mirroring how Run
-// reuses one context for a whole launch.
+// RunWarp executes one recorded warp of k against the driver's memory for
+// a campaign lane: rp is rebound to wc, serves loads from the recording
+// wherever the lane's divergent words stay clear of them, and grows the
+// lane's dirty set by what the warp makes divergent — if the warp leaves
+// the recorded sequence, by every word it or the recording stores after
+// the mismatch (see LaneReplay). Errors carry the same wrapping Run would
+// give the same warp. The driver's warp context is reused across calls,
+// mirroring how Run reuses one context for a whole launch.
 func (d *Driver) RunWarp(k *Kernel, wc *WarpCapture, rp *LaneReplay) error {
 	d.reader = d.Reader
 	if d.reader == nil {
@@ -170,12 +172,14 @@ func (d *Driver) RunWarp(k *Kernel, wc *WarpCapture, rp *LaneReplay) error {
 	ctx.NumLanes = wc.NumLanes
 	ctx.linearBase = k.Grid.Flatten(wc.CTAIdx)*k.Block.Count() + wc.WarpInCTA*arch.WarpSize
 	ctx.cacheThreadIdx()
+	rp.reset(wc)
 	ctx.replay = rp
 	k.Run(ctx)
 	ctx.replay = nil
 	if ctx.err != nil {
 		return fmt.Errorf("simt: kernel %q warp %d: %w", k.KernelName, wc.GlobalWarpID, ctx.err)
 	}
+	rp.finish()
 	return nil
 }
 

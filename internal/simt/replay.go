@@ -9,7 +9,7 @@
 //     behaves bit-identically to the recording — its loads return the
 //     recorded values and its stores commit the recorded values — so a
 //     faulty run only needs to *execute* the warps that read a divergent
-//     word; every other warp is reproduced by applying the recorded stores.
+//     word; every other warp is reproduced by its recorded stores.
 //
 // A lane's divergence is a DirtySet of 32-bit words, kept under one
 // invariant: a word outside the set holds the value the golden run holds at
@@ -24,15 +24,25 @@
 // whose words are clean is served straight from the recorded value, and
 // only dirty words are read from memory through the scheme's reader. The
 // first mismatch in the sequence (a fault-corrupted index changed the
-// control flow or an address) desyncs the lane permanently: the rest of the
-// warp runs on the real memory path, and the caller must fall back to full
-// execution for the lane's remaining warps, because the recording can no
-// longer bound what the lane writes.
+// control flow or an address) desyncs the warp: the rest of it runs on the
+// real memory path, and every in-bounds word it stores from then on is
+// marked dirty, whatever its value. When the warp ends, every word the
+// recording stores from the first unmatched store on is marked dirty too,
+// also when the warp simply issued fewer stores than recorded. That
+// resyncs the lane: after the warp only words the lane or the golden warp
+// wrote can differ, and all of them are now in the set, so the next warp
+// goes back through the word gate (ReadsDirty).
+//
+// The batch executor (internal/experiments/batch.go) advances one shared
+// golden-progress image per claim through each recorded warp's stores, and
+// its lanes are copy-on-write forks of that image; see there for the rules
+// that keep a lane's private blocks apart from the shared image.
 package simt
 
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/mem"
@@ -218,19 +228,20 @@ func (d *DirtySet) AnyBlock(blocks []arch.BlockAddr) bool {
 }
 
 // LaneReplay is the per-warp replay state of one campaign lane executing a
-// recorded warp for real. It walks the warp's recorded load/store sequence
-// in lockstep with the execution: as long as every issued instruction
-// matches the recording (same site, object, and indices), each lane of a
-// load whose words are all outside Dirty is served from the recorded value,
-// and each store adds to Dirty exactly the words whose committed value
-// differs from the recorded one. The first sequence mismatch sets Desync
-// and stops all serving — the caller must treat the lane as fully
-// divergent from then on.
+// recorded warp for real (Driver.RunWarp). It walks the warp's recorded
+// load/store sequence in lockstep with the execution: as long as every
+// issued instruction matches the recording (same site, object, and
+// indices), each lane of a load whose words are all outside Dirty is
+// served from the recorded value, and each store adds to Dirty exactly the
+// words whose committed value differs from the recorded one. The first
+// sequence mismatch desyncs the warp and stops all serving; the warp's
+// remaining stores, and at its end the recording's unmatched ones, then
+// mark every word they write dirty.
 type LaneReplay struct {
-	// WC is the warp being replayed.
-	WC *WarpCapture
-	// Dirty is the lane's divergent-word set (shared across the lane's
-	// warps, maintained by the batch executor and by noteStore).
+	// wc is the warp being replayed.
+	wc *WarpCapture
+	// Dirty is the lane's divergent-word set, shared across the lane's
+	// warps: the batch executor seeds it, and executed warps grow it.
 	Dirty *DirtySet
 	// Bufs are the memory's buffers indexed by ID, resolving recorded
 	// indices to word addresses.
@@ -238,20 +249,41 @@ type LaneReplay struct {
 
 	loadCur  int
 	storeCur int
-	// Desync records that the executed instruction sequence diverged from
-	// the recording (a fault corrupted an index or branch). The lane's
-	// writes can no longer be bounded by the recording: the executor must
-	// run every remaining warp of the lane in full.
-	Desync bool
+	// desync records that the last executed warp left the recorded
+	// sequence (a fault corrupted an index or branch) or committed fewer
+	// stores than recorded. Its writes were then bounded by marking dirty
+	// every word it or the recording stored after the mismatch.
+	desync bool
 }
 
-// Reset rebinds the replay state to a new warp, letting the batch executor
-// reuse one LaneReplay per lane instead of allocating one per executed warp.
-func (rp *LaneReplay) Reset(wc *WarpCapture) {
-	rp.WC = wc
+// reset rebinds the replay state to a new warp, so one LaneReplay serves
+// every warp a lane executes.
+func (rp *LaneReplay) reset(wc *WarpCapture) {
+	rp.wc = wc
 	rp.loadCur = 0
 	rp.storeCur = 0
-	rp.Desync = false
+	rp.desync = false
+}
+
+// finish closes an executed warp. A warp that stayed in sync and
+// committed every recorded store already marked each word it made
+// divergent. Otherwise every word the recording stores from the first
+// unmatched store on is marked dirty: the lane may have left it holding a
+// value other than the golden one.
+func (rp *LaneReplay) finish() {
+	if !rp.desync && rp.storeCur == len(rp.wc.Stores) {
+		return
+	}
+	rp.desync = true
+	for i := rp.storeCur; i < len(rp.wc.Stores); i++ {
+		rec := &rp.wc.Stores[i]
+		buf := rp.Bufs[rec.BufID]
+		for _, idx := range rec.Idx {
+			if idx != InactiveLane {
+				rp.Dirty.AddWord(buf.ElemAddr(int(idx)))
+			}
+		}
+	}
 }
 
 // wordDirty reports whether reading element idx of buf can observe the
@@ -298,13 +330,13 @@ func (rp *LaneReplay) ReadsDirty(wc *WarpCapture) bool {
 // desyncs the lane; the caller still owns the per-lane index check and the
 // cursor advance.
 func (rp *LaneReplay) serveVectorHead(pc uint16, bufID int16) *LoadRec {
-	if rp.Desync || rp.loadCur >= len(rp.WC.Loads) {
-		rp.Desync = true
+	if rp.desync || rp.loadCur >= len(rp.wc.Loads) {
+		rp.desync = true
 		return nil
 	}
-	rec := &rp.WC.Loads[rp.loadCur]
+	rec := &rp.wc.Loads[rp.loadCur]
 	if rec.PC != pc || rec.BufID != bufID || rec.Broadcast {
-		rp.Desync = true
+		rp.desync = true
 		return nil
 	}
 	return rec
@@ -316,7 +348,7 @@ func (rp *LaneReplay) matchIndices(rec *LoadRec, idx []int32, n int) bool {
 	recIdx := rec.Idx[:n]
 	for i, v := range idx[:n] {
 		if recIdx[i] != v {
-			rp.Desync = true
+			rp.desync = true
 			return false
 		}
 	}
@@ -349,7 +381,7 @@ func (rp *LaneReplay) serveVectorF32(pc uint16, bufID int16, idx []int32, n int,
 	vals, out := rec.Vals[:n], dst[:n]
 	for i, v := range issued {
 		if recIdx[i] != v {
-			rp.Desync = true
+			rp.desync = true
 			return nil, false
 		}
 		if v != InactiveLane {
@@ -376,7 +408,7 @@ func (rp *LaneReplay) serveVectorI32(pc uint16, bufID int16, idx []int32, n int,
 	vals, out := rec.Vals[:n], dst[:n]
 	for i, v := range issued {
 		if recIdx[i] != v {
-			rp.Desync = true
+			rp.desync = true
 			return nil, false
 		}
 		if v != InactiveLane {
@@ -391,13 +423,13 @@ func (rp *LaneReplay) serveVectorI32(pc uint16, bufID int16, idx []int32, n int,
 // the record when the load is in sync and its word is clean, and nil when
 // the caller must read memory.
 func (rp *LaneReplay) serveBroadcast(pc uint16, buf *mem.Buffer, bidx int32) *LoadRec {
-	if rp.Desync || rp.loadCur >= len(rp.WC.Loads) {
-		rp.Desync = true
+	if rp.desync || rp.loadCur >= len(rp.wc.Loads) {
+		rp.desync = true
 		return nil
 	}
-	rec := &rp.WC.Loads[rp.loadCur]
+	rec := &rp.wc.Loads[rp.loadCur]
 	if rec.PC != pc || rec.BufID != int16(buf.ID) || !rec.Broadcast || rec.BIdx != bidx {
-		rp.Desync = true
+		rp.desync = true
 		return nil
 	}
 	rp.loadCur++
@@ -411,27 +443,35 @@ func (rp *LaneReplay) serveBroadcast(pc uint16, buf *mem.Buffer, bidx int32) *Lo
 // while the lane stays in sync, adds to Dirty every word whose committed
 // value differs from the recorded one — at commit time, so later loads of
 // the same warp already see it. The store itself always executes on real
-// memory; a sequence mismatch desyncs the lane, after which its writes are
-// no longer bounded by the recording.
+// memory. Once the sequence no longer matches, the recording cannot bound
+// the store, so every in-bounds word it writes is marked dirty (an
+// out-of-bounds one aborts the warp).
 func (rp *LaneReplay) noteStore(pc uint16, buf *mem.Buffer, idx []int32, n int, src []float32) {
-	if rp.Desync || rp.storeCur >= len(rp.WC.Stores) {
-		rp.Desync = true
+	issued := idx[:n]
+	if !rp.desync && rp.storeMatches(pc, buf, issued) {
+		recVals := rp.wc.Stores[rp.storeCur].Vals[:n]
+		for i, v := range issued {
+			if v != InactiveLane && math.Float32bits(src[i]) != recVals[i] {
+				rp.Dirty.AddWord(buf.ElemAddr(int(v)))
+			}
+		}
+		rp.storeCur++
 		return
 	}
-	rec := &rp.WC.Stores[rp.storeCur]
-	if rec.PC != pc || rec.BufID != int16(buf.ID) {
-		rp.Desync = true
-		return
-	}
-	recIdx, recVals, issued := rec.Idx[:n], rec.Vals[:n], idx[:n]
-	for i, v := range issued {
-		if recIdx[i] != v {
-			rp.Desync = true
-			return
-		}
-		if v != InactiveLane && math.Float32bits(src[i]) != recVals[i] {
-			rp.Dirty.AddWord(buf.ElemAddr(int(v)))
+	rp.desync = true
+	for _, v := range issued {
+		if a := buf.ElemAddr(int(v)); v != InactiveLane && v >= 0 && buf.Contains(a) {
+			rp.Dirty.AddWord(a)
 		}
 	}
-	rp.storeCur++
+}
+
+// storeMatches reports whether an issued store is the next recorded one:
+// same position, site, object and index vector.
+func (rp *LaneReplay) storeMatches(pc uint16, buf *mem.Buffer, issued []int32) bool {
+	if rp.storeCur >= len(rp.wc.Stores) {
+		return false
+	}
+	rec := &rp.wc.Stores[rp.storeCur]
+	return rec.PC == pc && rec.BufID == int16(buf.ID) && slices.Equal(rec.Idx[:len(issued)], issued)
 }

@@ -123,11 +123,10 @@ func TestLaneReplayWordGranular(t *testing.T) {
 	if !rp.ReadsDirty(wc) {
 		t.Fatal("gate missed the warp's dirty word")
 	}
-	rp.Reset(wc)
 	if err := (&Driver{Mem: f}).RunWarp(k, wc, rp); err != nil {
 		t.Fatal(err)
 	}
-	if rp.Desync {
+	if rp.desync {
 		t.Fatal("in-sync warp desynced")
 	}
 	for lane := 0; lane < arch.WarpSize; lane++ {
@@ -148,6 +147,120 @@ func TestLaneReplayWordGranular(t *testing.T) {
 	clean.AddWord(in.ElemAddr(7))
 	if (&LaneReplay{Dirty: clean, Bufs: f.Buffers()}).ReadsDirty(wc) {
 		t.Error("gate executes a warp that reads only clean words of a dirty block")
+	}
+}
+
+// recordOneWarp records one full warp of k running on a clone of m.
+func recordOneWarp(t *testing.T, m *mem.Memory, k *Kernel) *WarpCapture {
+	t.Helper()
+	log := &CaptureLog{}
+	if _, err := (&Driver{Mem: m.Clone(), Capture: log}).Run(k); err != nil {
+		t.Fatal(err)
+	}
+	return log.Kernels[0].Warps[0]
+}
+
+// TestLaneReplayResyncsDesyncedWarp scatters through an index object: a
+// dirty index word sends one lane's store elsewhere, which desyncs the
+// warp at the store. Every word the warp stores must end dirty — the one
+// the recording does not store included — and so must the word only the
+// recording stores, which the lane left at its old value.
+func TestLaneReplayResyncsDesyncedWarp(t *testing.T) {
+	m := mem.New()
+	ix, err := m.Alloc("ix", arch.WarpSize*4, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := m.Alloc("out", 64*4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < arch.WarpSize; i++ {
+		m.WriteI32(ix.ElemAddr(i), int32(i))
+	}
+	ld, st := Site{PC: 1, Name: "ld"}, Site{PC: 2, Name: "st"}
+	k := &Kernel{
+		KernelName: "scatter",
+		Grid:       arch.Dim3{X: 1},
+		Block:      arch.Dim3{X: arch.WarpSize},
+		Run: func(w *WarpCtx) {
+			idx, dst, v := w.ScratchI32(0), w.ScratchI32(1), w.ScratchF32(0)
+			for lane := 0; lane < w.NumLanes; lane++ {
+				idx[lane] = int32(lane)
+				v[lane] = float32(lane + 1)
+			}
+			w.LoadI32(ld, ix, idx, dst)
+			w.StoreF32(st, out, dst, v)
+		},
+	}
+	wc := recordOneWarp(t, m, k)
+
+	f := m.Clone()
+	f.WriteI32(ix.ElemAddr(3), 40) // lane 3 stores out[40] instead of out[3]
+	dirty := NewDirtySet(f.TotalBlocks())
+	dirty.AddWord(ix.ElemAddr(3))
+	rp := &LaneReplay{Dirty: dirty, Bufs: f.Buffers()}
+	if err := (&Driver{Mem: f}).RunWarp(k, wc, rp); err != nil {
+		t.Fatal(err)
+	}
+	if !rp.desync {
+		t.Fatal("a store to another word did not desync the warp")
+	}
+	for i := 0; i < out.Len4(); i++ {
+		if got, want := dirty.HasWord(out.ElemAddr(i)), i < arch.WarpSize || i == 40; got != want {
+			t.Errorf("out[%d] dirty = %v, want %v", i, got, want)
+		}
+	}
+	if got := f.ReadF32(out.ElemAddr(3)); got != 0 {
+		t.Errorf("out[3] = %v, want the lane's unwritten 0", got)
+	}
+}
+
+// TestLaneReplayResyncsShortWarp: a warp whose store hangs on a dirty flag
+// skips it, so it executes in sync yet commits fewer stores than recorded.
+// The words only the recording stores hold their pre-warp values in the
+// lane, so they must end dirty, and the warp counts as desynced.
+func TestLaneReplayResyncsShortWarp(t *testing.T) {
+	m, flag := newTestMem(t, "flag", 1)
+	out, err := m.Alloc("out", arch.WarpSize*4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.WriteI32(flag.ElemAddr(0), 1)
+	ld, st := Site{PC: 1, Name: "ld"}, Site{PC: 2, Name: "st"}
+	k := &Kernel{
+		KernelName: "guarded",
+		Grid:       arch.Dim3{X: 1},
+		Block:      arch.Dim3{X: arch.WarpSize},
+		Run: func(w *WarpCtx) {
+			if w.LoadI32Broadcast(ld, flag, 0) == 0 {
+				return
+			}
+			idx, v := w.ScratchI32(0), w.ScratchF32(0)
+			for lane := 0; lane < w.NumLanes; lane++ {
+				idx[lane] = int32(lane)
+				v[lane] = 1
+			}
+			w.StoreF32(st, out, idx, v)
+		},
+	}
+	wc := recordOneWarp(t, m, k)
+
+	f := m.Clone()
+	f.WriteI32(flag.ElemAddr(0), 0)
+	dirty := NewDirtySet(f.TotalBlocks())
+	dirty.AddWord(flag.ElemAddr(0))
+	rp := &LaneReplay{Dirty: dirty, Bufs: f.Buffers()}
+	if err := (&Driver{Mem: f}).RunWarp(k, wc, rp); err != nil {
+		t.Fatal(err)
+	}
+	if !rp.desync {
+		t.Error("a warp that skipped its recorded store is not marked desynced")
+	}
+	for i := 0; i < arch.WarpSize; i++ {
+		if !dirty.HasWord(out.ElemAddr(i)) {
+			t.Fatalf("out[%d], stored only by the recording, is clean", i)
+		}
 	}
 }
 
@@ -175,13 +288,14 @@ func TestRunWarpThreadIdxAcrossShapes(t *testing.T) {
 		}
 	}
 	k13, k5 := check(arch.Dim3{X: 13, Y: 13}), check(arch.Dim3{X: 5, Y: 3, Z: 4})
+	rp := &LaneReplay{Dirty: NewDirtySet(m.TotalBlocks()), Bufs: m.Buffers()}
 	for _, step := range []struct {
 		k    *Kernel
 		warp int
 	}{{k13, 0}, {k13, 2}, {k5, 0}, {k13, 2}, {k5, 1}, {k5, 1}, {k13, 5}} {
 		lanes := min(arch.WarpSize, step.k.Block.Count()-step.warp*arch.WarpSize)
 		wc := &WarpCapture{WarpInCTA: step.warp, GlobalWarpID: step.warp, NumLanes: lanes}
-		if err := d.RunWarp(step.k, wc, nil); err != nil {
+		if err := d.RunWarp(step.k, wc, rp); err != nil {
 			t.Fatal(err)
 		}
 	}
