@@ -169,8 +169,10 @@ func (f *suiteFlags) register(fs *flag.FlagSet) {
 
 // withSuite builds the suite the flags describe — its store, telemetry
 // registry, progress reporter and pprof profiles — and runs body on it.
-// Profiles, once started, are finalized and, once the suite is built, the
-// metrics snapshot is written, whether or not body failed.
+// The CPU profile, once started, is finalized and, once the suite is
+// built, the heap profile and the metrics snapshot are written, whether
+// or not body failed. The heap profile is taken while the suite is still
+// reachable, so its in-use view shows what the run built and holds.
 func (f *suiteFlags) withSuite(stderr io.Writer, body func(*experiments.Suite) error) (err error) {
 	scale, err := experiments.ParseScale(f.scale)
 	if err != nil {
@@ -184,7 +186,7 @@ func (f *suiteFlags) withSuite(stderr io.Writer, body func(*experiments.Suite) e
 	if f.metricsOut != "" {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
-	stop, err := startProfiling(f.cpuProfile, f.memProfile)
+	stop, err := startCPUProfile(f.cpuProfile)
 	if err != nil {
 		return err
 	}
@@ -201,6 +203,10 @@ func (f *suiteFlags) withSuite(stderr io.Writer, body func(*experiments.Suite) e
 		return err
 	}
 	err = body(suite)
+	if f.memProfile != "" {
+		err = errors.Join(err, writeFile(f.memProfile, writeHeapProfile))
+	}
+	runtime.KeepAlive(suite)
 	if f.metricsOut != "" {
 		err = errors.Join(err, writeFile(f.metricsOut, cfg.Telemetry.WritePrometheus))
 	}
@@ -247,32 +253,28 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// startProfiling starts a CPU profile and arranges a heap profile snapshot,
-// as requested; the returned stop function finalizes both.
-func startProfiling(cpuPath, memPath string) (stop func() error, err error) {
-	var cpu *os.File
-	if cpuPath != "" {
-		if cpu, err = create(cpuPath); err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close()
-			return nil, err
-		}
+// startCPUProfile starts a CPU profile, if path is set; the returned stop
+// function finalizes it.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	cpu, err := create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(cpu); err != nil {
+		cpu.Close()
+		return nil, err
 	}
 	return func() error {
-		if cpu != nil {
-			pprof.StopCPUProfile()
-			if err := cpu.Close(); err != nil {
-				return err
-			}
-		}
-		if memPath == "" {
-			return nil
-		}
-		return writeFile(memPath, func(w io.Writer) error {
-			runtime.GC() // flush unreachable objects so the profile shows live heap
-			return pprof.WriteHeapProfile(w)
-		})
+		pprof.StopCPUProfile()
+		return cpu.Close()
 	}, nil
+}
+
+// writeHeapProfile writes a heap profile of the live heap to w.
+func writeHeapProfile(w io.Writer) error {
+	runtime.GC() // flush unreachable objects so the profile shows live heap
+	return pprof.WriteHeapProfile(w)
 }

@@ -154,37 +154,33 @@ func (c *Cache) Fill(b arch.BlockAddr) (Eviction, bool) {
 	c.tick++
 	c.Stats.Fills++
 	set := c.set(b)
-	victim := 0
+	// One pass finds a resident copy, the first invalid way (preferred
+	// outright) and the least recently used valid way.
+	invalid, lru := -1, -1
 	for i := range set {
-		if set[i].valid && set[i].tag == b {
+		switch {
+		case !set[i].valid:
+			if invalid < 0 {
+				invalid = i
+			}
+		case set[i].tag == b:
 			set[i].lastUse = c.tick
 			return Eviction{}, false
-		}
-		if !set[i].valid {
-			victim = i
-		} else if set[victim].valid && set[i].lastUse < set[victim].lastUse {
-			victim = i
+		case lru < 0 || set[i].lastUse < set[lru].lastUse:
+			lru = i
 		}
 	}
-	// Prefer an invalid way outright.
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
+	if invalid >= 0 {
+		set[invalid] = line{tag: b, valid: true, lastUse: c.tick}
+		return Eviction{}, false
 	}
-	var ev Eviction
-	had := false
-	if set[victim].valid {
-		ev = Eviction{Block: set[victim].tag, Dirty: set[victim].dirty}
-		had = true
-		c.Stats.Evictions++
-		if ev.Dirty {
-			c.Stats.DirtyEvictions++
-		}
+	ev := Eviction{Block: set[lru].tag, Dirty: set[lru].dirty}
+	c.Stats.Evictions++
+	if ev.Dirty {
+		c.Stats.DirtyEvictions++
 	}
-	set[victim] = line{tag: b, valid: true, lastUse: c.tick}
-	return ev, had
+	set[lru] = line{tag: b, valid: true, lastUse: c.tick}
+	return ev, true
 }
 
 // InvalidateAll flushes every line — the L1 behaviour at kernel boundaries.

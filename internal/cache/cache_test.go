@@ -217,21 +217,24 @@ func TestMSHRMergeAndComplete(t *testing.T) {
 	if got := m.Allocate(30, 4); got != MSHRFull {
 		t.Fatalf("over capacity = %v, want full", got)
 	}
-	if !m.Pending(10) || m.InUse() != 2 {
-		t.Fatal("pending state wrong")
+	if m.InUse() != 2 {
+		t.Fatalf("InUse = %d, want 2", m.InUse())
 	}
 	waiters := m.Complete(10)
 	if len(waiters) != 2 || waiters[0] != 1 || waiters[1] != 2 {
 		t.Fatalf("Complete = %v, want [1 2]", waiters)
 	}
-	if m.Pending(10) {
-		t.Fatal("block still pending after Complete")
+	if m.InUse() != 1 {
+		t.Fatalf("InUse after Complete = %d, want 1", m.InUse())
 	}
 	if got := m.Allocate(30, 4); got != MSHRNew {
 		t.Fatalf("allocate after free = %v, want new", got)
 	}
 	if m.Complete(99) != nil {
 		t.Fatal("completing unknown block returned waiters")
+	}
+	if m.Complete(10) != nil {
+		t.Fatal("completing a released block returned waiters")
 	}
 }
 

@@ -14,33 +14,46 @@ import (
 //
 // The table is generic over its waiter payload so consumers attach whatever
 // they need to a miss without an indirection table: the timing engine stores
-// generation-tagged copy-group references directly. Entries live in a fixed
-// slot array sized to the capacity and are found by linear scan — at
-// hardware-realistic capacities (tens of entries) that is faster than a map
-// and, together with per-slot waiter slices that are recycled in place,
-// keeps the steady state allocation-free.
+// generation-tagged copy-group references directly, and SM ids for the L2
+// banks' in-flight fills. The live entries' block tags are packed at the
+// front of one array, so a lookup scans only live 8-byte tags, with no
+// validity flag to test — at hardware-realistic capacities (tens of entries)
+// that is faster than a map. Each entry's waiter list sits at the same index
+// of a parallel array; the lists past the live entries are the free slots,
+// the most recently freed first, and are recycled in place, which keeps the
+// steady state allocation-free.
 type MSHR[T any] struct {
-	slots []mshrSlot[T]
-	inUse int
+	// tags holds the live entries' blocks: entry i waits on tags[i].
+	tags []arch.BlockAddr
+	// waiters[i] lists entry i's waiters in allocation order; the lists at
+	// len(tags) and beyond belong to no entry.
+	waiters  [][]T
+	capacity int
 }
 
-type mshrSlot[T any] struct {
-	block   arch.BlockAddr
-	valid   bool
-	waiters []T
-}
+// The waiter lists NewMSHR pre-sizes: one list of waitersPresize waiters
+// for each of the first presizeEntries entries. A list of an L2 bank's
+// fill table never grows past its pre-size, since each SM waits on a fill
+// at most once (Table I has 15 SMs). A table only grows past them — a
+// list on deeper merging, the table on more outstanding entries — and
+// then keeps its high-water capacity.
+const (
+	waitersPresize = 16
+	presizeEntries = 64
+)
 
 // NewMSHR builds a table with the given entry budget.
 func NewMSHR[T any](capacity int) (*MSHR[T], error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("cache: MSHR capacity must be positive, got %d", capacity)
 	}
-	m := &MSHR[T]{slots: make([]mshrSlot[T], capacity)}
-	for i := range m.slots {
-		// Pre-size the waiter lists so steady-state Allocate calls never
-		// touch the heap; a slot only grows past this on deep merging and
-		// then keeps its high-water capacity.
-		m.slots[i].waiters = make([]T, 0, 8)
+	n := min(capacity, presizeEntries)
+	m := &MSHR[T]{tags: make([]arch.BlockAddr, 0, n), waiters: make([][]T, n), capacity: capacity}
+	// Pre-size the waiter lists, from one backing array, so steady-state
+	// Allocate calls never touch the heap.
+	backing := make([]T, n*waitersPresize)
+	for i := range m.waiters {
+		m.waiters[i] = backing[i*waitersPresize : i*waitersPresize : (i+1)*waitersPresize]
 	}
 	return m, nil
 }
@@ -78,26 +91,21 @@ func (o MSHROutcome) String() string {
 
 // Allocate registers payload as waiting on block b.
 func (m *MSHR[T]) Allocate(b arch.BlockAddr, payload T) MSHROutcome {
-	free := -1
-	for i := range m.slots {
-		s := &m.slots[i]
-		if s.valid {
-			if s.block == b {
-				s.waiters = append(s.waiters, payload)
-				return MSHRMerged
-			}
-		} else if free == -1 {
-			free = i
+	for i, tag := range m.tags {
+		if tag == b {
+			m.waiters[i] = append(m.waiters[i], payload)
+			return MSHRMerged
 		}
 	}
-	if free == -1 {
+	n := len(m.tags)
+	if n == m.capacity {
 		return MSHRFull
 	}
-	s := &m.slots[free]
-	s.block = b
-	s.valid = true
-	s.waiters = append(s.waiters[:0], payload)
-	m.inUse++
+	if n == len(m.waiters) {
+		m.waiters = append(m.waiters, make([]T, 0, waitersPresize))
+	}
+	m.tags = append(m.tags, b)
+	m.waiters[n] = append(m.waiters[n][:0], payload)
 	return MSHRNew
 }
 
@@ -106,38 +114,25 @@ func (m *MSHR[T]) Allocate(b arch.BlockAddr, payload T) MSHROutcome {
 // slice aliases the freed slot's storage: it is valid until a subsequent
 // Allocate reuses the slot, so callers must consume it before allocating.
 func (m *MSHR[T]) Complete(b arch.BlockAddr) []T {
-	for i := range m.slots {
-		s := &m.slots[i]
-		if s.valid && s.block == b {
-			s.valid = false
-			m.inUse--
-			return s.waiters
+	for i, tag := range m.tags {
+		if tag == b {
+			// The last live entry takes the freed place, and the freed
+			// list becomes the first free slot.
+			last := len(m.tags) - 1
+			m.tags[i] = m.tags[last]
+			m.tags = m.tags[:last]
+			m.waiters[i], m.waiters[last] = m.waiters[last], m.waiters[i]
+			return m.waiters[last]
 		}
 	}
 	return nil
 }
 
-// Pending reports whether block b has an outstanding fill.
-func (m *MSHR[T]) Pending(b arch.BlockAddr) bool {
-	for i := range m.slots {
-		if m.slots[i].valid && m.slots[i].block == b {
-			return true
-		}
-	}
-	return false
-}
-
 // InUse returns the number of occupied entries.
-func (m *MSHR[T]) InUse() int { return m.inUse }
+func (m *MSHR[T]) InUse() int { return len(m.tags) }
 
 // Capacity returns the entry budget.
-func (m *MSHR[T]) Capacity() int { return len(m.slots) }
+func (m *MSHR[T]) Capacity() int { return m.capacity }
 
-// Reset drops every entry, keeping the waiter slices for reuse.
-func (m *MSHR[T]) Reset() {
-	for i := range m.slots {
-		m.slots[i].valid = false
-		m.slots[i].waiters = m.slots[i].waiters[:0]
-	}
-	m.inUse = 0
-}
+// Reset drops every entry, keeping the waiter lists for reuse.
+func (m *MSHR[T]) Reset() { m.tags = m.tags[:0] }

@@ -108,7 +108,7 @@ func TestArtifactParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshExposure, err := replayExposure(cp1.App.Name, cp1.Plan, traces)
+	freshExposure, err := replayExposure(cp1.App, cp1.Plan, traces)
 	if err != nil {
 		t.Fatal(err)
 	}

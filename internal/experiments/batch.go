@@ -70,8 +70,11 @@ import (
 type batchLane struct {
 	idx int // claim-relative run index
 	laneKit
-	drv *simt.Driver
-	err error
+	// copied0 is the fork's CopiedBlocks when the kit was drawn, so the
+	// lane's copy count includes what injection materializes.
+	copied0 uint64
+	drv     *simt.Driver
+	err     error
 	// rp is the lane's reusable replay state, rebound per executed warp.
 	rp simt.LaneReplay
 }
@@ -132,6 +135,7 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 	for i, rng := range rngs {
 		kit := cp.getKit()
 		f := kit.fork
+		copied0 := f.CopiedBlocks()
 		inj, err := fault.Inject(f, rng, model, sel, &env)
 		if err != nil {
 			cp.kits.put(kit)
@@ -160,7 +164,7 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 		// materialized (conservative), and each stuck-at or burst overlay
 		// word — a replica's through primary, as the word or block of the
 		// protected object the scheme reads it with (see primary below).
-		ln := &batchLane{idx: i, laneKit: kit}
+		ln := &batchLane{idx: i, laneKit: kit, copied0: copied0}
 		scratch = f.DirtyBlockList(scratch[:0])
 		for _, b := range scratch {
 			ln.dirty.AddBlock(primary(b.Base()).Block())
@@ -183,10 +187,6 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 		return outs, nil
 	}
 
-	copiedBefore := make([]uint64, len(lanes))
-	for li, ln := range lanes {
-		copiedBefore[li] = ln.fork.CopiedBlocks()
-	}
 	classifier := cp.classifier
 	if cp.capture != nil {
 		img = cp.suite.claimImage(cp.App.Mem)
@@ -213,8 +213,8 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 		cp.tele.runs.Add(uint64(len(lanes)))
 		cp.tele.batchRuns.Add(uint64(len(lanes)))
 		var copies uint64
-		for li, ln := range lanes {
-			copies += ln.fork.CopiedBlocks() - copiedBefore[li]
+		for _, ln := range lanes {
+			copies += ln.fork.CopiedBlocks() - ln.copied0
 		}
 		cp.tele.copies.Add(copies)
 	}

@@ -260,7 +260,7 @@ func (cp *Checkpoint) ensureExposure() error {
 				if err != nil {
 					return exposureArtifact{}, err
 				}
-				return replayExposure(cp.App.Name, cp.Plan, traces)
+				return replayExposure(cp.App, cp.Plan, traces)
 			})
 		if err != nil {
 			cp.exposureErr = err

@@ -88,7 +88,7 @@ func MissWeightedSelector(app *kernels.App, plan *core.Plan, _ int) (fault.Selec
 	if err != nil {
 		return nil, err
 	}
-	art, err := replayExposure(app.Name, plan, traces)
+	art, err := replayExposure(app, plan, traces)
 	if err != nil {
 		return nil, err
 	}
@@ -100,38 +100,28 @@ func MissWeightedSelector(app *kernels.App, plan *core.Plan, _ int) (fault.Selec
 // replay per protection configuration whose L1 misses weight Fig. 9's
 // block selection and whose store commits decide the transient model's
 // overwrite masking — both questions about the L2/DRAM fault domain the
-// scaled hierarchy exposes data to. Blocks come out in ascending order:
-// map order would make seeded campaigns irreproducible.
-func replayExposure(app string, plan *core.Plan, traces []*simt.KernelTrace) (exposureArtifact, error) {
+// scaled hierarchy exposes data to. The log is sized to the instance's
+// memory, replicas included, and lists blocks in ascending order, so
+// seeded campaigns are reproducible.
+func replayExposure(app *kernels.App, plan *core.Plan, traces []*simt.KernelTrace) (exposureArtifact, error) {
 	eng, err := timing.New(weightConfig(), enginePlan(plan))
 	if err != nil {
 		return exposureArtifact{}, err
 	}
-	log := timing.NewBlockLog()
+	log := timing.NewBlockLog(app.Mem.TotalBlocks())
 	eng.Blocks = log
-	stats, err := eng.RunApp(app, traces)
+	stats, err := eng.RunApp(app.Name, traces)
 	if err != nil {
 		return exposureArtifact{}, err
 	}
-	art := exposureArtifact{Blocks: sortedBlocks(log.Misses), TotalCycles: max(stats.TotalCycles(), 1),
-		StoreBlocks: sortedBlocks(log.LastStore)}
-	for _, b := range art.Blocks {
-		art.Weights = append(art.Weights, float64(log.Misses[b]))
+	blocks, misses := log.Misses()
+	art := exposureArtifact{Blocks: blocks, Weights: make([]float64, len(misses)),
+		TotalCycles: max(stats.TotalCycles(), 1)}
+	for i, n := range misses {
+		art.Weights[i] = float64(n)
 	}
-	for _, b := range art.StoreBlocks {
-		art.StoreCycles = append(art.StoreCycles, log.LastStore[b])
-	}
+	art.StoreBlocks, art.StoreCycles = log.Stores()
 	return art, nil
-}
-
-// sortedBlocks returns a block map's keys in ascending order.
-func sortedBlocks[V any](m map[arch.BlockAddr]V) []arch.BlockAddr {
-	blocks := make([]arch.BlockAddr, 0, len(m))
-	for b := range m {
-		blocks = append(blocks, b)
-	}
-	slices.Sort(blocks)
-	return blocks
 }
 
 // fig9Resilience is Fig9Resilience's compute path (store miss): inject

@@ -78,7 +78,7 @@ func TestMissWeightsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			art, err := replayExposure(cp.App.Name, cp.Plan, traces)
+			art, err := replayExposure(cp.App, cp.Plan, traces)
 			if err != nil {
 				t.Fatalf("%s %v L%d: %v", name, scheme, level, err)
 			}

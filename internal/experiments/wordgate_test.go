@@ -198,9 +198,9 @@ func warpReadsWord(bufs []*mem.Buffer, wc *simt.WarpCapture, words []arch.Addr) 
 
 // runWordGate classifies one run under model through the batched path and
 // returns its verdict, the warps the replay executed and reproduced, and
-// the blocks the lane's fork copied during the replay (injection-time
-// copies, such as a transient flip's block, precede the count). The
-// verdict must match the clone-per-run oracle's.
+// the blocks the lane's fork copied, from injection on: a transient
+// flip's block counts too. The verdict must match the clone-per-run
+// oracle's.
 func runWordGate(t *testing.T, cp *Checkpoint, model fault.Model) (out fault.Outcome, replayed, applied, copies float64) {
 	t.Helper()
 	sel := wholeImageSelector(t, cp)
@@ -259,11 +259,12 @@ func TestBatchedWordGateCleanWords(t *testing.T) {
 }
 
 // TestBatchedWordGateCopiesOnlyWrittenBlocks: a lane's fork copies only
-// the blocks the warps it executes write; every other block the golden run
-// writes it reads from the claim's shared image. A stuck pixel makes the
-// few warps whose stencil reads it execute, and a flip of the same word
-// also the other readers of its block (the flipped block itself is copied
-// at injection).
+// the blocks injection writes and the blocks the warps it executes write;
+// every other block the golden run writes it reads from the claim's shared
+// image. A stuck pixel makes the few warps whose stencil reads it execute
+// and copies nothing at injection (the overlay is not a write); a flip of
+// the same word also makes the other readers of its block execute, and
+// its block is copied at injection.
 func TestBatchedWordGateCopiesOnlyWrittenBlocks(t *testing.T) {
 	cp := wordGateCheckpoint(t, "A-Meanfilter", core.None)
 	img, ok := cp.App.Mem.BufferByName("Image")
@@ -277,12 +278,13 @@ func TestBatchedWordGateCopiesOnlyWrittenBlocks(t *testing.T) {
 	}
 	golden := cp.classifier.GoldenPost.DirtyBlocks()
 	for _, tc := range []struct {
-		name  string
-		model fault.Model
-		r     wordReaders
+		name     string
+		model    fault.Model
+		r        wordReaders
+		injected int // blocks injection copies
 	}{
-		{"stuck", fixedStuck{{addr: addr, mask: zeroBits(cp.App.Mem.ReadWord(addr), 3), high: true}}, readersOf(cp, addr)},
-		{"flip", fixedFlips{{addr: addr, mask: 0b111}}, readersOf(cp, blockWords...)},
+		{"stuck", fixedStuck{{addr: addr, mask: zeroBits(cp.App.Mem.ReadWord(addr), 3), high: true}}, readersOf(cp, addr), 0},
+		{"flip", fixedFlips{{addr: addr, mask: 0b111}}, readersOf(cp, blockWords...), 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.r.words == 0 || tc.r.stored >= golden {
@@ -292,9 +294,9 @@ func TestBatchedWordGateCopiesOnlyWrittenBlocks(t *testing.T) {
 			if replayed != float64(tc.r.words) {
 				t.Fatalf("replayed %v warps, want the %d readers", replayed, tc.r.words)
 			}
-			if copies != float64(tc.r.stored) {
-				t.Errorf("fork copied %v blocks, want the %d its %d executed warps write (the golden run writes %d)",
-					copies, tc.r.stored, tc.r.words, golden)
+			if want := tc.r.stored + tc.injected; copies != float64(want) {
+				t.Errorf("fork copied %v blocks, want %d: the %d injection writes and the %d its %d executed warps write (the golden run writes %d)",
+					copies, want, tc.injected, tc.r.stored, tc.r.words, golden)
 			}
 		})
 	}

@@ -148,20 +148,20 @@ func New(cfg arch.Config, plan ProtectionPlan) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("timing: DRAM channel %d: %w", ch, err)
 		}
-		c := &chanState{
+		fills, err := cache.NewMSHR[int32](cfg.NumSMs * cfg.L1MSHRs)
+		if err != nil {
+			return nil, fmt.Errorf("timing: L2 bank %d: %w", ch, err)
+		}
+		e.chans = append(e.chans, &chanState{
 			id:      int32(ch),
 			l2:      l2,
+			fills:   fills,
 			dram:    ctl,
 			ingress: nocPort{latency: rest},
 			egress:  nocPort{latency: half},
 			pumpAt:  -1,
 			scratch: make([]dram.Completion, 0, 64),
-		}
-		c.waitSlots = make([]l2waitSlot, 0, 64)
-		for i := 0; i < 64; i++ {
-			c.waitSlots = append(c.waitSlots, l2waitSlot{sms: make([]int32, 0, 16)})
-		}
-		e.chans = append(e.chans, c)
+		})
 	}
 	for i := 0; i < cfg.NumSMs; i++ {
 		l1, err := cache.New(cfg.L1)
@@ -264,6 +264,7 @@ func (e *Engine) resetForKernel(tr *simt.KernelTrace) {
 		s.lastIssued = -1
 		s.portFreeAt = e.now
 		s.compareInUse = 0
+		s.parked = 0
 		s.residentCTAs = 0
 		s.stepScheduledAt = -1
 		s.instructions = 0
@@ -295,18 +296,66 @@ func (e *Engine) collectStats(kernel string, cycles int64) KernelStats {
 
 // BlockLog records, per block and across every kernel the engine runs,
 // the replay's two exposures to the L2/DRAM fault domain that fault
-// injection reads.
+// injection reads. Both are dense per-block slices indexed by block
+// address, so recording an exposure is one indexed update; NewBlockLog
+// sizes them once for the replayed address space.
 type BlockLog struct {
-	// Misses counts each block's L1 misses, replica copies included.
-	Misses map[arch.BlockAddr]uint64
-	// LastStore holds each stored-to block's last port-serialized L2-bank
-	// commit cycle. A commit at cycle 0 leaves no entry.
-	LastStore map[arch.BlockAddr]int64
+	// misses counts each block's L1 misses, replica copies included.
+	misses []uint64
+	// lastStore holds each stored-to block's last port-serialized L2-bank
+	// commit cycle; 0 means none, so a commit at cycle 0 records nothing.
+	lastStore []int64
 }
 
-// NewBlockLog returns an empty log.
-func NewBlockLog() *BlockLog {
-	return &BlockLog{Misses: make(map[arch.BlockAddr]uint64), LastStore: make(map[arch.BlockAddr]int64)}
+// NewBlockLog returns an empty log for the blocks [0, blocks): every block
+// the replays it observes touch, replicas included.
+func NewBlockLog(blocks int) *BlockLog {
+	return &BlockLog{misses: make([]uint64, blocks), lastStore: make([]int64, blocks)}
+}
+
+// miss records one L1 miss of block b.
+func (l *BlockLog) miss(b arch.BlockAddr) { l.misses[b]++ }
+
+// store records a store commit of block b at cycle at.
+func (l *BlockLog) store(b arch.BlockAddr, at int64) {
+	if at > l.lastStore[b] {
+		l.lastStore[b] = at
+	}
+}
+
+// Misses returns every block with at least one L1 miss, in ascending
+// order, and each one's miss count.
+func (l *BlockLog) Misses() (blocks []arch.BlockAddr, counts []uint64) {
+	return nonZero(l.misses)
+}
+
+// Stores returns every block with a store committed after cycle 0, in
+// ascending order, and each one's last commit cycle.
+func (l *BlockLog) Stores() (blocks []arch.BlockAddr, cycles []int64) {
+	return nonZero(l.lastStore)
+}
+
+// nonZero lists the indices of dense's non-zero entries, ascending, with
+// their values, in slices of exactly that length: the exposure artifact
+// keeps them for the checkpoint's lifetime.
+func nonZero[T uint64 | int64](dense []T) ([]arch.BlockAddr, []T) {
+	n := 0
+	for _, v := range dense {
+		if v != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	blocks, vals := make([]arch.BlockAddr, 0, n), make([]T, 0, n)
+	for b, v := range dense {
+		if v != 0 {
+			blocks = append(blocks, arch.BlockAddr(b))
+			vals = append(vals, v)
+		}
+	}
+	return blocks, vals
 }
 
 // ctaLiveCount returns how many of a CTA's warps carry a non-empty trace —

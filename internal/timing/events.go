@@ -36,7 +36,14 @@
 // ordered heap even when one cycle's events are split across the tiers
 // (scheduled into the heap while far ahead, into the wheel once near). The
 // base advances with every pop, and an empty wheel re-bases at the current
-// cycle, so work resumed after an idle gap lands in the wheel again.
+// cycle, so work resumed after an idle gap lands in the wheel again. The
+// window loop pops through popBefore, which searches the occupancy bitmap
+// once per event and copies the event once, into the loop's variable.
+//
+// Outstanding misses — each SM's L1 misses and each L2 bank's in-flight
+// DRAM fills — live in packed tag tables (cache.MSHR): a lookup scans
+// only the live entries' 8-byte block tags, and freed waiter lists are
+// reused in place.
 //
 // # Replay windows
 //
@@ -56,8 +63,10 @@
 // One observation point connects the engine to the fault models in
 // internal/fault. Engine.Blocks, a BlockLog, records per block the L1
 // misses (replica copies included) and the last store's L2-bank commit
-// cycle. One instrumented replay of a protection configuration yields
-// both: the miss histogram weights Fig. 9's block selection, and the
+// cycle, in two dense per-block slices sized once per replay; its
+// accessors list the touched blocks in ascending order. One instrumented
+// replay of a protection configuration yields both: the miss histogram
+// weights Fig. 9's block selection, and the
 // store-commit timeline (fault.Timeline) lets the transient-SEU model
 // decide, at injection time, whether a later store overwrites an injected
 // flip. The flip itself is applied to the functional memory image, never
@@ -201,8 +210,8 @@ func (s *scheduler) empty() bool { return s.pending() == 0 }
 func (s *scheduler) pending() int { return s.inWheel + len(s.heap) }
 
 // nextAt returns the cycle of the earliest pending event, or noEvent when
-// the scheduler is empty. The windowed replay loop peeks it to decide
-// whether the next event still falls inside the current window.
+// the scheduler is empty. The windowed replay loop peeks it to place the
+// next non-empty window.
 func (s *scheduler) nextAt() int64 {
 	next := int64(noEvent)
 	if s.inWheel > 0 {
@@ -225,14 +234,21 @@ func (s *scheduler) reset() {
 	s.seq = 0
 }
 
-// pop removes and returns the globally earliest event under (at, seq):
-// the wheel's head or the heap's top, whichever orders first.
-func (s *scheduler) pop() event {
+// popBefore moves the globally earliest event under (at, seq) — the
+// wheel's head or the heap's top, whichever orders first — into *ev and
+// reports true, if that event is due before end. Otherwise it leaves the
+// scheduler untouched and reports false. It finds the wheel's first
+// bucket once per call, and the event is copied once, straight into the
+// caller's variable.
+func (s *scheduler) popBefore(end int64, ev *event) bool {
 	if s.inWheel > 0 {
 		b := s.firstBucket()
 		i := s.head[b]
-		if len(s.heap) == 0 || before(&s.slab[i].ev, &s.heap[0]) {
-			ev := s.slab[i].ev
+		if head := &s.slab[i].ev; len(s.heap) == 0 || before(head, &s.heap[0]) {
+			if head.at >= end {
+				return false
+			}
+			*ev = *head
 			if i == s.tail[b] {
 				s.occ[b>>6] &^= 1 << (b & 63)
 			} else {
@@ -241,15 +257,18 @@ func (s *scheduler) pop() event {
 			s.free = append(s.free, i)
 			s.inWheel--
 			s.base = ev.at
-			return ev
+			return true
 		}
 	}
-	ev := s.popHeap()
+	if len(s.heap) == 0 || s.heap[0].at >= end {
+		return false
+	}
+	s.popHeap(ev)
 	// Every wheel event orders after ev, so the base may advance to it.
 	if ev.at > s.base {
 		s.base = ev.at
 	}
-	return ev
+	return true
 }
 
 // pushWheel appends ev to its cycle's bucket.
@@ -307,15 +326,15 @@ func (s *scheduler) pushHeap(ev event) {
 	}
 }
 
-func (s *scheduler) popHeap() event {
-	top := s.heap[0]
+// popHeap moves the heap's top into *ev. The heap must be non-empty.
+func (s *scheduler) popHeap(ev *event) {
+	*ev = s.heap[0]
 	n := len(s.heap) - 1
 	s.heap[0] = s.heap[n]
 	s.heap = s.heap[:n]
 	if n > 1 {
 		s.siftDown(0)
 	}
-	return top
 }
 
 func (s *scheduler) siftDown(i int) {

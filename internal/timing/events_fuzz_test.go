@@ -15,7 +15,9 @@ import (
 //	1  schedule far: distance = (b0 | b1<<8) % (4*wheelSpan + 1)
 //	2  schedule at a recently scheduled cycle (or now, if later); one
 //	   cycle can land first in the overflow heap and later in the wheel
-//	3  pop 1 + b%8 events
+//	3  pop up to 1 + b%8 events, each through popBefore with the bound
+//	   now + 16·(b>>3), or no bound when b>>3 is 0; a refused pop ends
+//	   the op
 //	4  idle gap: drain everything, then resume wheelSpan·(1+b) cycles later
 //
 // Every pop must match the reference's (id, at, seq), time must never run
@@ -52,8 +54,18 @@ func FuzzScheduler(f *testing.F) {
 			}
 			recent = append(recent, at)
 		}
-		popOne := func() {
-			got, want := s.pop(), ref.pop()
+		// popOne pops through popBefore(end) and reports whether an event
+		// was due before end.
+		popOne := func(end int64) bool {
+			var got event
+			ok := s.popBefore(end, &got)
+			want, wantOK := ref.popBefore(end)
+			if ok != wantOK {
+				t.Fatalf("popBefore(%d) reported %v, reference %v", end, ok, wantOK)
+			}
+			if !ok {
+				return false
+			}
 			if got.blk != want.blk || got.at != want.at || got.seq != want.seq {
 				t.Fatalf("popped (id %d, at %d, seq %d), reference (id %d, at %d, seq %d)",
 					got.blk, got.at, got.seq, want.blk, want.at, want.seq)
@@ -62,6 +74,7 @@ func FuzzScheduler(f *testing.F) {
 				t.Fatalf("time ran backwards: %d < %d", got.at, now)
 			}
 			now = got.at
+			return true
 		}
 		for len(prog) > 0 {
 			op := prog[0] % 5
@@ -79,12 +92,18 @@ func FuzzScheduler(f *testing.F) {
 				}
 				add(at)
 			case 3:
-				for n := 1 + operand()%8; n > 0 && !s.empty(); n-- {
-					popOne()
+				b := operand()
+				end := int64(noEvent)
+				if b>>3 != 0 {
+					end = now + 16*(b>>3)
+				}
+				for n := 1 + b%8; n > 0; n-- {
+					if !popOne(end) {
+						break
+					}
 				}
 			case 4:
-				for !s.empty() {
-					popOne()
+				for popOne(noEvent) {
 				}
 				now += wheelSpan * (1 + operand())
 			}
@@ -92,10 +111,9 @@ func FuzzScheduler(f *testing.F) {
 				t.Fatalf("scheduler holds %d events, reference %d", s.pending(), len(ref.evs))
 			}
 		}
-		for !s.empty() {
-			popOne()
+		for popOne(noEvent) {
 		}
-		if len(ref.evs) != 0 {
+		if len(ref.evs) != 0 || !s.empty() {
 			t.Fatalf("scheduler empty but reference holds %d events", len(ref.evs))
 		}
 	})

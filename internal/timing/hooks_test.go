@@ -1,6 +1,8 @@
 package timing
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
@@ -21,24 +23,19 @@ func TestBlockLogObservesStoreCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Blocks = NewBlockLog()
+	e.Blocks = NewBlockLog(128)
 	ks, err := e.RunKernel(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := e.Blocks.LastStore
-	for _, blk := range []arch.BlockAddr{100, 101} {
-		at, ok := last[blk]
-		if !ok {
-			t.Errorf("store to block %d never observed", blk)
-			continue
-		}
-		if at <= 0 || at > ks.Cycles {
-			t.Errorf("block %d store commit at %d, outside the %d-cycle replay", blk, at, ks.Cycles)
-		}
+	blocks, cycles := e.Blocks.Stores()
+	if !slices.Equal(blocks, []arch.BlockAddr{100, 101}) {
+		t.Fatalf("observed stores to blocks %v, want [100 101]", blocks)
 	}
-	if len(last) != 2 {
-		t.Errorf("observed stores to %d blocks, want 2", len(last))
+	for i, at := range cycles {
+		if at <= 0 || at > ks.Cycles {
+			t.Errorf("block %d store commit at %d, outside the %d-cycle replay", blocks[i], at, ks.Cycles)
+		}
 	}
 }
 
@@ -57,7 +54,7 @@ func TestBlockLogIsObservationOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Blocks = NewBlockLog()
+	e.Blocks = NewBlockLog(128)
 	logged, err := e.RunKernel(mk())
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +62,57 @@ func TestBlockLogIsObservationOnly(t *testing.T) {
 	if bare != logged {
 		t.Errorf("BlockLog changed replay stats:\nbare:   %+v\nlogged: %+v", bare, logged)
 	}
-	if len(e.Blocks.Misses) == 0 || len(e.Blocks.LastStore) == 0 {
-		t.Errorf("log recorded %d missed and %d stored blocks, want both non-zero",
-			len(e.Blocks.Misses), len(e.Blocks.LastStore))
+	missed, _ := e.Blocks.Misses()
+	stored, _ := e.Blocks.Stores()
+	if len(missed) == 0 || len(stored) == 0 {
+		t.Errorf("log recorded %d missed and %d stored blocks, want both non-zero", len(missed), len(stored))
+	}
+}
+
+// TestBlockLogDenseMatchesMaps: the dense log lists exactly what per-block
+// maps would hold — blocks ascending, zero counts and cycle-0 commits left
+// out.
+func TestBlockLogDenseMatchesMaps(t *testing.T) {
+	const size = 1 << 10
+	rng := rand.New(rand.NewSource(3))
+	l := NewBlockLog(size)
+	misses := map[arch.BlockAddr]uint64{}
+	last := map[arch.BlockAddr]int64{}
+	for i := 0; i < 2000; i++ {
+		b := arch.BlockAddr(rng.Intn(size))
+		if rng.Intn(2) == 0 {
+			l.miss(b)
+			misses[b]++
+			continue
+		}
+		at := int64(rng.Intn(50))
+		l.store(b, at)
+		if at > last[b] {
+			last[b] = at
+		}
+	}
+	blocks, counts := l.Misses()
+	checkDense(t, "misses", blocks, counts, misses)
+	blocks, cycles := l.Stores()
+	checkDense(t, "stores", blocks, cycles, last)
+}
+
+// checkDense compares an accessor's ascending lists with a reference map.
+func checkDense[T uint64 | int64](t *testing.T, what string, blocks []arch.BlockAddr, vals []T, ref map[arch.BlockAddr]T) {
+	t.Helper()
+	want := make([]arch.BlockAddr, 0, len(ref))
+	for b, v := range ref {
+		if v != 0 {
+			want = append(want, b)
+		}
+	}
+	slices.Sort(want)
+	if !slices.Equal(blocks, want) || len(vals) != len(blocks) {
+		t.Fatalf("%s: blocks %v (%d values), want %v", what, blocks, len(vals), want)
+	}
+	for i, b := range blocks {
+		if vals[i] != ref[b] {
+			t.Fatalf("%s: block %d holds %d, want %d", what, b, vals[i], ref[b])
+		}
 	}
 }

@@ -2,6 +2,7 @@ package timing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
@@ -93,16 +94,16 @@ func TestBlockLogCountsMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Blocks = NewBlockLog()
+	e.Blocks = NewBlockLog(2048)
 	if _, err := e.RunKernel(tr); err != nil {
 		t.Fatal(err)
 	}
-	hist := e.Blocks.Misses
-	if len(hist) != 2 || hist[100] != 2 || hist[1100] != 2 {
-		t.Errorf("histogram = %v, want two misses each for 100 and its replica 1100", hist)
+	blocks, counts := e.Blocks.Misses()
+	if !slices.Equal(blocks, []arch.BlockAddr{100, 1100}) || !slices.Equal(counts, []uint64{2, 2}) {
+		t.Errorf("histogram = %v %v, want two misses each for 100 and its replica 1100", blocks, counts)
 	}
-	if len(e.Blocks.LastStore) != 0 {
-		t.Errorf("store timeline = %v for a trace without stores", e.Blocks.LastStore)
+	if stored, _ := e.Blocks.Stores(); len(stored) != 0 {
+		t.Errorf("store timeline = %v for a trace without stores", stored)
 	}
 
 	off, err := New(arch.Default(), plan)

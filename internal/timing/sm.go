@@ -8,11 +8,11 @@ import (
 // warpState tracks one resident warp's progress through its trace.
 type warpState struct {
 	trace        []simt.Instr
-	pc           int   // next instruction index
-	txIndex      int   // resume point within a partially issued memory instr
-	pendingLoads int   // loads issued but not yet complete
-	readyAt      int64 // earliest cycle the warp may issue again
-	age          uint64
+	pc           int     // next instruction index
+	txIndex      int     // resume point within a partially issued memory instr
+	pendingLoads int     // loads issued but not yet complete
+	readyAt      int64   // earliest cycle the warp may issue again
+	age          uint64  // install order on the SM; smState.warps is sorted by it
 	cta          int     // CTA slot the warp belongs to (engine-level id)
 	curLoad      *loadOp // in-flight load op while a load is partially issued
 	retired      bool
@@ -110,10 +110,15 @@ type smState struct {
 	inject nocPort
 	eject  nocPort
 
+	// warps holds the resident warps in age order: installCTA appends them
+	// as it numbers them and warpRetired filters in place.
 	warps        []*warpState
 	lastIssued   int // index into warps, -1 initially
 	portFreeAt   int64
 	compareInUse int
+	// parked counts the warps parked on a structural stall (stallRetry)
+	// since the last wakeSM, which unparks them all.
+	parked       int
 	residentCTAs int
 	ageCounter   uint64
 
@@ -145,20 +150,14 @@ func (s *smState) pickWarp(t int64) *warpState {
 				return w
 			}
 		}
-		var best *warpState
-		bestIdx := -1
+		// The warps are in age order, so the first ready one is the oldest.
 		for i, w := range s.warps {
-			if !w.ready(t) {
-				continue
-			}
-			if best == nil || w.age < best.age {
-				best, bestIdx = w, i
+			if w.ready(t) {
+				s.lastIssued = i
+				return w
 			}
 		}
-		if best != nil {
-			s.lastIssued = bestIdx
-		}
-		return best
+		return nil
 	}
 }
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Regenerate the committed benchmark baselines.
 #
-# Runs the steady-state timing-replay benchmarks (BenchmarkRunKernel and
-# its Detection/Correction variants) into BENCH_timing.json (or $1), the
+# Runs the steady-state timing-replay benchmarks (BenchmarkRunKernel, its
+# Detection/Correction variants and the Fig. 8 exposure replay
+# BenchmarkRunKernelExposure) into BENCH_timing.json (or $1), the
 # campaign fast-path benchmarks (BenchmarkCampaignFig6/9) into
 # BENCH_campaign.json (or $2), the daemon serving benchmarks
 # (BenchmarkDcrmdHotServe cold/warm/dup) into BENCH_serve.json (or $3),
@@ -96,7 +97,7 @@ render_json() {
 }
 
 raw=$(go test ./internal/timing -run '^$' \
-  -bench 'BenchmarkRunKernel(Detection|Correction)?$' \
+  -bench 'BenchmarkRunKernel(Detection|Correction|Exposure)?$' \
   -benchmem -benchtime "$BENCHTIME")
 echo "$raw" >&2
 render_json "$raw" "$BENCHTIME" "$TIMING_FROZEN_ENTRIES" > "$OUT"
