@@ -258,10 +258,16 @@ func (p *Plan) Replicas(b *mem.Buffer) []*mem.Buffer {
 }
 
 // ForMemory rebinds the plan to a cloned or copy-on-write forked memory
-// image. Buffer metadata (IDs, addresses) is shared between a memory and
-// its clones and forks, so the same object table applies. Use this to run
-// fault injection campaigns against per-run forks of a prepared image.
-func (p *Plan) ForMemory(clone *mem.Memory) *Plan {
+// image and returns it as the reader a run of that image loads through.
+// Buffer metadata (IDs, addresses) is shared between a memory and its
+// clones and forks, so the same object table applies. Use this to run
+// fault injection campaigns against per-run forks of a prepared image. A
+// nil plan (an unprotected configuration) returns a nil reader, which
+// simt.Driver reads as device memory read directly.
+func (p *Plan) ForMemory(clone *mem.Memory) simt.WordReader {
+	if p == nil {
+		return nil
+	}
 	return &Plan{scheme: p.scheme, m: clone, objects: p.objects, protectedPCs: p.protectedPCs}
 }
 

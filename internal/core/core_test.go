@@ -390,6 +390,13 @@ func TestForMemoryRebind(t *testing.T) {
 	if w, err := p.ReadLaneWord(b, b.ElemAddr(2)); err != nil || f32(w) != 2.5 {
 		t.Fatalf("original plan read = %v, %v; want 2.5", f32(w), err)
 	}
+	// An unprotected configuration has no plan; its reader is the nil
+	// interface, never a non-nil interface holding a nil *Plan, which the
+	// driver would call.
+	var none *Plan
+	if r := none.ForMemory(clone); r != nil {
+		t.Fatalf("nil plan's reader = %#v, want a nil interface", r)
+	}
 }
 
 func TestCost(t *testing.T) {

@@ -20,11 +20,11 @@
 //
 // Byte-identity contract: both the freshly-computed and the decoded paths
 // reconstruct the live checkpoint state from the same pure-data artifact
-// value (golden forks are replayed from the dirty-block delta, recorded
-// kernels are reattached by index, selectors and timelines are rebuilt
-// from the exposure replay's sorted slices), so a warm start is
-// bit-identical to a cold one by construction — the parity tests gate on
-// exactly that.
+// value (golden forks are replayed from the dirty-block delta, the
+// recording is the artifact's own launch-indexed warps, selectors and
+// timelines are rebuilt from the exposure replay's sorted slices), so a
+// warm start is bit-identical to a cold one by construction — the parity
+// tests gate on exactly that.
 package experiments
 
 import (
@@ -147,36 +147,16 @@ func artifactDo[T any](cp *Checkpoint, kind string, opt store.Options[T], comput
 // recording serves every configuration of the application.
 func computeGoldenArtifact(cp *Checkpoint) (goldenArtifact, error) {
 	f := cp.App.Mem.Fork()
-	log, err := cp.App.CaptureRun(f, nil)
+	log, err := cp.App.CaptureRun(f)
 	if err != nil {
 		return goldenArtifact{}, fmt.Errorf("experiments: %s golden run: %w", cp.App.Name, err)
 	}
 	idx, data := f.SnapshotBlocks()
 	art := goldenArtifact{Output: cp.App.Output(f), DirtyIdx: idx, DirtyData: data}
 	if bytes := log.ApproxBytes(); bytes <= maxCaptureBytes {
-		art.Bytes = bytes
-		art.Warps = make([][]*simt.WarpCapture, len(log.Kernels))
-		for i, kc := range log.Kernels {
-			art.Warps[i] = kc.Warps
-		}
+		art.Bytes, art.Warps = bytes, log.Warps
 	}
 	return art, nil
-}
-
-// reconstructCapture rebuilds the live recording from the golden artifact:
-// kernels reattach to the checkpoint's kernel list by launch index, the
-// recorded warps stay shared with the artifact. Returns nil when the
-// artifact dropped its recording (callers fall back to full per-lane
-// execution). A recording served from disk has passed checkGolden.
-func (cp *Checkpoint) reconstructCapture(art goldenArtifact) *simt.CaptureLog {
-	if art.Warps == nil {
-		return nil
-	}
-	log := &simt.CaptureLog{Kernels: make([]*simt.KernelCapture, len(art.Warps))}
-	for i, warps := range art.Warps {
-		log.Kernels[i] = &simt.KernelCapture{Kernel: cp.App.Kernels[i], Warps: warps}
-	}
-	return log
 }
 
 // checkGolden verifies a golden artifact against the application it claims

@@ -172,10 +172,7 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 		for w := 0; w < f.FaultCount(); w++ {
 			ln.dirty.AddWord(primary(f.FaultWord(w)))
 		}
-		ln.drv = &simt.Driver{Mem: f, PermissiveOOB: true}
-		if cp.Plan != nil {
-			ln.drv.Reader = cp.Plan.ForMemory(f)
-		}
+		ln.drv = &simt.Driver{Mem: f, Reader: cp.Plan.ForMemory(f), PermissiveOOB: true}
 		lanes = append(lanes, ln)
 	}
 
@@ -202,11 +199,7 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 			cp.tele.fallbackRuns.Add(uint64(len(lanes)))
 		}
 		for _, ln := range lanes {
-			if cp.Plan != nil {
-				ln.err = cp.App.RunOn(ln.fork, cp.Plan.ForMemory(ln.fork))
-			} else {
-				ln.err = cp.App.RunOn(ln.fork, nil)
-			}
+			ln.err = cp.App.RunOn(ln.fork, cp.Plan.ForMemory(ln.fork))
 		}
 	}
 	if cp.tele.runs != nil {
@@ -236,21 +229,23 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 	return outs, nil
 }
 
-// replayGroup runs every lane of the group through the recorded execution
-// while img takes the golden run's progress: per recorded warp (in launch
-// order, the serial execution order), each live lane either executes the
-// warp for real, because one of the warp's recorded loads reads a
-// divergent word, or reproduces it, and then img takes the warp's recorded
-// stores. The lanes are forks of img, kept bit-exact by the three rules in
-// the file comment.
-func (cp *Checkpoint) replayGroup(log *simt.CaptureLog, lanes []*batchLane, img *mem.Memory) {
+// replayGroup runs every lane of the group through the recording (the
+// warp records of each launch, as simt.CaptureLog holds them) while img
+// takes the golden run's progress: per recorded warp (in launch order, the
+// serial execution order), each live lane either executes the warp for
+// real, on launch i's kernel from the application's kernel list, because
+// one of the warp's recorded loads reads a divergent word, or reproduces
+// it, and then img takes the warp's recorded stores. The lanes are forks
+// of img, kept bit-exact by the three rules in the file comment.
+func (cp *Checkpoint) replayGroup(warps [][]*simt.WarpCapture, lanes []*batchLane, img *mem.Memory) {
 	bufs := cp.App.Mem.Buffers()
 	for _, ln := range lanes {
 		ln.rp = simt.LaneReplay{Dirty: ln.dirty, Bufs: bufs}
 	}
 	var replayed, applied uint64
-	for _, kc := range log.Kernels {
-		for _, wc := range kc.Warps {
+	for ki, launch := range warps {
+		k := cp.App.Kernels[ki]
+		for _, wc := range launch {
 			for _, ln := range lanes {
 				if ln.err != nil {
 					// The serial run aborted here; skip the lane's
@@ -262,7 +257,7 @@ func (cp *Checkpoint) replayGroup(log *simt.CaptureLog, lanes []*batchLane, img 
 					applied++
 					continue
 				}
-				if err := ln.drv.RunWarp(kc.Kernel, wc, &ln.rp); err != nil {
+				if err := ln.drv.RunWarp(k, wc, &ln.rp); err != nil {
 					ln.err = fmt.Errorf("kernels: %s: %w", cp.App.Name, err)
 					continue
 				}

@@ -481,7 +481,7 @@ func TestReplayGroupLanesMatchFullExecution(t *testing.T) {
 	app := replayRulesApp(t)
 	ix, _ := app.Mem.BufferByName("ix")
 	flag, _ := app.Mem.BufferByName("flag")
-	log, err := app.CaptureRun(app.Mem.Fork(), nil)
+	log, err := app.CaptureRun(app.Mem.Fork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestReplayGroupLanesMatchFullExecution(t *testing.T) {
 		lns = append(lns, &batchLane{laneKit: laneKit{fork: f, dirty: dirty},
 			drv: &simt.Driver{Mem: f, PermissiveOOB: true}})
 	}
-	cp.replayGroup(log, lns, img)
+	cp.replayGroup(log.Warps, lns, img)
 
 	for i, flips := range runs {
 		want := app.Mem.Clone()

@@ -37,14 +37,14 @@ type Checkpoint struct {
 	// The golden run is lazy: consumers that only need the prepared image
 	// and plan (Fig. 7's overhead tasks, for example) never pay for it.
 	// capture is its recording, which batched replay runs against (nil =
-	// fall back to full per-lane execution); the warps are the
-	// application's one recording, shared with every other checkpoint of
-	// the application.
+	// fall back to full per-lane execution): the golden artifact's
+	// launch-indexed warps, the application's one recording, shared with
+	// every other checkpoint of the application.
 	goldenOnce sync.Once
 	golden     []float32
 	goldenErr  error
 	classifier fault.Classifier
-	capture    *simt.CaptureLog
+	capture    [][]*simt.WarpCapture
 
 	// kits and scratches recycle the batched path's per-lane state (a fork
 	// and its divergent-word set) and per-claim injection scratch. Unlike
@@ -230,7 +230,7 @@ func (cp *Checkpoint) ensureGolden() error {
 			Metric:     cp.App.Metric,
 			DetectErr:  core.ErrFaultDetected,
 		}
-		cp.capture = cp.reconstructCapture(art)
+		cp.capture = art.Warps
 		cp.addLazyBytes(goldenFootprint(art))
 	})
 	return cp.goldenErr

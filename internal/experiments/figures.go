@@ -159,17 +159,7 @@ func DefaultFaultModels() []fault.Model {
 // detection terminations are Detected, fault-induced failures Crashed, and
 // outputs past the quality threshold SDC.
 func ClassifyRun(app *kernels.App, clone *mem.Memory, plan *core.Plan, golden []float32) (fault.Outcome, error) {
-	var reader *core.Plan
-	if plan != nil {
-		reader = plan.ForMemory(clone)
-	}
-	var err error
-	if reader != nil {
-		err = app.RunOn(clone, reader)
-	} else {
-		err = app.RunOn(clone, nil)
-	}
-	if err != nil {
+	if err := app.RunOn(clone, plan.ForMemory(clone)); err != nil {
 		if errors.Is(err, core.ErrFaultDetected) {
 			return fault.Detected, nil
 		}

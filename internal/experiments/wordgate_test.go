@@ -148,8 +148,8 @@ func readersOf(cp *Checkpoint, addrs ...arch.Addr) wordReaders {
 	bufs := cp.App.Mem.Buffers()
 	r := wordReaders{first: -1, firstBlock: -1}
 	stored := map[arch.BlockAddr]bool{}
-	for _, kc := range cp.capture.Kernels {
-		for _, wc := range kc.Warps {
+	for _, launch := range cp.capture {
+		for _, wc := range launch {
 			reads := warpReadsWord(bufs, wc, words)
 			if slices.ContainsFunc(words, func(a arch.Addr) bool { return slices.Contains(wc.LoadBlocks, a.Block()) }) {
 				if r.blocks == 0 {

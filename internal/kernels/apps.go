@@ -56,29 +56,30 @@ func (a *App) Output(m *mem.Memory) []float32 { return a.output(m) }
 // read wrapped device memory, as GPU hardware would, so such faults
 // propagate to the output instead of aborting the run.
 func (a *App) RunOn(m *mem.Memory, reader simt.WordReader) error {
-	d := &simt.Driver{Mem: m, Reader: reader, PermissiveOOB: true}
+	return a.launch(&simt.Driver{Mem: m, Reader: reader, PermissiveOOB: true})
+}
+
+// CaptureRun executes every kernel against m exactly as an unprotected
+// RunOn would while recording each warp's loads and stores into the
+// returned log — the reference recording batched campaigns replay faulty
+// runs against. m is mutated like any run target; callers normally pass a
+// throwaway fork.
+func (a *App) CaptureRun(m *mem.Memory) (*simt.CaptureLog, error) {
+	log := &simt.CaptureLog{}
+	if err := a.launch(&simt.Driver{Mem: m, PermissiveOOB: true, Capture: log}); err != nil {
+		return nil, err
+	}
+	return log, nil
+}
+
+// launch runs the application's kernels on d in launch order.
+func (a *App) launch(d *simt.Driver) error {
 	for _, k := range a.Kernels {
 		if _, err := d.Run(k); err != nil {
 			return fmt.Errorf("kernels: %s: %w", a.Name, err)
 		}
 	}
 	return nil
-}
-
-// CaptureRun executes every kernel against m exactly as RunOn would
-// (reading through reader when non-nil) while recording each warp's loads
-// and stores into the returned log — the reference recording batched
-// campaigns replay faulty runs against. m is mutated like any run target;
-// callers normally pass a throwaway fork.
-func (a *App) CaptureRun(m *mem.Memory, reader simt.WordReader) (*simt.CaptureLog, error) {
-	log := &simt.CaptureLog{}
-	d := &simt.Driver{Mem: m, Reader: reader, PermissiveOOB: true, Capture: log}
-	for _, k := range a.Kernels {
-		if _, err := d.Run(k); err != nil {
-			return nil, fmt.Errorf("kernels: %s: %w", a.Name, err)
-		}
-	}
-	return log, nil
 }
 
 // GoldenRun executes the app on a pristine copy-on-write fork of its image

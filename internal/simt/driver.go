@@ -10,7 +10,10 @@ import (
 // Driver executes kernels warp-by-warp against one device memory image.
 // Configure Reader to interpose a protection scheme; enable Tracing to
 // capture per-warp instruction traces, which feed both the timing
-// simulator and the access profile. The zero Reader reads memory directly.
+// simulator and the access profile; set Capture to record every warp's
+// loads and stores for batched campaign replay. Run executes a whole
+// launch and RunWarp one recorded warp of it; both place the driver's one
+// reusable warp context the same way (warp).
 type Driver struct {
 	// Mem is the device memory the kernels run against.
 	Mem *mem.Memory
@@ -25,15 +28,44 @@ type Driver struct {
 	// this so corrupted-index faults propagate to the output (and are
 	// judged by the SDC metric) rather than crashing the run. Clean runs
 	// never go out of bounds, so the mode does not change fault-free
-	// results. Stores remain strict.
+	// results; strict mode (the default, and TraceRun's) is what catches a
+	// kernel bug that indexes past its object. Stores remain strict.
 	PermissiveOOB bool
 	// Capture, when non-nil, records every warp's loads and stores into the
-	// log (one KernelCapture appended per Run) for batched campaign replay.
+	// log (one launch's warp records appended per Run).
 	Capture *CaptureLog
 
 	reader  WordReader
-	grid    arch.Dim3
 	warpCtx *WarpCtx
+}
+
+// warp resolves the driver's reader and returns its one warp context,
+// placed at warp wi of CTA cta of k, with every per-warp field reset: the
+// sticky error, the trace, the capture and the replay.
+func (d *Driver) warp(k *Kernel, cta arch.Dim3, wi int) *WarpCtx {
+	d.reader = d.Reader
+	if d.reader == nil {
+		d.reader = directReader{d.Mem}
+	}
+	w := d.warpCtx
+	if w == nil {
+		w = &WarpCtx{drv: d}
+		d.warpCtx = w
+	}
+	ctaLinear, threads := k.Grid.Flatten(cta), k.Block.Count()
+	w.CTAIdx, w.WarpInCTA, w.blockDim = cta, wi, k.Block
+	w.GlobalWarpID = ctaLinear*k.WarpsPerCTA() + wi
+	w.NumLanes = min(arch.WarpSize, threads-wi*arch.WarpSize)
+	w.linearBase = ctaLinear*threads + wi*arch.WarpSize
+	w.cacheThreadIdx()
+	w.tracing, w.trace, w.err = d.Tracing, nil, nil
+	w.capture, w.replay = nil, nil
+	return w
+}
+
+// warpErr wraps a warp's sticky error with the kernel and warp it ended.
+func warpErr(k *Kernel, w *WarpCtx) error {
+	return fmt.Errorf("simt: kernel %q warp %d: %w", k.KernelName, w.GlobalWarpID, w.err)
 }
 
 // Run executes the kernel to completion, returning the captured trace when
@@ -47,72 +79,47 @@ func (d *Driver) Run(k *Kernel) (*KernelTrace, error) {
 		return nil, fmt.Errorf("simt: kernel %q: launch geometry must set grid.X and block.X, got grid=%v block=%v",
 			k.KernelName, k.Grid, k.Block)
 	}
-	d.reader = d.Reader
-	if d.reader == nil {
-		d.reader = directReader{d.Mem}
-	}
-	d.grid = k.Grid
-
-	warpsPerCTA := k.WarpsPerCTA()
-	threadsPerCTA := k.Block.Count()
+	perCTA := k.WarpsPerCTA()
 	var trace *KernelTrace
 	if d.Tracing {
 		trace = &KernelTrace{
 			Kernel:      k.KernelName,
-			WarpsPerCTA: warpsPerCTA,
+			WarpsPerCTA: perCTA,
 			NumCTAs:     k.Grid.Count(),
-			Warps:       make([][]Instr, k.Grid.Count()*warpsPerCTA),
+			Warps:       make([][]Instr, k.TotalWarps()),
 		}
 	}
-	var kcap *KernelCapture
+	var warps []*WarpCapture
 	var seen *BlockSet
 	if d.Capture != nil {
-		kcap = &KernelCapture{
-			Kernel: k,
-			Warps:  make([]*WarpCapture, k.Grid.Count()*warpsPerCTA),
-		}
-		d.Capture.Kernels = append(d.Capture.Kernels, kcap)
+		warps = make([]*WarpCapture, k.TotalWarps())
+		d.Capture.Warps = append(d.Capture.Warps, warps)
 		seen = NewBlockSet(d.Mem.TotalBlocks())
 	}
-
-	ctx := &WarpCtx{blockDim: k.Block, drv: d, tracing: d.Tracing}
 	for cz := 0; cz < max(1, k.Grid.Z); cz++ {
 		for cy := 0; cy < max(1, k.Grid.Y); cy++ {
 			for cx := 0; cx < max(1, k.Grid.X); cx++ {
-				ctaIdx := arch.Dim3{X: cx, Y: cy, Z: cz}
-				ctaLinear := k.Grid.Flatten(ctaIdx)
-				for wi := 0; wi < warpsPerCTA; wi++ {
-					lanes := arch.WarpSize
-					if rem := threadsPerCTA - wi*arch.WarpSize; rem < lanes {
-						lanes = rem
-					}
-					ctx.CTAIdx = ctaIdx
-					ctx.WarpInCTA = wi
-					ctx.GlobalWarpID = ctaLinear*warpsPerCTA + wi
-					ctx.NumLanes = lanes
-					ctx.linearBase = ctaLinear*threadsPerCTA + wi*arch.WarpSize
-					ctx.cacheThreadIdx()
-					ctx.trace = nil
-					if kcap != nil {
-						ctx.capture = &WarpCapture{
-							CTAIdx:       ctaIdx,
+				cta := arch.Dim3{X: cx, Y: cy, Z: cz}
+				for wi := 0; wi < perCTA; wi++ {
+					w := d.warp(k, cta, wi)
+					if warps != nil {
+						w.capture = &WarpCapture{
+							CTAIdx:       cta,
 							WarpInCTA:    wi,
-							GlobalWarpID: ctx.GlobalWarpID,
-							NumLanes:     lanes,
+							GlobalWarpID: w.GlobalWarpID,
+							NumLanes:     w.NumLanes,
 						}
 					}
-					k.Run(ctx)
-					if ctx.err != nil {
-						return nil, fmt.Errorf("simt: kernel %q warp %d: %w",
-							k.KernelName, ctx.GlobalWarpID, ctx.err)
+					k.Run(w)
+					if w.err != nil {
+						return nil, warpErr(k, w)
 					}
 					if trace != nil {
-						trace.Warps[ctx.GlobalWarpID] = ctx.trace
+						trace.Warps[w.GlobalWarpID] = w.trace
 					}
-					if kcap != nil {
-						ctx.capture.LoadBlocks = loadFootprint(ctx.capture.Loads, seen)
-						kcap.Warps[ctx.GlobalWarpID] = ctx.capture
-						ctx.capture = nil
+					if warps != nil {
+						w.capture.LoadBlocks = loadFootprint(w.capture.Loads, seen)
+						warps[w.GlobalWarpID] = w.capture
 					}
 				}
 			}
@@ -147,45 +154,16 @@ func loadFootprint(loads []LoadRec, seen *BlockSet) []arch.BlockAddr {
 // lane's dirty set by what the warp makes divergent — if the warp leaves
 // the recorded sequence, by every word it or the recording stores after
 // the mismatch (see LaneReplay). Errors carry the same wrapping Run would
-// give the same warp. The driver's warp context is reused across calls,
-// mirroring how Run reuses one context for a whole launch.
+// give the same warp.
 func (d *Driver) RunWarp(k *Kernel, wc *WarpCapture, rp *LaneReplay) error {
-	d.reader = d.Reader
-	if d.reader == nil {
-		d.reader = directReader{d.Mem}
-	}
-	d.grid = k.Grid
-	ctx := d.warpCtx
-	if ctx == nil {
-		ctx = &WarpCtx{}
-		d.warpCtx = ctx
-	}
-	ctx.blockDim = k.Block
-	ctx.drv = d
-	ctx.tracing = false
-	ctx.trace = nil
-	ctx.err = nil
-	ctx.capture = nil
-	ctx.CTAIdx = wc.CTAIdx
-	ctx.WarpInCTA = wc.WarpInCTA
-	ctx.GlobalWarpID = wc.GlobalWarpID
-	ctx.NumLanes = wc.NumLanes
-	ctx.linearBase = k.Grid.Flatten(wc.CTAIdx)*k.Block.Count() + wc.WarpInCTA*arch.WarpSize
-	ctx.cacheThreadIdx()
+	w := d.warp(k, wc.CTAIdx, wc.WarpInCTA)
 	rp.reset(wc)
-	ctx.replay = rp
-	k.Run(ctx)
-	ctx.replay = nil
-	if ctx.err != nil {
-		return fmt.Errorf("simt: kernel %q warp %d: %w", k.KernelName, wc.GlobalWarpID, ctx.err)
+	w.replay = rp
+	k.Run(w)
+	w.replay = nil
+	if w.err != nil {
+		return warpErr(k, w)
 	}
 	rp.finish()
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

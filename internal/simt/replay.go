@@ -1,7 +1,13 @@
 // Capture and replay of a reference (fault-free) execution. A CaptureLog
 // records, warp by warp, every load the application issues (site, indices,
-// loaded values, coalesced blocks) and every store it commits. Campaign
-// batching builds on two properties of the lockstep execution model:
+// the raw loaded words, coalesced blocks) and every store it commits. It
+// keeps one shape from capture to replay: each kernel launch's warp
+// records in launch order, which the golden artifact persists as is and
+// batched replay walks, taking launch i's kernel from the application.
+// Both element types load through one word-level path (WarpCtx.loadVector
+// and loadBroadcast), so a recording is the same whether a kernel reads
+// float32 or int32 data. Campaign batching builds on two properties of the
+// lockstep execution model:
 //
 //   - Warps run strictly in launch order, so the recorded per-warp load
 //     and store sequences fully determine a fault-free run.
@@ -21,7 +27,7 @@
 // LaneReplay carries the same argument into the executed warps themselves:
 // while the warp's load/store sequence still matches the recording
 // position-for-position (same sites, same indices), each lane of a load
-// whose words are clean is served straight from the recorded value, and
+// whose words are clean is served straight from the recorded word, and
 // only dirty words are read from memory through the scheme's reader. The
 // first mismatch in the sequence (a fault-corrupted index changed the
 // control flow or an address) desyncs the warp: the rest of it runs on the
@@ -48,19 +54,14 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/mem"
 )
 
-// CaptureLog is the recorded reference execution of one application: one
-// KernelCapture per kernel launch, in launch order.
+// CaptureLog is the recorded reference execution of one application, in
+// the one shape it keeps from Driver.Run through the golden artifact to
+// batched replay: each kernel launch's warp records, in launch order. A
+// replay takes launch i's kernel from the application's kernel list.
 type CaptureLog struct {
-	// Kernels holds one capture per launch, in App.Kernels order.
-	Kernels []*KernelCapture
-}
-
-// KernelCapture records one kernel launch.
-type KernelCapture struct {
-	// Kernel is the launched kernel (re-run warp-by-warp during replay).
-	Kernel *Kernel
-	// Warps holds each warp's record, dense by global warp ID.
-	Warps []*WarpCapture
+	// Warps holds one entry per launch, in App.Kernels order: that
+	// launch's warp records, dense by global warp ID.
+	Warps [][]*WarpCapture
 }
 
 // WarpCapture is the full memory behaviour of one warp in the reference
@@ -121,9 +122,9 @@ type StoreRec struct {
 // how much capture state they keep per checkpoint.
 func (c *CaptureLog) ApproxBytes() int64 {
 	var n int64
-	for _, kc := range c.Kernels {
+	for _, warps := range c.Warps {
 		n += 64
-		for _, wc := range kc.Warps {
+		for _, wc := range warps {
 			if wc == nil {
 				continue
 			}
@@ -325,86 +326,36 @@ func (rp *LaneReplay) ReadsDirty(wc *WarpCapture) bool {
 	return false
 }
 
-// serveVectorHead matches the header of the next recorded load (position,
-// site, object, vector-ness) against an issued vector load. A nil return
-// desyncs the lane; the caller still owns the per-lane index check and the
-// cursor advance.
-func (rp *LaneReplay) serveVectorHead(pc uint16, bufID int16) *LoadRec {
+// serveVector matches the next recorded load (position, site, object,
+// vector-ness and index vector) against an issued vector load. When every
+// touched block is clean, it serves the recorded words into dst in the
+// same pass that verifies the index vector and returns (rec, true).
+// Otherwise the caller reads memory: a nil record means the lane desynced
+// and every lane must be read; a non-nil record (sequence verified, cursor
+// advanced) means only the lanes whose words are dirty must be read, the
+// rest being served from rec.Vals.
+func (rp *LaneReplay) serveVector(pc uint16, bufID int16, idx []int32, n int, dst []uint32) (*LoadRec, bool) {
 	if rp.desync || rp.loadCur >= len(rp.wc.Loads) {
 		rp.desync = true
-		return nil
+		return nil, false
 	}
 	rec := &rp.wc.Loads[rp.loadCur]
 	if rec.PC != pc || rec.BufID != bufID || rec.Broadcast {
 		rp.desync = true
-		return nil
-	}
-	return rec
-}
-
-// matchIndices verifies the issued index vector against the record,
-// desyncing the lane on the first mismatch.
-func (rp *LaneReplay) matchIndices(rec *LoadRec, idx []int32, n int) bool {
-	recIdx := rec.Idx[:n]
-	for i, v := range idx[:n] {
-		if recIdx[i] != v {
-			rp.desync = true
-			return false
-		}
-	}
-	rp.loadCur++
-	return true
-}
-
-// serveVectorF32 matches the next recorded load against an issued vector
-// load. When every touched block is clean, it serves the recorded values
-// into dst in the same pass that verifies the index vector and returns
-// (rec, true). Otherwise the caller reads memory: a nil
-// record means the lane desynced and every lane must be read; a non-nil
-// record (sequence verified, cursor advanced) means only the lanes whose
-// words are dirty must be read, the rest being served from rec.Vals.
-func (rp *LaneReplay) serveVectorF32(pc uint16, bufID int16, idx []int32, n int, dst []float32) (*LoadRec, bool) {
-	rec := rp.serveVectorHead(pc, bufID)
-	if rec == nil {
 		return nil, false
-	}
-	if rp.Dirty.AnyBlock(rec.Blocks) {
-		if !rp.matchIndices(rec, idx, n) {
-			return nil, false
-		}
-		return rec, false
 	}
 	// Reslicing to n lets the compiler drop the per-lane bounds checks in
 	// the loop below (the recorded warp has the executing warp's lane
 	// count, so these never shrink a live record).
 	recIdx, issued := rec.Idx[:n], idx[:n]
-	vals, out := rec.Vals[:n], dst[:n]
-	for i, v := range issued {
-		if recIdx[i] != v {
+	if rp.Dirty.AnyBlock(rec.Blocks) {
+		if !slices.Equal(recIdx, issued) {
 			rp.desync = true
 			return nil, false
 		}
-		if v != InactiveLane {
-			out[i] = math.Float32frombits(vals[i])
-		}
-	}
-	rp.loadCur++
-	return rec, true
-}
-
-// serveVectorI32 is serveVectorF32 for int32 destinations.
-func (rp *LaneReplay) serveVectorI32(pc uint16, bufID int16, idx []int32, n int, dst []int32) (*LoadRec, bool) {
-	rec := rp.serveVectorHead(pc, bufID)
-	if rec == nil {
-		return nil, false
-	}
-	if rp.Dirty.AnyBlock(rec.Blocks) {
-		if !rp.matchIndices(rec, idx, n) {
-			return nil, false
-		}
+		rp.loadCur++
 		return rec, false
 	}
-	recIdx, issued := rec.Idx[:n], idx[:n]
 	vals, out := rec.Vals[:n], dst[:n]
 	for i, v := range issued {
 		if recIdx[i] != v {
@@ -412,7 +363,7 @@ func (rp *LaneReplay) serveVectorI32(pc uint16, bufID int16, idx []int32, n int,
 			return nil, false
 		}
 		if v != InactiveLane {
-			out[i] = int32(vals[i])
+			out[i] = vals[i]
 		}
 	}
 	rp.loadCur++

@@ -61,7 +61,7 @@ func TestCaptureLoadFootprint(t *testing.T) {
 	}
 	b0, b1 := in.FirstBlock(), in.FirstBlock()+1
 	for w, want := range [][]arch.BlockAddr{{b0, b1}, {b1, b0}} {
-		if got := log.Kernels[0].Warps[w].LoadBlocks; !slices.Equal(got, want) {
+		if got := log.Warps[0][w].LoadBlocks; !slices.Equal(got, want) {
 			t.Errorf("warp %d load footprint %v, want %v", w, got, want)
 		}
 	}
@@ -106,7 +106,7 @@ func TestLaneReplayWordGranular(t *testing.T) {
 	if _, err := (&Driver{Mem: m.Clone(), Capture: log}).Run(k); err != nil {
 		t.Fatal(err)
 	}
-	wc := log.Kernels[0].Warps[0]
+	wc := log.Warps[0][0]
 	if !slices.Equal(wc.LoadBlocks, wc.Loads[0].Blocks) {
 		t.Fatalf("load footprint %v, want the one load's blocks %v", wc.LoadBlocks, wc.Loads[0].Blocks)
 	}
@@ -157,7 +157,7 @@ func recordOneWarp(t *testing.T, m *mem.Memory, k *Kernel) *WarpCapture {
 	if _, err := (&Driver{Mem: m.Clone(), Capture: log}).Run(k); err != nil {
 		t.Fatal(err)
 	}
-	return log.Kernels[0].Warps[0]
+	return log.Warps[0][0]
 }
 
 // TestLaneReplayResyncsDesyncedWarp scatters through an index object: a

@@ -3,6 +3,7 @@ package simt
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/mem"
@@ -196,20 +197,14 @@ func (w *WarpCtx) oobWord(buf *mem.Buffer, idx int32) (uint32, arch.BlockAddr) {
 	return w.drv.Mem.ReadWord(addr), addr.Block()
 }
 
-// recordLoad appends a vector-load record to the warp capture. vals holds
-// the loaded bits per lane (undefined at inactive lanes); n is the active
-// lane count whose blocks sit in laneBlocks.
-func (w *WarpCtx) recordLoad(site Site, buf *mem.Buffer, idx []int32, vals []uint32, n int) {
-	rec := LoadRec{
-		PC:    site.PC,
-		BufID: int16(buf.ID),
-		Idx:   append([]int32(nil), idx[:w.NumLanes]...),
-		Vals:  vals,
-	}
-	if n > 0 {
-		rec.Blocks = append([]arch.BlockAddr(nil), w.coalesce(n)...)
-	}
-	w.capture.Loads = append(w.capture.Loads, rec)
+// asWords views a slice of 32-bit lane values as the raw words over the
+// same backing array, so a typed load gathers straight into its
+// destination. float32, int32 and uint32 all have size 4 and alignment 4,
+// so the view covers exactly the slice's bytes, every element aligned; a
+// word written through it is the element's bit pattern, NaN payloads
+// included.
+func asWords[T float32 | int32](s []T) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
 }
 
 // LoadF32 performs a per-lane gather from buf: dst[lane] = buf[idx[lane]]
@@ -217,75 +212,20 @@ func (w *WarpCtx) recordLoad(site Site, buf *mem.Buffer, idx []int32, vals []uin
 // idx[lane] == InactiveLane are predicated off. When tracing, the load is
 // coalesced into block transactions exactly once.
 func (w *WarpCtx) LoadF32(site Site, buf *mem.Buffer, idx []int32, dst []float32) {
-	if w.err != nil {
-		return
-	}
-	rp := w.replay
-	var rec *LoadRec
-	if rp != nil {
-		var served bool
-		if rec, served = rp.serveVectorF32(site.PC, int16(buf.ID), idx, w.NumLanes, dst); served {
-			return
-		}
-	}
-	track := w.tracing || w.capture != nil
-	n := 0
-	for lane := 0; lane < w.NumLanes; lane++ {
-		i := idx[lane]
-		if i == InactiveLane {
-			continue
-		}
-		addr := buf.ElemAddr(int(i))
-		if rec != nil && !rp.wordDirty(buf, i) {
-			dst[lane] = math.Float32frombits(rec.Vals[lane])
-			if track {
-				w.laneBlocks[n] = addr.Block()
-			}
-			n++
-			continue
-		}
-		if i < 0 || !buf.Contains(addr) {
-			if !w.drv.PermissiveOOB {
-				w.fail(fmt.Errorf("simt: warp %d %s: lane %d index %d out of bounds for %q (%d B)",
-					w.GlobalWarpID, site.Name, lane, i, buf.Name, buf.Size))
-				return
-			}
-			word, blk := w.oobWord(buf, i)
-			dst[lane] = math.Float32frombits(word)
-			if track {
-				w.laneBlocks[n] = blk
-			}
-			n++
-			continue
-		}
-		word, err := w.drv.reader.ReadLaneWord(buf, addr)
-		if err != nil {
-			w.fail(err)
-			return
-		}
-		dst[lane] = math.Float32frombits(word)
-		if track {
-			w.laneBlocks[n] = addr.Block()
-		}
-		n++
-	}
-	if w.capture != nil {
-		vals := make([]uint32, w.NumLanes)
-		for lane := 0; lane < w.NumLanes; lane++ {
-			if idx[lane] != InactiveLane {
-				vals[lane] = math.Float32bits(dst[lane])
-			}
-		}
-		w.recordLoad(site, buf, idx, vals, n)
-	}
-	if n == 0 || !w.tracing {
-		return
-	}
-	w.emitMem(InstrLoad, site, buf, w.coalesce(n))
+	w.loadVector(site, buf, idx, asWords(dst))
 }
 
 // LoadI32 is LoadF32 for int32 data.
 func (w *WarpCtx) LoadI32(site Site, buf *mem.Buffer, idx []int32, dst []int32) {
+	w.loadVector(site, buf, idx, asWords(dst))
+}
+
+// loadVector is the one vector gather behind LoadF32 and LoadI32, over raw
+// words. A replayed warp is served from its recording where the lane's
+// words are clean; every other active lane reads through the driver's
+// reader, or, out of bounds in permissive mode, the wrapped word
+// (oobWord). The load is then captured and traced as issued.
+func (w *WarpCtx) loadVector(site Site, buf *mem.Buffer, idx []int32, dst []uint32) {
 	if w.err != nil {
 		return
 	}
@@ -293,7 +233,7 @@ func (w *WarpCtx) LoadI32(site Site, buf *mem.Buffer, idx []int32, dst []int32) 
 	var rec *LoadRec
 	if rp != nil {
 		var served bool
-		if rec, served = rp.serveVectorI32(site.PC, int16(buf.ID), idx, w.NumLanes, dst); served {
+		if rec, served = rp.serveVector(site.PC, int16(buf.ID), idx, w.NumLanes, dst); served {
 			return
 		}
 	}
@@ -305,133 +245,108 @@ func (w *WarpCtx) LoadI32(site Site, buf *mem.Buffer, idx []int32, dst []int32) 
 			continue
 		}
 		addr := buf.ElemAddr(int(i))
-		if rec != nil && !rp.wordDirty(buf, i) {
-			dst[lane] = int32(rec.Vals[lane])
-			if track {
-				w.laneBlocks[n] = addr.Block()
-			}
-			n++
-			continue
-		}
-		if i < 0 || !buf.Contains(addr) {
+		blk := addr.Block()
+		switch {
+		case rec != nil && !rp.wordDirty(buf, i):
+			dst[lane] = rec.Vals[lane]
+		case i < 0 || !buf.Contains(addr):
 			if !w.drv.PermissiveOOB {
 				w.fail(fmt.Errorf("simt: warp %d %s: lane %d index %d out of bounds for %q (%d B)",
 					w.GlobalWarpID, site.Name, lane, i, buf.Name, buf.Size))
 				return
 			}
-			word, blk := w.oobWord(buf, i)
-			dst[lane] = int32(word)
-			if track {
-				w.laneBlocks[n] = blk
+			dst[lane], blk = w.oobWord(buf, i)
+		default:
+			word, err := w.drv.reader.ReadLaneWord(buf, addr)
+			if err != nil {
+				w.fail(err)
+				return
 			}
-			n++
-			continue
+			dst[lane] = word
 		}
-		word, err := w.drv.reader.ReadLaneWord(buf, addr)
-		if err != nil {
-			w.fail(err)
-			return
-		}
-		dst[lane] = int32(word)
 		if track {
-			w.laneBlocks[n] = addr.Block()
+			w.laneBlocks[n] = blk
 		}
 		n++
 	}
 	if w.capture != nil {
-		vals := make([]uint32, w.NumLanes)
-		for lane := 0; lane < w.NumLanes; lane++ {
-			if idx[lane] != InactiveLane {
-				vals[lane] = uint32(dst[lane])
+		ld := LoadRec{
+			PC:    site.PC,
+			BufID: int16(buf.ID),
+			Idx:   append([]int32(nil), idx[:w.NumLanes]...),
+			Vals:  make([]uint32, w.NumLanes),
+		}
+		for lane, i := range ld.Idx {
+			if i != InactiveLane {
+				ld.Vals[lane] = dst[lane]
 			}
 		}
-		w.recordLoad(site, buf, idx, vals, n)
+		if n > 0 {
+			ld.Blocks = append([]arch.BlockAddr(nil), w.coalesce(n)...)
+		}
+		w.capture.Loads = append(w.capture.Loads, ld)
 	}
 	if n == 0 || !w.tracing {
 		return
 	}
 	w.emitMem(InstrLoad, site, buf, w.coalesce(n))
-}
-
-// finishBroadcast records and emits the single transaction of a broadcast
-// load.
-func (w *WarpCtx) finishBroadcast(site Site, buf *mem.Buffer, bidx int32, word uint32, blk arch.BlockAddr) {
-	if w.capture != nil {
-		w.capture.Loads = append(w.capture.Loads, LoadRec{
-			PC:        site.PC,
-			BufID:     int16(buf.ID),
-			Broadcast: true,
-			BIdx:      bidx,
-			Vals:      []uint32{word},
-			Blocks:    []arch.BlockAddr{blk},
-		})
-	}
-	if w.tracing {
-		w.laneBlocks[0] = blk
-		w.emitMem(InstrLoad, site, buf, w.coalesce(1))
-	}
 }
 
 // LoadF32Broadcast reads one element on behalf of the whole warp — the
 // uniform-access pattern (e.g. r[i] inside the P-BICG loop, or the filter
 // scalars in the AxBench kernels). It coalesces to a single transaction.
 func (w *WarpCtx) LoadF32Broadcast(site Site, buf *mem.Buffer, idx int32) float32 {
-	if w.err != nil {
-		return 0
-	}
-	if rp := w.replay; rp != nil {
-		if rec := rp.serveBroadcast(site.PC, buf, idx); rec != nil {
-			return math.Float32frombits(rec.Vals[0])
-		}
-	}
-	addr := buf.ElemAddr(int(idx))
-	if idx < 0 || !buf.Contains(addr) {
-		if !w.drv.PermissiveOOB {
-			w.fail(fmt.Errorf("simt: warp %d %s: broadcast index %d out of bounds for %q (%d B)",
-				w.GlobalWarpID, site.Name, idx, buf.Name, buf.Size))
-			return 0
-		}
-		word, blk := w.oobWord(buf, idx)
-		w.finishBroadcast(site, buf, idx, word, blk)
-		return math.Float32frombits(word)
-	}
-	word, err := w.drv.reader.ReadLaneWord(buf, addr)
-	if err != nil {
-		w.fail(err)
-		return 0
-	}
-	w.finishBroadcast(site, buf, idx, word, addr.Block())
-	return math.Float32frombits(word)
+	return math.Float32frombits(w.loadBroadcast(site, buf, idx))
 }
 
 // LoadI32Broadcast is LoadF32Broadcast for int32 data.
 func (w *WarpCtx) LoadI32Broadcast(site Site, buf *mem.Buffer, idx int32) int32 {
+	return int32(w.loadBroadcast(site, buf, idx))
+}
+
+// loadBroadcast is the one warp-uniform load behind LoadF32Broadcast and
+// LoadI32Broadcast: loadVector's steps for one word, which reads as 0
+// once the warp has failed.
+func (w *WarpCtx) loadBroadcast(site Site, buf *mem.Buffer, idx int32) uint32 {
 	if w.err != nil {
 		return 0
 	}
 	if rp := w.replay; rp != nil {
 		if rec := rp.serveBroadcast(site.PC, buf, idx); rec != nil {
-			return int32(rec.Vals[0])
+			return rec.Vals[0]
 		}
 	}
 	addr := buf.ElemAddr(int(idx))
+	blk := addr.Block()
+	var word uint32
 	if idx < 0 || !buf.Contains(addr) {
 		if !w.drv.PermissiveOOB {
 			w.fail(fmt.Errorf("simt: warp %d %s: broadcast index %d out of bounds for %q (%d B)",
 				w.GlobalWarpID, site.Name, idx, buf.Name, buf.Size))
 			return 0
 		}
-		word, blk := w.oobWord(buf, idx)
-		w.finishBroadcast(site, buf, idx, word, blk)
-		return int32(word)
+		word, blk = w.oobWord(buf, idx)
+	} else {
+		var err error
+		if word, err = w.drv.reader.ReadLaneWord(buf, addr); err != nil {
+			w.fail(err)
+			return 0
+		}
 	}
-	word, err := w.drv.reader.ReadLaneWord(buf, addr)
-	if err != nil {
-		w.fail(err)
-		return 0
+	if w.capture != nil {
+		w.capture.Loads = append(w.capture.Loads, LoadRec{
+			PC:        site.PC,
+			BufID:     int16(buf.ID),
+			Broadcast: true,
+			BIdx:      idx,
+			Vals:      []uint32{word},
+			Blocks:    []arch.BlockAddr{blk},
+		})
 	}
-	w.finishBroadcast(site, buf, idx, word, addr.Block())
-	return int32(word)
+	if w.tracing {
+		w.emitMem(InstrLoad, site, buf, []arch.BlockAddr{blk})
+	}
+	return word
 }
 
 // StoreF32 performs a per-lane scatter: buf[idx[lane]] = src[lane]. Stores

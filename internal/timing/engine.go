@@ -406,10 +406,3 @@ func (e *Engine) fillSM(s *smState) {
 		e.liveWarps += e.installCTA(s, cta, e.now)
 	}
 }
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

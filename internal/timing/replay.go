@@ -455,7 +455,7 @@ func (e *Engine) issueLoad(s *smState, w *warpState, in *simt.Instr, t int64) {
 		}
 		w.txIndex++
 	}
-	s.portFreeAt = t + maxI64(used, 1)
+	s.portFreeAt = t + max(used, 1)
 	w.readyAt = s.portFreeAt
 	w.curLoad = nil
 	s.finishInstr(w)
@@ -466,7 +466,7 @@ func (e *Engine) issueLoad(s *smState, w *warpState, in *simt.Instr, t int64) {
 // stall implies outstanding fills, so a wake always follows — polling on a
 // timer would multiply events without making progress.
 func (e *Engine) stallRetry(s *smState, w *warpState, t, used int64) {
-	s.portFreeAt = t + maxI64(used, 1)
+	s.portFreeAt = t + max(used, 1)
 	w.readyAt = stallParked
 	s.parked++
 }
