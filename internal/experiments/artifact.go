@@ -1,30 +1,28 @@
-// Checkpoint artifact cache: the lazy pieces of a campaign Checkpoint —
-// the golden run (output, post-run image and the reference recording
-// batched replay uses) and the exposure replay (the miss-selector weights
-// and the store-commit timeline) — factored into individually keyed,
-// serializable artifacts served through the suite's content-addressed
-// store. Each artifact is keyed by the suite identity, its kind,
-// artifactFormatVersion (so encodings never alias across format changes),
-// and what it depends on: the golden by application alone, because a
-// protected instance runs and records exactly what its base instance does
-// (its replicas are allocated after every primary object and no kernel
-// addresses them); the exposure replay by checkpoint configuration,
-// because the plan's replica traffic changes it. An artifact is built in
-// one way only: on first use, by whichever figure or campaign needs it,
-// with the store's singleflight making concurrent first users share one
-// computation. Artifacts persist through the store's checksummed disk
-// tier: a second process, or a peer sharing the store directory, fetches
-// instead of recomputing. Corrupt disk entries, and decoded entries that
-// do not fit the checkpoint (checkGolden, checkExposure), are recomputed
-// transparently and overwritten.
+// Checkpoint artifact cache: the lazy pieces of a campaign Checkpoint — the
+// golden run (output and the reference recording batched replay uses) and
+// the exposure replay (the miss-selector weights and the store-commit
+// timeline) — factored into individually keyed, serializable artifacts
+// served through the suite's content-addressed store. Each artifact is
+// keyed by the suite identity, its kind, artifactFormatVersion (so
+// encodings never alias across format changes), and what it depends on: the
+// golden by application alone, because a protected instance runs and
+// records exactly what its base instance does (its replicas are allocated
+// after every primary object and no kernel addresses them); the exposure
+// replay by checkpoint configuration, because the plan's replica traffic
+// changes it. An artifact is built in one way only: on first use, by
+// whichever figure or campaign needs it, with the store's singleflight
+// making concurrent first users share one computation. Artifacts persist
+// through the store's checksummed disk tier: a second process, or a peer
+// sharing the store directory, fetches instead of recomputing. Corrupt disk
+// entries, and decoded entries that do not fit the checkpoint (checkGolden,
+// checkExposure), are recomputed transparently and overwritten.
 //
 // Byte-identity contract: both the freshly-computed and the decoded paths
 // reconstruct the live checkpoint state from the same pure-data artifact
-// value (golden forks are replayed from the dirty-block delta, the
-// recording is the artifact's own launch-indexed warps, selectors and
-// timelines are rebuilt from the exposure replay's sorted slices), so a
-// warm start is bit-identical to a cold one by construction — the parity
-// tests gate on exactly that.
+// value (the recording is the artifact's own launch-indexed warps,
+// selectors and timelines are rebuilt from the exposure replay's sorted
+// slices), so a warm start is bit-identical to a cold one by construction
+// — the parity tests gate on exactly that.
 package experiments
 
 import (
@@ -41,15 +39,14 @@ import (
 // artifactFormatVersion is folded into every artifact key. Bump it whenever
 // any artifact encoding changes shape or meaning: old disk entries then
 // simply stop being addressed, rather than decoding into the wrong state.
-const artifactFormatVersion = 4
+const artifactFormatVersion = 5
 
 // Artifact kinds — the nodes of the checkpoint artifact DAG. Both hang off
 // the checkpoint's prepared image (app + plan); neither depends on the
 // other.
 const (
 	// ArtifactGolden is the fault-free reference run, one per application:
-	// the metric output, the post-run image as a dirty-block delta against
-	// the prepared image, and the recording batched replay uses.
+	// the metric output and the recording batched replay uses.
 	ArtifactGolden = "golden"
 	// ArtifactCapture names the golden run's recording. No store entry has
 	// this kind: BuildArtifact accepts it as a synonym for ArtifactGolden.
@@ -61,27 +58,17 @@ const (
 	ArtifactMissWeights = "missweights"
 )
 
-// maxCaptureBytes bounds an application's reference recording. Beyond it
-// the golden artifact drops the recording and the batched path falls back
-// to block-granular batching rather than hold an oversized capture alive.
-const maxCaptureBytes = 64 << 20
-
-// goldenArtifact is the serialized golden run: the metric output, the
-// post-run memory image as a delta (mem.Memory.SnapshotBlocks) against the
-// checkpoint's prepared image, which every process reconstructs identically
-// from the application constructors, and the recorded warps of each kernel
-// launch. Warps is nil when the recording exceeded maxCaptureBytes, so a
-// warm process skips the oversized recording too and falls back exactly
-// like the process that first ran it. Bytes is the kept recording's
-// simt.CaptureLog.ApproxBytes: every checkpoint of the application shares
-// the recorded warps, so the artifact's store entry is charged for them
-// once, at this size.
+// goldenArtifact is the serialized golden run: the metric output and the
+// recorded warps of each kernel launch, which every campaign run replays
+// against at every scale (the post-run image is the claim's shared image
+// after the last recorded warp, so the artifact carries none). Bytes is the
+// recording's simt.CaptureLog.ApproxBytes: every checkpoint of the
+// application shares the recorded warps, so the artifact's store entry is
+// charged for them once, at this size.
 type goldenArtifact struct {
-	Output    []float32
-	DirtyIdx  []int32
-	DirtyData []byte
-	Bytes     int64
-	Warps     [][]*simt.WarpCapture
+	Output []float32
+	Bytes  int64
+	Warps  [][]*simt.WarpCapture
 }
 
 // exposureArtifact is the serialized exposure replay (replayExposure): the
@@ -141,37 +128,26 @@ func artifactDo[T any](cp *Checkpoint, kind string, opt store.Options[T], comput
 
 // computeGoldenArtifact runs the fault-free golden execution once, on a
 // throwaway fork, recording every warp's loads and stores as it goes, and
-// snapshots its effects. Replicas are fault-free here, so the golden run
-// skips the scheme overlay, and every instance of the application yields
-// the same artifact (TestProtectedInstanceCapturesMatchBase): the one
-// recording serves every configuration of the application.
+// keeps its output and recording. Replicas are fault-free here, so the
+// golden run skips the scheme overlay, and every instance of the
+// application yields the same artifact
+// (TestProtectedInstanceCapturesMatchBase): the one recording serves every
+// configuration of the application.
 func computeGoldenArtifact(cp *Checkpoint) (goldenArtifact, error) {
 	f := cp.App.Mem.Fork()
 	log, err := cp.App.CaptureRun(f)
 	if err != nil {
 		return goldenArtifact{}, fmt.Errorf("experiments: %s golden run: %w", cp.App.Name, err)
 	}
-	idx, data := f.SnapshotBlocks()
-	art := goldenArtifact{Output: cp.App.Output(f), DirtyIdx: idx, DirtyData: data}
-	if bytes := log.ApproxBytes(); bytes <= maxCaptureBytes {
-		art.Bytes, art.Warps = bytes, log.Warps
-	}
-	return art, nil
+	return goldenArtifact{Output: cp.App.Output(f), Bytes: log.ApproxBytes(), Warps: log.Warps}, nil
 }
 
 // checkGolden verifies a golden artifact against the application it claims
-// to describe, before the checkpoint restores its delta, classifies
-// against its output and replays its recording: every delta index inside
-// the image and unique, 128 bytes of delta data per index, the output as
-// long as the application's, and the recording (checkRecording). The
-// store's checksum only proves the payload is the one written; this proves
-// it fits the application.
+// to describe, before the checkpoint classifies against its output and
+// replays its recording: the output as long as the application's, and the
+// recording (checkRecording). The store's checksum only proves the payload
+// is the one written; this proves it fits the application.
 func checkGolden(app *kernels.App, art goldenArtifact) error {
-	// Restoring the delta onto a throwaway fork checks its indices and
-	// length exactly as the checkpoint's restore will.
-	if err := app.Mem.Fork().RestoreBlocks(art.DirtyIdx, art.DirtyData); err != nil {
-		return err
-	}
 	if n := len(app.Output(app.Mem)); len(art.Output) != n {
 		return fmt.Errorf("output of %d values, the application's has %d", len(art.Output), n)
 	}
@@ -184,9 +160,9 @@ func checkGolden(app *kernels.App, art goldenArtifact) error {
 // warps, every warp's identity and lane count against the launch geometry,
 // every load's and store's data object and blocks, the index and value
 // lengths (NumLanes, or one value for a broadcast load), and every store
-// index inside its buffer. A nil recording (dropped for size) passes.
+// index inside its buffer. A golden without a recording is rejected.
 func checkRecording(app *kernels.App, warps [][]*simt.WarpCapture) error {
-	if warps != nil && len(warps) != len(app.Kernels) {
+	if len(warps) != len(app.Kernels) {
 		return fmt.Errorf("%d launches recorded, the application has %d", len(warps), len(app.Kernels))
 	}
 	bufs, nblocks := app.Mem.Buffers(), arch.BlockAddr(app.Mem.TotalBlocks())
@@ -270,24 +246,17 @@ func checkExposure(art exposureArtifact, nblocks int) error {
 	return nil
 }
 
-// Artifact footprint estimates for the checkpoint LRU re-accounting: the
-// memory tier admits a checkpoint at its image size, then grows the
-// accounted size as lazy artifacts materialize. The recording is not among
-// them: its warps are shared by every checkpoint of the application and
-// charged once, to the golden artifact's own store entry (goldenSize).
-
-func goldenFootprint(art goldenArtifact) int64 {
-	// output slice + the restored golden-post fork's private blocks (the
-	// artifact value itself is accounted under its own store key)
-	return int64(len(art.Output))*4 + int64(len(art.DirtyIdx))*4 + int64(len(art.DirtyData))
-}
-
-// goldenSize is the golden artifact's own store-entry size: the value's
-// output and delta plus the recording it keeps.
+// goldenSize is the golden artifact's store-entry size: its output plus the
+// recording. Every checkpoint of the application shares both, so the entry
+// is charged once and no checkpoint re-accounts them.
 func goldenSize(art goldenArtifact) int64 {
-	return goldenFootprint(art) + art.Bytes
+	return int64(len(art.Output))*4 + art.Bytes
 }
 
+// exposureFootprint is the exposure artifact's share of the checkpoint LRU
+// re-accounting: the memory tier admits a checkpoint at its image size,
+// then grows the accounted size as the rebuilt selector and timeline
+// materialize.
 func exposureFootprint(art exposureArtifact) int64 {
 	// the rebuilt selector's blocks and cumulative weights, plus the
 	// store-commit slices the timeline keeps reachable (a block and a
@@ -315,9 +284,8 @@ func (cp *Checkpoint) footprint() int64 {
 
 // BuildArtifact forces one artifact kind to exist — computing it, or
 // fetching it from the store's memory or disk tier — through the same
-// first-use path a campaign takes, and surfaces its build error. A dropped
-// recording is not an error (the batched path falls back). ArtifactCapture
-// builds the golden artifact, which carries the recording.
+// first-use path a campaign takes, and surfaces its build error.
+// ArtifactCapture builds the golden artifact, which carries the recording.
 func (cp *Checkpoint) BuildArtifact(kind string) error {
 	switch kind {
 	case ArtifactGolden, ArtifactCapture:

@@ -15,7 +15,7 @@ import (
 )
 
 // The golden artifact fields FuzzArtifactDecode mutates, one per input:
-// recording fields, then the post-run delta and the output.
+// recording fields, then the whole recording and the output.
 const (
 	mutStoreBufID = iota
 	mutStoreIdx
@@ -31,8 +31,8 @@ const (
 	mutDropWarp
 	mutDropKernel
 	mutFootprint
-	mutDeltaBlock
-	mutDeltaData
+	mutNoRecording
+	mutCutLaunches
 	mutOutput
 	mutCount
 )
@@ -57,16 +57,16 @@ func suiteIn(t testing.TB, s *Suite, dir string, reg *telemetry.Registry) *Suite
 
 // mutateGolden applies one fuzz-chosen change to a golden artifact: a
 // field of one load, store or warp of one launch set to a fuzz-chosen
-// value, a warp or launch dropped, a delta block index set, or the delta
-// data or the output cut short. Indices wrap, so every input mutates
-// something.
+// value, a warp dropped or a launch's warps cut short, the recording
+// dropped or its launch list cut short, or the output cut short. Indices
+// wrap, so every input mutates something.
 func mutateGolden(art *goldenArtifact, what, kernel uint8, warp uint16, rec, lane uint8, v int32) {
 	switch what % mutCount {
-	case mutDeltaBlock:
-		art.DirtyIdx[int(rec)%len(art.DirtyIdx)] = v
+	case mutNoRecording:
+		art.Warps, art.Bytes = nil, 0
 		return
-	case mutDeltaData:
-		art.DirtyData = art.DirtyData[:int(uint32(v))%len(art.DirtyData)]
+	case mutCutLaunches:
+		art.Warps = art.Warps[:int(kernel)%len(art.Warps)]
 		return
 	case mutOutput:
 		art.Output = art.Output[:int(lane)%len(art.Output)]
@@ -212,9 +212,10 @@ func persistGolden(t testing.TB, s *Suite, dir string, art goldenArtifact) {
 // application; a changed value in it may change verdicts, but not crash.
 // The first seed is the checksummed payload whose store names BufID 200,
 // which killed a campaign worker when recordings were replayed unchecked;
-// the last two are a delta block outside the image and a one-value output,
-// which failed every campaign of the application when only the recording
-// was checked.
+// the seventh is a golden with no recording, the shape an oversized
+// recording was once persisted in; the last is a one-value output, which
+// failed every campaign of the application when only the recording was
+// checked.
 func FuzzArtifactDecode(f *testing.F) {
 	f.Add(uint8(mutStoreBufID), uint8(0), uint16(0), uint8(0), uint8(0), int32(200), uint8(0))
 	f.Add(uint8(mutStoreIdx), uint8(0), uint16(3), uint8(0), uint8(5), int32(1<<20), uint8(1))
@@ -222,7 +223,7 @@ func FuzzArtifactDecode(f *testing.F) {
 	f.Add(uint8(mutLoadBlock), uint8(0), uint16(1), uint8(1), uint8(0), int32(-1), uint8(0))
 	f.Add(uint8(mutStoreVal), uint8(0), uint16(2), uint8(0), uint8(4), int32(12345), uint8(2))
 	f.Add(uint8(mutDropKernel), uint8(1), uint16(9), uint8(0), uint8(0), int32(0), uint8(1))
-	f.Add(uint8(mutDeltaBlock), uint8(0), uint16(0), uint8(0), uint8(0), int32(1<<30), uint8(0))
+	f.Add(uint8(mutNoRecording), uint8(0), uint16(0), uint8(0), uint8(0), int32(0), uint8(0))
 	f.Add(uint8(mutOutput), uint8(0), uint16(0), uint8(0), uint8(1), int32(0), uint8(2))
 
 	s := testSuite(f)
@@ -246,12 +247,13 @@ func FuzzArtifactDecode(f *testing.F) {
 }
 
 // TestRejectedGoldenHealed: a golden artifact that passes the store's
-// checksum but does not fit its application — a post-run delta block
-// outside the image, an output cut to one value, a recorded store into a
-// data object that does not exist — is recomputed once by a process that
-// serves it to three checkpoints, whose campaigns equal the cold ones, and
-// the fresh artifact overwrites it: the next process serves the healed
-// entry and computes nothing.
+// checksum but does not fit its application — one without a recording (the
+// shape an oversized recording was once persisted in), a recording missing
+// its last launch, an output cut to one value, a recorded store into a data
+// object that does not exist — is
+// recomputed once by a process that serves it to three checkpoints, whose
+// campaigns equal the cold ones, and the fresh artifact overwrites it: the
+// next process serves the healed entry and computes nothing.
 func TestRejectedGoldenHealed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaigns in -short mode")
@@ -265,7 +267,8 @@ func TestRejectedGoldenHealed(t *testing.T) {
 		name   string
 		mutate func(*goldenArtifact)
 	}{
-		{"delta block outside the image", func(art *goldenArtifact) { art.DirtyIdx[0] = 1 << 30 }},
+		{"no recording", func(art *goldenArtifact) { mutateGolden(art, mutNoRecording, 0, 0, 0, 0, 0) }},
+		{"last launch missing", func(art *goldenArtifact) { art.Warps = art.Warps[:len(art.Warps)-1] }},
 		{"truncated output", func(art *goldenArtifact) { art.Output = art.Output[:1] }},
 		{"store into a missing object", func(art *goldenArtifact) { mutateGolden(art, mutStoreBufID, 0, 0, 0, 0, 200) }},
 	} {

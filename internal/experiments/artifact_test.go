@@ -40,16 +40,11 @@ func artifactCampaign(t *testing.T, s *Suite) [2]fault.Result {
 }
 
 // checkCaptureReplayed fails t unless the campaigns reg observed replayed
-// runs against a reference capture (applied golden stores) and none of
-// them executed in full for want of one.
+// runs against a reference capture (applied golden stores).
 func checkCaptureReplayed(t *testing.T, reg *telemetry.Registry) {
 	t.Helper()
-	snap := reg.Snapshot()
-	if got := counterValue(snap, "dcrm_campaign_applied_warps_total"); got == 0 {
+	if got := counterValue(reg.Snapshot(), "dcrm_campaign_applied_warps_total"); got == 0 {
 		t.Error("no campaign run replayed against the reference capture (0 applied warps)")
-	}
-	if got := counterValue(snap, "dcrm_campaign_batch_fallback_runs_total"); got != 0 {
-		t.Errorf("%v campaign runs executed in full without a reference capture, want 0", got)
 	}
 }
 
@@ -363,11 +358,10 @@ func TestOneExposureReplayPerCheckpoint(t *testing.T) {
 	}
 }
 
-// TestSharedCaptureChargedOnce: the recording every checkpoint of an
-// application shares is charged to the store's memory tier once, by the
-// golden artifact's own entry, and not again to each checkpoint that
-// replays against it; each checkpoint is charged only for its restored
-// golden output and post-run blocks.
+// TestSharedCaptureChargedOnce: the output and recording every checkpoint
+// of an application shares are charged to the store's memory tier once, by
+// the golden artifact's own entry, and not again to each checkpoint that
+// classifies and replays against them.
 func TestSharedCaptureChargedOnce(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := paritySuite(t, nil, reg)
@@ -403,9 +397,8 @@ func TestSharedCaptureChargedOnce(t *testing.T) {
 	if len(cps) < 2 || golden.Bytes <= 0 {
 		t.Fatalf("%d checkpoints, recording of %d B: want several sharing a non-empty recording", len(cps), golden.Bytes)
 	}
-	want := goldenSize(golden) + int64(len(cps))*goldenFootprint(golden)
-	if got := memBytes() - before; got != float64(want) {
-		t.Errorf("%d checkpoints' goldens raised the accounted bytes by %v, want one recording's %d B plus %d B per checkpoint (%d)",
-			len(cps), got, golden.Bytes, goldenFootprint(golden), want)
+	if got, want := memBytes()-before, goldenSize(golden); got != float64(want) {
+		t.Errorf("%d checkpoints' goldens raised the accounted bytes by %v, want the one golden entry's %d B (a %d B recording)",
+			len(cps), got, want, golden.Bytes)
 	}
 }

@@ -45,14 +45,8 @@
 // A lane therefore copies only the blocks its executed warps write, not
 // every block the golden run writes. The shared images come from a
 // suite-wide free-list of at most GOMAXPROCS, and no lane kit keeps a
-// reference to one after its claim.
-//
-// When no capture is available — the recording exceeded maxCaptureBytes —
-// the batch degrades to block-granular amortization: each lane executes
-// in full on a fork of the checkpoint image, exactly as a serial run
-// would, and is classified against the golden post-run fork, but fork
-// setup, checkpoint fetch, and the classification sweep remain shared
-// across the group.
+// reference to one after its claim. Every application keeps its recording
+// at every scale, so this is the only way a claim executes.
 package experiments
 
 import (
@@ -107,17 +101,9 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 
 	outs := make([]fault.Outcome, len(rngs))
 	lanes := make([]*batchLane, 0, len(rngs))
-	var img *mem.Memory
 	defer func() {
-		// Lanes drop the shared image before it can serve another claim.
 		for _, ln := range lanes {
-			if img != nil {
-				ln.fork.Rebase(cp.App.Mem)
-			}
 			cp.kits.put(ln.laneKit)
-		}
-		if img != nil {
-			cp.suite.images.put(img)
 		}
 	}()
 
@@ -184,24 +170,21 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 		return outs, nil
 	}
 
-	classifier := cp.classifier
-	if cp.capture != nil {
-		img = cp.suite.claimImage(cp.App.Mem)
-		for _, ln := range lanes {
-			ln.fork.Rebase(img)
-		}
-		cp.replayGroup(cp.capture, lanes, img)
-		classifier.GoldenPost = img
-	} else {
-		// Fallback: block-granular batching only — every lane executes in
-		// full, sharing fork setup and the classification sweep below.
-		if cp.tele.fallbackRuns != nil {
-			cp.tele.fallbackRuns.Add(uint64(len(lanes)))
-		}
-		for _, ln := range lanes {
-			ln.err = cp.App.RunOn(ln.fork, cp.Plan.ForMemory(ln.fork))
-		}
+	img := cp.suite.claimImage(cp.App.Mem)
+	for _, ln := range lanes {
+		ln.fork.Rebase(img)
 	}
+	defer func() {
+		// Lanes drop the shared image before it can serve another claim
+		// (this runs before the kits return to their free-list).
+		for _, ln := range lanes {
+			ln.fork.Rebase(cp.App.Mem)
+		}
+		cp.suite.images.put(img)
+	}()
+	cp.replayGroup(cp.capture, lanes, img)
+	classifier := cp.classifier
+	classifier.GoldenPost = img
 	if cp.tele.runs != nil {
 		cp.tele.runs.Add(uint64(len(lanes)))
 		cp.tele.batchRuns.Add(uint64(len(lanes)))

@@ -20,7 +20,7 @@ import (
 // Checkpoint is the reusable golden state of one (application, scheme,
 // protected objects) campaign configuration: the post-input-load memory
 // image with replicas allocated, the replication plan, the fault-free
-// golden output, post-run image and recording, and free-lists of reusable
+// golden output and recording, and free-lists of reusable
 // copy-on-write forks. Checkpoints are built once per configuration
 // through the suite memo and shared by every campaign run — across fault
 // models, across the Fig. 6/7/9 experiments, and across the public
@@ -36,10 +36,10 @@ type Checkpoint struct {
 
 	// The golden run is lazy: consumers that only need the prepared image
 	// and plan (Fig. 7's overhead tasks, for example) never pay for it.
-	// capture is its recording, which batched replay runs against (nil =
-	// fall back to full per-lane execution): the golden artifact's
-	// launch-indexed warps, the application's one recording, shared with
-	// every other checkpoint of the application.
+	// capture is its recording, which every batched claim replays against:
+	// the golden artifact's launch-indexed warps, the application's one
+	// recording, shared with every other checkpoint of the application.
+	// The classifier's GoldenPost is set per claim, to the claim's image.
 	goldenOnce sync.Once
 	golden     []float32
 	goldenErr  error
@@ -84,12 +84,11 @@ type checkpointTelemetry struct {
 	runs   *telemetry.Counter
 
 	// Batched-path observability: claims executed, lanes per claim, runs
-	// classified through the batched path (replayed or fallback), warps
-	// actually executed vs. reproduced by store application.
+	// classified through group replay, warps actually executed vs.
+	// reproduced by store application.
 	batches       *telemetry.Counter
 	occupancy     *telemetry.Histogram
 	batchRuns     *telemetry.Counter
-	fallbackRuns  *telemetry.Counter
 	replayedWarps *telemetry.Counter
 	appliedWarps  *telemetry.Counter
 
@@ -177,9 +176,7 @@ func (s *Suite) newCheckpoint(app *kernels.App, plan *core.Plan, cfgKey string, 
 				"Lanes per batched claim that survived pruning into group replay.",
 				[]float64{0, 1, 2, 4, 8, 16, 32, 48, 64}),
 			batchRuns: reg.Counter("dcrm_campaign_batch_runs_total",
-				"Campaign runs classified through the batched path (group replay or fallback)."),
-			fallbackRuns: reg.Counter("dcrm_campaign_batch_fallback_runs_total",
-				"Batched-path runs that executed in full because no reference capture was available."),
+				"Campaign runs classified through the batched path's group replay."),
 			replayedWarps: reg.Counter("dcrm_campaign_replayed_warps_total",
 				"Warps executed for real during batched group replay."),
 			appliedWarps: reg.Counter("dcrm_campaign_applied_warps_total",
@@ -194,15 +191,13 @@ func (s *Suite) newCheckpoint(app *kernels.App, plan *core.Plan, cfgKey string, 
 }
 
 // ensureGolden materializes the golden artifact once — running and
-// recording the fault-free execution, or fetching its effects from the
-// store — and reconstructs the output and post-run state the classifier
-// compares against, and the recording batched replay runs against. Both
-// paths rebuild the golden-post fork by replaying the artifact's
-// dirty-block delta onto a fresh fork of the prepared image, so a warm
-// start is bit-identical to a cold one. The store serves a disk entry only
-// if it fits the application (checkGolden, against the base instance: the
-// golden holds no replica); one that does not is recomputed once and
-// overwritten.
+// recording the fault-free execution, or fetching it from the store — and
+// keeps the output the classifier compares against and the recording
+// batched replay runs against. Both paths read the same pure-data
+// artifact, so a warm start is bit-identical to a cold one. The store
+// serves a disk entry only if it fits the application (checkGolden,
+// against the base instance: the golden holds no replica); one that does
+// not is recomputed once and overwritten.
 func (cp *Checkpoint) ensureGolden() error {
 	cp.goldenOnce.Do(func() {
 		check := func(art goldenArtifact) error {
@@ -218,20 +213,13 @@ func (cp *Checkpoint) ensureGolden() error {
 			cp.goldenErr = err
 			return
 		}
-		goldenPost := cp.App.Mem.Fork()
-		if err := goldenPost.RestoreBlocks(art.DirtyIdx, art.DirtyData); err != nil {
-			cp.goldenErr = fmt.Errorf("experiments: %s golden restore: %w", cp.App.Name, err)
-			return
-		}
 		cp.golden = art.Output
 		cp.classifier = fault.Classifier{
-			Golden:     cp.golden,
-			GoldenPost: goldenPost,
-			Metric:     cp.App.Metric,
-			DetectErr:  core.ErrFaultDetected,
+			Golden:    cp.golden,
+			Metric:    cp.App.Metric,
+			DetectErr: core.ErrFaultDetected,
 		}
 		cp.capture = art.Warps
-		cp.addLazyBytes(goldenFootprint(art))
 	})
 	return cp.goldenErr
 }

@@ -32,7 +32,7 @@ func init() {
 
 // recordingsGoldenRow is one application's recordings in the golden file:
 // the SHA-256 of the gob encoding of its traces (Suite.Traces) and of its
-// baseline golden artifact (output, post-run delta and recorded warps).
+// baseline golden artifact (output and recorded warps).
 type recordingsGoldenRow struct {
 	App    string `json:"app"`
 	Traces string `json:"traces_sha256"`

@@ -116,6 +116,17 @@ func wordGateCheckpoint(t *testing.T, app string, scheme core.Scheme) *Checkpoin
 	return cp
 }
 
+// goldenPost returns the golden post-run state: a fork of the checkpoint
+// image after a fault-free App.RunOn.
+func goldenPost(t *testing.T, cp *Checkpoint) *mem.Memory {
+	t.Helper()
+	f := cp.App.Mem.Fork()
+	if err := cp.App.RunOn(f, cp.Plan.ForMemory(f)); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // wordReaders describes who reads a set of words in the recorded
 // execution, in serial warp order.
 type wordReaders struct {
@@ -276,7 +287,7 @@ func TestBatchedWordGateCopiesOnlyWrittenBlocks(t *testing.T) {
 	for w := 0; w < arch.WordsPerBlock; w++ {
 		blockWords = append(blockWords, addr.Block().Base()+arch.Addr(w*arch.WordBytes))
 	}
-	golden := cp.classifier.GoldenPost.DirtyBlocks()
+	golden := goldenPost(t, cp).DirtyBlocks()
 	for _, tc := range []struct {
 		name     string
 		model    fault.Model
@@ -350,7 +361,7 @@ func TestBatchedWordGateConvergedStores(t *testing.T) {
 	if r.words == 0 {
 		t.Fatal("no warp reads the chosen L1_Neurons word")
 	}
-	golden := cp.classifier.GoldenPost.ReadWord(addr)
+	golden := goldenPost(t, cp).ReadWord(addr)
 	model := fixedStuck{{addr: addr, mask: zeroBits(golden, 3), high: false}}
 	out, replayed, applied, _ := runWordGate(t, cp, model)
 	if out != fault.Masked {

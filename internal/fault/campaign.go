@@ -294,7 +294,8 @@ func (c Campaign) executeRange(start, end, batch int, run BatchRunFunc) (Result,
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
-			// Each worker owns a pool of batch rngs, reseeded per claim:
+			// Each worker owns a pool of batch rngs: a fresh one starts at
+			// its run's seed, and a recycled one is reseeded per claim.
 			// (*rand.Rand).Seed resets the source to the exact state a fresh
 			// rand.New(rand.NewSource(seed)) starts in, so reuse changes
 			// nothing about any run's stream while dropping the two
@@ -307,11 +308,11 @@ func (c Campaign) executeRange(start, end, batch int, run BatchRunFunc) (Result,
 					return
 				}
 				n := hi - lo
-				for len(rngs) < n {
-					rngs = append(rngs, rand.New(rand.NewSource(0)))
-				}
-				for i := 0; i < n; i++ {
+				for i := range min(n, len(rngs)) {
 					rngs[i].Seed(c.runSeed(lo + i))
+				}
+				for i := len(rngs); i < n; i++ {
+					rngs = append(rngs, rand.New(rand.NewSource(c.runSeed(lo+i))))
 				}
 				os, err := run(lo, rngs[:n])
 				if err == nil && len(os) != hi-lo {

@@ -29,9 +29,10 @@ var ErrUncorrectable = errors.New("fault: detected uncorrectable error")
 type Classifier struct {
 	// Golden is the fault-free output under the metric.
 	Golden []float32
-	// GoldenPost is the golden post-run memory image: a fork of the root
-	// the campaign forks run on, or that root itself when it holds the
-	// golden post-run state (a batched claim's shared image).
+	// GoldenPost is the golden post-run memory image the runs' forks are
+	// compared against: a sibling fork of theirs, or the root they fork
+	// when it holds the golden post-run state. Batched campaigns set it per
+	// claim to the claim's shared image after the last recorded warp.
 	GoldenPost *mem.Memory
 	// Metric judges divergent outputs (Table II).
 	Metric metrics.Metric

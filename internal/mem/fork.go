@@ -2,17 +2,19 @@
 // run dirties only a handful of 128 B blocks (its fault words' overlay is a
 // read-path effect and the kernel's stores touch just the output objects),
 // so sharing the golden image and copying blocks on first write replaces
-// the per-run O(image) Clone with O(written state). Forks also expose the
-// two primitives the campaign layer builds its pruning and classification
-// on: FaultsInert (a run whose faults provably cannot alter any value read
-// is bit-identical to the golden run) and DivergesFrom (streaming
-// block-level comparison of two sibling forks with early exit).
+// the per-run O(image) Clone with O(written state). A batched claim rebases
+// its lanes onto one root image that takes the golden run's stores as the
+// lanes replay (Rebase, MakePrivate), so that root ends as the golden
+// post-run image and no fork carries the golden run's writes. Forks also
+// expose the two primitives the campaign layer builds its pruning and
+// classification on: FaultsInert (a run whose faults provably cannot alter
+// any value read is bit-identical to the golden run) and DivergesFrom
+// (streaming block-level comparison against a sibling fork or the root,
+// with early exit; BatchDiverges sweeps a whole claim at once).
 package mem
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"math/bits"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
@@ -110,55 +112,6 @@ func (m *Memory) materialize(block int) int32 {
 	m.dirtyIdx = append(m.dirtyIdx, int32(block))
 	m.copied++
 	return off
-}
-
-// SnapshotBlocks exports the fork's private state as a delta against the
-// shared root image: the materialized block indices in first-write order
-// and their raw 128 B contents, concatenated in the same order. The
-// returned slices are copies, safe to retain and serialize after the fork
-// is reset or released. Together with RestoreBlocks this round-trips a
-// fault-free post-run fork (e.g. the golden post image) through a byte
-// encoding: the restored fork resolves every word identically and carries
-// the identical dirty-block ordering.
-func (m *Memory) SnapshotBlocks() (idx []int32, data []byte) {
-	if m.shared == nil {
-		panic("mem: SnapshotBlocks of a root memory image")
-	}
-	if len(m.dirtyIdx) == 0 {
-		return nil, nil
-	}
-	idx = append([]int32(nil), m.dirtyIdx...)
-	data = append([]byte(nil), m.dirtyBuf...)
-	return idx, data
-}
-
-// RestoreBlocks replays a SnapshotBlocks delta onto a clean fork,
-// materializing each block in the recorded first-write order and
-// overwriting its contents. The fork must be freshly forked (or Reset) from
-// the same root image the snapshot was taken against; injected faults are
-// not part of the delta.
-func (m *Memory) RestoreBlocks(idx []int32, data []byte) error {
-	if m.shared == nil {
-		return errors.New("mem: RestoreBlocks on a root memory image")
-	}
-	if len(m.dirtyIdx) != 0 || len(m.faults) != 0 {
-		return errors.New("mem: RestoreBlocks on a non-clean fork")
-	}
-	if len(data) != len(idx)*arch.BlockBytes {
-		return fmt.Errorf("mem: RestoreBlocks delta mismatch: %d blocks, %d bytes", len(idx), len(data))
-	}
-	total := int32(m.TotalBlocks())
-	for i, b := range idx {
-		if b < 0 || b >= total {
-			return fmt.Errorf("mem: RestoreBlocks block %d out of range [0,%d)", b, total)
-		}
-		if m.blockOff[b] >= 0 {
-			return fmt.Errorf("mem: RestoreBlocks duplicate block %d", b)
-		}
-		off := m.materialize(int(b))
-		copy(m.dirtyBuf[off:off+arch.BlockBytes], data[i*arch.BlockBytes:])
-	}
-	return nil
 }
 
 // blockBytes returns the backing bytes of one 128 B block without copying
