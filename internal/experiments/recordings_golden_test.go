@@ -2,15 +2,19 @@ package experiments
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"hash"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/simt"
 )
@@ -19,24 +23,24 @@ var updateRecordingsGolden = flag.Bool("update-recordings-golden", false,
 	"regenerate testdata/recordings_golden.json from the current functional simulator")
 
 // gob numbers each type the first time a process encodes it, and writes
-// those numbers into every stream. Encoding both digested types here, before
-// any test runs, fixes their numbers, so a digest does not depend on which
-// tests encoded what before TestRecordingsGolden.
+// those numbers into every stream. Encoding the traces' type here, before
+// any test runs, fixes its numbers, so the traces digest does not depend on
+// which tests encoded what before TestRecordingsGolden.
 func init() {
-	for _, v := range []any{[]*simt.KernelTrace(nil), goldenArtifact{}} {
-		if err := gob.NewEncoder(io.Discard).Encode(v); err != nil {
-			panic(err)
-		}
+	if err := gob.NewEncoder(io.Discard).Encode([]*simt.KernelTrace(nil)); err != nil {
+		panic(err)
 	}
 }
 
 // recordingsGoldenRow is one application's recordings in the golden file:
-// the SHA-256 of the gob encoding of its traces (Suite.Traces) and of its
-// baseline golden artifact (output and recorded warps).
+// the SHA-256 of the gob encoding of its traces (Suite.Traces), and of its
+// baseline golden artifact's output (IEEE bits) and recording (a canonical
+// walk, recordingDigest), so neither moves with the artifact's encoding.
 type recordingsGoldenRow struct {
-	App    string `json:"app"`
-	Traces string `json:"traces_sha256"`
-	Golden string `json:"golden_sha256"`
+	App       string `json:"app"`
+	Traces    string `json:"traces_sha256"`
+	Output    string `json:"output_sha256"`
+	Recording string `json:"recording_sha256"`
 }
 
 // gobDigest returns the SHA-256 of v's gob encoding.
@@ -49,10 +53,103 @@ func gobDigest(t *testing.T, v any) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestRecordingsGolden pins, for every application, the bytes of the two
+// canonicalWriter feeds a hash 32-bit little-endian words through a
+// buffer.
+type canonicalWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func (w *canonicalWriter) word(v uint32) {
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+	if len(w.buf) >= 1<<16 {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
+	}
+}
+
+// blocks writes a length-prefixed block list.
+func (w *canonicalWriter) blocks(bs []arch.BlockAddr) {
+	w.word(uint32(len(bs)))
+	for _, b := range bs {
+		w.word(uint32(b))
+	}
+}
+
+// lanes writes a per-lane index vector and its values, one of each per
+// lane, prefixed by the lane count.
+func (w *canonicalWriter) lanes(idx []int32, vals []uint32) {
+	w.word(uint32(len(idx)))
+	for _, i := range idx {
+		w.word(uint32(i))
+	}
+	for _, v := range vals {
+		w.word(v)
+	}
+}
+
+func (w *canonicalWriter) sum() string {
+	w.h.Write(w.buf)
+	return hex.EncodeToString(w.h.Sum(nil))
+}
+
+// outputDigest returns the SHA-256 of an output's IEEE bits.
+func outputDigest(out []float32) string {
+	w := canonicalWriter{h: sha256.New()}
+	for _, v := range out {
+		w.word(math.Float32bits(v))
+	}
+	return w.sum()
+}
+
+// recordingDigest returns the SHA-256 of a canonical walk over a golden
+// recording, which depends on what the recording holds and not on how it
+// is laid out or encoded. Every sequence is length-prefixed: per launch,
+// its warps; per warp, its read footprint, then each load (PC, object,
+// then either a broadcast flag, index and value, or a vector flag and the
+// per-lane indices and values, InactiveLane and 0 at inactive lanes, then
+// its blocks), then each store (PC, object, per-lane indices and values,
+// blocks).
+func recordingDigest(warps [][]*simt.WarpCapture) string {
+	w := canonicalWriter{h: sha256.New()}
+	w.word(uint32(len(warps)))
+	for _, launch := range warps {
+		w.word(uint32(len(launch)))
+		for _, wc := range launch {
+			w.blocks(wc.LoadBlocks)
+			w.word(uint32(len(wc.Loads)))
+			for i := range wc.Loads {
+				ld := &wc.Loads[i]
+				w.word(uint32(ld.PC))
+				w.word(uint32(ld.BufID))
+				if ld.Broadcast {
+					w.word(1)
+					w.word(uint32(ld.BIdx))
+					w.word(ld.Vals[0])
+				} else {
+					w.word(0)
+					w.lanes(ld.Idx, ld.Vals)
+				}
+				w.blocks(ld.Blocks)
+			}
+			w.word(uint32(len(wc.Stores)))
+			for i := range wc.Stores {
+				st := &wc.Stores[i]
+				w.word(uint32(st.PC))
+				w.word(uint32(st.BufID))
+				w.lanes(st.Idx, st.Vals)
+				w.blocks(st.Blocks)
+			}
+		}
+	}
+	return w.sum()
+}
+
+// TestRecordingsGolden pins, for every application, the content of the two
 // recordings the functional simulator makes: the traced run the timing
-// engine and the access profile replay, and the captured golden run that
-// batched campaigns replay and the store persists. golden_stats.json and
+// engine and the access profile replay, and the captured golden run (its
+// output and recording) that batched campaigns replay and the store
+// persists. golden_stats.json and
 // missweights_golden.json pin only what the timing engine derives from the
 // traces, and no figure shows a recorded load value, so a change to how
 // loads are gathered, recorded or traced shows up here first.
@@ -76,7 +173,8 @@ func TestRecordingsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, recordingsGoldenRow{App: name, Traces: gobDigest(t, traces), Golden: gobDigest(t, golden)})
+		got = append(got, recordingsGoldenRow{App: name, Traces: gobDigest(t, traces),
+			Output: outputDigest(golden.Output), Recording: recordingDigest(golden.Warps)})
 	}
 
 	path := filepath.Join("testdata", "recordings_golden.json")
