@@ -19,15 +19,17 @@
 //
 // Byte-identity contract: both the freshly-computed and the decoded paths
 // reconstruct the live checkpoint state from the same pure-data artifact
-// value (the recording is the artifact's own launch-indexed warps,
-// selectors and timelines are rebuilt from the exposure replay's sorted
-// slices), so a warm start is bit-identical to a cold one by construction
-// — the parity tests gate on exactly that.
+// value (the recording is the artifact's own per-launch arenas, which
+// persist as their little-endian bytes; selectors and timelines are
+// rebuilt from the exposure replay's sorted slices), so a warm start is
+// bit-identical to a cold one by construction — the parity tests gate on
+// exactly that.
 package experiments
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
@@ -39,7 +41,7 @@ import (
 // artifactFormatVersion is folded into every artifact key. Bump it whenever
 // any artifact encoding changes shape or meaning: old disk entries then
 // simply stop being addressed, rather than decoding into the wrong state.
-const artifactFormatVersion = 5
+const artifactFormatVersion = 6
 
 // Artifact kinds — the nodes of the checkpoint artifact DAG. Both hang off
 // the checkpoint's prepared image (app + plan); neither depends on the
@@ -59,16 +61,18 @@ const (
 )
 
 // goldenArtifact is the serialized golden run: the metric output and the
-// recorded warps of each kernel launch, which every campaign run replays
+// recording of each kernel launch, which every campaign run replays
 // against at every scale (the post-run image is the claim's shared image
-// after the last recorded warp, so the artifact carries none). Bytes is the
-// recording's simt.CaptureLog.ApproxBytes: every checkpoint of the
-// application shares the recorded warps, so the artifact's store entry is
-// charged for them once, at this size.
+// after the last recorded warp, so the artifact carries none). Each
+// launch's arenas encode as raw little-endian bytes (simt.Arena), so gob
+// copies the recording rather than walking it. Bytes is the recording's
+// simt.CaptureLog.ApproxBytes: every checkpoint of the application shares
+// the recording, so the artifact's store entry is charged for it once, at
+// this size.
 type goldenArtifact struct {
-	Output []float32
-	Bytes  int64
-	Warps  [][]*simt.WarpCapture
+	Output   []float32
+	Bytes    int64
+	Launches []simt.Launch
 }
 
 // exposureArtifact is the serialized exposure replay (replayExposure): the
@@ -139,7 +143,7 @@ func computeGoldenArtifact(cp *Checkpoint) (goldenArtifact, error) {
 	if err != nil {
 		return goldenArtifact{}, fmt.Errorf("experiments: %s golden run: %w", cp.App.Name, err)
 	}
-	return goldenArtifact{Output: cp.App.Output(f), Bytes: log.ApproxBytes(), Warps: log.Warps}, nil
+	return goldenArtifact{Output: cp.App.Output(f), Bytes: log.ApproxBytes(), Launches: log.Launches}, nil
 }
 
 // checkGolden verifies a golden artifact against the application it claims
@@ -151,62 +155,74 @@ func checkGolden(app *kernels.App, art goldenArtifact) error {
 	if n := len(app.Output(app.Mem)); len(art.Output) != n {
 		return fmt.Errorf("output of %d values, the application's has %d", len(art.Output), n)
 	}
-	return checkRecording(app, art.Warps)
+	return checkRecording(app, art.Launches)
 }
 
 // checkRecording verifies a golden artifact's recording against the
 // application it claims to record, before batched replay indexes buffers,
-// blocks and lanes with its fields: the launch count and each launch's
-// warps, every warp's identity and lane count against the launch geometry,
-// every load's and store's data object and blocks, the index and value
-// lengths (NumLanes, or one value for a broadcast load), and every store
-// index inside its buffer. A golden without a recording is rejected.
-func checkRecording(app *kernels.App, warps [][]*simt.WarpCapture) error {
-	if len(warps) != len(app.Kernels) {
-		return fmt.Errorf("%d launches recorded, the application has %d", len(warps), len(app.Kernels))
+// blocks, arenas and lanes with its fields: the launch count and each
+// launch's warp count; every warp's spans inside their arenas and its
+// footprint's blocks; every load's and store's kind, data object, blocks,
+// lane count (at most the warp's, which the launch geometry gives) and
+// every offset and count inside its arena; and every store index inside
+// its buffer. A golden without a recording is rejected.
+func checkRecording(app *kernels.App, launches []simt.Launch) error {
+	if len(launches) != len(app.Kernels) {
+		return fmt.Errorf("%d launches recorded, the application has %d", len(launches), len(app.Kernels))
 	}
 	bufs, nblocks := app.Mem.Buffers(), arch.BlockAddr(app.Mem.TotalBlocks())
-	// fits reports whether a record's data object and blocks exist.
-	fits := func(id int16, blocks []arch.BlockAddr) bool {
-		for _, b := range blocks {
-			if b >= nblocks {
+	// inside reports whether n elements from off lie in an arena of size
+	// elements, with every offset in 32 bits.
+	inside := func(off, n uint32, size int) bool {
+		return uint64(off)+uint64(n) <= min(uint64(size), math.MaxUint32)
+	}
+	var idx [arch.WarpSize]int32
+	for ki := range launches {
+		l, k := &launches[ki], app.Kernels[ki]
+		if len(l.Warps) != k.TotalWarps() {
+			return fmt.Errorf("launch %d: %d warps recorded, the launch has %d", ki, len(l.Warps), k.TotalWarps())
+		}
+		// blocks reports whether a span of Blocks exists in the image.
+		blocks := func(off, n uint32) bool {
+			return inside(off, n, len(l.Blocks)) && !slices.ContainsFunc(l.Blocks[off:off+n],
+				func(b arch.BlockAddr) bool { return b >= nblocks })
+		}
+		// fits reports whether an access of a warp of lanes lanes fits the
+		// application and its arenas; only loads broadcast.
+		fits := func(a *simt.Access, lanes int, load bool) bool {
+			if a.BufID < 0 || int(a.BufID) >= len(bufs) || !blocks(a.Block, uint32(a.NBlocks)) ||
+				!inside(a.Val, uint32(a.Values()), len(l.Vals)) {
 				return false
 			}
+			switch a.Kind {
+			case simt.Affine:
+				return int(a.Lanes) <= lanes
+			case simt.Gather:
+				return int(a.Lanes) <= lanes && inside(uint32(a.Base), uint32(a.Lanes), len(l.Idx))
+			}
+			return a.Kind == simt.Broadcast && load
 		}
-		return id >= 0 && int(id) < len(bufs)
-	}
-	for ki, kc := range warps {
-		k := app.Kernels[ki]
-		if len(kc) != k.TotalWarps() {
-			return fmt.Errorf("launch %d: %d warps recorded, the launch has %d", ki, len(kc), k.TotalWarps())
-		}
-		perCTA, gx, gy := k.WarpsPerCTA(), max(1, k.Grid.X), max(1, k.Grid.Y)
-		for g, wc := range kc {
-			// Driver.Run's launch order: x-major CTAs, warps within each.
-			cta, wi := g/perCTA, g%perCTA
-			if wc == nil || wc.CTAIdx != (arch.Dim3{X: cta % gx, Y: cta / gx % gy, Z: cta / (gx * gy)}) ||
-				wc.WarpInCTA != wi || wc.GlobalWarpID != g || !fits(0, wc.LoadBlocks) ||
-				wc.NumLanes != min(arch.WarpSize, k.Block.Count()-wi*arch.WarpSize) {
+		for g := range l.Warps {
+			r := &l.Warps[g]
+			if !inside(r.Loads.Off, r.Loads.Len, len(l.Loads)) || !inside(r.Stores.Off, r.Stores.Len, len(l.Stores)) ||
+				!blocks(r.Footprint.Off, r.Footprint.Len) {
 				return fmt.Errorf("launch %d warp %d does not fit the launch", ki, g)
 			}
-			for i := range wc.Loads {
-				ld := &wc.Loads[i]
-				lanes := wc.NumLanes
-				if ld.Broadcast {
-					lanes = 1
-				}
-				if !fits(ld.BufID, ld.Blocks) || len(ld.Vals) != lanes || !ld.Broadcast && len(ld.Idx) != lanes {
+			_, wi := k.WarpAt(g)
+			lanes, w := k.WarpLanes(wi), l.Warp(g)
+			for i := range w.Loads {
+				if !fits(&w.Loads[i], lanes, true) {
 					return fmt.Errorf("launch %d warp %d load %d does not fit the application", ki, g, i)
 				}
 			}
-			for i := range wc.Stores {
-				st := &wc.Stores[i]
-				if !fits(st.BufID, st.Blocks) || len(st.Idx) != wc.NumLanes || len(st.Vals) != wc.NumLanes {
+			for i := range w.Stores {
+				st := &w.Stores[i]
+				if !fits(st, lanes, false) {
 					return fmt.Errorf("launch %d warp %d store %d does not fit the application", ki, g, i)
 				}
-				for _, idx := range st.Idx {
-					if idx != simt.InactiveLane && (idx < 0 || int(idx) >= bufs[st.BufID].Len4()) {
-						return fmt.Errorf("launch %d warp %d store %d: index %d outside %q", ki, g, i, idx, bufs[st.BufID].Name)
+				for _, x := range w.Index(st, &idx) {
+					if x != simt.InactiveLane && (x < 0 || int(x) >= bufs[st.BufID].Len4()) {
+						return fmt.Errorf("launch %d warp %d store %d: index %d outside %q", ki, g, i, x, bufs[st.BufID].Name)
 					}
 				}
 			}

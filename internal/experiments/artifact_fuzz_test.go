@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/gob"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
 	"github.com/datacentric-gpu/dcrm/internal/fault"
 	"github.com/datacentric-gpu/dcrm/internal/kernels"
+	"github.com/datacentric-gpu/dcrm/internal/simt"
 	"github.com/datacentric-gpu/dcrm/internal/store"
 	"github.com/datacentric-gpu/dcrm/internal/telemetry"
 )
@@ -22,15 +24,15 @@ const (
 	mutStoreVal
 	mutStoreLanes
 	mutLoadBufID
-	mutLoadVals
+	mutLoadKind
+	mutLoadLanes
 	mutLoadBlock
-	mutLoadBroadcast
-	mutNumLanes
-	mutWarpID
-	mutCTAIdx
+	mutLoadOffset
+	mutWarpSpan
 	mutDropWarp
 	mutDropKernel
 	mutFootprint
+	mutCutVals
 	mutNoRecording
 	mutCutLaunches
 	mutOutput
@@ -56,78 +58,84 @@ func suiteIn(t testing.TB, s *Suite, dir string, reg *telemetry.Registry) *Suite
 }
 
 // mutateGolden applies one fuzz-chosen change to a golden artifact: a
-// field of one load, store or warp of one launch set to a fuzz-chosen
-// value, a warp dropped or a launch's warps cut short, the recording
-// dropped or its launch list cut short, or the output cut short. Indices
+// field of one load, store or warp record of one launch, or one element of
+// the arenas they address, set to a fuzz-chosen value; a warp dropped or a
+// launch's warps cut short; the value arena cut short; the recording
+// dropped or its launch list cut short; or the output cut short. Indices
 // wrap, so every input mutates something.
 func mutateGolden(art *goldenArtifact, what, kernel uint8, warp uint16, rec, lane uint8, v int32) {
 	switch what % mutCount {
 	case mutNoRecording:
-		art.Warps, art.Bytes = nil, 0
+		art.Launches, art.Bytes = nil, 0
 		return
 	case mutCutLaunches:
-		art.Warps = art.Warps[:int(kernel)%len(art.Warps)]
+		art.Launches = art.Launches[:int(kernel)%len(art.Launches)]
 		return
 	case mutOutput:
 		art.Output = art.Output[:int(lane)%len(art.Output)]
 		return
 	}
-	warps := art.Warps
-	ks := warps[int(kernel)%len(warps)]
-	g := int(warp) % len(ks)
-	wc := ks[g]
+	l := &art.Launches[int(kernel)%len(art.Launches)]
+	g := int(warp) % len(l.Warps)
+	r := &l.Warps[g]
 	switch what % mutCount {
 	case mutDropWarp:
-		ks[g] = nil
+		l.Warps = slices.Delete(l.Warps, g, g+1)
 		return
 	case mutDropKernel:
-		warps[int(kernel)%len(warps)] = ks[:g]
+		l.Warps = l.Warps[:g]
 		return
-	case mutNumLanes:
-		wc.NumLanes = int(v)
-		return
-	case mutWarpID:
-		wc.GlobalWarpID = int(v)
-		return
-	case mutCTAIdx:
-		wc.CTAIdx.X = int(v)
+	case mutWarpSpan:
+		r.Loads.Len = uint32(v)
 		return
 	case mutFootprint:
-		wc.LoadBlocks = append(wc.LoadBlocks, arch.BlockAddr(uint32(v)))
+		if r.Footprint.Len > 0 {
+			l.Blocks[r.Footprint.Off+uint32(lane)%r.Footprint.Len] = arch.BlockAddr(uint32(v))
+		}
+		return
+	case mutCutVals:
+		l.Vals = l.Vals[:len(l.Vals)-1-int(lane)%len(l.Vals)]
 		return
 	}
+	w := l.Warp(g)
 	if what%mutCount < mutLoadBufID {
-		if len(wc.Stores) == 0 {
+		if len(w.Stores) == 0 {
 			return
 		}
-		st := &wc.Stores[int(rec)%len(wc.Stores)]
+		st := &w.Stores[int(rec)%len(w.Stores)]
 		switch what % mutCount {
 		case mutStoreBufID:
 			st.BufID = int16(v)
 		case mutStoreIdx:
-			st.Idx[int(lane)%len(st.Idx)] = v
+			if st.Kind == simt.Gather && st.Lanes > 0 {
+				l.Idx[uint32(st.Base)+uint32(lane)%uint32(st.Lanes)] = v
+			} else {
+				st.Base = v
+			}
 		case mutStoreVal:
-			st.Vals[int(lane)%len(st.Vals)] = uint32(v)
+			l.Vals[st.Val+uint32(int(lane)%max(1, st.Values()))] = uint32(v)
 		case mutStoreLanes:
-			st.Idx = st.Idx[:int(lane)%len(st.Idx)]
+			st.Lanes = uint8(v)
 		}
 		return
 	}
-	if len(wc.Loads) == 0 {
+	if len(w.Loads) == 0 {
 		return
 	}
-	ld := &wc.Loads[int(rec)%len(wc.Loads)]
+	ld := &w.Loads[int(rec)%len(w.Loads)]
 	switch what % mutCount {
 	case mutLoadBufID:
 		ld.BufID = int16(v)
-	case mutLoadVals:
-		ld.Vals = ld.Vals[:int(lane)%len(ld.Vals)]
+	case mutLoadKind:
+		ld.Kind = simt.AccessKind(v)
+	case mutLoadLanes:
+		ld.Lanes = uint8(v)
 	case mutLoadBlock:
-		if len(ld.Blocks) > 0 {
-			ld.Blocks[int(lane)%len(ld.Blocks)] = arch.BlockAddr(uint32(v))
+		if ld.NBlocks > 0 {
+			l.Blocks[ld.Block+uint32(lane)%uint32(ld.NBlocks)] = arch.BlockAddr(uint32(v))
 		}
-	case mutLoadBroadcast:
-		ld.Broadcast = !ld.Broadcast
+	case mutLoadOffset:
+		ld.Val = uint32(v)
 	}
 }
 
@@ -213,17 +221,20 @@ func persistGolden(t testing.TB, s *Suite, dir string, art goldenArtifact) {
 // The first seed is the checksummed payload whose store names BufID 200,
 // which killed a campaign worker when recordings were replayed unchecked;
 // the seventh is a golden with no recording, the shape an oversized
-// recording was once persisted in; the last is a one-value output, which
-// failed every campaign of the application when only the recording was
-// checked.
+// recording was once persisted in; the eighth and ninth point a load's
+// values past the value arena and cut that arena short; the last is a
+// one-value output, which failed every campaign of the application when
+// only the recording was checked.
 func FuzzArtifactDecode(f *testing.F) {
 	f.Add(uint8(mutStoreBufID), uint8(0), uint16(0), uint8(0), uint8(0), int32(200), uint8(0))
 	f.Add(uint8(mutStoreIdx), uint8(0), uint16(3), uint8(0), uint8(5), int32(1<<20), uint8(1))
-	f.Add(uint8(mutNumLanes), uint8(1), uint16(7), uint8(0), uint8(0), int32(33), uint8(2))
+	f.Add(uint8(mutLoadLanes), uint8(1), uint16(7), uint8(0), uint8(0), int32(33), uint8(2))
 	f.Add(uint8(mutLoadBlock), uint8(0), uint16(1), uint8(1), uint8(0), int32(-1), uint8(0))
 	f.Add(uint8(mutStoreVal), uint8(0), uint16(2), uint8(0), uint8(4), int32(12345), uint8(2))
 	f.Add(uint8(mutDropKernel), uint8(1), uint16(9), uint8(0), uint8(0), int32(0), uint8(1))
 	f.Add(uint8(mutNoRecording), uint8(0), uint16(0), uint8(0), uint8(0), int32(0), uint8(0))
+	f.Add(uint8(mutLoadOffset), uint8(0), uint16(5), uint8(2), uint8(0), int32(1<<30), uint8(1))
+	f.Add(uint8(mutCutVals), uint8(1), uint16(0), uint8(0), uint8(0), int32(0), uint8(0))
 	f.Add(uint8(mutOutput), uint8(0), uint16(0), uint8(0), uint8(1), int32(0), uint8(2))
 
 	s := testSuite(f)
@@ -250,7 +261,8 @@ func FuzzArtifactDecode(f *testing.F) {
 // checksum but does not fit its application — one without a recording (the
 // shape an oversized recording was once persisted in), a recording missing
 // its last launch, an output cut to one value, a recorded store into a data
-// object that does not exist — is
+// object that does not exist, a load whose values lie past the value
+// arena, a value arena cut short — is
 // recomputed once by a process that serves it to three checkpoints, whose
 // campaigns equal the cold ones, and the fresh artifact overwrites it: the
 // next process serves the healed entry and computes nothing.
@@ -268,9 +280,11 @@ func TestRejectedGoldenHealed(t *testing.T) {
 		mutate func(*goldenArtifact)
 	}{
 		{"no recording", func(art *goldenArtifact) { mutateGolden(art, mutNoRecording, 0, 0, 0, 0, 0) }},
-		{"last launch missing", func(art *goldenArtifact) { art.Warps = art.Warps[:len(art.Warps)-1] }},
+		{"last launch missing", func(art *goldenArtifact) { art.Launches = art.Launches[:len(art.Launches)-1] }},
 		{"truncated output", func(art *goldenArtifact) { art.Output = art.Output[:1] }},
 		{"store into a missing object", func(art *goldenArtifact) { mutateGolden(art, mutStoreBufID, 0, 0, 0, 0, 200) }},
+		{"offset past its arena", func(art *goldenArtifact) { mutateGolden(art, mutLoadOffset, 0, 5, 2, 0, 1<<30) }},
+		{"value arena cut short", func(art *goldenArtifact) { mutateGolden(art, mutCutVals, 1, 0, 0, 0, 0) }},
 	} {
 		t.Run(bad.name, func(t *testing.T) {
 			art := decodeGolden(t, encoded)

@@ -23,6 +23,10 @@
 //   - Executed warps still serve each clean lane of a load from the
 //     recording, reading from the fork only the words where the lane's
 //     corruption can show through.
+//   - The recording is read in place: each launch's records and the
+//     index, value and block arenas they address (simt.Launch), viewed
+//     one warp at a time (simt.Warp). An affine index vector is expanded
+//     into per-lane scratch only where a loop needs its indices.
 //   - All surviving lanes are then classified in one bit-parallel sweep
 //     sharing one golden-image divergence scan
 //     (fault.Classifier.ClassifyBatch over mem.BatchDiverges).
@@ -212,46 +216,48 @@ func (cp *Checkpoint) RunBatch(rngs []*rand.Rand, model fault.Model, sel fault.S
 	return outs, nil
 }
 
-// replayGroup runs every lane of the group through the recording (the
-// warp records of each launch, as simt.CaptureLog holds them) while img
-// takes the golden run's progress: per recorded warp (in launch order, the
-// serial execution order), each live lane either executes the warp for
-// real, on launch i's kernel from the application's kernel list, because
-// one of the warp's recorded loads reads a divergent word, or reproduces
-// it, and then img takes the warp's recorded stores. The lanes are forks
-// of img, kept bit-exact by the three rules in the file comment.
-func (cp *Checkpoint) replayGroup(warps [][]*simt.WarpCapture, lanes []*batchLane, img *mem.Memory) {
+// replayGroup runs every lane of the group through the recording (one
+// simt.Launch per kernel launch) while img takes the golden run's
+// progress: per recorded warp (in launch order, the serial execution
+// order), each live lane either executes the warp for real, on launch i's
+// kernel from the application's kernel list, because one of the warp's
+// recorded loads reads a divergent word, or reproduces it, and then img
+// takes the warp's recorded stores. The lanes are forks of img, kept
+// bit-exact by the three rules in the file comment.
+func (cp *Checkpoint) replayGroup(launches []simt.Launch, lanes []*batchLane, img *mem.Memory) {
 	bufs := cp.App.Mem.Buffers()
 	for _, ln := range lanes {
 		ln.rp = simt.LaneReplay{Dirty: ln.dirty, Bufs: bufs}
 	}
+	var idx [arch.WarpSize]int32
 	var replayed, applied uint64
-	for ki, launch := range warps {
-		k := cp.App.Kernels[ki]
-		for _, wc := range launch {
+	for ki := range launches {
+		launch, k := &launches[ki], cp.App.Kernels[ki]
+		for g := range launch.Warps {
+			wc := launch.Warp(g)
 			for _, ln := range lanes {
 				if ln.err != nil {
 					// The serial run aborted here; skip the lane's
 					// remaining warps exactly as Driver.Run would.
 					continue
 				}
-				if !ln.rp.ReadsDirty(wc) {
-					storePrivate(ln.fork, bufs, wc)
+				if !ln.rp.ReadsDirty(&wc) {
+					storePrivate(ln.fork, bufs, &wc, &idx)
 					applied++
 					continue
 				}
-				if err := ln.drv.RunWarp(k, wc, &ln.rp); err != nil {
+				if err := ln.drv.RunWarp(k, g, &wc, &ln.rp); err != nil {
 					ln.err = fmt.Errorf("kernels: %s: %w", cp.App.Name, err)
 					continue
 				}
 				replayed++
 				for i := range wc.Stores {
-					for _, b := range wc.Stores[i].Blocks {
+					for _, b := range wc.Blocks(&wc.Stores[i]) {
 						ln.fork.MakePrivate(b)
 					}
 				}
 			}
-			storeAll(img, bufs, wc)
+			storeAll(img, bufs, &wc, &idx)
 		}
 	}
 	if cp.tele.replayedWarps != nil {
@@ -261,14 +267,14 @@ func (cp *Checkpoint) replayGroup(warps [][]*simt.WarpCapture, lanes []*batchLan
 }
 
 // storeAll commits a recorded warp's stores to the shared image in program
-// order, as the golden run did.
-func storeAll(img *mem.Memory, bufs []*mem.Buffer, wc *simt.WarpCapture) {
+// order, as the golden run did. idx is scratch for affine index vectors.
+func storeAll(img *mem.Memory, bufs []*mem.Buffer, wc *simt.Warp, idx *[arch.WarpSize]int32) {
 	for i := range wc.Stores {
 		rec := &wc.Stores[i]
-		buf := bufs[rec.BufID]
-		for lane, idx := range rec.Idx {
-			if idx != simt.InactiveLane {
-				img.WriteWord(buf.ElemAddr(int(idx)), rec.Vals[lane])
+		buf, vals := bufs[rec.BufID], wc.Vals(rec)
+		for lane, x := range wc.Index(rec, idx) {
+			if x != simt.InactiveLane {
+				img.WriteWord(buf.ElemAddr(int(x)), vals[lane])
 			}
 		}
 	}
@@ -279,19 +285,19 @@ func storeAll(img *mem.Memory, bufs []*mem.Buffer, wc *simt.WarpCapture) {
 // no divergent word, so they are committed in program order to the blocks
 // the lane holds privately; the shared image takes them for every other
 // block.
-func storePrivate(f *mem.Memory, bufs []*mem.Buffer, wc *simt.WarpCapture) {
+func storePrivate(f *mem.Memory, bufs []*mem.Buffer, wc *simt.Warp, idx *[arch.WarpSize]int32) {
 	for i := range wc.Stores {
 		rec := &wc.Stores[i]
-		if !anyPrivate(f, rec.Blocks) {
+		if !anyPrivate(f, wc.Blocks(rec)) {
 			continue
 		}
-		buf := bufs[rec.BufID]
-		for lane, idx := range rec.Idx {
-			if idx == simt.InactiveLane {
+		buf, vals := bufs[rec.BufID], wc.Vals(rec)
+		for lane, x := range wc.Index(rec, idx) {
+			if x == simt.InactiveLane {
 				continue
 			}
-			if a := buf.ElemAddr(int(idx)); f.Private(a.Block()) {
-				f.WriteWord(a, rec.Vals[lane])
+			if a := buf.ElemAddr(int(x)); f.Private(a.Block()) {
+				f.WriteWord(a, vals[lane])
 			}
 		}
 	}

@@ -503,7 +503,7 @@ func TestReplayGroupLanesMatchFullExecution(t *testing.T) {
 		lns = append(lns, &batchLane{laneKit: laneKit{fork: f, dirty: dirty},
 			drv: &simt.Driver{Mem: f, PermissiveOOB: true}})
 	}
-	cp.replayGroup(log.Warps, lns, img)
+	cp.replayGroup(log.Launches, lns, img)
 
 	for i, flips := range runs {
 		want := app.Mem.Clone()

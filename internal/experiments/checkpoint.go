@@ -37,14 +37,14 @@ type Checkpoint struct {
 	// The golden run is lazy: consumers that only need the prepared image
 	// and plan (Fig. 7's overhead tasks, for example) never pay for it.
 	// capture is its recording, which every batched claim replays against:
-	// the golden artifact's launch-indexed warps, the application's one
+	// the golden artifact's per-launch arenas, the application's one
 	// recording, shared with every other checkpoint of the application.
 	// The classifier's GoldenPost is set per claim, to the claim's image.
 	goldenOnce sync.Once
 	golden     []float32
 	goldenErr  error
 	classifier fault.Classifier
-	capture    [][]*simt.WarpCapture
+	capture    []simt.Launch
 
 	// kits and scratches recycle the batched path's per-lane state (a fork
 	// and its divergent-word set) and per-claim injection scratch. Unlike
@@ -219,7 +219,7 @@ func (cp *Checkpoint) ensureGolden() error {
 			Metric:    cp.App.Metric,
 			DetectErr: core.ErrFaultDetected,
 		}
-		cp.capture = art.Warps
+		cp.capture = art.Launches
 	})
 	return cp.goldenErr
 }

@@ -189,7 +189,7 @@ func TestProtectedInstanceCapturesMatchBase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if golden.Warps == nil {
+		if golden.Launches == nil {
 			t.Fatalf("%s %v L%d: no recording", c.app, c.scheme, c.level)
 		}
 		return golden
@@ -220,22 +220,14 @@ func TestProtectedInstanceCapturesMatchBase(t *testing.T) {
 	}
 }
 
-// sameGolden is reflect.DeepEqual over two golden artifacts, applying it
-// to the recording warp by warp: DeepEqual remembers every slice it
-// compares, so one call over a whole multi-megabyte recording spends most
-// of its time growing that map.
+// sameGolden is reflect.DeepEqual over two golden artifacts, with the
+// recording's arenas compared by slices.Equal: DeepEqual would walk their
+// millions of elements one reflected value at a time.
 func sameGolden(a, b goldenArtifact) bool {
-	aw, bw := a.Warps, b.Warps
-	a.Warps, b.Warps = nil, nil
-	if !reflect.DeepEqual(a, b) || len(aw) != len(bw) {
-		return false
-	}
-	for k := range aw {
-		if !slices.EqualFunc(aw[k], bw[k], func(x, y *simt.WarpCapture) bool {
-			return reflect.DeepEqual(x, y)
-		}) {
-			return false
-		}
-	}
-	return true
+	al, bl := a.Launches, b.Launches
+	a.Launches, b.Launches = nil, nil
+	return reflect.DeepEqual(a, b) && slices.EqualFunc(al, bl, func(x, y simt.Launch) bool {
+		return slices.Equal(x.Warps, y.Warps) && slices.Equal(x.Loads, y.Loads) && slices.Equal(x.Stores, y.Stores) &&
+			slices.Equal(x.Idx, y.Idx) && slices.Equal(x.Vals, y.Vals) && slices.Equal(x.Blocks, y.Blocks)
+	})
 }

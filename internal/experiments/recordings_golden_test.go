@@ -76,14 +76,24 @@ func (w *canonicalWriter) blocks(bs []arch.BlockAddr) {
 	}
 }
 
-// lanes writes a per-lane index vector and its values, one of each per
-// lane, prefixed by the lane count.
-func (w *canonicalWriter) lanes(idx []int32, vals []uint32) {
-	w.word(uint32(len(idx)))
-	for _, i := range idx {
-		w.word(uint32(i))
+// lanes writes a vector access's per-lane index vector and values over a
+// warp of n lanes, prefixed by n: InactiveLane and 0 at inactive lanes.
+func (w *canonicalWriter) lanes(wc *simt.Warp, a *simt.Access, n int) {
+	var buf [arch.WarpSize]int32
+	idx, vals := wc.Index(a, &buf), wc.Vals(a)
+	w.word(uint32(n))
+	for lane := range n {
+		x := simt.InactiveLane
+		if lane < len(idx) {
+			x = idx[lane]
+		}
+		w.word(uint32(x))
 	}
-	for _, v := range vals {
+	for lane := range n {
+		var v uint32
+		if lane < len(vals) {
+			v = vals[lane]
+		}
 		w.word(v)
 	}
 }
@@ -103,42 +113,45 @@ func outputDigest(out []float32) string {
 }
 
 // recordingDigest returns the SHA-256 of a canonical walk over a golden
-// recording, which depends on what the recording holds and not on how it
-// is laid out or encoded. Every sequence is length-prefixed: per launch,
-// its warps; per warp, its read footprint, then each load (PC, object,
-// then either a broadcast flag, index and value, or a vector flag and the
-// per-lane indices and values, InactiveLane and 0 at inactive lanes, then
-// its blocks), then each store (PC, object, per-lane indices and values,
-// blocks).
-func recordingDigest(warps [][]*simt.WarpCapture) string {
+// recording of kernels, which depends on what the recording holds and not
+// on how it is laid out or encoded. Every sequence is length-prefixed: per
+// launch, its warps; per warp, its read footprint, then each load (PC,
+// object, then either a broadcast flag, index and value, or a vector flag
+// and the per-lane indices and values, InactiveLane and 0 at inactive
+// lanes, then its blocks), then each store (PC, object, per-lane indices
+// and values, blocks).
+func recordingDigest(kernels []*simt.Kernel, launches []simt.Launch) string {
 	w := canonicalWriter{h: sha256.New()}
-	w.word(uint32(len(warps)))
-	for _, launch := range warps {
-		w.word(uint32(len(launch)))
-		for _, wc := range launch {
-			w.blocks(wc.LoadBlocks)
+	w.word(uint32(len(launches)))
+	for ki := range launches {
+		l, k := &launches[ki], kernels[ki]
+		w.word(uint32(len(l.Warps)))
+		for g := range l.Warps {
+			_, wi := k.WarpAt(g)
+			lanes, wc := k.WarpLanes(wi), l.Warp(g)
+			w.blocks(wc.Footprint)
 			w.word(uint32(len(wc.Loads)))
 			for i := range wc.Loads {
 				ld := &wc.Loads[i]
 				w.word(uint32(ld.PC))
 				w.word(uint32(ld.BufID))
-				if ld.Broadcast {
+				if ld.Kind == simt.Broadcast {
 					w.word(1)
-					w.word(uint32(ld.BIdx))
-					w.word(ld.Vals[0])
+					w.word(uint32(ld.Base))
+					w.word(wc.Vals(ld)[0])
 				} else {
 					w.word(0)
-					w.lanes(ld.Idx, ld.Vals)
+					w.lanes(&wc, ld, lanes)
 				}
-				w.blocks(ld.Blocks)
+				w.blocks(wc.Blocks(ld))
 			}
 			w.word(uint32(len(wc.Stores)))
 			for i := range wc.Stores {
 				st := &wc.Stores[i]
 				w.word(uint32(st.PC))
 				w.word(uint32(st.BufID))
-				w.lanes(st.Idx, st.Vals)
-				w.blocks(st.Blocks)
+				w.lanes(&wc, st, lanes)
+				w.blocks(wc.Blocks(st))
 			}
 		}
 	}
@@ -174,7 +187,7 @@ func TestRecordingsGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		got = append(got, recordingsGoldenRow{App: name, Traces: gobDigest(t, traces),
-			Output: outputDigest(golden.Output), Recording: recordingDigest(golden.Warps)})
+			Output: outputDigest(golden.Output), Recording: recordingDigest(cp.App.Kernels, golden.Launches)})
 	}
 
 	path := filepath.Join("testdata", "recordings_golden.json")

@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"unsafe"
 
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/core"
@@ -334,14 +335,24 @@ func (s *Suite) Traces(name string) ([]*simt.KernelTrace, error) {
 		})
 }
 
-// traceFootprint estimates a trace capture's resident bytes for the
-// store's LRU accounting.
+// traceFootprint is a trace capture's resident bytes for the store's LRU
+// accounting: each kernel's trace and warp table, every warp's instruction
+// slice at its capacity (warp traces keep their append slack), and every
+// instruction's block list at its capacity.
 func traceFootprint(traces []*simt.KernelTrace) int64 {
-	const instrBytes = 24 // Instr value plus slice overhead, roughly
+	const (
+		instrBytes = int64(unsafe.Sizeof(simt.Instr{}))
+		blockBytes = int64(unsafe.Sizeof(arch.BlockAddr(0)))
+		warpBytes  = int64(unsafe.Sizeof([]simt.Instr(nil)))
+	)
 	var n int64
 	for _, kt := range traces {
+		n += int64(unsafe.Sizeof(*kt)) + int64(cap(kt.Warps))*warpBytes
 		for _, w := range kt.Warps {
-			n += int64(len(w)) * instrBytes
+			n += int64(cap(w)) * instrBytes
+			for i := range w {
+				n += int64(cap(w[i].Blocks)) * blockBytes
+			}
 		}
 	}
 	return n

@@ -159,10 +159,12 @@ func readersOf(cp *Checkpoint, addrs ...arch.Addr) wordReaders {
 	bufs := cp.App.Mem.Buffers()
 	r := wordReaders{first: -1, firstBlock: -1}
 	stored := map[arch.BlockAddr]bool{}
-	for _, launch := range cp.capture {
-		for _, wc := range launch {
-			reads := warpReadsWord(bufs, wc, words)
-			if slices.ContainsFunc(words, func(a arch.Addr) bool { return slices.Contains(wc.LoadBlocks, a.Block()) }) {
+	for li := range cp.capture {
+		launch := &cp.capture[li]
+		for g := range launch.Warps {
+			wc := launch.Warp(g)
+			reads := warpReadsWord(bufs, &wc, words)
+			if slices.ContainsFunc(words, func(a arch.Addr) bool { return slices.Contains(wc.Footprint, a.Block()) }) {
 				if r.blocks == 0 {
 					r.firstBlock = r.warps
 				}
@@ -177,7 +179,7 @@ func readersOf(cp *Checkpoint, addrs ...arch.Addr) wordReaders {
 				}
 				r.words++
 				for i := range wc.Stores {
-					for _, b := range wc.Stores[i].Blocks {
+					for _, b := range wc.Blocks(&wc.Stores[i]) {
 						stored[b] = true
 					}
 				}
@@ -190,13 +192,14 @@ func readersOf(cp *Checkpoint, addrs ...arch.Addr) wordReaders {
 }
 
 // warpReadsWord reports whether a recorded load of wc reads one of words.
-func warpReadsWord(bufs []*mem.Buffer, wc *simt.WarpCapture, words []arch.Addr) bool {
+func warpReadsWord(bufs []*mem.Buffer, wc *simt.Warp, words []arch.Addr) bool {
+	var scratch [arch.WarpSize]int32
 	for i := range wc.Loads {
 		rec := &wc.Loads[i]
 		buf := bufs[rec.BufID]
-		idxs := rec.Idx
-		if rec.Broadcast {
-			idxs = []int32{rec.BIdx}
+		idxs := []int32{rec.Base}
+		if rec.Kind != simt.Broadcast {
+			idxs = wc.Index(rec, &scratch)
 		}
 		for _, idx := range idxs {
 			if idx != simt.InactiveLane && slices.Contains(words, buf.ElemAddr(int(idx))) {

@@ -32,7 +32,7 @@ type Driver struct {
 	// kernel bug that indexes past its object. Stores remain strict.
 	PermissiveOOB bool
 	// Capture, when non-nil, records every warp's loads and stores into the
-	// log (one launch's warp records appended per Run).
+	// log (one Launch appended per Run).
 	Capture *CaptureLog
 
 	reader  WordReader
@@ -52,11 +52,11 @@ func (d *Driver) warp(k *Kernel, cta arch.Dim3, wi int) *WarpCtx {
 		w = &WarpCtx{drv: d}
 		d.warpCtx = w
 	}
-	ctaLinear, threads := k.Grid.Flatten(cta), k.Block.Count()
+	ctaLinear := k.Grid.Flatten(cta)
 	w.CTAIdx, w.WarpInCTA, w.blockDim = cta, wi, k.Block
 	w.GlobalWarpID = ctaLinear*k.WarpsPerCTA() + wi
-	w.NumLanes = min(arch.WarpSize, threads-wi*arch.WarpSize)
-	w.linearBase = ctaLinear*threads + wi*arch.WarpSize
+	w.NumLanes = k.WarpLanes(wi)
+	w.linearBase = ctaLinear*k.Block.Count() + wi*arch.WarpSize
 	w.cacheThreadIdx()
 	w.tracing, w.trace, w.err = d.Tracing, nil, nil
 	w.capture, w.replay = nil, nil
@@ -89,11 +89,10 @@ func (d *Driver) Run(k *Kernel) (*KernelTrace, error) {
 			Warps:       make([][]Instr, k.TotalWarps()),
 		}
 	}
-	var warps []*WarpCapture
+	var rec *Launch
 	var seen *BlockSet
 	if d.Capture != nil {
-		warps = make([]*WarpCapture, k.TotalWarps())
-		d.Capture.Warps = append(d.Capture.Warps, warps)
+		rec = &Launch{Warps: make(Arena[WarpRec], k.TotalWarps())}
 		seen = NewBlockSet(d.Mem.TotalBlocks())
 	}
 	for cz := 0; cz < max(1, k.Grid.Z); cz++ {
@@ -102,13 +101,11 @@ func (d *Driver) Run(k *Kernel) (*KernelTrace, error) {
 				cta := arch.Dim3{X: cx, Y: cy, Z: cz}
 				for wi := 0; wi < perCTA; wi++ {
 					w := d.warp(k, cta, wi)
-					if warps != nil {
-						w.capture = &WarpCapture{
-							CTAIdx:       cta,
-							WarpInCTA:    wi,
-							GlobalWarpID: w.GlobalWarpID,
-							NumLanes:     w.NumLanes,
-						}
+					var wr *WarpRec
+					if rec != nil {
+						wr = &rec.Warps[w.GlobalWarpID]
+						wr.Loads.Off, wr.Stores.Off = uint32(len(rec.Loads)), uint32(len(rec.Stores))
+						w.capture = rec
 					}
 					k.Run(w)
 					if w.err != nil {
@@ -117,47 +114,33 @@ func (d *Driver) Run(k *Kernel) (*KernelTrace, error) {
 					if trace != nil {
 						trace.Warps[w.GlobalWarpID] = w.trace
 					}
-					if warps != nil {
-						w.capture.LoadBlocks = loadFootprint(w.capture.Loads, seen)
-						warps[w.GlobalWarpID] = w.capture
+					if rec != nil {
+						rec.closeWarp(wr, seen)
 					}
 				}
 			}
 		}
 	}
+	if rec != nil {
+		if err := rec.clip(); err != nil {
+			return nil, fmt.Errorf("simt: kernel %q: %w", k.KernelName, err)
+		}
+		d.Capture.Launches = append(d.Capture.Launches, *rec)
+	}
 	return trace, nil
 }
 
-// loadFootprint returns the deduplicated union of the loads' blocks, in
-// first-touch order. seen must be empty, and is left empty: every bit set
-// here belongs to a block of the union, so clearing the union's bitset
-// words clears them all.
-func loadFootprint(loads []LoadRec, seen *BlockSet) []arch.BlockAddr {
-	var union []arch.BlockAddr
-	for i := range loads {
-		for _, b := range loads[i].Blocks {
-			if !seen.Has(b) {
-				seen.Add(b)
-				union = append(union, b)
-			}
-		}
-	}
-	for _, b := range union {
-		seen.bits[uint(b)/64] = 0
-	}
-	return union
-}
-
-// RunWarp executes one recorded warp of k against the driver's memory for
-// a campaign lane: rp is rebound to wc, serves loads from the recording
-// wherever the lane's divergent words stay clear of them, and grows the
-// lane's dirty set by what the warp makes divergent — if the warp leaves
-// the recorded sequence, by every word it or the recording stores after
-// the mismatch (see LaneReplay). Errors carry the same wrapping Run would
-// give the same warp.
-func (d *Driver) RunWarp(k *Kernel, wc *WarpCapture, rp *LaneReplay) error {
-	w := d.warp(k, wc.CTAIdx, wc.WarpInCTA)
-	rp.reset(wc)
+// RunWarp executes global warp g of k, recorded as rw, against the
+// driver's memory for a campaign lane: rp is rebound to rw, serves loads
+// from the recording wherever the lane's divergent words stay clear of
+// them, and grows the lane's dirty set by what the warp makes divergent —
+// if the warp leaves the recorded sequence, by every word it or the
+// recording stores after the mismatch (see LaneReplay). Errors carry the
+// same wrapping Run would give the same warp.
+func (d *Driver) RunWarp(k *Kernel, g int, rw *Warp, rp *LaneReplay) error {
+	cta, wi := k.WarpAt(g)
+	w := d.warp(k, cta, wi)
+	rp.reset(rw)
 	w.replay = rp
 	k.Run(w)
 	w.replay = nil

@@ -133,7 +133,8 @@ func TestTypedLoadsShareOneWordPath(t *testing.T) {
 			d.AddWord(a)
 		}
 		rp := &LaneReplay{Dirty: d, Bufs: flipped.Buffers()}
-		if err := (&Driver{Mem: flipped}).RunWarp(k, log.Warps[0][0], rp); err != nil {
+		wc := log.Launches[0].Warp(0)
+		if err := (&Driver{Mem: flipped}).RunWarp(k, 0, &wc, rp); err != nil {
 			t.Fatal(err)
 		}
 		if rp.desync {
@@ -147,38 +148,38 @@ func TestTypedLoadsShareOneWordPath(t *testing.T) {
 		bidx int32
 		want typedLoads
 		// run executes k and returns its trace and recording, if any.
-		run func(k *Kernel) (*KernelTrace, [][]*WarpCapture)
+		run func(k *Kernel) (*KernelTrace, []Launch)
 	}{
-		{"plain", idx, bidx, wantClean, func(k *Kernel) (*KernelTrace, [][]*WarpCapture) {
+		{"plain", idx, bidx, wantClean, func(k *Kernel) (*KernelTrace, []Launch) {
 			run(&Driver{Mem: m.Clone()}, k)
 			return nil, nil
 		}},
-		{"traced", idx, bidx, wantClean, func(k *Kernel) (*KernelTrace, [][]*WarpCapture) {
+		{"traced", idx, bidx, wantClean, func(k *Kernel) (*KernelTrace, []Launch) {
 			return run(&Driver{Mem: m.Clone(), Tracing: true}, k), nil
 		}},
-		{"captured", idx, bidx, wantClean, func(k *Kernel) (*KernelTrace, [][]*WarpCapture) {
+		{"captured", idx, bidx, wantClean, func(k *Kernel) (*KernelTrace, []Launch) {
 			log := &CaptureLog{}
 			run(&Driver{Mem: m.Clone(), Capture: log}, k)
-			return nil, log.Warps
+			return nil, log.Launches
 		}},
-		{"replayed clean", idx, bidx, wantClean, func(k *Kernel) (*KernelTrace, [][]*WarpCapture) {
+		{"replayed clean", idx, bidx, wantClean, func(k *Kernel) (*KernelTrace, []Launch) {
 			replay(k)
 			return nil, nil
 		}},
-		{"replayed dirty", idx, bidx, wantDirty, func(k *Kernel) (*KernelTrace, [][]*WarpCapture) {
+		{"replayed dirty", idx, bidx, wantDirty, func(k *Kernel) (*KernelTrace, []Launch) {
 			replay(k, in.ElemAddr(int(idx[dirtyLane])), in.ElemAddr(bidx))
 			return nil, nil
 		}},
-		{"permissive out of bounds", oobIdx, oobBC, wantFrom(m, oobIdx, oobBC), func(k *Kernel) (*KernelTrace, [][]*WarpCapture) {
+		{"permissive out of bounds", oobIdx, oobBC, wantFrom(m, oobIdx, oobBC), func(k *Kernel) (*KernelTrace, []Launch) {
 			log := &CaptureLog{}
 			tr := run(&Driver{Mem: m.Clone(), PermissiveOOB: true, Tracing: true, Capture: log}, k)
-			return tr, log.Warps
+			return tr, log.Launches
 		}},
 	}
 	for _, md := range modes {
 		var got [2]typedLoads
 		var traces [2]*KernelTrace
-		var warps [2][][]*WarpCapture
+		var warps [2][]Launch
 		for v, f32 := range []bool{true, false} {
 			traces[v], warps[v] = md.run(wordsKernel(f32, md.idx, md.bidx, &got[v]))
 		}
@@ -192,23 +193,24 @@ func TestTypedLoadsShareOneWordPath(t *testing.T) {
 			t.Errorf("%s: traces differ:\n%+v\n%+v", md.name, traces[0], traces[1])
 		}
 		if !reflect.DeepEqual(warps[0], warps[1]) {
-			t.Errorf("%s: recordings differ:\n%+v\n%+v", md.name, warps[0][0][0], warps[1][0][0])
+			t.Errorf("%s: recordings differ:\n%+v\n%+v", md.name, warps[0][0], warps[1][0])
 		}
 		if warps[0] == nil {
 			continue
 		}
-		loads := warps[0][0][0].Loads
+		wc := warps[0][0].Warp(0)
+		vec, bc := wc.Vals(&wc.Loads[0]), wc.Vals(&wc.Loads[1])
 		for lane, i := range md.idx {
 			want := md.want.Vec[lane]
 			if i == InactiveLane {
 				want = 0
 			}
-			if loads[0].Vals[lane] != want {
-				t.Errorf("%s: lane %d recorded %#x, want %#x", md.name, lane, loads[0].Vals[lane], want)
+			if vec[lane] != want {
+				t.Errorf("%s: lane %d recorded %#x, want %#x", md.name, lane, vec[lane], want)
 			}
 		}
-		if loads[1].Vals[0] != md.want.BC {
-			t.Errorf("%s: broadcast recorded %#x, want %#x", md.name, loads[1].Vals[0], md.want.BC)
+		if bc[0] != md.want.BC {
+			t.Errorf("%s: broadcast recorded %#x, want %#x", md.name, bc[0], md.want.BC)
 		}
 	}
 }

@@ -1,12 +1,17 @@
 // Capture and replay of a reference (fault-free) execution. A CaptureLog
 // records, warp by warp, every load the application issues (site, indices,
 // the raw loaded words, coalesced blocks) and every store it commits. It
-// keeps one shape from capture to replay: each kernel launch's warp
-// records in launch order, which the golden artifact persists as is and
-// batched replay walks, taking launch i's kernel from the application.
-// Both element types load through one word-level path (WarpCtx.loadVector
-// and loadBroadcast), so a recording is the same whether a kernel reads
-// float32 or int32 data. Campaign batching builds on two properties of the
+// keeps one shape from capture to replay (record.go): per kernel launch,
+// pointer-free arenas that fixed-size records address by offset, with a
+// constant-stride index vector kept as (base, stride, lanes). The Driver
+// appends into them and clips them at launch end, the golden artifact
+// persists each arena as its little-endian bytes, and batched replay
+// reads them in place through a Warp view, taking launch i's kernel from
+// the application. The recorded load values stay: a clean lane is served
+// from them as a sequential read, where serving it from the lane's fork
+// would gather one word at a time. Both element types load through one
+// word-level path (WarpCtx.loadVector and loadBroadcast), so a recording
+// is the same whether a kernel reads float32 or int32 data. Campaign batching builds on two properties of the
 // lockstep execution model:
 //
 //   - Warps run strictly in launch order, so the recorded per-warp load
@@ -53,94 +58,6 @@ import (
 	"github.com/datacentric-gpu/dcrm/internal/arch"
 	"github.com/datacentric-gpu/dcrm/internal/mem"
 )
-
-// CaptureLog is the recorded reference execution of one application, in
-// the one shape it keeps from Driver.Run through the golden artifact to
-// batched replay: each kernel launch's warp records, in launch order. A
-// replay takes launch i's kernel from the application's kernel list.
-type CaptureLog struct {
-	// Warps holds one entry per launch, in App.Kernels order: that
-	// launch's warp records, dense by global warp ID.
-	Warps [][]*WarpCapture
-}
-
-// WarpCapture is the full memory behaviour of one warp in the reference
-// run: its identity, its loads in issue order, and its stores in commit
-// order.
-type WarpCapture struct {
-	// CTAIdx, WarpInCTA, GlobalWarpID, NumLanes identify the warp exactly
-	// as Driver.Run would construct it.
-	CTAIdx       arch.Dim3
-	WarpInCTA    int
-	GlobalWarpID int
-	NumLanes     int
-	// Loads and Stores are the warp's memory instructions in program order.
-	Loads  []LoadRec
-	Stores []StoreRec
-	// LoadBlocks is the deduplicated union of every load's Blocks in
-	// first-touch order — the warp's read footprint, built by the Driver as
-	// the warp finishes. A run whose divergent blocks miss this set
-	// entirely cannot observe the divergence in this warp.
-	LoadBlocks []arch.BlockAddr
-}
-
-// LoadRec is one recorded warp-level load.
-type LoadRec struct {
-	// PC is the static site that issued the load.
-	PC uint16
-	// BufID is the accessed data object.
-	BufID int16
-	// Broadcast marks a warp-uniform load (LoadF32Broadcast/LoadI32Broadcast).
-	Broadcast bool
-	// BIdx is the broadcast element index (broadcast loads only).
-	BIdx int32
-	// Idx is the per-lane index vector (vector loads only; length NumLanes,
-	// InactiveLane for predicated-off lanes).
-	Idx []int32
-	// Vals are the loaded 32-bit values per lane (vector loads: length
-	// NumLanes, undefined at inactive lanes; broadcast loads: length 1).
-	Vals []uint32
-	// Blocks are the coalesced blocks the load touches.
-	Blocks []arch.BlockAddr
-}
-
-// StoreRec is one recorded warp-level store.
-type StoreRec struct {
-	// PC is the static site that issued the store.
-	PC uint16
-	// BufID is the written data object.
-	BufID int16
-	// Idx is the per-lane index vector (length NumLanes).
-	Idx []int32
-	// Vals are the stored 32-bit values per lane (length NumLanes).
-	Vals []uint32
-	// Blocks are the coalesced blocks the store writes.
-	Blocks []arch.BlockAddr
-}
-
-// ApproxBytes estimates the log's memory footprint, so callers can bound
-// how much capture state they keep per checkpoint.
-func (c *CaptureLog) ApproxBytes() int64 {
-	var n int64
-	for _, warps := range c.Warps {
-		n += 64
-		for _, wc := range warps {
-			if wc == nil {
-				continue
-			}
-			n += 96 + int64(len(wc.LoadBlocks))*8
-			for i := range wc.Loads {
-				r := &wc.Loads[i]
-				n += 64 + int64(len(r.Idx))*4 + int64(len(r.Vals))*4 + int64(len(r.Blocks))*8
-			}
-			for i := range wc.Stores {
-				r := &wc.Stores[i]
-				n += 64 + int64(len(r.Idx))*4 + int64(len(r.Vals))*4 + int64(len(r.Blocks))*8
-			}
-		}
-	}
-	return n
-}
 
 // BlockSet is a dense bitset over block indices.
 type BlockSet struct {
@@ -239,8 +156,8 @@ func (d *DirtySet) AnyBlock(blocks []arch.BlockAddr) bool {
 // remaining stores, and at its end the recording's unmatched ones, then
 // mark every word they write dirty.
 type LaneReplay struct {
-	// wc is the warp being replayed.
-	wc *WarpCapture
+	// w is the warp being replayed.
+	w Warp
 	// Dirty is the lane's divergent-word set, shared across the lane's
 	// warps: the batch executor seeds it, and executed warps grow it.
 	Dirty *DirtySet
@@ -255,12 +172,14 @@ type LaneReplay struct {
 	// stores than recorded. Its writes were then bounded by marking dirty
 	// every word it or the recording stored after the mismatch.
 	desync bool
+	// idx holds an affine record's index vector (Warp.Index).
+	idx [arch.WarpSize]int32
 }
 
 // reset rebinds the replay state to a new warp, so one LaneReplay serves
 // every warp a lane executes.
-func (rp *LaneReplay) reset(wc *WarpCapture) {
-	rp.wc = wc
+func (rp *LaneReplay) reset(w *Warp) {
+	rp.w = *w
 	rp.loadCur = 0
 	rp.storeCur = 0
 	rp.desync = false
@@ -272,14 +191,14 @@ func (rp *LaneReplay) reset(wc *WarpCapture) {
 // unmatched store on is marked dirty: the lane may have left it holding a
 // value other than the golden one.
 func (rp *LaneReplay) finish() {
-	if !rp.desync && rp.storeCur == len(rp.wc.Stores) {
+	if !rp.desync && rp.storeCur == len(rp.w.Stores) {
 		return
 	}
 	rp.desync = true
-	for i := rp.storeCur; i < len(rp.wc.Stores); i++ {
-		rec := &rp.wc.Stores[i]
+	for i := rp.storeCur; i < len(rp.w.Stores); i++ {
+		rec := &rp.w.Stores[i]
 		buf := rp.Bufs[rec.BufID]
-		for _, idx := range rec.Idx {
+		for _, idx := range rp.w.Index(rec, &rp.idx) {
 			if idx != InactiveLane {
 				rp.Dirty.AddWord(buf.ElemAddr(int(idx)))
 			}
@@ -295,29 +214,29 @@ func (rp *LaneReplay) wordDirty(buf *mem.Buffer, idx int32) bool {
 	return idx < 0 || !buf.Contains(a) || rp.Dirty.HasWord(a)
 }
 
-// ReadsDirty reports whether any recorded load of wc reads a dirty word:
+// ReadsDirty reports whether any recorded load of w reads a dirty word:
 // vector loads at each active lane's index, broadcast loads at their one
 // index. A warp that reads no dirty word behaves bit-identically to the
 // recording, so the executor may reproduce it by applying its recorded
 // stores. The block bitset filters first, at warp
 // and then at load granularity.
-func (rp *LaneReplay) ReadsDirty(wc *WarpCapture) bool {
-	if !rp.Dirty.AnyBlock(wc.LoadBlocks) {
+func (rp *LaneReplay) ReadsDirty(w *Warp) bool {
+	if !rp.Dirty.AnyBlock(w.Footprint) {
 		return false
 	}
-	for i := range wc.Loads {
-		rec := &wc.Loads[i]
-		if !rp.Dirty.AnyBlock(rec.Blocks) {
+	for i := range w.Loads {
+		rec := &w.Loads[i]
+		if !rp.Dirty.AnyBlock(w.Blocks(rec)) {
 			continue
 		}
 		buf := rp.Bufs[rec.BufID]
-		if rec.Broadcast {
-			if rp.wordDirty(buf, rec.BIdx) {
+		if rec.Kind == Broadcast {
+			if rp.wordDirty(buf, rec.Base) {
 				return true
 			}
 			continue
 		}
-		for _, idx := range rec.Idx {
+		for _, idx := range w.Index(rec, &rp.idx) {
 			if idx != InactiveLane && rp.wordDirty(buf, idx) {
 				return true
 			}
@@ -326,38 +245,59 @@ func (rp *LaneReplay) ReadsDirty(wc *WarpCapture) bool {
 	return false
 }
 
+// sameIndex reports whether an issued index vector (one index per warp
+// lane) is rec's: its recorded lanes' indices, then inactive lanes.
+func (rp *LaneReplay) sameIndex(rec *Access, issued []int32) bool {
+	recIdx := rp.w.Index(rec, &rp.idx)
+	return slices.Equal(recIdx, issued[:len(recIdx)]) && inactive(issued[len(recIdx):])
+}
+
+// inactive reports whether every lane of idx is InactiveLane.
+func inactive(idx []int32) bool {
+	for _, v := range idx {
+		if v != InactiveLane {
+			return false
+		}
+	}
+	return true
+}
+
 // serveVector matches the next recorded load (position, site, object,
-// vector-ness and index vector) against an issued vector load. When every
-// touched block is clean, it serves the recorded words into dst in the
-// same pass that verifies the index vector and returns (rec, true).
+// vector-ness and index vector) against an issued vector load of n lanes.
+// When every touched block is clean, it serves the recorded words into dst
+// in the same pass that verifies the index vector and returns (rec, true).
 // Otherwise the caller reads memory: a nil record means the lane desynced
 // and every lane must be read; a non-nil record (sequence verified, cursor
 // advanced) means only the lanes whose words are dirty must be read, the
-// rest being served from rec.Vals.
-func (rp *LaneReplay) serveVector(pc uint16, bufID int16, idx []int32, n int, dst []uint32) (*LoadRec, bool) {
-	if rp.desync || rp.loadCur >= len(rp.wc.Loads) {
+// rest being served from its values.
+func (rp *LaneReplay) serveVector(pc uint16, bufID int16, idx []int32, n int, dst []uint32) (*Access, bool) {
+	if rp.desync || rp.loadCur >= len(rp.w.Loads) {
 		rp.desync = true
 		return nil, false
 	}
-	rec := &rp.wc.Loads[rp.loadCur]
-	if rec.PC != pc || rec.BufID != bufID || rec.Broadcast {
+	rec := &rp.w.Loads[rp.loadCur]
+	issued := idx[:n]
+	if rec.PC != pc || rec.BufID != bufID || rec.Kind == Broadcast {
 		rp.desync = true
 		return nil, false
 	}
-	// Reslicing to n lets the compiler drop the per-lane bounds checks in
-	// the loop below (the recorded warp has the executing warp's lane
-	// count, so these never shrink a live record).
-	recIdx, issued := rec.Idx[:n], idx[:n]
-	if rp.Dirty.AnyBlock(rec.Blocks) {
-		if !slices.Equal(recIdx, issued) {
+	if rp.Dirty.AnyBlock(rp.w.Blocks(rec)) {
+		if !rp.sameIndex(rec, issued) {
 			rp.desync = true
 			return nil, false
 		}
 		rp.loadCur++
 		return rec, false
 	}
-	vals, out := rec.Vals[:n], dst[:n]
-	for i, v := range issued {
+	// Reslicing to the recorded lanes lets the compiler drop the per-lane
+	// bounds checks in the loop below.
+	recIdx := rp.w.Index(rec, &rp.idx)
+	vals, out := rp.w.Vals(rec)[:len(recIdx)], dst[:len(recIdx)]
+	if !inactive(issued[len(recIdx):]) {
+		rp.desync = true
+		return nil, false
+	}
+	for i, v := range issued[:len(recIdx)] {
 		if recIdx[i] != v {
 			rp.desync = true
 			return nil, false
@@ -371,23 +311,23 @@ func (rp *LaneReplay) serveVector(pc uint16, bufID int16, idx []int32, n int, ds
 }
 
 // serveBroadcast is the vector serve for warp-uniform loads: it returns
-// the record when the load is in sync and its word is clean, and nil when
-// the caller must read memory.
-func (rp *LaneReplay) serveBroadcast(pc uint16, buf *mem.Buffer, bidx int32) *LoadRec {
-	if rp.desync || rp.loadCur >= len(rp.wc.Loads) {
+// the recorded word when the load is in sync and its word is clean, and
+// false when the caller must read memory.
+func (rp *LaneReplay) serveBroadcast(pc uint16, buf *mem.Buffer, bidx int32) (uint32, bool) {
+	if rp.desync || rp.loadCur >= len(rp.w.Loads) {
 		rp.desync = true
-		return nil
+		return 0, false
 	}
-	rec := &rp.wc.Loads[rp.loadCur]
-	if rec.PC != pc || rec.BufID != int16(buf.ID) || !rec.Broadcast || rec.BIdx != bidx {
+	rec := &rp.w.Loads[rp.loadCur]
+	if rec.PC != pc || rec.BufID != int16(buf.ID) || rec.Kind != Broadcast || rec.Base != bidx {
 		rp.desync = true
-		return nil
+		return 0, false
 	}
 	rp.loadCur++
-	if rp.Dirty.AnyBlock(rec.Blocks) && rp.wordDirty(buf, bidx) {
-		return nil
+	if rp.Dirty.AnyBlock(rp.w.Blocks(rec)) && rp.wordDirty(buf, bidx) {
+		return 0, false
 	}
-	return rec
+	return rp.w.Vals(rec)[0], true
 }
 
 // noteStore matches the next recorded store against an issued store and,
@@ -399,9 +339,9 @@ func (rp *LaneReplay) serveBroadcast(pc uint16, buf *mem.Buffer, bidx int32) *Lo
 // out-of-bounds one aborts the warp).
 func (rp *LaneReplay) noteStore(pc uint16, buf *mem.Buffer, idx []int32, n int, src []float32) {
 	issued := idx[:n]
-	if !rp.desync && rp.storeMatches(pc, buf, issued) {
-		recVals := rp.wc.Stores[rp.storeCur].Vals[:n]
-		for i, v := range issued {
+	if rec := rp.storeMatches(pc, buf, issued); rec != nil {
+		recVals := rp.w.Vals(rec)
+		for i, v := range issued[:len(recVals)] {
 			if v != InactiveLane && math.Float32bits(src[i]) != recVals[i] {
 				rp.Dirty.AddWord(buf.ElemAddr(int(v)))
 			}
@@ -417,12 +357,16 @@ func (rp *LaneReplay) noteStore(pc uint16, buf *mem.Buffer, idx []int32, n int, 
 	}
 }
 
-// storeMatches reports whether an issued store is the next recorded one:
-// same position, site, object and index vector.
-func (rp *LaneReplay) storeMatches(pc uint16, buf *mem.Buffer, issued []int32) bool {
-	if rp.storeCur >= len(rp.wc.Stores) {
-		return false
+// storeMatches returns the next recorded store if an in-sync lane issued
+// it: same position, site, object and index vector. Otherwise it returns
+// nil.
+func (rp *LaneReplay) storeMatches(pc uint16, buf *mem.Buffer, issued []int32) *Access {
+	if rp.desync || rp.storeCur >= len(rp.w.Stores) {
+		return nil
 	}
-	rec := &rp.wc.Stores[rp.storeCur]
-	return rec.PC == pc && rec.BufID == int16(buf.ID) && slices.Equal(rec.Idx[:len(issued)], issued)
+	rec := &rp.w.Stores[rp.storeCur]
+	if rec.PC != pc || rec.BufID != int16(buf.ID) || !rp.sameIndex(rec, issued) {
+		return nil
+	}
+	return rec
 }

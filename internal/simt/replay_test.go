@@ -61,7 +61,7 @@ func TestCaptureLoadFootprint(t *testing.T) {
 	}
 	b0, b1 := in.FirstBlock(), in.FirstBlock()+1
 	for w, want := range [][]arch.BlockAddr{{b0, b1}, {b1, b0}} {
-		if got := log.Warps[0][w].LoadBlocks; !slices.Equal(got, want) {
+		if got := log.Launches[0].Warp(w).Footprint; !slices.Equal(got, want) {
 			t.Errorf("warp %d load footprint %v, want %v", w, got, want)
 		}
 	}
@@ -106,9 +106,9 @@ func TestLaneReplayWordGranular(t *testing.T) {
 	if _, err := (&Driver{Mem: m.Clone(), Capture: log}).Run(k); err != nil {
 		t.Fatal(err)
 	}
-	wc := log.Warps[0][0]
-	if !slices.Equal(wc.LoadBlocks, wc.Loads[0].Blocks) {
-		t.Fatalf("load footprint %v, want the one load's blocks %v", wc.LoadBlocks, wc.Loads[0].Blocks)
+	wc := log.Launches[0].Warp(0)
+	if !slices.Equal(wc.Footprint, wc.Blocks(&wc.Loads[0])) {
+		t.Fatalf("load footprint %v, want the one load's blocks %v", wc.Footprint, wc.Blocks(&wc.Loads[0]))
 	}
 
 	// Lane 3 reads in[6]: give it a new value and mark it dirty. Also
@@ -120,10 +120,10 @@ func TestLaneReplayWordGranular(t *testing.T) {
 	dirty := NewDirtySet(f.TotalBlocks())
 	dirty.AddWord(in.ElemAddr(6))
 	rp := &LaneReplay{Dirty: dirty, Bufs: f.Buffers()}
-	if !rp.ReadsDirty(wc) {
+	if !rp.ReadsDirty(&wc) {
 		t.Fatal("gate missed the warp's dirty word")
 	}
-	if err := (&Driver{Mem: f}).RunWarp(k, wc, rp); err != nil {
+	if err := (&Driver{Mem: f}).RunWarp(k, 0, &wc, rp); err != nil {
 		t.Fatal(err)
 	}
 	if rp.desync {
@@ -145,19 +145,20 @@ func TestLaneReplayWordGranular(t *testing.T) {
 	// A dirty word no recorded load reads leaves the warp reproducible.
 	clean := NewDirtySet(f.TotalBlocks())
 	clean.AddWord(in.ElemAddr(7))
-	if (&LaneReplay{Dirty: clean, Bufs: f.Buffers()}).ReadsDirty(wc) {
+	if (&LaneReplay{Dirty: clean, Bufs: f.Buffers()}).ReadsDirty(&wc) {
 		t.Error("gate executes a warp that reads only clean words of a dirty block")
 	}
 }
 
 // recordOneWarp records one full warp of k running on a clone of m.
-func recordOneWarp(t *testing.T, m *mem.Memory, k *Kernel) *WarpCapture {
+func recordOneWarp(t *testing.T, m *mem.Memory, k *Kernel) *Warp {
 	t.Helper()
 	log := &CaptureLog{}
 	if _, err := (&Driver{Mem: m.Clone(), Capture: log}).Run(k); err != nil {
 		t.Fatal(err)
 	}
-	return log.Warps[0][0]
+	wc := log.Launches[0].Warp(0)
+	return &wc
 }
 
 // TestLaneReplayResyncsDesyncedWarp scatters through an index object: a
@@ -200,7 +201,7 @@ func TestLaneReplayResyncsDesyncedWarp(t *testing.T) {
 	dirty := NewDirtySet(f.TotalBlocks())
 	dirty.AddWord(ix.ElemAddr(3))
 	rp := &LaneReplay{Dirty: dirty, Bufs: f.Buffers()}
-	if err := (&Driver{Mem: f}).RunWarp(k, wc, rp); err != nil {
+	if err := (&Driver{Mem: f}).RunWarp(k, 0, wc, rp); err != nil {
 		t.Fatal(err)
 	}
 	if !rp.desync {
@@ -251,7 +252,7 @@ func TestLaneReplayResyncsShortWarp(t *testing.T) {
 	dirty := NewDirtySet(f.TotalBlocks())
 	dirty.AddWord(flag.ElemAddr(0))
 	rp := &LaneReplay{Dirty: dirty, Bufs: f.Buffers()}
-	if err := (&Driver{Mem: f}).RunWarp(k, wc, rp); err != nil {
+	if err := (&Driver{Mem: f}).RunWarp(k, 0, wc, rp); err != nil {
 		t.Fatal(err)
 	}
 	if !rp.desync {
@@ -293,9 +294,9 @@ func TestRunWarpThreadIdxAcrossShapes(t *testing.T) {
 		k    *Kernel
 		warp int
 	}{{k13, 0}, {k13, 2}, {k5, 0}, {k13, 2}, {k5, 1}, {k5, 1}, {k13, 5}} {
-		lanes := min(arch.WarpSize, step.k.Block.Count()-step.warp*arch.WarpSize)
-		wc := &WarpCapture{WarpInCTA: step.warp, GlobalWarpID: step.warp, NumLanes: lanes}
-		if err := d.RunWarp(step.k, wc, rp); err != nil {
+		l := &Launch{Warps: make(Arena[WarpRec], step.k.TotalWarps())}
+		wc := l.Warp(step.warp)
+		if err := d.RunWarp(step.k, step.warp, &wc, rp); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -103,6 +103,20 @@ func (k *Kernel) WarpsPerCTA() int {
 // TotalWarps returns the number of warps in the whole launch.
 func (k *Kernel) TotalWarps() int { return k.Grid.Count() * k.WarpsPerCTA() }
 
+// WarpAt returns the CTA and the warp within it of the launch's global
+// warp g, in Driver.Run's order: x-major CTAs, warps within each.
+func (k *Kernel) WarpAt(g int) (cta arch.Dim3, wi int) {
+	perCTA, gx, gy := k.WarpsPerCTA(), max(1, k.Grid.X), max(1, k.Grid.Y)
+	c := g / perCTA
+	return arch.Dim3{X: c % gx, Y: c / gx % gy, Z: c / (gx * gy)}, g % perCTA
+}
+
+// WarpLanes returns the lane count of a CTA's warp wi: 32, or fewer for a
+// CTA's partial tail warp.
+func (k *Kernel) WarpLanes(wi int) int {
+	return min(arch.WarpSize, k.Block.Count()-wi*arch.WarpSize)
+}
+
 // KernelTrace is the captured trace of one kernel launch.
 type KernelTrace struct {
 	// Kernel names the traced launch.

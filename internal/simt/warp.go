@@ -39,8 +39,9 @@ type WarpCtx struct {
 	// linearBase is the global linear thread ID of lane 0, precomputed by
 	// the driver per warp so LinearThreadID is one add per call.
 	linearBase int
-	// capture, when set, records the warp's loads and stores for replay.
-	capture *WarpCapture
+	// capture, when set, is the launch recording the warp's loads and
+	// stores are appended to.
+	capture *Launch
 	// replay, when set, serves loads from a recorded reference execution
 	// while the instruction sequence stays in sync with it.
 	replay *LaneReplay
@@ -230,11 +231,14 @@ func (w *WarpCtx) loadVector(site Site, buf *mem.Buffer, idx []int32, dst []uint
 		return
 	}
 	rp := w.replay
-	var rec *LoadRec
+	var vals []uint32
 	if rp != nil {
-		var served bool
-		if rec, served = rp.serveVector(site.PC, int16(buf.ID), idx, w.NumLanes, dst); served {
+		rec, served := rp.serveVector(site.PC, int16(buf.ID), idx, w.NumLanes, dst)
+		if served {
 			return
+		}
+		if rec != nil {
+			vals = rp.w.Vals(rec)
 		}
 	}
 	track := w.tracing || w.capture != nil
@@ -247,8 +251,8 @@ func (w *WarpCtx) loadVector(site Site, buf *mem.Buffer, idx []int32, dst []uint
 		addr := buf.ElemAddr(int(i))
 		blk := addr.Block()
 		switch {
-		case rec != nil && !rp.wordDirty(buf, i):
-			dst[lane] = rec.Vals[lane]
+		case vals != nil && !rp.wordDirty(buf, i):
+			dst[lane] = vals[lane]
 		case i < 0 || !buf.Contains(addr):
 			if !w.drv.PermissiveOOB {
 				w.fail(fmt.Errorf("simt: warp %d %s: lane %d index %d out of bounds for %q (%d B)",
@@ -269,22 +273,8 @@ func (w *WarpCtx) loadVector(site Site, buf *mem.Buffer, idx []int32, dst []uint
 		}
 		n++
 	}
-	if w.capture != nil {
-		ld := LoadRec{
-			PC:    site.PC,
-			BufID: int16(buf.ID),
-			Idx:   append([]int32(nil), idx[:w.NumLanes]...),
-			Vals:  make([]uint32, w.NumLanes),
-		}
-		for lane, i := range ld.Idx {
-			if i != InactiveLane {
-				ld.Vals[lane] = dst[lane]
-			}
-		}
-		if n > 0 {
-			ld.Blocks = append([]arch.BlockAddr(nil), w.coalesce(n)...)
-		}
-		w.capture.Loads = append(w.capture.Loads, ld)
+	if c := w.capture; c != nil {
+		c.Loads = append(c.Loads, c.vector(site, buf, idx[:w.NumLanes], dst, w.coalesce(n)))
 	}
 	if n == 0 || !w.tracing {
 		return
@@ -312,8 +302,8 @@ func (w *WarpCtx) loadBroadcast(site Site, buf *mem.Buffer, idx int32) uint32 {
 		return 0
 	}
 	if rp := w.replay; rp != nil {
-		if rec := rp.serveBroadcast(site.PC, buf, idx); rec != nil {
-			return rec.Vals[0]
+		if word, ok := rp.serveBroadcast(site.PC, buf, idx); ok {
+			return word
 		}
 	}
 	addr := buf.ElemAddr(int(idx))
@@ -333,15 +323,8 @@ func (w *WarpCtx) loadBroadcast(site Site, buf *mem.Buffer, idx int32) uint32 {
 			return 0
 		}
 	}
-	if w.capture != nil {
-		w.capture.Loads = append(w.capture.Loads, LoadRec{
-			PC:        site.PC,
-			BufID:     int16(buf.ID),
-			Broadcast: true,
-			BIdx:      idx,
-			Vals:      []uint32{word},
-			Blocks:    []arch.BlockAddr{blk},
-		})
+	if c := w.capture; c != nil {
+		c.Loads = append(c.Loads, c.broadcast(site, buf, idx, word, blk))
 	}
 	if w.tracing {
 		w.emitMem(InstrLoad, site, buf, []arch.BlockAddr{blk})
@@ -384,22 +367,8 @@ func (w *WarpCtx) StoreF32(site Site, buf *mem.Buffer, idx []int32, src []float3
 		}
 		n++
 	}
-	if w.capture != nil {
-		rec := StoreRec{
-			PC:    site.PC,
-			BufID: int16(buf.ID),
-			Idx:   append([]int32(nil), idx[:w.NumLanes]...),
-			Vals:  make([]uint32, w.NumLanes),
-		}
-		for lane := 0; lane < w.NumLanes; lane++ {
-			if idx[lane] != InactiveLane {
-				rec.Vals[lane] = math.Float32bits(src[lane])
-			}
-		}
-		if n > 0 {
-			rec.Blocks = append([]arch.BlockAddr(nil), w.coalesce(n)...)
-		}
-		w.capture.Stores = append(w.capture.Stores, rec)
+	if c := w.capture; c != nil {
+		c.Stores = append(c.Stores, c.vector(site, buf, idx[:w.NumLanes], asWords(src), w.coalesce(n)))
 	}
 	if n == 0 || !w.tracing {
 		return
