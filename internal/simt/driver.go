@@ -101,10 +101,8 @@ func (d *Driver) Run(k *Kernel) (*KernelTrace, error) {
 				cta := arch.Dim3{X: cx, Y: cy, Z: cz}
 				for wi := 0; wi < perCTA; wi++ {
 					w := d.warp(k, cta, wi)
-					var wr *WarpRec
 					if rec != nil {
-						wr = &rec.Warps[w.GlobalWarpID]
-						wr.Loads.Off, wr.Stores.Off = uint32(len(rec.Loads)), uint32(len(rec.Stores))
+						rec.openWarp(w.GlobalWarpID)
 						w.capture = rec
 					}
 					k.Run(w)
@@ -115,7 +113,7 @@ func (d *Driver) Run(k *Kernel) (*KernelTrace, error) {
 						trace.Warps[w.GlobalWarpID] = w.trace
 					}
 					if rec != nil {
-						rec.closeWarp(wr, seen)
+						rec.closeWarp(w.GlobalWarpID, seen)
 					}
 				}
 			}

@@ -205,12 +205,19 @@ func (l *Launch) broadcast(site Site, buf *mem.Buffer, idx int32, word uint32, b
 	return a
 }
 
-// closeWarp ends the capture of warp r, whose records start at its spans'
-// offsets: it sets the spans' lengths and appends the warp's read
-// footprint. seen must be empty, and is left empty: every bit set here
-// belongs to a block of the footprint, so clearing the footprint's bitset
-// words clears them all.
-func (l *Launch) closeWarp(r *WarpRec, seen *BlockSet) {
+// openWarp starts the capture of global warp g: its records begin at the
+// arenas' current ends.
+func (l *Launch) openWarp(g int) {
+	r := &l.Warps[g]
+	r.Loads.Off, r.Stores.Off = uint32(len(l.Loads)), uint32(len(l.Stores))
+}
+
+// closeWarp ends the capture of global warp g: it sets the spans' lengths
+// and appends the warp's read footprint. seen must be empty, and is left
+// empty: every bit set here belongs to a block of the footprint, so
+// clearing the footprint's bitset words clears them all.
+func (l *Launch) closeWarp(g int, seen *BlockSet) {
+	r := &l.Warps[g]
 	r.Loads.Len = uint32(len(l.Loads)) - r.Loads.Off
 	r.Stores.Len = uint32(len(l.Stores)) - r.Stores.Off
 	r.Footprint.Off = uint32(len(l.Blocks))
